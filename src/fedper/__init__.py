@@ -5,8 +5,7 @@ from .data import (
     LabeledDataset,
     PartitionSpec,
     load_csv,
-    partition_k_class,
-    partition_unbalanced,
+    partition,
     save_csv,
     synth_classification,
     synth_shells,

@@ -10,6 +10,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .config import apply_overrides, build_dataset, default_config, echo_config, load_config_file, resolve
 from .data import K_CLASS, partition_indices
 from .errors import ConfigError, SimulationError, UsageError
@@ -48,9 +50,9 @@ def _effective_run_config(resolved) -> RunConfig:
 def cmd_run(args) -> int:
     resolved = resolve(_load(args))
     ds = build_dataset(resolved.dataset)
-    if resolved.spec.in_dim != ds.samples[0].x.shape[0]:
+    if resolved.spec.in_dim != ds.X.shape[1]:
         raise ConfigError(
-            f"model input dim {resolved.spec.in_dim} != dataset feature dim {ds.samples[0].x.shape[0]}"
+            f"model input dim {resolved.spec.in_dim} != dataset feature dim {ds.X.shape[1]}"
         )
     run_cfg = _effective_run_config(resolved)
 
@@ -59,7 +61,6 @@ def cmd_run(args) -> int:
     result = run_experiment(
         run_cfg,
         ds,
-        threads=args.threads,
         checkpoint_dir=out_dir / "checkpoints",
         checkpoint_every=resolved.output["checkpoint_every"],
     )
@@ -88,7 +89,7 @@ def cmd_sweep(args) -> int:
 
     out_dir = _out_dir(args, resolved)
     run_id = resolved.output["run_id"]
-    sweep = run_sweep(run_cfg, ds, args.axis, values, threads=args.threads)
+    sweep = run_sweep(run_cfg, ds, args.axis, values)
 
     fmt = resolved.output["format"]
     for point in sweep.points:
@@ -103,7 +104,6 @@ def cmd_partition(args) -> int:
     ds = build_dataset(resolved.dataset)
     spec = resolved.partition
     indices = partition_indices(ds, spec)
-    labels = ds.labels
     manifest = {
         "mode": spec.mode,
         "num_clients": spec.num_clients,
@@ -115,8 +115,8 @@ def cmd_partition(args) -> int:
             {
                 "id": j,
                 "size": len(idx),
-                "classes": sorted({int(labels[i]) for i in idx}),
-                "indices": idx,
+                "classes": np.unique(ds.y[idx]).tolist(),
+                "indices": idx.tolist(),
             }
             for j, idx in enumerate(indices)
         ],
@@ -128,6 +128,13 @@ def cmd_partition(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fedper", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -137,7 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
         p.add_argument("--out", help="output directory (file path for partition)")
         p.add_argument("--seed", type=int, help="override master_seed")
-        p.add_argument("--threads", type=int, default=1, help="client-level parallelism")
+        p.add_argument(
+            "--threads", type=_positive_int, default=1,
+            help="accepted for compatibility; clients always train in lock-step on one thread",
+        )
 
     p_run = sub.add_parser("run", help="run one federation")
     common(p_run)

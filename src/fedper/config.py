@@ -161,6 +161,15 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _int(value: Any, name: str, minimum: int) -> int:
+    """value itself if it is an integer >= minimum; JSON booleans are not integers."""
+    _require(
+        isinstance(value, int) and not isinstance(value, bool) and value >= minimum,
+        f"{name} must be an int >= {minimum}, got {value!r}",
+    )
+    return value
+
+
 def resolve(cfg: dict) -> ResolvedConfig:
     """Validate the merged config dict and build the domain objects.
 
@@ -171,8 +180,8 @@ def resolve(cfg: dict) -> ResolvedConfig:
     _require(cfg["algorithm"] in ALGORITHMS, f"algorithm must be one of {ALGORITHMS}")
     _require(cfg["ablation"] in ABLATIONS, f"ablation must be one of {ABLATIONS}")
     _require(isinstance(cfg["fine_tune"], bool), "fine_tune must be a boolean")
-    _require(isinstance(cfg["rounds"], int) and cfg["rounds"] >= 1, "rounds must be an int >= 1")
-    _require(isinstance(cfg["master_seed"], int) and cfg["master_seed"] >= 0, "master_seed must be a non-negative int")
+    _int(cfg["rounds"], "rounds", 1)
+    _int(cfg["master_seed"], "master_seed", 0)
 
     model_cfg = cfg["model"]
     if cfg["algorithm"] == "fedavg":
@@ -180,7 +189,11 @@ def resolve(cfg: dict) -> ResolvedConfig:
     spec = ModelSpec.from_json(model_cfg)
 
     sgd_cfg = cfg["sgd"]
-    sgd = SgdConfig(float(sgd_cfg["eta"]), int(sgd_cfg["epochs"]), int(sgd_cfg["batch_size"]))
+    eta = sgd_cfg["eta"]
+    _require(isinstance(eta, (int, float)) and not isinstance(eta, bool), f"sgd.eta must be a number, got {eta!r}")
+    sgd = SgdConfig(
+        float(eta), _int(sgd_cfg["epochs"], "sgd.epochs", 1), _int(sgd_cfg["batch_size"], "sgd.batch_size", 1)
+    )
 
     ds_cfg = cfg["dataset"]
     _require(ds_cfg["kind"] in DATASET_KINDS, f"dataset.kind must be one of {DATASET_KINDS}")
@@ -201,13 +214,13 @@ def resolve(cfg: dict) -> ResolvedConfig:
         part_cfg["seed"] = rngmod.derive_seed(cfg["master_seed"], rngmod.PARTITION)
     vr = part_cfg["volume_range"]
     _require(
-        isinstance(vr, list) and len(vr) == 2 and all(isinstance(v, int) for v in vr),
+        isinstance(vr, list) and len(vr) == 2 and all(isinstance(v, int) and not isinstance(v, bool) for v in vr),
         "partition.volume_range must be [min, max]",
     )
     partition_spec = PartitionSpec(
         mode=part_cfg["mode"],
-        num_clients=int(part_cfg["num_clients"]),
-        k=int(part_cfg["k"]),
+        num_clients=_int(part_cfg["num_clients"], "partition.num_clients", 1),
+        k=_int(part_cfg["k"], "partition.k", 1),
         volume_range=(vr[0], vr[1]),
         train_fraction=float(part_cfg["train_fraction"]),
         seed=int(part_cfg["seed"]),
@@ -239,8 +252,8 @@ def resolve(cfg: dict) -> ResolvedConfig:
         algorithm=cfg["algorithm"],
         ablation=cfg["ablation"],
         fine_tune=bool(cfg["fine_tune"]),
-        rounds=int(cfg["rounds"]),
-        master_seed=int(cfg["master_seed"]),
+        rounds=cfg["rounds"],
+        master_seed=cfg["master_seed"],
         spec=spec,
         sgd=sgd,
         dataset=ds_cfg,

@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng as rngmod
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, ShapeError
 from .nn import Sample
 
 K_CLASS = "k_class"
@@ -52,26 +52,45 @@ class PartitionSpec:
             raise ConfigError(f"train_fraction must be in (0, 1], got {self.train_fraction}")
 
 
-@dataclass
+@dataclass(eq=False)
 class LabeledDataset:
-    """Samples plus the number of label classes; every label is < num_classes."""
+    """Features X (n, d) float64 and labels y (n,) intp, plus the number of
+    label classes; every label is in [0, num_classes)."""
 
-    samples: list[Sample]
+    X: np.ndarray
+    y: np.ndarray
     num_classes: int
 
     def __post_init__(self) -> None:
+        self.X = np.asarray(self.X, dtype=np.float64)
+        self.y = np.asarray(self.y, dtype=np.intp)
         if self.num_classes < 1:
             raise ConfigError(f"num_classes must be >= 1, got {self.num_classes}")
-        for i, s in enumerate(self.samples):
-            if s.y >= self.num_classes:
-                raise ConfigError(f"sample {i} has label {s.y} >= num_classes {self.num_classes}")
+        if self.X.ndim != 2 or self.y.ndim != 1 or len(self.X) != len(self.y):
+            raise ShapeError(f"features {self.X.shape} and labels {self.y.shape} are not (n, d) and (n,)")
+        bad = np.flatnonzero((self.y < 0) | (self.y >= self.num_classes))
+        if bad.size:
+            i = int(bad[0])
+            raise ConfigError(f"sample {i} has label {self.y[i]} outside [0, {self.num_classes})")
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.y)
+
+    def __getitem__(self, i: int) -> Sample:
+        return Sample(self.X[i], int(self.y[i]))
+
+    @property
+    def samples(self) -> list[Sample]:
+        """The rows as Samples, for callers of the list-of-samples API."""
+        return [self[i] for i in range(len(self))]
 
     @property
     def labels(self) -> np.ndarray:
-        return np.array([s.y for s in self.samples], dtype=np.intp)
+        return self.y
+
+    def subset(self, idx: np.ndarray) -> "LabeledDataset":
+        """The rows at the given indices, in that order (a copy)."""
+        return LabeledDataset(self.X[idx], self.y[idx], self.num_classes)
 
 
 def class_means(num_classes: int, dim: int) -> np.ndarray:
@@ -109,13 +128,12 @@ def synth_classification(
 
     gen = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rngmod.DATASET,)))
     means = class_means(num_classes, dim)
-    samples = []
+    x = np.empty((num_classes * per_class, dim))
     for c in range(num_classes):
-        draws = means[c] + sigma * gen.standard_normal((per_class, dim))
-        for i in range(per_class):
-            cluster = i % len(perms)
-            samples.append(Sample(draws[i], perms[cluster][c]))
-    return LabeledDataset(samples, num_classes)
+        x[c * per_class : (c + 1) * per_class] = means[c] + sigma * gen.standard_normal((per_class, dim))
+    cluster = np.arange(per_class) % len(perms)
+    y = np.concatenate([np.asarray(perms)[cluster, c] for c in range(num_classes)])
+    return LabeledDataset(x, y, num_classes)
 
 
 def synth_shells(
@@ -132,14 +150,13 @@ def synth_shells(
     if num_classes < 1 or dim < 1 or per_class < 1:
         raise ConfigError("num_classes, dim and per_class must all be >= 1")
     gen = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rngmod.DATASET,)))
-    samples = []
+    shells = []
     for c in range(num_classes):
         direction = gen.standard_normal((per_class, dim))
         direction /= np.linalg.norm(direction, axis=1, keepdims=True)
         radius = (c + 1) * radius_step + noise * gen.standard_normal((per_class, 1))
-        for row in direction * radius:
-            samples.append(Sample(row, c))
-    return LabeledDataset(samples, num_classes)
+        shells.append(direction * radius)
+    return LabeledDataset(np.concatenate(shells), np.repeat(np.arange(num_classes), per_class), num_classes)
 
 
 def client_classes(spec: PartitionSpec, num_classes: int) -> list[list[int]]:
@@ -152,7 +169,7 @@ def client_classes(spec: PartitionSpec, num_classes: int) -> list[list[int]]:
     ]
 
 
-def partition_k_class_indices(ds: LabeledDataset, spec: PartitionSpec) -> list[list[int]]:
+def partition_k_class_indices(ds: LabeledDataset, spec: PartitionSpec) -> list[np.ndarray]:
     """Sample indices per client for the class-restricted balanced partition.
 
     Each class's samples are split into equal shares among its eligible
@@ -178,30 +195,22 @@ def partition_k_class_indices(ds: LabeledDataset, spec: PartitionSpec) -> list[l
             )
 
     gen = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(rngmod.PARTITION,)))
-    labels = ds.labels
-    out: list[list[int]] = [[] for _ in range(spec.num_clients)]
+    # every client owns k >= 1 classes, so none ends up with no shares
+    shares: list[list[np.ndarray]] = [[] for _ in range(spec.num_clients)]
     for c in range(ds.num_classes):
-        idx = np.flatnonzero(labels == c)
+        idx = np.flatnonzero(ds.y == c)
         gen.shuffle(idx)
         owners = eligible[c]
         share, rem = divmod(len(idx), len(owners))
         pos = 0
         for rank, j in enumerate(owners):
             take = share + (1 if rank < rem else 0)
-            out[j].extend(int(i) for i in idx[pos : pos + take])
+            shares[j].append(idx[pos : pos + take])
             pos += take
-    return out
+    return [np.concatenate(parts) for parts in shares]
 
 
-def partition_k_class(ds: LabeledDataset, spec: PartitionSpec) -> list[LabeledDataset]:
-    """Class-restricted balanced partition; see partition_k_class_indices."""
-    return [
-        LabeledDataset([ds.samples[i] for i in idx], ds.num_classes)
-        for idx in partition_k_class_indices(ds, spec)
-    ]
-
-
-def partition_unbalanced_indices(ds: LabeledDataset, spec: PartitionSpec) -> list[list[int]]:
+def partition_unbalanced_indices(ds: LabeledDataset, spec: PartitionSpec) -> list[np.ndarray]:
     """Sample indices per client for the unbalanced per-user regime.
 
     Client j draws its volume n_j uniformly from volume_range and then n_j
@@ -217,37 +226,30 @@ def partition_unbalanced_indices(ds: LabeledDataset, spec: PartitionSpec) -> lis
     for j in range(spec.num_clients):
         gen = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(rngmod.PARTITION, j)))
         n_j = int(gen.integers(lo, hi + 1))
-        idx = gen.choice(len(ds), size=n_j, replace=False)
-        out.append([int(i) for i in idx])
+        out.append(gen.choice(len(ds), size=n_j, replace=False))
     return out
 
 
-def partition_unbalanced(ds: LabeledDataset, spec: PartitionSpec) -> list[LabeledDataset]:
-    """Unbalanced per-user partition; with rater_disagreement each client
-    relabels its items by a client-specific permutation of the classes."""
-    parts = []
-    for j, idx in enumerate(partition_unbalanced_indices(ds, spec)):
-        samples = [ds.samples[i] for i in idx]
-        if spec.rater_disagreement:
-            gen = np.random.default_rng(
-                np.random.SeedSequence(spec.seed, spawn_key=(rngmod.PARTITION, j, 1))
-            )
-            relabel = gen.permutation(ds.num_classes)
-            samples = [Sample(s.x, int(relabel[s.y])) for s in samples]
-        parts.append(LabeledDataset(samples, ds.num_classes))
-    return parts
-
-
-def partition(ds: LabeledDataset, spec: PartitionSpec) -> list[LabeledDataset]:
-    if spec.mode == K_CLASS:
-        return partition_k_class(ds, spec)
-    return partition_unbalanced(ds, spec)
-
-
-def partition_indices(ds: LabeledDataset, spec: PartitionSpec) -> list[list[int]]:
+def partition_indices(ds: LabeledDataset, spec: PartitionSpec) -> list[np.ndarray]:
     if spec.mode == K_CLASS:
         return partition_k_class_indices(ds, spec)
     return partition_unbalanced_indices(ds, spec)
+
+
+def partition(ds: LabeledDataset, spec: PartitionSpec) -> list[LabeledDataset]:
+    """One dataset per client, gathered at partition_indices.  In the
+    unbalanced regime with rater_disagreement, each client relabels its items
+    by a client-specific permutation of the classes."""
+    parts = []
+    for j, idx in enumerate(partition_indices(ds, spec)):
+        y = ds.y[idx]
+        if spec.mode == UNBALANCED_USERS and spec.rater_disagreement:
+            gen = np.random.default_rng(
+                np.random.SeedSequence(spec.seed, spawn_key=(rngmod.PARTITION, j, 1))
+            )
+            y = gen.permutation(ds.num_classes)[y]
+        parts.append(LabeledDataset(ds.X[idx], y, ds.num_classes))
+    return parts
 
 
 def train_test_split(
@@ -259,18 +261,15 @@ def train_test_split(
     gen = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rngmod.SPLIT,)))
     perm = gen.permutation(len(ds))
     n_train = math.ceil(fraction * len(ds))
-    train = [ds.samples[int(i)] for i in perm[:n_train]]
-    test = [ds.samples[int(i)] for i in perm[n_train:]]
-    return LabeledDataset(train, ds.num_classes), LabeledDataset(test, ds.num_classes)
+    return ds.subset(perm[:n_train]), ds.subset(perm[n_train:])
 
 
 def save_csv(ds: LabeledDataset, path: str | Path) -> None:
     """Write `f0,...,f{d-1},label` rows; floats use repr so a reload is exact."""
     path = Path(path)
-    dim = ds.samples[0].x.shape[0] if ds.samples else 0
-    lines = [",".join([f"f{i}" for i in range(dim)] + ["label"])]
-    for s in ds.samples:
-        lines.append(",".join([repr(float(v)) for v in s.x] + [str(s.y)]))
+    lines = [",".join([f"f{i}" for i in range(ds.X.shape[1])] + ["label"])]
+    for x, y in zip(ds.X, ds.y):
+        lines.append(",".join([repr(float(v)) for v in x] + [str(int(y))]))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -291,13 +290,14 @@ def load_csv(path: str | Path) -> LabeledDataset:
         raise ParseError(f"{path}: line 1: expected header f0,...,f{{d-1}},label, got {lines[0]!r}")
     dim = len(header) - 1
 
-    samples = []
+    rows: list[list[float]] = []
+    labels: list[int] = []
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
         if len(fields) != dim + 1:
             raise ParseError(f"{path}: line {lineno}: expected {dim + 1} fields, got {len(fields)}")
         try:
-            x = np.array([float(v) for v in fields[:-1]])
+            rows.append([float(v) for v in fields[:-1]])
         except ValueError as exc:
             raise ParseError(f"{path}: line {lineno}: bad feature value: {exc}") from exc
         label_text = fields[-1].strip()
@@ -307,8 +307,8 @@ def load_csv(path: str | Path) -> LabeledDataset:
             raise ParseError(f"{path}: line {lineno}: non-integer label {label_text!r}") from exc
         if y < 0:
             raise ParseError(f"{path}: line {lineno}: negative label {y}")
-        samples.append(Sample(x, y))
-    if not samples:
+        labels.append(y)
+    if not rows:
         raise ParseError(f"{path}: no data rows")
-    num_classes = max(s.y for s in samples) + 1
-    return LabeledDataset(samples, num_classes)
+    x = np.array(rows, dtype=np.float64).reshape(len(rows), dim)
+    return LabeledDataset(x, labels, max(labels) + 1)

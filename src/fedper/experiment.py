@@ -13,7 +13,6 @@ from .data import LabeledDataset, partition, train_test_split
 from .errors import ConfigError, UsageError
 from .metrics import SweepPoint, SweepResult, cross_client_stats
 from .model import ModelSpec
-from .nn import Sample
 from .protocol import FederationResult, RunConfig, run_federation
 
 AXIS_K = "k"
@@ -26,22 +25,20 @@ _ALGORITHM_CODES = {"fedper": 0, "fedavg": 1}
 
 def client_shards(
     ds: LabeledDataset, partition_spec
-) -> list[tuple[list[Sample], list[Sample]]]:
+) -> list[tuple[LabeledDataset, LabeledDataset]]:
     """Partition the dataset over clients, then split each shard into its own
     train and test sets with a per-client seed derived from the partition seed."""
-    shards = partition(ds, partition_spec)
-    out = []
-    for j, shard in enumerate(shards):
-        seed_j = rngmod.derive_seed(partition_spec.seed, rngmod.SPLIT, j)
-        train, test = train_test_split(shard, partition_spec.train_fraction, seed_j)
-        out.append((train.samples, test.samples))
-    return out
+    return [
+        train_test_split(
+            shard, partition_spec.train_fraction, rngmod.derive_seed(partition_spec.seed, rngmod.SPLIT, j)
+        )
+        for j, shard in enumerate(partition(ds, partition_spec))
+    ]
 
 
 def run_experiment(
     cfg: RunConfig,
     ds: LabeledDataset,
-    threads: int = 1,
     checkpoint_dir: str | Path | None = None,
     checkpoint_every: int = 0,
 ) -> FederationResult:
@@ -51,9 +48,7 @@ def run_experiment(
             f"model output dim {cfg.spec.out_dim} != dataset classes {ds.num_classes}"
         )
     shards = client_shards(ds, cfg.partition)
-    return run_federation(
-        cfg, shards, threads=threads, checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every
-    )
+    return run_federation(cfg, shards, checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every)
 
 
 def sweep_seed(master_seed: int, axis: str, value: int | str) -> int:
@@ -84,7 +79,6 @@ def run_sweep(
     ds: LabeledDataset,
     axis: str,
     values: Sequence[int | str],
-    threads: int = 1,
 ) -> SweepResult:
     """Re-run the experiment once per axis value; points are independent runs
     and come back sorted by value."""
@@ -92,7 +86,7 @@ def run_sweep(
         raise UsageError("sweep needs at least one value")
     points = []
     for value in values:
-        result = run_experiment(sweep_variant(cfg, axis, value), ds, threads=threads)
+        result = run_experiment(sweep_variant(cfg, axis, value), ds)
         stats = cross_client_stats(result.history.final_accuracies())
         points.append(SweepPoint(value, stats.mean, stats.std, result.history))
     points.sort(key=lambda p: p.value)

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 import numpy as np
 
 from .errors import SimulationError, UsageError
-from .nn import Sample, WeightSet, _forward_batch, _stack_batch
+from .nn import WeightSet, _forward, cross_entropy, model_inputs
 
 if TYPE_CHECKING:
     from .model import ModelSpec
@@ -57,22 +57,17 @@ class SweepResult:
     points: list[SweepPoint]
 
 
-def evaluate(
-    spec: "ModelSpec", base: WeightSet, personal: WeightSet, samples: Sequence[Sample]
-) -> EvalResult:
+def evaluate(spec: "ModelSpec", base: WeightSet, personal: WeightSet, data) -> EvalResult:
     """Accuracy (argmax of logits, ties to the lowest class index) and mean
-    cross-entropy on the given samples.  Pure and deterministic."""
-    if len(samples) == 0:
+    cross-entropy on a dataset (a LabeledDataset or a sequence of Samples).
+    Pure and deterministic."""
+    if len(data) == 0:
         raise UsageError("evaluate requires a non-empty sample list")
-    x, y = _stack_batch(spec, samples)
-    acts, _ = _forward_batch(spec, base.layers + personal.layers, x)
-    logits = acts[-1]
+    x, y = model_inputs(spec, data)
+    logits = _forward(spec, base.layers + personal.layers, x)[-1]
     predictions = np.argmax(logits, axis=1)  # np.argmax breaks ties toward the lowest index
     accuracy = float(np.mean(predictions == y))
-
-    zmax = logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(logits - zmax).sum(axis=1)) + zmax[:, 0]
-    loss = float(np.mean(lse - logits[np.arange(len(samples)), y]))
+    loss = float(np.mean(cross_entropy(logits, y)))
     return EvalResult(accuracy, loss)
 
 

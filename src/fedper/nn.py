@@ -1,16 +1,18 @@
 """Dense feed-forward networks: forward pass, exact backpropagation, and the
-mini-batch SGD routine used for local training.
+lock-step mini-batch SGD engine that runs every client's local training.
 
 Weights are float64 throughout so that protocol-level equivalence tests can
 compare trajectories bitwise.  A network is described by a ModelSpec (see
 fedper.model) and carried as two WeightSets: the shared base layers followed
-by the client-local personalization layers.
+by the client-local personalization layers.  For training, the weights of N
+clients are stacked layer by layer into (N, out, in) and (N, out) arrays.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -48,15 +50,12 @@ class SgdConfig:
 
     def __post_init__(self) -> None:
         # eta == 0 is allowed: the zero step size is the degenerate no-op case.
-        if self.eta < 0:
-            raise ConfigError(f"learning rate must be >= 0, got {self.eta}")
+        if not math.isfinite(self.eta) or self.eta < 0:
+            raise ConfigError(f"learning rate must be finite and >= 0, got {self.eta}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
-
-    def with_eta(self, eta: float) -> "SgdConfig":
-        return replace(self, eta=eta)
 
 
 @dataclass(frozen=True)
@@ -150,41 +149,103 @@ def _check_model_weights(spec: "ModelSpec", base: WeightSet, personal: WeightSet
     check_weights_match(spec.layers[spec.k_base :], personal, offset=spec.k_base)
 
 
+def model_inputs(spec: "ModelSpec", data) -> tuple[np.ndarray, np.ndarray]:
+    """Features (n, in_dim) and labels (n,) of a dataset.
+
+    A LabeledDataset (anything with X and y arrays) passes through as is; a
+    sequence of Samples, which callers of the public API may still hand in,
+    is stacked.
+    """
+    if hasattr(data, "X"):
+        x, y = data.X, data.y
+    elif len(data) == 0:
+        return np.empty((0, spec.in_dim)), np.empty(0, dtype=np.intp)
+    else:
+        x, y = np.stack([s.x for s in data]), np.array([s.y for s in data], dtype=np.intp)
+    if len(y) and x.shape[1] != spec.in_dim:
+        raise ShapeError(f"layer 0: input dim {x.shape[1]} != expected {spec.in_dim}")
+    return x, y
+
+
+def stack_weights(sets: Sequence[WeightSet]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Layer-wise (N, out, in) weight and (N, out) bias stacks of N weight
+    sets; row j is a copy of sets[j]."""
+    return [
+        (np.stack([s.layers[i][0] for s in sets]), np.stack([s.layers[i][1] for s in sets]))
+        for i in range(len(sets[0]))
+    ]
+
+
+def unstack_weights(layers: Sequence[tuple[np.ndarray, np.ndarray]], j: int) -> WeightSet:
+    """Row j of layer stacks, as views."""
+    return WeightSet([(w[j], b[j]) for w, b in layers])
+
+
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
     if name == "relu":
         return np.maximum(z, 0.0)
     return z
 
 
-def _activation_grad(name: str, z: np.ndarray) -> np.ndarray:
+def _chain(name: str, delta: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """delta times the derivative of the activation whose output is a
+    (relu: a > 0 exactly where its input is; identity: exactly delta)."""
     if name == "relu":
-        return (z > 0.0).astype(np.float64)
-    return np.ones_like(z)
+        return delta * (a > 0.0)
+    return delta
 
 
-def _forward_batch(
-    spec: "ModelSpec", layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Run the stack on a (batch, in_dim) matrix, caching values for backprop.
+def _forward(
+    spec: "ModelSpec", layers: Sequence[tuple[np.ndarray, np.ndarray]], x: np.ndarray
+) -> list[np.ndarray]:
+    """Run the stack on (..., batch, in_dim) inputs; returns every layer's
+    activations, the input first and the network output last.
 
-    Returns (activations, pre_activations) where activations[0] is the input
-    and activations[-1] the network output.
+    Leading dims index stacked weights: with (G, out, in) weights and
+    (G, batch, in) inputs every slice g is its own forward pass.
     """
     acts = [x]
-    pre = []
     for lspec, (w, b) in zip(spec.layers, layers):
-        z = acts[-1] @ w.T + b
-        pre.append(z)
-        acts.append(_activate(lspec.activation, z))
-    return acts, pre
+        acts.append(_activate(lspec.activation, acts[-1] @ w.swapaxes(-1, -2) + b[..., None, :]))
+    return acts
 
 
-def _stack_batch(spec: "ModelSpec", batch: Sequence[Sample]) -> tuple[np.ndarray, np.ndarray]:
-    x = np.stack([s.x for s in batch])
-    y = np.array([s.y for s in batch], dtype=np.intp)
-    if x.shape[1] != spec.in_dim:
-        raise ShapeError(f"layer 0: input dim {x.shape[1]} != expected {spec.in_dim}")
-    return x, y
+def _softmax_parts(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row max, exp(logits - max) and its row sums: the stable softmax."""
+    zmax = logits.max(axis=-1, keepdims=True)
+    expz = np.exp(logits - zmax)
+    return zmax, expz, expz.sum(axis=-1, keepdims=True)
+
+
+def cross_entropy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-row softmax cross-entropy, logsumexp(logits) - logits[y]."""
+    zmax, _, sums = _softmax_parts(logits)
+    picked = np.take_along_axis(logits, y[..., None], axis=-1)
+    return np.log(sums[..., 0]) + zmax[..., 0] - picked[..., 0]
+
+
+def _backprop(
+    spec: "ModelSpec",
+    layers: Sequence[tuple[np.ndarray, np.ndarray]],
+    acts: list[np.ndarray],
+    y: np.ndarray,
+    first_trained: int = 0,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Exact gradients of the batch-mean cross-entropy for layers
+    first_trained.. (in order), from a cached forward pass.  Leading dims
+    are stacked weights as in _forward."""
+    _, expz, sums = _softmax_parts(acts[-1])
+    # softmax minus the one-hot label; subtracting 0.0 leaves a value exact
+    delta = expz / sums - (y[..., None] == np.arange(expz.shape[-1]))
+    delta /= y.shape[-1]
+    # the final layer's activation is part of the chain too
+    delta = _chain(spec.layers[-1].activation, delta, acts[-1])
+    grads = []
+    for i in range(len(layers) - 1, first_trained - 1, -1):
+        grads.append((delta.swapaxes(-1, -2) @ acts[i], delta.sum(axis=-2)))
+        if i > first_trained:
+            delta = _chain(spec.layers[i - 1].activation, delta @ layers[i][0], acts[i])
+    return grads[::-1]
 
 
 def forward(spec: "ModelSpec", base: WeightSet, personal: WeightSet, x: np.ndarray) -> np.ndarray:
@@ -193,43 +254,7 @@ def forward(spec: "ModelSpec", base: WeightSet, personal: WeightSet, x: np.ndarr
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != spec.in_dim:
         raise ShapeError(f"layer 0: input shape {x.shape} != expected ({spec.in_dim},)")
-    acts, _ = _forward_batch(spec, base.layers + personal.layers, x[None, :])
-    return acts[-1][0]
-
-
-def _loss_grad_arrays(
-    spec: "ModelSpec",
-    layers: list[tuple[np.ndarray, np.ndarray]],
-    x: np.ndarray,
-    y: np.ndarray,
-) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
-    """Mean softmax cross-entropy and its exact gradients on stacked arrays."""
-    acts, pre = _forward_batch(spec, layers, x)
-    logits = acts[-1]
-    n = logits.shape[0]
-    rows = np.arange(n)
-
-    zmax = logits.max(axis=1, keepdims=True)
-    shifted = logits - zmax
-    expz = np.exp(shifted)
-    sums = expz.sum(axis=1, keepdims=True)
-    # loss_i = logsumexp(logits_i) - logits_i[y_i], stable form
-    loss = float(np.mean(np.log(sums[:, 0]) + zmax[:, 0] - logits[rows, y]))
-
-    probs = expz / sums
-    delta = probs
-    delta[rows, y] -= 1.0
-    delta /= n
-    # final layer's activation is part of the chain too
-    delta = delta * _activation_grad(spec.layers[-1].activation, pre[-1])
-
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)  # type: ignore[list-item]
-    for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
-        grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
-        if i > 0:
-            delta = (delta @ w) * _activation_grad(spec.layers[i - 1].activation, pre[i - 1])
-    return loss, grads
+    return _forward(spec, base.layers + personal.layers, x[None, :])[-1][0]
 
 
 def loss_and_grad(
@@ -239,8 +264,11 @@ def loss_and_grad(
     if len(batch) == 0:
         raise UsageError("loss_and_grad requires a non-empty batch")
     _check_model_weights(spec, base, personal)
-    x, y = _stack_batch(spec, batch)
-    loss, grads = _loss_grad_arrays(spec, base.layers + personal.layers, x, y)
+    x, y = model_inputs(spec, batch)
+    layers = base.layers + personal.layers
+    acts = _forward(spec, layers, x)
+    loss = float(np.mean(cross_entropy(acts[-1], y)))
+    grads = _backprop(spec, layers, acts, y)
     kb = spec.k_base
     return loss, WeightSet(grads[:kb]), WeightSet(grads[kb:])
 
@@ -250,6 +278,69 @@ def minibatch_indices(n: int, batch_size: int, rng: np.random.Generator) -> list
     slices, last partial slice included.  Every sample appears exactly once."""
     perm = rng.permutation(n)
     return [perm[i : i + batch_size] for i in range(0, n, batch_size)]
+
+
+def train_lockstep(
+    spec: "ModelSpec",
+    layers: list[tuple[np.ndarray, np.ndarray]],
+    data: Sequence[tuple[np.ndarray, np.ndarray]],
+    rngs: Sequence[np.random.Generator],
+    epochs: int,
+    batch_size: int,
+    eta: float,
+    first_trained: int = 0,
+) -> None:
+    """Mini-batch SGD for N clients at once, updating stacked weights in place.
+
+    layers holds one (W (N, out, in), b (N, out)) stack per model layer, row
+    j being client j's copy; data[j] = (X_j, y_j) and rngs[j] are client j's
+    training set and generator.  Each client walks exactly the batches it
+    would walk alone: per epoch a fresh permutation from its own generator,
+    cut into batch_size slices with the last one partial, each step moving
+    its weights by -eta * gradient.  Layers before first_trained are frozen:
+    they take part in the forward pass, but no gradient is computed for them
+    and they are never updated.
+
+    At step t every client that still has batches takes its t-th one.
+    Clients whose batches have the same size form a bucket, which runs one
+    stacked forward and backward pass: np.matmul runs each client's own gemm
+    on its own slice, and every reduction runs within one client's slice.
+    Buckets are never padded, because padding would change the shape of
+    each client's gemm and reductions, and with them the rounding.  Unpadded,
+    every client's arithmetic is the same as in a run on its own, and no
+    client reads another's weights, data or generator; so the result is
+    bitwise independent of which clients share a bucket and of the order in
+    which buckets run.
+    """
+    everyone = list(range(len(data)))
+    sizes = [len(y) for _, y in data]
+    starts = np.cumsum([0] + sizes[:-1])
+    x_all = np.concatenate([x for x, _ in data])
+    y_all = np.concatenate([y for _, y in data])
+    # every client's batches for the whole pass, as rows of x_all
+    plans = [
+        [start + idx for _ in range(epochs) for idx in minibatch_indices(n, batch_size, gen)]
+        for n, start, gen in zip(sizes, starts, rngs)
+    ]
+    for t in range(max(len(plan) for plan in plans)):
+        buckets: dict[int, list[int]] = {}
+        for j, plan in enumerate(plans):
+            if t < len(plan):
+                buckets.setdefault(len(plan[t]), []).append(j)
+        for clients in buckets.values():
+            rows = np.stack([plans[j][t] for j in clients])
+            # a bucket of every client works on the stacks in place, any
+            # other on gathered copies that are scattered back
+            whole = clients == everyone
+            ws = layers if whole else [(w[clients], b[clients]) for w, b in layers]
+            grads = _backprop(spec, ws, _forward(spec, ws, x_all[rows]), y_all[rows], first_trained)
+            for i, (gw, gb) in enumerate(grads, start=first_trained):
+                w, b = ws[i]
+                w -= eta * gw
+                b -= eta * gb
+                if not whole:
+                    layers[i][0][clients] = w
+                    layers[i][1][clients] = b
 
 
 def sgd(
@@ -269,14 +360,8 @@ def sgd(
     if len(dataset) == 0:
         raise UsageError("sgd requires a non-empty dataset")
     _check_model_weights(spec, base, personal)
-    x, y = _stack_batch(spec, dataset)
-
-    layers = [(w.copy(), b.copy()) for w, b in base.layers + personal.layers]
-    for _ in range(cfg.epochs):
-        for idx in minibatch_indices(len(dataset), cfg.batch_size, rng):
-            _, grads = _loss_grad_arrays(spec, layers, x[idx], y[idx])
-            for (w, b), (gw, gb) in zip(layers, grads):
-                w -= cfg.eta * gw
-                b -= cfg.eta * gb
+    layers = stack_weights([WeightSet(base.layers + personal.layers)])
+    data = [model_inputs(spec, dataset)]
+    train_lockstep(spec, layers, data, [rng], cfg.epochs, cfg.batch_size, cfg.eta)
     kb = spec.k_base
-    return WeightSet(layers[:kb]), WeightSet(layers[kb:])
+    return unstack_weights(layers[:kb], 0), unstack_weights(layers[kb:], 0)

@@ -1,6 +1,9 @@
 """Federation protocol: client and server state machines, the round loop,
 sample-weighted aggregation, and the optional personal-layer fine-tuning pass.
 
+Every round trains all clients together on the lock-step engine
+(fedper.nn.train_lockstep), with their weights stacked row by row.
+
 Communication is in-process.  Every exchange is appended to the server's
 message log as (sender, receiver, payload kind), which makes the privacy
 contract checkable: personalization weights must never appear on the wire,
@@ -9,26 +12,26 @@ so no log entry may carry the personal-weights kind.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import rng as rngmod
 from .errors import ConfigError, ProtocolError, UsageError
 from .checkpoint import save_weights
-from .data import PartitionSpec
+from .data import LabeledDataset, PartitionSpec
 from .metrics import ClientMetrics, evaluate
 from .model import ModelSpec
 from .nn import (
     Sample,
     SgdConfig,
     WeightSet,
-    _loss_grad_arrays,
-    _stack_batch,
     init_weights,
-    minibatch_indices,
+    model_inputs,
     sgd,
+    stack_weights,
+    train_lockstep,
+    unstack_weights,
     weights_checksum,
 )
 
@@ -57,12 +60,11 @@ class ClientState:
     and its handle on the seed hierarchy."""
 
     client_id: int
-    train: list[Sample]
-    test: list[Sample]
+    train: LabeledDataset
+    test: LabeledDataset
     personal: WeightSet
     sgd: SgdConfig
     stream: rngmod.PartyStream
-    eta_schedule: Callable[[int], float] | None = None
 
     def __post_init__(self) -> None:
         if len(self.train) < 1:
@@ -71,11 +73,6 @@ class ClientState:
     @property
     def n_train(self) -> int:
         return len(self.train)
-
-    def eta_for_round(self, round_idx: int) -> float:
-        if self.eta_schedule is not None:
-            return self.eta_schedule(round_idx)
-        return self.sgd.eta
 
 
 @dataclass
@@ -155,19 +152,30 @@ def server_init(cfg: RunConfig, client_sizes: Sequence[int]) -> ServerState:
 
 
 def make_client(
-    cfg: RunConfig, client_id: int, train: Sequence[Sample], test: Sequence[Sample]
+    cfg: RunConfig,
+    client_id: int,
+    train: LabeledDataset | Sequence[Sample],
+    test: LabeledDataset | Sequence[Sample],
 ) -> ClientState:
     """Build a client with personalization weights drawn from its own stream."""
     stream = rngmod.PartyStream(cfg.master_seed, rngmod.client_party(client_id))
     personal = init_weights(cfg.spec.personal_layers, stream.rng(0, rngmod.INIT))
+    out_dim = cfg.spec.out_dim
     return ClientState(
         client_id=client_id,
-        train=list(train),
-        test=list(test),
+        train=LabeledDataset(*model_inputs(cfg.spec, train), out_dim),
+        test=LabeledDataset(*model_inputs(cfg.spec, test), out_dim),
         personal=personal,
         sgd=cfg.sgd,
         stream=stream,
     )
+
+
+def _check_base(client: ClientState, spec: ModelSpec, base_in: WeightSet) -> None:
+    if len(base_in) != spec.k_base:
+        raise ProtocolError(
+            f"client {client.client_id}: received {len(base_in)} base layers, expected {spec.k_base}"
+        )
 
 
 def client_round(
@@ -176,14 +184,28 @@ def client_round(
     """One local training pass: SGD jointly updates the received base weights
     and the client's personal weights.  Only the updated base is returned for
     the wire; the personal update stays in the returned client state."""
-    if len(base_in) != spec.k_base:
-        raise ProtocolError(
-            f"client {client.client_id}: received {len(base_in)} base layers, expected {spec.k_base}"
-        )
-    cfg = client.sgd.with_eta(client.eta_for_round(round_idx))
+    _check_base(client, spec, base_in)
     gen = client.stream.rng(round_idx, rngmod.SGD)
-    base_out, personal_out = sgd(spec, base_in, client.personal, client.train, cfg, gen)
+    base_out, personal_out = sgd(spec, base_in, client.personal, client.train, client.sgd, gen)
     return base_out, replace(client, personal=personal_out)
+
+
+def _fine_tune_pass(
+    spec: ModelSpec, layers: list, clients: Sequence[ClientState], round_idx: int
+) -> None:
+    """One epoch of SGD on the personal layers of every client, base frozen;
+    client j's weights are row j of the layer stacks, updated in place."""
+    cfg = clients[0].sgd
+    train_lockstep(
+        spec,
+        layers,
+        [(c.train.X, c.train.y) for c in clients],
+        [c.stream.rng(round_idx, rngmod.FINE_TUNE) for c in clients],
+        epochs=1,
+        batch_size=cfg.batch_size,
+        eta=cfg.eta,
+        first_trained=spec.k_base,
+    )
 
 
 def fine_tune(
@@ -191,26 +213,15 @@ def fine_tune(
 ) -> ClientState:
     """One epoch of SGD on the personal layers only, base frozen in place.
 
-    Base gradients are computed (they are part of the chain) but never
-    applied, so base_in is returned to the caller untouched.
+    The base layers take part in the forward pass but are never updated, so
+    base_in is returned to the caller untouched.
     """
     if spec.k_personal < 1:
         raise UsageError("fine_tune requires at least one personalization layer")
-    if len(base_in) != spec.k_base:
-        raise ProtocolError(
-            f"client {client.client_id}: received {len(base_in)} base layers, expected {spec.k_base}"
-        )
-    eta = client.eta_for_round(round_idx)
-    gen = client.stream.rng(round_idx, rngmod.FINE_TUNE)
-    x, y = _stack_batch(spec, client.train)
-    personal = [(w.copy(), b.copy()) for w, b in client.personal.layers]
-    kb = spec.k_base
-    for idx in minibatch_indices(len(client.train), client.sgd.batch_size, gen):
-        _, grads = _loss_grad_arrays(spec, base_in.layers + personal, x[idx], y[idx])
-        for (w, b), (gw, gb) in zip(personal, grads[kb:]):
-            w -= eta * gw
-            b -= eta * gb
-    return replace(client, personal=WeightSet(personal))
+    _check_base(client, spec, base_in)
+    layers = stack_weights([WeightSet(base_in.layers + client.personal.layers)])
+    _fine_tune_pass(spec, layers, [client], round_idx)
+    return replace(client, personal=unstack_weights(layers[spec.k_base :], 0))
 
 
 def aggregate(updates: Sequence[tuple[WeightSet, float]]) -> WeightSet:
@@ -245,8 +256,7 @@ def aggregate(updates: Sequence[tuple[WeightSet, float]]) -> WeightSet:
 
 def run_federation(
     cfg: RunConfig,
-    client_data: Sequence[tuple[Sequence[Sample], Sequence[Sample]]],
-    threads: int = 1,
+    client_data: Sequence[tuple[LabeledDataset | Sequence[Sample], LabeledDataset | Sequence[Sample]]],
     checkpoint_dir: str | Path | None = None,
     checkpoint_every: int = 0,
 ) -> FederationResult:
@@ -257,8 +267,8 @@ def run_federation(
     Metrics are recorded after local training and aggregation, before the
     next broadcast: each client is scored with the round's aggregated base
     plus its own personal weights, the pair the personalized risk is defined
-    on.  Clients may run concurrently (threads > 1); per-(party, round,
-    purpose) rng substreams make the result schedule-independent.
+    on.  All clients train together on the lock-step engine, which gives
+    every client bitwise the result of training it on its own.
     """
     if len(client_data) != cfg.num_clients:
         raise ConfigError(f"got {len(client_data)} client datasets for {cfg.num_clients} clients")
@@ -268,30 +278,35 @@ def run_federation(
         if len(c.test) < 1:
             raise ConfigError(f"client {c.client_id} has an empty test set")
     server = server_init(cfg, [c.n_train for c in clients])
+    train_sets = [(c.train.X, c.train.y) for c in clients]
+    personal = stack_weights([c.personal for c in clients])
+    kb = spec.k_base
 
     records = []
     for round_idx in range(1, cfg.rounds + 1):
-        base_in = server.base
         for j in range(cfg.num_clients):
             server.log(SERVER, client_name(j), MSG_BASE_WEIGHTS)
+        # row j of every stack is client j's copy: the broadcast base, then
+        # its own personal layers (updated in place across rounds)
+        layers = stack_weights([server.base] * cfg.num_clients) + personal
+        if cfg.fine_tune and spec.k_personal >= 1:
+            _fine_tune_pass(spec, layers, clients, round_idx)
+        train_lockstep(
+            spec,
+            layers,
+            train_sets,
+            [c.stream.rng(round_idx, rngmod.SGD) for c in clients],
+            cfg.sgd.epochs,
+            cfg.sgd.batch_size,
+            cfg.sgd.eta,
+        )
 
-        def one_client(c: ClientState) -> tuple[WeightSet, ClientState]:
-            if cfg.fine_tune and spec.k_personal >= 1:
-                c = fine_tune(c, spec, base_in, round_idx)
-            return client_round(c, spec, base_in, round_idx)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(one_client, clients))
-        else:
-            results = [one_client(c) for c in clients]
-
-        clients = [c for _, c in results]
         for j in range(cfg.num_clients):
             server.log(client_name(j), SERVER, MSG_BASE_WEIGHTS)
         server.base = aggregate(
-            [(base_out, g) for (base_out, _), g in zip(results, server.agg_weights)]
+            [(unstack_weights(layers[:kb], j), g) for j, g in enumerate(server.agg_weights)]
         )
+        clients = [replace(c, personal=unstack_weights(personal, c.client_id)) for c in clients]
         round_metrics = tuple(
             ClientMetrics(
                 c.client_id,

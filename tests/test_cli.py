@@ -64,6 +64,26 @@ class TestConfig:
             resolve(cfg)
 
 
+class TestInputValidation:
+    @pytest.mark.parametrize(
+        "key",
+        ["rounds", "master_seed", "sgd.epochs", "sgd.batch_size", "partition.num_clients", "partition.k"],
+    )
+    def test_boolean_for_integer_key_is_usage_error(self, key, tmp_path):
+        assert main(["run", *SMALL, "--set", f"{key}=true", "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("eta", ["NaN", "Infinity", "true"])
+    def test_bad_learning_rate_is_usage_error(self, eta, tmp_path):
+        assert main(["run", *SMALL, "--set", f"sgd.eta={eta}", "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "k", "--values", "2"]])
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_is_usage_error(self, command, threads, tmp_path):
+        assert main([*command, *SMALL, "--threads", threads, "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+
 class TestRunCommand:
     def test_one_round_history_rows(self, tmp_path):
         out = tmp_path / "o"

@@ -7,7 +7,7 @@ from fedper.data import PartitionSpec, synth_classification
 from fedper.errors import ConfigError, UsageError
 from fedper.experiment import client_shards, run_experiment, run_sweep, sweep_seed, sweep_variant
 from fedper.model import ModelSpec
-from fedper.nn import LayerSpec, SgdConfig
+from fedper.nn import LayerSpec, Sample, SgdConfig
 from fedper.protocol import RunConfig
 
 
@@ -37,6 +37,16 @@ class TestPipeline:
     def test_deterministic(self):
         cfg, ds = base_setup()
         assert run_experiment(cfg, ds).history == run_experiment(cfg, ds).history
+
+    def test_run_path_builds_no_samples(self, monkeypatch):
+        # the data stays in arrays end to end; Sample is only an adapter
+        cfg, ds = base_setup()
+
+        def forbid(self):
+            raise AssertionError("a Sample was built on the run path")
+
+        monkeypatch.setattr(Sample, "__post_init__", forbid)
+        assert len(run_experiment(cfg, ds).history) == cfg.rounds
 
     def test_class_count_mismatch_rejected(self):
         cfg, _ = base_setup()

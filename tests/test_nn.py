@@ -236,6 +236,11 @@ class TestValidation:
             SgdConfig(0.1, 1, 0)
         SgdConfig(0.0, 1, 1)  # zero step size is valid
 
+    @pytest.mark.parametrize("eta", [float("nan"), float("inf"), -float("inf")])
+    def test_sgd_config_rejects_non_finite_eta(self, eta):
+        with pytest.raises(ConfigError, match="finite"):
+            SgdConfig(eta, 1, 1)
+
     def test_init_weights_bounds_and_zero_bias(self):
         specs = (LayerSpec(4, 6, "relu"),)
         ws = init_weights(specs, np.random.default_rng(0))

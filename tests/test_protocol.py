@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedper.rng as rngmod
 from fedper.data import PartitionSpec
@@ -7,6 +9,7 @@ from fedper.errors import ConfigError, ProtocolError, UsageError
 from fedper.metrics import ClientMetrics, evaluate
 from fedper.model import ModelSpec
 from fedper.nn import (
+    ACTIVATIONS,
     LayerSpec,
     SgdConfig,
     WeightSet,
@@ -154,16 +157,6 @@ class TestClientRound:
         client = self._client(cfg, np.random.default_rng(3))
         with pytest.raises(ProtocolError):
             client_round(client, spec, WeightSet([]), round_idx=1)
-
-    def test_eta_schedule_overrides_config(self):
-        from dataclasses import replace
-
-        spec = toy_spec()
-        cfg = toy_cfg(spec, eta=0.5)
-        client = replace(self._client(cfg, np.random.default_rng(4)), eta_schedule=lambda k: 0.0)
-        base_in = init_weights(spec.base_layers, np.random.default_rng(5))
-        base_out, _ = client_round(client, spec, base_in, round_idx=1)
-        assert weights_equal(base_out, base_in)
 
 
 class TestFineTune:
@@ -316,17 +309,6 @@ class TestRunFederation:
         assert a.history == b.history
         assert weights_equal(a.server.base, b.server.base)
 
-    def test_threaded_run_is_bitwise_identical(self):
-        spec = toy_spec()
-        cfg = toy_cfg(spec, num_clients=5, rounds=3)
-        data = toy_client_data(spec, 5, np.random.default_rng(10))
-        serial = run_federation(cfg, data, threads=1)
-        threaded = run_federation(cfg, data, threads=4)
-        assert serial.history == threaded.history
-        assert weights_equal(serial.server.base, threaded.server.base)
-        for c1, c2 in zip(serial.clients, threaded.clients):
-            assert weights_equal(c1.personal, c2.personal)
-
     def test_privacy_no_personal_payloads_and_log_shape(self):
         spec = toy_spec()
         cfg = toy_cfg(spec, num_clients=4, rounds=3)
@@ -419,6 +401,80 @@ class TestFedAvgEquivalence:
         ours = run_federation(cfg, data)
         reference = self.reference_fedavg(cfg, data)
         assert ours.history == reference
+
+
+@st.composite
+def federations(draw):
+    """A random model, 1-6 clients with ragged train sizes (some below the
+    batch size, some exact multiples of it), 1-3 epochs, fine-tuning on or off."""
+    n_layers = draw(st.integers(1, 3))
+    dims = draw(st.lists(st.integers(1, 6), min_size=n_layers + 1, max_size=n_layers + 1))
+    activations = draw(st.lists(st.sampled_from(ACTIVATIONS), min_size=n_layers, max_size=n_layers))
+    layers = tuple(LayerSpec(dims[i], dims[i + 1], activations[i]) for i in range(n_layers))
+    spec = ModelSpec(layers, draw(st.integers(0, n_layers - 1)))
+    batch = draw(st.integers(1, 5))
+    sizes = draw(
+        st.lists(
+            st.one_of(st.integers(1, 3 * batch + 2), st.integers(1, 3).map(lambda m: m * batch)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    cfg = RunConfig(
+        spec=spec,
+        num_clients=len(sizes),
+        rounds=2,
+        sgd=SgdConfig(0.1, draw(st.integers(1, 3)), batch),
+        fine_tune=draw(st.booleans()),
+        master_seed=draw(st.integers(0, 2**32 - 1)),
+        partition=PartitionSpec(mode="k_class", num_clients=len(sizes), k=1, seed=1),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = [(rand_batch(spec, rng, n), rand_batch(spec, rng, 2)) for n in sizes]
+    return cfg, data
+
+
+class TestBatchingInvariance:
+    """The lock-step engine trains every client bitwise as if it ran alone:
+    run_federation equals a loop that trains one client at a time."""
+
+    @staticmethod
+    def one_client_at_a_time(cfg: RunConfig, client_data):
+        spec = cfg.spec
+        clients = [make_client(cfg, j, train, test) for j, (train, test) in enumerate(client_data)]
+        server = server_init(cfg, [c.n_train for c in clients])
+        base = server.base
+        records = []
+        for round_idx in range(1, cfg.rounds + 1):
+            updates = []
+            for j, client in enumerate(clients):
+                if cfg.fine_tune and spec.k_personal >= 1:
+                    client = fine_tune(client, spec, base, round_idx)
+                base_out, clients[j] = client_round(client, spec, base, round_idx)
+                updates.append((base_out, server.agg_weights[j]))
+            base = aggregate(updates)
+            metrics = tuple(
+                ClientMetrics(
+                    c.client_id,
+                    round_idx,
+                    evaluate(spec, base, c.personal, c.test).accuracy,
+                    evaluate(spec, base, c.personal, c.train).loss,
+                )
+                for c in clients
+            )
+            records.append(RoundRecord(round_idx, weights_checksum(base), metrics))
+        return RoundHistory(tuple(records)), base, clients
+
+    @settings(max_examples=60, deadline=None)
+    @given(federations())
+    def test_lockstep_equals_one_client_at_a_time(self, federation):
+        cfg, data = federation
+        ours = run_federation(cfg, data)
+        history, base, clients = self.one_client_at_a_time(cfg, data)
+        assert repr(ours.history) == repr(history)  # repr tells -0.0 from 0.0
+        assert weights_checksum(ours.server.base) == weights_checksum(base)
+        for mine, theirs in zip(ours.clients, clients):
+            assert weights_checksum(mine.personal) == weights_checksum(theirs.personal)
 
 
 class TestRunConfigValidation:
