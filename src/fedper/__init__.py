@@ -21,10 +21,9 @@ from .errors import (
 )
 from .experiment import run_experiment, run_sweep, sweep_seed, sweep_variant
 from .metrics import ClientMetrics, SweepResult, cross_client_stats, emit, evaluate
-from .model import ModelSpec, PartitionedWeights, join, linearize_base, split
+from .model import ModelSpec, linearize_base
 from .nn import (
     LayerSpec,
-    Sample,
     SgdConfig,
     WeightSet,
     forward,

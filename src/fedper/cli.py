@@ -7,18 +7,17 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .config import apply_overrides, build_dataset, default_config, echo_config, load_config_file, resolve
 from .data import K_CLASS, partition_indices
 from .errors import ConfigError, SimulationError, UsageError
 from .experiment import SWEEP_AXES, run_experiment, run_sweep
 from .metrics import emit
-from .model import linearize_base
-from .protocol import RunConfig, write_checkpoint
+from .protocol import write_checkpoint
 
 ENV_OUT_DIR = "FEDPER_OUT_DIR"
 
@@ -40,26 +39,14 @@ def _out_dir(args, resolved) -> Path:
     return Path(root) / resolved.output["run_id"]
 
 
-def _effective_run_config(resolved) -> RunConfig:
-    cfg = resolved.run_config()
-    if resolved.ablation == "linear_base":
-        cfg = replace(cfg, spec=linearize_base(cfg.spec))
-    return cfg
-
-
 def cmd_run(args) -> int:
     resolved = resolve(_load(args))
     ds = build_dataset(resolved.dataset)
-    if resolved.spec.in_dim != ds.X.shape[1]:
-        raise ConfigError(
-            f"model input dim {resolved.spec.in_dim} != dataset feature dim {ds.X.shape[1]}"
-        )
-    run_cfg = _effective_run_config(resolved)
 
     out_dir = _out_dir(args, resolved)
     run_id = resolved.output["run_id"]
     result = run_experiment(
-        run_cfg,
+        resolved.run,
         ds,
         checkpoint_dir=out_dir / "checkpoints",
         checkpoint_every=resolved.output["checkpoint_every"],
@@ -76,7 +63,6 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     resolved = resolve(_load(args))
     ds = build_dataset(resolved.dataset)
-    run_cfg = _effective_run_config(resolved)
 
     values: list[int | str]
     if args.axis == "algorithm":
@@ -89,7 +75,7 @@ def cmd_sweep(args) -> int:
 
     out_dir = _out_dir(args, resolved)
     run_id = resolved.output["run_id"]
-    sweep = run_sweep(run_cfg, ds, args.axis, values)
+    sweep = run_sweep(resolved.run, ds, args.axis, values)
 
     fmt = resolved.output["format"]
     for point in sweep.points:
@@ -102,7 +88,7 @@ def cmd_sweep(args) -> int:
 def cmd_partition(args) -> int:
     resolved = resolve(_load(args))
     ds = build_dataset(resolved.dataset)
-    spec = resolved.partition
+    spec = resolved.run.partition
     indices = partition_indices(ds, spec)
     manifest = {
         "mode": spec.mode,
@@ -122,8 +108,7 @@ def cmd_partition(args) -> int:
         ],
     }
     out_path = Path(args.out) if args.out else _out_dir(args, resolved) / "partition_manifest.json"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    atomic_write(out_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     print(f"wrote {out_path}")
     return 0
 

@@ -4,13 +4,12 @@ mapping onto domain objects.  Unknown keys are rejected everywhere."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from . import rng as rngmod
 from .data import (
-    K_CLASS,
     PARTITION_MODES,
     LabeledDataset,
     PartitionSpec,
@@ -18,12 +17,13 @@ from .data import (
     synth_classification,
     synth_shells,
 )
+from .checkpoint import atomic_write
 from .errors import ConfigError, ParseError
-from .model import LayerSpec, ModelSpec
+from .experiment import ALGORITHMS, algorithm_k_personal
+from .model import ModelSpec, linearize_base
 from .nn import SgdConfig
 from .protocol import RunConfig
 
-ALGORITHMS = ("fedper", "fedavg")
 ABLATIONS = ("none", "linear_base")
 DATASET_KINDS = ("gaussian_mixture", "shells", "csv")
 CLUSTER_PERMUTATIONS = ("identity", "cycle", "swap")
@@ -130,30 +130,14 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
 
 @dataclass
 class ResolvedConfig:
-    """A validated, fully-resolved configuration (all derived seeds filled in)."""
+    """A validated config: the run to execute (algorithm and ablation applied
+    to its model), the dataset and output sections, and the effective config
+    with every derived seed filled in."""
 
-    algorithm: str
-    ablation: str
-    fine_tune: bool
-    rounds: int
-    master_seed: int
-    spec: ModelSpec
-    sgd: SgdConfig
+    run: RunConfig
     dataset: dict
-    partition: PartitionSpec
     output: dict
-    effective: dict = field(repr=False, default_factory=dict)
-
-    def run_config(self) -> RunConfig:
-        return RunConfig(
-            spec=self.spec,
-            num_clients=self.partition.num_clients,
-            rounds=self.rounds,
-            sgd=self.sgd,
-            fine_tune=self.fine_tune,
-            master_seed=self.master_seed,
-            partition=self.partition,
-        )
+    effective: dict
 
 
 def _require(condition: bool, message: str) -> None:
@@ -170,11 +154,20 @@ def _int(value: Any, name: str, minimum: int) -> int:
     return value
 
 
+def _num(value: Any, name: str) -> float:
+    """value as a float if it is a JSON number; JSON booleans are not numbers."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    _require(number, f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def resolve(cfg: dict) -> ResolvedConfig:
     """Validate the merged config dict and build the domain objects.
 
-    algorithm=fedavg forces k_personal to 0.  dataset.seed and partition.seed
-    default to values derived from master_seed so one seed governs the run.
+    algorithm=fedavg forces k_personal to 0, and ablation=linear_base collapses
+    the base layers of the run's model (the echoed config keeps the layers as
+    given).  dataset.seed and partition.seed default to values derived from
+    master_seed so one seed governs the run.
     """
     cfg = json.loads(json.dumps(cfg))
     _require(cfg["algorithm"] in ALGORITHMS, f"algorithm must be one of {ALGORITHMS}")
@@ -184,15 +177,14 @@ def resolve(cfg: dict) -> ResolvedConfig:
     _int(cfg["master_seed"], "master_seed", 0)
 
     model_cfg = cfg["model"]
-    if cfg["algorithm"] == "fedavg":
-        model_cfg["k_personal"] = 0
+    model_cfg["k_personal"] = algorithm_k_personal(cfg["algorithm"], model_cfg["k_personal"])
     spec = ModelSpec.from_json(model_cfg)
 
     sgd_cfg = cfg["sgd"]
-    eta = sgd_cfg["eta"]
-    _require(isinstance(eta, (int, float)) and not isinstance(eta, bool), f"sgd.eta must be a number, got {eta!r}")
     sgd = SgdConfig(
-        float(eta), _int(sgd_cfg["epochs"], "sgd.epochs", 1), _int(sgd_cfg["batch_size"], "sgd.batch_size", 1)
+        _num(sgd_cfg["eta"], "sgd.eta"),
+        _int(sgd_cfg["epochs"], "sgd.epochs", 1),
+        _int(sgd_cfg["batch_size"], "sgd.batch_size", 1),
     )
 
     ds_cfg = cfg["dataset"]
@@ -204,7 +196,8 @@ def resolve(cfg: dict) -> ResolvedConfig:
             ds_cfg["cluster_permutation"] in CLUSTER_PERMUTATIONS,
             f"dataset.cluster_permutation must be one of {CLUSTER_PERMUTATIONS}",
         )
-        _require(int(ds_cfg["clusters"]) >= 1, "dataset.clusters must be >= 1")
+        for key in ("num_classes", "dim", "per_class", "clusters", "cluster_shift"):
+            _int(ds_cfg[key], f"dataset.{key}", 0 if key == "cluster_shift" else 1)
     if ds_cfg["seed"] is None:
         ds_cfg["seed"] = rngmod.derive_seed(cfg["master_seed"], rngmod.DATASET)
 
@@ -212,6 +205,8 @@ def resolve(cfg: dict) -> ResolvedConfig:
     _require(part_cfg["mode"] in PARTITION_MODES, f"partition.mode must be one of {PARTITION_MODES}")
     if part_cfg["seed"] is None:
         part_cfg["seed"] = rngmod.derive_seed(cfg["master_seed"], rngmod.PARTITION)
+    rater = part_cfg["rater_disagreement"]
+    _require(isinstance(rater, bool), f"partition.rater_disagreement must be a boolean, got {rater!r}")
     vr = part_cfg["volume_range"]
     _require(
         isinstance(vr, list) and len(vr) == 2 and all(isinstance(v, int) and not isinstance(v, bool) for v in vr),
@@ -222,17 +217,14 @@ def resolve(cfg: dict) -> ResolvedConfig:
         num_clients=_int(part_cfg["num_clients"], "partition.num_clients", 1),
         k=_int(part_cfg["k"], "partition.k", 1),
         volume_range=(vr[0], vr[1]),
-        train_fraction=float(part_cfg["train_fraction"]),
+        train_fraction=_num(part_cfg["train_fraction"], "partition.train_fraction"),
         seed=int(part_cfg["seed"]),
-        rater_disagreement=bool(part_cfg["rater_disagreement"]),
+        rater_disagreement=rater,
     )
 
     out_cfg = cfg["output"]
     _require(out_cfg["format"] in ("csv", "json"), "output.format must be csv or json")
-    _require(
-        isinstance(out_cfg["checkpoint_every"], int) and out_cfg["checkpoint_every"] >= 0,
-        "output.checkpoint_every must be an int >= 0",
-    )
+    _int(out_cfg["checkpoint_every"], "output.checkpoint_every", 0)
     _require(
         isinstance(out_cfg["run_id"], str) and out_cfg["run_id"] != "",
         "output.run_id must be a non-empty string",
@@ -240,27 +232,18 @@ def resolve(cfg: dict) -> ResolvedConfig:
 
     if ds_cfg["kind"] != "csv":
         _require(
-            spec.in_dim == int(ds_cfg["dim"]),
+            spec.in_dim == ds_cfg["dim"],
             f"model input dim {spec.in_dim} != dataset.dim {ds_cfg['dim']}",
         )
         _require(
-            spec.out_dim == int(ds_cfg["num_classes"]),
+            spec.out_dim == ds_cfg["num_classes"],
             f"model output dim {spec.out_dim} != dataset.num_classes {ds_cfg['num_classes']}",
         )
 
-    return ResolvedConfig(
-        algorithm=cfg["algorithm"],
-        ablation=cfg["ablation"],
-        fine_tune=bool(cfg["fine_tune"]),
-        rounds=cfg["rounds"],
-        master_seed=cfg["master_seed"],
-        spec=spec,
-        sgd=sgd,
-        dataset=ds_cfg,
-        partition=partition_spec,
-        output=out_cfg,
-        effective=cfg,
-    )
+    if cfg["ablation"] == "linear_base":
+        spec = linearize_base(spec)
+    run = RunConfig(spec, cfg["rounds"], sgd, cfg["fine_tune"], cfg["master_seed"], partition_spec)
+    return ResolvedConfig(run, ds_cfg, out_cfg, cfg)
 
 
 def cluster_permutations(kind: str, clusters: int, num_classes: int, shift: int = 1) -> list[list[int]]:
@@ -315,5 +298,4 @@ def build_dataset(ds_cfg: dict) -> LabeledDataset:
 def echo_config(resolved: ResolvedConfig, path: Path) -> None:
     """Write the effective config; re-running from this file reproduces the
     run bitwise (all derived seeds are materialized)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(resolved.effective, sort_keys=True, indent=2) + "\n")
+    atomic_write(path, json.dumps(resolved.effective, sort_keys=True, indent=2) + "\n")

@@ -12,7 +12,6 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import ConfigError, ParseError, ShapeError
-from .nn import Sample
 
 K_CLASS = "k_class"
 UNBALANCED_USERS = "unbalanced_users"
@@ -75,18 +74,6 @@ class LabeledDataset:
 
     def __len__(self) -> int:
         return len(self.y)
-
-    def __getitem__(self, i: int) -> Sample:
-        return Sample(self.X[i], int(self.y[i]))
-
-    @property
-    def samples(self) -> list[Sample]:
-        """The rows as Samples, for callers of the list-of-samples API."""
-        return [self[i] for i in range(len(self))]
-
-    @property
-    def labels(self) -> np.ndarray:
-        return self.y
 
     def subset(self, idx: np.ndarray) -> "LabeledDataset":
         """The rows at the given indices, in that order (a copy)."""

@@ -15,12 +15,17 @@ from .metrics import SweepPoint, SweepResult, cross_client_stats
 from .model import ModelSpec
 from .protocol import FederationResult, RunConfig, run_federation
 
+ALGORITHMS = ("fedper", "fedavg")
+
 AXIS_K = "k"
 AXIS_KP = "kp"
 AXIS_ALGORITHM = "algorithm"
 SWEEP_AXES = (AXIS_K, AXIS_KP, AXIS_ALGORITHM)
 
-_ALGORITHM_CODES = {"fedper": 0, "fedavg": 1}
+
+def algorithm_k_personal(algorithm: str, k_personal: int) -> int:
+    """FedAvg is FedPer with no personalization layers."""
+    return 0 if algorithm == "fedavg" else k_personal
 
 
 def client_shards(
@@ -43,6 +48,8 @@ def run_experiment(
     checkpoint_every: int = 0,
 ) -> FederationResult:
     """Partition + split + run_federation, fully determined by cfg and ds."""
+    if cfg.spec.in_dim != ds.X.shape[1]:
+        raise ConfigError(f"model input dim {cfg.spec.in_dim} != dataset feature dim {ds.X.shape[1]}")
     if cfg.spec.out_dim != ds.num_classes:
         raise ConfigError(
             f"model output dim {cfg.spec.out_dim} != dataset classes {ds.num_classes}"
@@ -54,7 +61,7 @@ def run_experiment(
 def sweep_seed(master_seed: int, axis: str, value: int | str) -> int:
     """Per-point master seed, derived from the axis value itself so that
     reordering the values list leaves every point unchanged."""
-    code = _ALGORITHM_CODES[value] if axis == AXIS_ALGORITHM else int(value)
+    code = ALGORITHMS.index(value) if axis == AXIS_ALGORITHM else int(value)
     return rngmod.derive_seed(master_seed, rngmod.SWEEP, SWEEP_AXES.index(axis), code)
 
 
@@ -63,15 +70,14 @@ def sweep_variant(cfg: RunConfig, axis: str, value: int | str) -> RunConfig:
     seed.  The resolved partition seed is kept so shards stay comparable."""
     if axis not in SWEEP_AXES:
         raise UsageError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    if axis == AXIS_ALGORITHM and value not in ALGORITHMS:
+        raise UsageError(f"unknown algorithm {value!r}; expected one of {ALGORITHMS}")
     cfg = replace(cfg, master_seed=sweep_seed(cfg.master_seed, axis, value))
     if axis == AXIS_K:
         return replace(cfg, partition=replace(cfg.partition, k=int(value)))
     if axis == AXIS_KP:
         return replace(cfg, spec=ModelSpec(cfg.spec.layers, int(value)))
-    if value not in _ALGORITHM_CODES:
-        raise UsageError(f"unknown algorithm {value!r}; expected one of {sorted(_ALGORITHM_CODES)}")
-    k_personal = 0 if value == "fedavg" else cfg.spec.k_personal
-    return replace(cfg, spec=ModelSpec(cfg.spec.layers, k_personal))
+    return replace(cfg, spec=ModelSpec(cfg.spec.layers, algorithm_k_personal(value, cfg.spec.k_personal)))
 
 
 def run_sweep(

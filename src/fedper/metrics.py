@@ -3,18 +3,18 @@
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .errors import SimulationError, UsageError
-from .nn import WeightSet, _forward, cross_entropy, model_inputs
+from .nn import WeightSet, _forward, check_data, cross_entropy
 
 if TYPE_CHECKING:
+    from .data import LabeledDataset
     from .model import ModelSpec
     from .protocol import RoundHistory
 
@@ -57,17 +57,18 @@ class SweepResult:
     points: list[SweepPoint]
 
 
-def evaluate(spec: "ModelSpec", base: WeightSet, personal: WeightSet, data) -> EvalResult:
+def evaluate(
+    spec: "ModelSpec", base: WeightSet, personal: WeightSet, data: "LabeledDataset"
+) -> EvalResult:
     """Accuracy (argmax of logits, ties to the lowest class index) and mean
-    cross-entropy on a dataset (a LabeledDataset or a sequence of Samples).
-    Pure and deterministic."""
+    cross-entropy on a dataset.  Pure and deterministic."""
     if len(data) == 0:
-        raise UsageError("evaluate requires a non-empty sample list")
-    x, y = model_inputs(spec, data)
-    logits = _forward(spec, base.layers + personal.layers, x)[-1]
+        raise UsageError("evaluate requires a non-empty dataset")
+    check_data(spec, data)
+    logits = _forward(spec, base.layers + personal.layers, data.X)[-1]
     predictions = np.argmax(logits, axis=1)  # np.argmax breaks ties toward the lowest index
-    accuracy = float(np.mean(predictions == y))
-    loss = float(np.mean(cross_entropy(logits, y)))
+    accuracy = float(np.mean(predictions == data.y))
+    loss = float(np.mean(cross_entropy(logits, data.y)))
     return EvalResult(accuracy, loss)
 
 
@@ -108,19 +109,6 @@ def _format_cell(v) -> str:
     return repr(v) if isinstance(v, float) else str(v)
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def emit(obj, fmt: str, path: str | Path) -> None:
     """Write a RoundHistory or SweepResult as CSV or JSON (atomically).
 
@@ -141,8 +129,8 @@ def emit(obj, fmt: str, path: str | Path) -> None:
         if fmt == "csv":
             lines = [",".join(columns)]
             lines.extend(",".join(_format_cell(row[c]) for c in columns) for row in rows)
-            _atomic_write(path, "\n".join(lines) + "\n")
+            atomic_write(path, "\n".join(lines) + "\n")
         else:
-            _atomic_write(path, json.dumps(rows, sort_keys=True, indent=2) + "\n")
+            atomic_write(path, json.dumps(rows, sort_keys=True, indent=2) + "\n")
     except OSError as exc:
         raise SimulationError(f"cannot write {path}: {exc}") from exc

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError, ShapeError
-from .nn import LayerSpec, WeightSet, check_weights_match
+from .errors import ConfigError
+from .nn import LayerSpec
 
 
 @dataclass(frozen=True)
@@ -70,39 +70,6 @@ class ModelSpec:
             for l in obj["layers"]
         )
         return cls(layers, int(obj["k_personal"]))
-
-
-@dataclass
-class PartitionedWeights:
-    """A weight set cut at the spec's split point."""
-
-    base: WeightSet
-    personal: WeightSet
-
-
-def split(weights: WeightSet, spec: ModelSpec) -> PartitionedWeights:
-    """Cut a full weight set into base (first k_base layers) and personal
-    (last k_personal layers) halves.  Lossless; join() inverts it."""
-    check_weights_match(spec.layers, weights)
-    kb = spec.k_base
-    return PartitionedWeights(
-        base=WeightSet([(w.copy(), b.copy()) for w, b in weights.layers[:kb]]),
-        personal=WeightSet([(w.copy(), b.copy()) for w, b in weights.layers[kb:]]),
-    )
-
-
-def join(p: PartitionedWeights) -> WeightSet:
-    """Concatenate base and personal halves back into one weight set."""
-    layers = p.base.layers + p.personal.layers
-    for i in range(len(layers) - 1):
-        w_here, _ = layers[i]
-        w_next, _ = layers[i + 1]
-        if w_next.shape[1] != w_here.shape[0]:
-            raise ShapeError(
-                f"layer {i} out_dim {w_here.shape[0]} incompatible with "
-                f"layer {i + 1} in_dim {w_next.shape[1]}"
-            )
-    return WeightSet([(w.copy(), b.copy()) for w, b in layers])
 
 
 def linearize_base(spec: ModelSpec) -> ModelSpec:

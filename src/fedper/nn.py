@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError, UsageError
 
 if TYPE_CHECKING:
+    from .data import LabeledDataset
     from .model import ModelSpec
 
 ACTIVATIONS = ("relu", "identity")
@@ -56,23 +57,6 @@ class SgdConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One labeled example: feature vector x and non-negative class label y."""
-
-    x: np.ndarray
-    y: int
-
-    def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=np.float64)
-        if x.ndim != 1:
-            raise ShapeError(f"sample features must be 1-D, got shape {x.shape}")
-        if self.y < 0:
-            raise UsageError(f"class label must be non-negative, got {self.y}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", int(self.y))
 
 
 @dataclass(eq=False)
@@ -149,22 +133,13 @@ def _check_model_weights(spec: "ModelSpec", base: WeightSet, personal: WeightSet
     check_weights_match(spec.layers[spec.k_base :], personal, offset=spec.k_base)
 
 
-def model_inputs(spec: "ModelSpec", data) -> tuple[np.ndarray, np.ndarray]:
-    """Features (n, in_dim) and labels (n,) of a dataset.
-
-    A LabeledDataset (anything with X and y arrays) passes through as is; a
-    sequence of Samples, which callers of the public API may still hand in,
-    is stacked.
-    """
-    if hasattr(data, "X"):
-        x, y = data.X, data.y
-    elif len(data) == 0:
-        return np.empty((0, spec.in_dim)), np.empty(0, dtype=np.intp)
-    else:
-        x, y = np.stack([s.x for s in data]), np.array([s.y for s in data], dtype=np.intp)
-    if len(y) and x.shape[1] != spec.in_dim:
-        raise ShapeError(f"layer 0: input dim {x.shape[1]} != expected {spec.in_dim}")
-    return x, y
+def check_data(spec: "ModelSpec", data: "LabeledDataset") -> None:
+    """Raise ShapeError unless the dataset's rows are the model's input width
+    and its classes fit the model's outputs."""
+    if data.X.shape[1] != spec.in_dim:
+        raise ShapeError(f"layer 0: input dim {data.X.shape[1]} != expected {spec.in_dim}")
+    if data.num_classes > spec.out_dim:
+        raise ShapeError(f"dataset has {data.num_classes} classes, the model outputs {spec.out_dim}")
 
 
 def stack_weights(sets: Sequence[WeightSet]) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -258,17 +233,17 @@ def forward(spec: "ModelSpec", base: WeightSet, personal: WeightSet, x: np.ndarr
 
 
 def loss_and_grad(
-    spec: "ModelSpec", base: WeightSet, personal: WeightSet, batch: Sequence[Sample]
+    spec: "ModelSpec", base: WeightSet, personal: WeightSet, batch: "LabeledDataset"
 ) -> tuple[float, WeightSet, WeightSet]:
     """Mean cross-entropy over the batch plus exact gradients for both weight sets."""
     if len(batch) == 0:
         raise UsageError("loss_and_grad requires a non-empty batch")
     _check_model_weights(spec, base, personal)
-    x, y = model_inputs(spec, batch)
+    check_data(spec, batch)
     layers = base.layers + personal.layers
-    acts = _forward(spec, layers, x)
-    loss = float(np.mean(cross_entropy(acts[-1], y)))
-    grads = _backprop(spec, layers, acts, y)
+    acts = _forward(spec, layers, batch.X)
+    loss = float(np.mean(cross_entropy(acts[-1], batch.y)))
+    grads = _backprop(spec, layers, acts, batch.y)
     kb = spec.k_base
     return loss, WeightSet(grads[:kb]), WeightSet(grads[kb:])
 
@@ -283,7 +258,7 @@ def minibatch_indices(n: int, batch_size: int, rng: np.random.Generator) -> list
 def train_lockstep(
     spec: "ModelSpec",
     layers: list[tuple[np.ndarray, np.ndarray]],
-    data: Sequence[tuple[np.ndarray, np.ndarray]],
+    data: Sequence["LabeledDataset"],
     rngs: Sequence[np.random.Generator],
     epochs: int,
     batch_size: int,
@@ -293,11 +268,11 @@ def train_lockstep(
     """Mini-batch SGD for N clients at once, updating stacked weights in place.
 
     layers holds one (W (N, out, in), b (N, out)) stack per model layer, row
-    j being client j's copy; data[j] = (X_j, y_j) and rngs[j] are client j's
-    training set and generator.  Each client walks exactly the batches it
-    would walk alone: per epoch a fresh permutation from its own generator,
-    cut into batch_size slices with the last one partial, each step moving
-    its weights by -eta * gradient.  Layers before first_trained are frozen:
+    j being client j's copy; data[j] and rngs[j] are client j's training set
+    and generator.  Each client walks exactly the batches it would walk
+    alone: per epoch a fresh permutation from its own generator, cut into
+    batch_size slices with the last one partial, each step moving its
+    weights by -eta * gradient.  Layers before first_trained are frozen:
     they take part in the forward pass, but no gradient is computed for them
     and they are never updated.
 
@@ -313,10 +288,10 @@ def train_lockstep(
     which buckets run.
     """
     everyone = list(range(len(data)))
-    sizes = [len(y) for _, y in data]
+    sizes = [len(d) for d in data]
     starts = np.cumsum([0] + sizes[:-1])
-    x_all = np.concatenate([x for x, _ in data])
-    y_all = np.concatenate([y for _, y in data])
+    x_all = np.concatenate([d.X for d in data])
+    y_all = np.concatenate([d.y for d in data])
     # every client's batches for the whole pass, as rows of x_all
     plans = [
         [start + idx for _ in range(epochs) for idx in minibatch_indices(n, batch_size, gen)]
@@ -347,7 +322,7 @@ def sgd(
     spec: "ModelSpec",
     base: WeightSet,
     personal: WeightSet,
-    dataset: Sequence[Sample],
+    dataset: "LabeledDataset",
     cfg: SgdConfig,
     rng: np.random.Generator,
 ) -> tuple[WeightSet, WeightSet]:
@@ -360,8 +335,8 @@ def sgd(
     if len(dataset) == 0:
         raise UsageError("sgd requires a non-empty dataset")
     _check_model_weights(spec, base, personal)
+    check_data(spec, dataset)
     layers = stack_weights([WeightSet(base.layers + personal.layers)])
-    data = [model_inputs(spec, dataset)]
-    train_lockstep(spec, layers, data, [rng], cfg.epochs, cfg.batch_size, cfg.eta)
+    train_lockstep(spec, layers, [dataset], [rng], cfg.epochs, cfg.batch_size, cfg.eta)
     kb = spec.k_base
     return unstack_weights(layers[:kb], 0), unstack_weights(layers[kb:], 0)

@@ -16,18 +16,19 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import rng as rngmod
-from .errors import ConfigError, ProtocolError, UsageError
+from .errors import ConfigError, ProtocolError, SimulationError, UsageError
 from .checkpoint import save_weights
 from .data import LabeledDataset, PartitionSpec
 from .metrics import ClientMetrics, evaluate
 from .model import ModelSpec
 from .nn import (
-    Sample,
     SgdConfig,
     WeightSet,
+    check_data,
     init_weights,
-    model_inputs,
     sgd,
     stack_weights,
     train_lockstep,
@@ -93,8 +94,9 @@ class ServerState:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One federation run of as many clients as run_federation gets datasets."""
+
     spec: ModelSpec
-    num_clients: int
     rounds: int
     sgd: SgdConfig
     fine_tune: bool
@@ -102,8 +104,6 @@ class RunConfig:
     partition: PartitionSpec
 
     def __post_init__(self) -> None:
-        if self.num_clients < 1:
-            raise ConfigError(f"num_clients must be >= 1, got {self.num_clients}")
         if self.rounds < 1:
             raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
 
@@ -136,8 +136,8 @@ class FederationResult:
 def server_init(cfg: RunConfig, client_sizes: Sequence[int]) -> ServerState:
     """Initialize global base weights from the server's stream and compute the
     aggregation weights n_j / sum(n) once, up front."""
-    if len(client_sizes) != cfg.num_clients:
-        raise ConfigError(f"got {len(client_sizes)} client sizes for {cfg.num_clients} clients")
+    if len(client_sizes) == 0:
+        raise ConfigError("a federation needs at least one client")
     for j, n in enumerate(client_sizes):
         if n < 1:
             raise ConfigError(f"client {j} reports {n} training samples; every client needs >= 1")
@@ -146,7 +146,7 @@ def server_init(cfg: RunConfig, client_sizes: Sequence[int]) -> ServerState:
     server_stream = rngmod.PartyStream(cfg.master_seed, rngmod.SERVER_PARTY)
     base = init_weights(cfg.spec.base_layers, server_stream.rng(0, rngmod.INIT))
     state = ServerState(base=base, agg_weights=agg_weights)
-    for j in range(cfg.num_clients):
+    for j in range(len(client_sizes)):
         state.log(client_name(j), SERVER, MSG_TRAIN_SIZE)
     return state
 
@@ -154,21 +154,15 @@ def server_init(cfg: RunConfig, client_sizes: Sequence[int]) -> ServerState:
 def make_client(
     cfg: RunConfig,
     client_id: int,
-    train: LabeledDataset | Sequence[Sample],
-    test: LabeledDataset | Sequence[Sample],
+    train: LabeledDataset,
+    test: LabeledDataset,
 ) -> ClientState:
     """Build a client with personalization weights drawn from its own stream."""
+    check_data(cfg.spec, train)
+    check_data(cfg.spec, test)
     stream = rngmod.PartyStream(cfg.master_seed, rngmod.client_party(client_id))
     personal = init_weights(cfg.spec.personal_layers, stream.rng(0, rngmod.INIT))
-    out_dim = cfg.spec.out_dim
-    return ClientState(
-        client_id=client_id,
-        train=LabeledDataset(*model_inputs(cfg.spec, train), out_dim),
-        test=LabeledDataset(*model_inputs(cfg.spec, test), out_dim),
-        personal=personal,
-        sgd=cfg.sgd,
-        stream=stream,
-    )
+    return ClientState(client_id, train, test, personal, cfg.sgd, stream)
 
 
 def _check_base(client: ClientState, spec: ModelSpec, base_in: WeightSet) -> None:
@@ -199,7 +193,7 @@ def _fine_tune_pass(
     train_lockstep(
         spec,
         layers,
-        [(c.train.X, c.train.y) for c in clients],
+        [c.train for c in clients],
         [c.stream.rng(round_idx, rngmod.FINE_TUNE) for c in clients],
         epochs=1,
         batch_size=cfg.batch_size,
@@ -256,7 +250,7 @@ def aggregate(updates: Sequence[tuple[WeightSet, float]]) -> WeightSet:
 
 def run_federation(
     cfg: RunConfig,
-    client_data: Sequence[tuple[LabeledDataset | Sequence[Sample], LabeledDataset | Sequence[Sample]]],
+    client_data: Sequence[tuple[LabeledDataset, LabeledDataset]],
     checkpoint_dir: str | Path | None = None,
     checkpoint_every: int = 0,
 ) -> FederationResult:
@@ -269,39 +263,41 @@ def run_federation(
     plus its own personal weights, the pair the personalized risk is defined
     on.  All clients train together on the lock-step engine, which gives
     every client bitwise the result of training it on its own.
+
+    A client whose weights turn non-finite (typically a learning rate too
+    large for its data) stops the run with a SimulationError.
     """
-    if len(client_data) != cfg.num_clients:
-        raise ConfigError(f"got {len(client_data)} client datasets for {cfg.num_clients} clients")
     spec = cfg.spec
     clients = [make_client(cfg, j, train, test) for j, (train, test) in enumerate(client_data)]
     for c in clients:
         if len(c.test) < 1:
             raise ConfigError(f"client {c.client_id} has an empty test set")
     server = server_init(cfg, [c.n_train for c in clients])
-    train_sets = [(c.train.X, c.train.y) for c in clients]
+    n = len(clients)
     personal = stack_weights([c.personal for c in clients])
     kb = spec.k_base
 
     records = []
     for round_idx in range(1, cfg.rounds + 1):
-        for j in range(cfg.num_clients):
+        for j in range(n):
             server.log(SERVER, client_name(j), MSG_BASE_WEIGHTS)
         # row j of every stack is client j's copy: the broadcast base, then
         # its own personal layers (updated in place across rounds)
-        layers = stack_weights([server.base] * cfg.num_clients) + personal
+        layers = stack_weights([server.base] * n) + personal
         if cfg.fine_tune and spec.k_personal >= 1:
             _fine_tune_pass(spec, layers, clients, round_idx)
         train_lockstep(
             spec,
             layers,
-            train_sets,
+            [c.train for c in clients],
             [c.stream.rng(round_idx, rngmod.SGD) for c in clients],
             cfg.sgd.epochs,
             cfg.sgd.batch_size,
             cfg.sgd.eta,
         )
+        _check_finite(layers, round_idx)
 
-        for j in range(cfg.num_clients):
+        for j in range(n):
             server.log(client_name(j), SERVER, MSG_BASE_WEIGHTS)
         server.base = aggregate(
             [(unstack_weights(layers[:kb], j), g) for j, g in enumerate(server.agg_weights)]
@@ -322,6 +318,19 @@ def run_federation(
             write_checkpoint(Path(checkpoint_dir), f"round{round_idx:04d}", server, clients)
 
     return FederationResult(RoundHistory(tuple(records)), server, clients)
+
+
+def _check_finite(layers: Sequence[tuple[np.ndarray, np.ndarray]], round_idx: int) -> None:
+    """Raise SimulationError naming the first client whose row of the weight
+    stacks holds a NaN or an infinity."""
+    finite = np.ones(len(layers[0][0]), dtype=bool)
+    for w, b in layers:
+        finite &= np.isfinite(w).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
+    if not finite.all():
+        raise SimulationError(
+            f"client {int(np.argmin(finite))} has non-finite weights after round {round_idx}; "
+            "the run diverged (try a smaller sgd.eta)"
+        )
 
 
 def write_checkpoint(

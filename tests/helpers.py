@@ -6,8 +6,9 @@ import math
 
 import numpy as np
 
+from fedper.data import LabeledDataset
 from fedper.model import ModelSpec
-from fedper.nn import LayerSpec, Sample, WeightSet
+from fedper.nn import LayerSpec, WeightSet
 
 
 def rand_spec(rng: np.random.Generator, max_layers: int = 3, max_dim: int = 8) -> ModelSpec:
@@ -30,25 +31,25 @@ def rand_weights(layer_specs, rng: np.random.Generator) -> WeightSet:
     )
 
 
-def rand_batch(spec: ModelSpec, rng: np.random.Generator, size: int) -> list[Sample]:
-    return [
-        Sample(rng.standard_normal(spec.in_dim), int(rng.integers(0, spec.out_dim)))
-        for _ in range(size)
-    ]
+def rand_batch(spec: ModelSpec, rng: np.random.Generator, size: int) -> LabeledDataset:
+    """size random rows, drawn row by row: features, then the label."""
+    rows = [(rng.standard_normal(spec.in_dim), int(rng.integers(0, spec.out_dim))) for _ in range(size)]
+    x = np.array([x for x, _ in rows]).reshape(size, spec.in_dim)
+    return LabeledDataset(x, [y for _, y in rows], spec.out_dim)
 
 
 def ref_loss(spec: ModelSpec, base: WeightSet, personal: WeightSet, batch) -> float:
     """Independent loss oracle: plain per-sample forward plus textbook
     softmax cross-entropy, no caching, no vectorized batching."""
     total = 0.0
-    for sample in batch:
-        a = sample.x
+    for x, y in zip(batch.X, batch.y):
+        a = x
         for lspec, (w, b) in zip(spec.layers, base.layers + personal.layers):
             z = w @ a + b
             a = np.where(z > 0, z, 0.0) if lspec.activation == "relu" else z
         shifted = a - a.max()
         probs = np.exp(shifted) / np.exp(shifted).sum()
-        total += -math.log(probs[sample.y])
+        total += -math.log(probs[y])
     return total / len(batch)
 
 

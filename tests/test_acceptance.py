@@ -72,7 +72,6 @@ def trend_dataset():
 def trend_config(k, k_personal, fine_tune_flag=False):
     return RunConfig(
         spec=ModelSpec(TREND_LAYERS, k_personal),
-        num_clients=10,
         rounds=50,
         sgd=SgdConfig(0.01, 4, 16),
         fine_tune=fine_tune_flag,
@@ -126,8 +125,8 @@ def test_criterion_01_fedavg_equivalence():
     fedavg_cfg = resolve(apply_overrides(default_config(), overrides + ["algorithm=fedavg"]))
     ds = build_dataset(fedper_cfg.dataset)
 
-    history_fedper = run_experiment(fedper_cfg.run_config(), ds).history
-    history_fedavg = run_experiment(fedavg_cfg.run_config(), ds).history
+    history_fedper = run_experiment(fedper_cfg.run, ds).history
+    history_fedavg = run_experiment(fedavg_cfg.run, ds).history
     assert history_fedper == history_fedavg  # exact, every float and checksum
     elapsed = time.perf_counter() - start
     assert elapsed < 10
@@ -224,7 +223,7 @@ def test_criterion_07_linear_base_ablation():
         (LayerSpec(2, 16, "relu"), LayerSpec(16, 16, "relu"), LayerSpec(16, 2, "identity")), 1
     )
     cfg = RunConfig(
-        spec=spec, num_clients=10, rounds=50, sgd=SgdConfig(0.01, 4, 16),
+        spec=spec, rounds=50, sgd=SgdConfig(0.01, 4, 16),
         fine_tune=False, master_seed=321,
         partition=PartitionSpec(mode="k_class", num_clients=10, k=2, train_fraction=0.8, seed=55),
     )
@@ -313,7 +312,7 @@ def test_criterion_10_partition_correctness():
             continue
         indices = partition_k_class_indices(ds, spec)
         assert sorted(i for idx in indices for i in idx) == list(range(len(ds)))
-        labels = ds.labels
+        labels = ds.y
         for idx in indices:
             assert len({int(labels[i]) for i in idx}) <= k
         for c in range(num_classes):

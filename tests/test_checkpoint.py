@@ -1,9 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from fedper.checkpoint import load_weights, save_weights
+from fedper.checkpoint import atomic_write, load_weights, save_weights
 from fedper.errors import ParseError
 from fedper.nn import WeightSet, weights_equal
 
@@ -59,3 +60,37 @@ def test_truncated_blob_rejected(tmp_path):
     blob_path.write_bytes(blob_path.read_bytes()[:-8])
     with pytest.raises(ParseError, match="blob"):
         load_weights(tmp_path / "ckpt")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: m.pop("layer_shapes"),
+        lambda m: m.pop("split_index"),
+        lambda m: m.update(layer_shapes=[[4.5, 3], [2, 4]]),
+        lambda m: m.update(dtype=">f8"),
+    ],
+    ids=["no-layer-shapes", "no-split-index", "non-integer-shape", "big-endian-dtype"],
+)
+def test_bad_manifest_rejected(tmp_path, edit):
+    manifest_path, _ = save_weights(tmp_path / "ckpt", random_weights(), split_index=1)
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ParseError, match="manifest"):
+        load_weights(tmp_path / "ckpt")
+
+
+@pytest.mark.parametrize("data", ["new text\n", b"new bytes"])
+def test_failed_replace_keeps_old_file(tmp_path, monkeypatch, data):
+    path = tmp_path / "out.json"
+    path.write_text("old\n")
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        atomic_write(path, data)
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]  # no *.tmp left behind

@@ -7,6 +7,7 @@ from fedper.cli import main
 from fedper.config import apply_overrides, default_config, resolve
 from fedper.data import synth_classification, save_csv
 from fedper.errors import ConfigError
+from fedper.model import ModelSpec, linearize_base
 
 
 SMALL = [
@@ -25,9 +26,9 @@ def read_bytes_tree(root):
 class TestConfig:
     def test_defaults_resolve(self):
         resolved = resolve(default_config())
-        assert resolved.algorithm == "fedper"
-        assert resolved.spec.k_personal == 1
-        assert resolved.partition.seed is not None
+        assert resolved.effective["algorithm"] == "fedper"
+        assert resolved.run.spec.k_personal == 1
+        assert resolved.run.partition.seed is not None
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.json"
@@ -42,7 +43,13 @@ class TestConfig:
     def test_fedavg_forces_no_personal_layers(self):
         cfg = apply_overrides(default_config(), ["algorithm=fedavg", "model.k_personal=1"])
         resolved = resolve(cfg)
-        assert resolved.spec.k_personal == 0
+        assert resolved.run.spec.k_personal == 0
+
+    def test_linear_base_ablation_applied_to_run(self):
+        resolved = resolve(apply_overrides(default_config(), ["ablation=linear_base"]))
+        assert resolved.run.spec == linearize_base(ModelSpec.from_json(default_config()["model"]))
+        # the echoed config keeps the model as given, so a rerun ablates again
+        assert resolved.effective["model"] == default_config()["model"]
 
     def test_override_parsing_types(self):
         cfg = apply_overrides(
@@ -67,10 +74,35 @@ class TestConfig:
 class TestInputValidation:
     @pytest.mark.parametrize(
         "key",
-        ["rounds", "master_seed", "sgd.epochs", "sgd.batch_size", "partition.num_clients", "partition.k"],
+        [
+            "rounds", "master_seed", "sgd.epochs", "sgd.batch_size", "partition.num_clients", "partition.k",
+            "output.checkpoint_every", "dataset.num_classes", "dataset.dim", "dataset.per_class",
+            "dataset.clusters", "dataset.cluster_shift",
+        ],
     )
     def test_boolean_for_integer_key_is_usage_error(self, key, tmp_path):
         assert main(["run", *SMALL, "--set", f"{key}=true", "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            'partition.rater_disagreement="no"',
+            "partition.rater_disagreement=1",
+            'partition.train_fraction="0.5"',
+            "dataset.per_class=30.5",
+        ],
+    )
+    def test_mistyped_value_is_usage_error(self, setting, tmp_path):
+        assert main(["run", *SMALL, "--set", setting, "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "k", "--values", "2"]])
+    def test_csv_of_wrong_width_is_usage_error(self, command, tmp_path):
+        csv_path = tmp_path / "data.csv"
+        save_csv(synth_classification(4, 5, 30, seed=3), csv_path)  # 5 features; the model takes 8
+        args = [*command, *SMALL, "--set", "dataset.kind=csv", "--set", f"dataset.path={csv_path}"]
+        assert main([*args, "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("eta", ["NaN", "Infinity", "true"])
@@ -165,6 +197,13 @@ class TestRunCommand:
 
         assert final_mean(out_lin) < final_mean(out_full)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
+    def test_diverged_run_fails_without_history(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["run", "--set", "sgd.eta=1e6", "--set", "rounds=3", "--out", str(out)]) == 1
+        assert "non-finite weights" in capsys.readouterr().err
+        assert not (out / "run_history.csv").exists()
+
     def test_commands_do_not_mutate_input_files(self, tmp_path):
         config_path = tmp_path / "c.json"
         config_path.write_text(json.dumps({"rounds": 2, "dataset": {"per_class": 30}}))
@@ -209,6 +248,10 @@ class TestSweepCommand:
 
     def test_non_integer_values_for_k(self):
         assert main(["sweep", "--axis", "k", "--values", "a,b"]) == 2
+
+    def test_unknown_algorithm_value(self, tmp_path):
+        args = ["sweep", *SMALL, "--axis", "algorithm", "--values", "fedper,fedprox"]
+        assert main([*args, "--out", str(tmp_path / "s")]) == 2
 
 
 class TestPartitionCommand:

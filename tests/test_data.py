@@ -21,37 +21,32 @@ from fedper.data import (
     train_test_split,
 )
 from fedper.errors import ConfigError, ParseError
-from fedper.nn import Sample
 
 
-def sample_key(s: Sample):
-    return (s.x.tobytes(), s.y)
-
-
-def dataset_multiset(samples):
-    return collections.Counter(sample_key(s) for s in samples)
+def dataset_multiset(ds: LabeledDataset):
+    return collections.Counter((x.tobytes(), int(y)) for x, y in zip(ds.X, ds.y))
 
 
 class TestSynthClassification:
     def test_counts_per_class(self):
         ds = synth_classification(4, 3, 25, seed=1)
         assert len(ds) == 100
-        counts = collections.Counter(s.y for s in ds.samples)
+        counts = collections.Counter(ds.y.tolist())
         assert all(counts[c] == 25 for c in range(4))
 
     def test_counts_stay_equal_with_clusters(self):
         perms = [[0, 1, 2, 3], [1, 2, 3, 0]]
         ds = synth_classification(4, 3, 24, label_permutations=perms, seed=1)
-        counts = collections.Counter(s.y for s in ds.samples)
+        counts = collections.Counter(ds.y.tolist())
         assert all(counts[c] == 24 for c in range(4))
 
     def test_separable_limit_nearest_mean(self):
         # sigma -> 0: the nearest-mean rule recovers every label
         ds = synth_classification(5, 4, 10, seed=3, sigma=1e-12)
         means = class_means(5, 4)
-        for s in ds.samples:
-            nearest = int(np.argmin(np.linalg.norm(means - s.x, axis=1)))
-            assert nearest == s.y
+        for x, y in zip(ds.X, ds.y):
+            nearest = int(np.argmin(np.linalg.norm(means - x, axis=1)))
+            assert nearest == y
 
     def test_swapped_clusters_cap_global_accuracy_at_half(self):
         # two clusters with swapped labels on the same component structure:
@@ -62,7 +57,7 @@ class TestSynthClassification:
         components = [i // m for i in range(len(ds))]  # generation order
         for assignment in itertools.product([0, 1], repeat=2):
             hits = sum(
-                1 for comp, s in zip(components, ds.samples) if assignment[comp] == s.y
+                1 for comp, y in zip(components, ds.y) if assignment[comp] == y
             )
             assert hits / len(ds) == 0.5
 
@@ -70,8 +65,8 @@ class TestSynthClassification:
         a = synth_classification(3, 2, 10, seed=4)
         b = synth_classification(3, 2, 10, seed=4)
         c = synth_classification(3, 2, 10, seed=5)
-        assert dataset_multiset(a.samples) == dataset_multiset(b.samples)
-        assert dataset_multiset(a.samples) != dataset_multiset(c.samples)
+        assert dataset_multiset(a) == dataset_multiset(b)
+        assert dataset_multiset(a) != dataset_multiset(c)
 
     def test_rejects_bad_permutation(self):
         with pytest.raises(ConfigError):
@@ -81,12 +76,12 @@ class TestSynthClassification:
 class TestSynthShells:
     def test_radii_separate_classes(self):
         ds = synth_shells(3, 4, 50, seed=2, radius_step=1.0, noise=0.01)
-        for s in ds.samples:
-            assert abs(np.linalg.norm(s.x) - (s.y + 1)) < 0.1
+        for x, y in zip(ds.X, ds.y):
+            assert abs(np.linalg.norm(x) - (y + 1)) < 0.1
 
     def test_counts(self):
         ds = synth_shells(2, 2, 30, seed=0)
-        counts = collections.Counter(s.y for s in ds.samples)
+        counts = collections.Counter(ds.y.tolist())
         assert counts[0] == counts[1] == 30
 
 
@@ -95,8 +90,8 @@ class TestKClassPartition:
         ds = synth_classification(2, 2, 10, seed=0)
         spec = PartitionSpec(mode="k_class", num_clients=2, k=1, seed=1)
         parts = partition(ds, spec)
-        assert {s.y for s in parts[0].samples} == {0}
-        assert {s.y for s in parts[1].samples} == {1}
+        assert set(parts[0].y.tolist()) == {0}
+        assert set(parts[1].y.tolist()) == {1}
         assert len(parts[0]) == len(parts[1]) == 10
 
     def test_k_equals_c_identical_partition(self):
@@ -105,7 +100,7 @@ class TestKClassPartition:
         spec = PartitionSpec(mode="k_class", num_clients=10, k=10, seed=1)
         parts = partition(ds, spec)
         for part in parts:
-            counts = collections.Counter(s.y for s in part.samples)
+            counts = collections.Counter(part.y.tolist())
             assert all(counts[c] == 2 for c in range(10))
 
     def test_exact_multiset_partition(self):
@@ -119,10 +114,10 @@ class TestKClassPartition:
         ds = synth_classification(4, 2, 50, seed=5)
         spec = PartitionSpec(mode="k_class", num_clients=10, k=2, seed=6)
         parts = partition(ds, spec)
-        labels = ds.labels
+        labels = ds.y
         indices = partition_k_class_indices(ds, spec)
         for part in parts:
-            assert len({s.y for s in part.samples}) <= 2
+            assert len(set(part.y.tolist())) <= 2
         # per-class share sizes differ by at most 1 among eligible clients
         for c in range(4):
             shares = [np.sum(labels[idx] == c) for idx in indices if np.any(labels[idx] == c)]
@@ -173,7 +168,7 @@ class TestKClassPartition:
             return
         indices = partition_k_class_indices(ds, spec)
         assert sorted(i for idx in indices for i in idx) == list(range(len(ds)))
-        labels = ds.labels
+        labels = ds.y
         for idx in indices:
             assert len({int(labels[i]) for i in idx}) <= k
 
@@ -215,10 +210,10 @@ class TestUnbalancedPartition:
         once = partition(ds, spec)
         twice = partition(ds, spec)
         for a, b in zip(once, twice):
-            assert dataset_multiset(a.samples) == dataset_multiset(b.samples)
+            assert dataset_multiset(a) == dataset_multiset(b)
         # features come from the source dataset even when labels are re-drawn
-        source_features = {s.x.tobytes() for s in ds.samples}
-        assert all(s.x.tobytes() in source_features for p in once for s in p.samples)
+        source_features = {x.tobytes() for x in ds.X}
+        assert all(x.tobytes() in source_features for p in once for x in p.X)
 
 
 class TestTrainTestSplit:
@@ -235,8 +230,8 @@ class TestTrainTestSplit:
     def test_union_and_disjointness(self):
         ds = synth_classification(3, 2, 9, seed=0)
         train, test = train_test_split(ds, 0.7, seed=2)
-        combined = dataset_multiset(train.samples) + dataset_multiset(test.samples)
-        assert combined == dataset_multiset(ds.samples)
+        combined = dataset_multiset(train) + dataset_multiset(test)
+        assert combined == dataset_multiset(ds)
 
     def test_bad_fraction(self):
         ds = synth_classification(2, 2, 5, seed=0)
@@ -251,7 +246,7 @@ class TestCsv:
         ds = load_csv(path)
         assert ds.num_classes == 2
         assert len(ds) == 2
-        assert np.array_equal(ds.samples[0].x, [0.5, 1.5])
+        assert np.array_equal(ds.X[0], [0.5, 1.5])
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -283,6 +278,6 @@ class TestCsv:
         save_csv(ds, path)
         back = load_csv(path)
         assert back.num_classes == ds.num_classes
-        for a, b in zip(ds.samples, back.samples):
-            assert a.y == b.y
-            assert a.x.tobytes() == b.x.tobytes()
+        for ax, ay, bx, by in zip(ds.X, ds.y, back.X, back.y):
+            assert ay == by
+            assert ax.tobytes() == bx.tobytes()

@@ -7,7 +7,7 @@ from fedper.data import PartitionSpec, synth_classification
 from fedper.errors import ConfigError, UsageError
 from fedper.experiment import client_shards, run_experiment, run_sweep, sweep_seed, sweep_variant
 from fedper.model import ModelSpec
-from fedper.nn import LayerSpec, Sample, SgdConfig
+from fedper.nn import LayerSpec, SgdConfig
 from fedper.protocol import RunConfig
 
 
@@ -17,7 +17,7 @@ def base_setup(num_clients=4, k=2, rounds=3, k_personal=1, seed=101):
     )
     part = PartitionSpec(mode="k_class", num_clients=num_clients, k=k, train_fraction=0.8, seed=31)
     cfg = RunConfig(
-        spec=spec, num_clients=num_clients, rounds=rounds, sgd=SgdConfig(0.05, 2, 8),
+        spec=spec, rounds=rounds, sgd=SgdConfig(0.05, 2, 8),
         fine_tune=False, master_seed=seed, partition=part,
     )
     ds = synth_classification(4, 4, 40, seed=17)
@@ -37,16 +37,6 @@ class TestPipeline:
     def test_deterministic(self):
         cfg, ds = base_setup()
         assert run_experiment(cfg, ds).history == run_experiment(cfg, ds).history
-
-    def test_run_path_builds_no_samples(self, monkeypatch):
-        # the data stays in arrays end to end; Sample is only an adapter
-        cfg, ds = base_setup()
-
-        def forbid(self):
-            raise AssertionError("a Sample was built on the run path")
-
-        monkeypatch.setattr(Sample, "__post_init__", forbid)
-        assert len(run_experiment(cfg, ds).history) == cfg.rounds
 
     def test_class_count_mismatch_rejected(self):
         cfg, _ = base_setup()

@@ -66,6 +66,6 @@ def history_digest(history) -> str:
 def test_per_round_checksums_match_golden(name):
     overrides, checksums, digest = GOLDEN[name]
     resolved = resolve(apply_overrides(default_config(), overrides))
-    history = run_experiment(resolved.run_config(), build_dataset(resolved.dataset)).history
+    history = run_experiment(resolved.run, build_dataset(resolved.dataset)).history
     assert [r.base_checksum for r in history.rounds] == checksums
     assert history_digest(history) == digest

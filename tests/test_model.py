@@ -1,12 +1,10 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedper.errors import ConfigError, ShapeError
-from fedper.model import ModelSpec, PartitionedWeights, join, linearize_base, split
-from fedper.nn import LayerSpec, WeightSet, weights_equal
-from helpers import rand_weights
+from fedper.errors import ConfigError
+from fedper.model import ModelSpec, linearize_base
+from fedper.nn import LayerSpec
 
 
 @st.composite
@@ -18,10 +16,6 @@ def model_specs(draw, min_layers=1, max_layers=5):
     )
     k_personal = draw(st.integers(0, n - 1))
     return ModelSpec(layers, k_personal)
-
-
-def full_weights(spec, seed=0):
-    return rand_weights(spec.layers, np.random.default_rng(seed))
 
 
 class TestSpec:
@@ -45,45 +39,6 @@ class TestSpec:
     def test_json_round_trip(self):
         spec = ModelSpec((LayerSpec(2, 3), LayerSpec(3, 2, "identity")), 1)
         assert ModelSpec.from_json(spec.to_json()) == spec
-
-
-class TestSplitJoin:
-    def test_degenerate_split_all_base(self):
-        spec = ModelSpec((LayerSpec(2, 3), LayerSpec(3, 2, "identity")), 0)
-        weights = full_weights(spec)
-        parts = split(weights, spec)
-        assert len(parts.personal) == 0
-        assert weights_equal(parts.base, weights)
-
-    def test_classifier_only_personal(self):
-        # 4-layer net with one personalization layer: the classifier
-        spec = ModelSpec(
-            (LayerSpec(4, 8), LayerSpec(8, 8), LayerSpec(8, 8), LayerSpec(8, 3, "identity")), 1
-        )
-        parts = split(full_weights(spec), spec)
-        assert len(parts.base) == 3
-        assert len(parts.personal) == 1
-        assert parts.personal.layers[0][0].shape == (3, 8)
-
-    def test_split_rejects_inconsistent_weights(self):
-        spec = ModelSpec((LayerSpec(2, 3), LayerSpec(3, 2, "identity")), 1)
-        bad = full_weights(ModelSpec((LayerSpec(2, 3), LayerSpec(3, 4, "identity")), 1))
-        with pytest.raises(ShapeError, match="layer 1"):
-            split(bad, spec)
-
-    def test_join_rejects_incompatible_halves(self):
-        base = WeightSet([(np.zeros((3, 2)), np.zeros(3))])
-        personal = WeightSet([(np.zeros((2, 4)), np.zeros(2))])
-        with pytest.raises(ShapeError):
-            join(PartitionedWeights(base, personal))
-
-    @settings(max_examples=50, deadline=None)
-    @given(model_specs(), st.integers(0, 2**32 - 1))
-    def test_join_inverts_split_bitwise(self, spec, seed):
-        weights = full_weights(spec, seed)
-        parts = split(weights, spec)
-        assert len(parts.base) + len(parts.personal) == len(weights)
-        assert weights_equal(join(parts), weights)
 
 
 class TestLinearizeBase:

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from fedper.data import LabeledDataset
 from fedper.errors import ConfigError, ShapeError, UsageError
 from fedper.model import ModelSpec
 from fedper.nn import (
     LayerSpec,
-    Sample,
     SgdConfig,
     WeightSet,
     forward,
@@ -76,7 +76,7 @@ class TestLossAndGrad:
         # zero weights give uniform logits over C classes: loss = ln C
         spec = ModelSpec((LayerSpec(3, 2, "identity"),), 0)
         weights = WeightSet([(np.zeros((2, 3)), np.zeros(2))])
-        loss, _, _ = loss_and_grad(spec, weights, WeightSet([]), [Sample(np.ones(3), 0)])
+        loss, _, _ = loss_and_grad(spec, weights, WeightSet([]), LabeledDataset(np.ones((1, 3)), [0], 2))
         assert loss == pytest.approx(math.log(2), rel=1e-15)
 
     def test_matches_independent_loss_oracle(self):
@@ -108,7 +108,7 @@ class TestLossAndGrad:
         personal = rand_weights(spec.personal_layers, rng)
         batch = rand_batch(spec, rng, 3)
         loss1, gb1, gp1 = loss_and_grad(spec, base, personal, batch)
-        loss2, gb2, gp2 = loss_and_grad(spec, base, personal, batch + batch)
+        loss2, gb2, gp2 = loss_and_grad(spec, base, personal, batch.subset(np.tile(np.arange(3), 2)))
         assert loss2 == pytest.approx(loss1, rel=1e-12)
         for s1, s2 in ((gb1, gb2), (gp1, gp2)):
             for (w1, b1), (w2, b2) in zip(s1.layers, s2.layers):
@@ -118,7 +118,7 @@ class TestLossAndGrad:
     def test_empty_batch_rejected(self):
         spec, weights = one_layer([[1.0]], [0.0])
         with pytest.raises(UsageError):
-            loss_and_grad(spec, weights, WeightSet([]), [])
+            loss_and_grad(spec, weights, WeightSet([]), LabeledDataset(np.empty((0, 1)), [], 1))
 
     def test_gradients_finite(self):
         rng = np.random.default_rng(11)
@@ -155,7 +155,7 @@ class TestSgd:
         grad_b = probs - np.array([1.0, 0.0])
 
         b2, _ = sgd(
-            spec, weights, WeightSet([]), [Sample(np.array([x]), y)],
+            spec, weights, WeightSet([]), LabeledDataset(np.array([[x]]), [y], 2),
             SgdConfig(eta, 1, 1), np.random.default_rng(0),
         )
         assert np.allclose(b2.layers[0][0], w - eta * grad_w, rtol=1e-15, atol=1e-15)
@@ -171,7 +171,7 @@ class TestSgd:
 
         seed = 1234
         perm = np.random.default_rng(seed).permutation(len(dataset))
-        _, gb, gp = loss_and_grad(spec, base, personal, [dataset[i] for i in perm])
+        _, gb, gp = loss_and_grad(spec, base, personal, dataset.subset(perm))
         eta = 0.05
         b2, p2 = sgd(spec, base, personal, dataset, SgdConfig(eta, 1, 10), np.random.default_rng(seed))
         for (w2, bias2), (w0, bias0), (gw, gbias) in zip(
@@ -204,7 +204,10 @@ class TestSgd:
     def test_empty_dataset_rejected(self):
         spec, weights = one_layer([[1.0]], [0.0])
         with pytest.raises(UsageError):
-            sgd(spec, weights, WeightSet([]), [], SgdConfig(0.1, 1, 1), np.random.default_rng(0))
+            sgd(
+                spec, weights, WeightSet([]), LabeledDataset(np.empty((0, 1)), [], 1),
+                SgdConfig(0.1, 1, 1), np.random.default_rng(0),
+            )
 
 
 class TestEpochBatches:
@@ -249,8 +252,10 @@ class TestValidation:
         assert np.all(np.abs(w) <= limit)
         assert np.array_equal(b, np.zeros(6))
 
-    def test_sample_validation(self):
-        with pytest.raises(UsageError):
-            Sample(np.zeros(2), -1)
+    def test_labeled_dataset_validation(self):
+        with pytest.raises(ConfigError, match="label -1"):
+            LabeledDataset(np.zeros((2, 2)), [0, -1], 2)
         with pytest.raises(ShapeError):
-            Sample(np.zeros((2, 2)), 0)
+            LabeledDataset(np.zeros(2), [0, 1], 2)  # X is not 2-D
+        with pytest.raises(ShapeError):
+            LabeledDataset(np.zeros((3, 2)), [0, 1], 2)  # 3 rows, 2 labels

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedper.rng as rngmod
-from fedper.data import PartitionSpec
-from fedper.errors import ConfigError, ProtocolError, UsageError
+from fedper.data import LabeledDataset, PartitionSpec
+from fedper.errors import ConfigError, ProtocolError, ShapeError, UsageError
 from fedper.metrics import ClientMetrics, evaluate
 from fedper.model import ModelSpec
 from fedper.nn import (
@@ -46,7 +46,6 @@ def toy_spec(k_personal=1):
 def toy_cfg(spec, num_clients=3, rounds=2, eta=0.05, fine_tune_flag=False, seed=77):
     return RunConfig(
         spec=spec,
-        num_clients=num_clients,
         rounds=rounds,
         sgd=SgdConfig(eta, 2, 4),
         fine_tune=fine_tune_flag,
@@ -133,7 +132,7 @@ class TestClientRound:
     def test_single_sample_matches_hand_gradient_step(self):
         spec = toy_spec()
         cfg = RunConfig(
-            spec=spec, num_clients=1, rounds=1, sgd=SgdConfig(0.1, 1, 1),
+            spec=spec, rounds=1, sgd=SgdConfig(0.1, 1, 1),
             fine_tune=False, master_seed=11,
             partition=PartitionSpec(mode="k_class", num_clients=1, k=1, seed=0),
         )
@@ -150,6 +149,13 @@ class TestClientRound:
         ):
             assert np.array_equal(w2, w0 - 0.1 * gw)
             assert np.array_equal(b2, b0 - 0.1 * gbias)
+
+    @pytest.mark.parametrize("in_dim,num_classes", [(4, 3), (3, 4)], ids=["too-wide", "too-many-classes"])
+    def test_data_that_does_not_fit_the_model_rejected(self, in_dim, num_classes):
+        cfg = toy_cfg(toy_spec())  # 3 inputs, 3 outputs
+        data = LabeledDataset(np.zeros((2, in_dim)), [0, 1], num_classes)
+        with pytest.raises(ShapeError):
+            make_client(cfg, 0, data, data)
 
     def test_wrong_base_shape_rejected(self):
         spec = toy_spec()
@@ -187,8 +193,7 @@ class TestFineTune:
         gen = rngmod.substream(cfg.master_seed, rngmod.client_party(0), 2, rngmod.FINE_TUNE)
         expected = client.personal.copy()
         for idx in minibatch_indices(len(client.train), client.sgd.batch_size, gen):
-            batch = [client.train[i] for i in idx]
-            _, _, gp = loss_and_grad(spec, base_in, expected, batch)
+            _, _, gp = loss_and_grad(spec, base_in, expected, client.train.subset(idx))
             for (w, b), (gw, gb) in zip(expected.layers, gp.layers):
                 w -= client.sgd.eta * gw
                 b -= client.sgd.eta * gb
@@ -303,7 +308,7 @@ class TestRunFederation:
     def test_deterministic_given_master_seed(self):
         spec = toy_spec()
         cfg = toy_cfg(spec)
-        data = toy_client_data(spec, cfg.num_clients, np.random.default_rng(9))
+        data = toy_client_data(spec, cfg.partition.num_clients, np.random.default_rng(9))
         a = run_federation(cfg, data)
         b = run_federation(cfg, data)
         assert a.history == b.history
@@ -333,16 +338,21 @@ class TestRunFederation:
     def test_fine_tune_run_completes(self):
         spec = toy_spec()
         cfg = toy_cfg(spec, fine_tune_flag=True)
-        data = toy_client_data(spec, cfg.num_clients, np.random.default_rng(13))
+        data = toy_client_data(spec, cfg.partition.num_clients, np.random.default_rng(13))
         history = run_federation(cfg, data).history
         assert len(history) == cfg.rounds
 
     def test_empty_test_set_rejected(self):
         spec = toy_spec()
         cfg = toy_cfg(spec, num_clients=1)
-        data = [(rand_batch(spec, np.random.default_rng(0), 4), [])]
+        rng = np.random.default_rng(0)
+        data = [(rand_batch(spec, rng, 4), rand_batch(spec, rng, 0))]
         with pytest.raises(ConfigError):
             run_federation(cfg, data)
+
+    def test_no_clients_rejected(self):
+        with pytest.raises(ConfigError, match="at least one client"):
+            run_federation(toy_cfg(toy_spec()), [])
 
     def test_checkpoint_interval(self, tmp_path):
         spec = toy_spec()
@@ -422,7 +432,6 @@ def federations(draw):
     )
     cfg = RunConfig(
         spec=spec,
-        num_clients=len(sizes),
         rounds=2,
         sgd=SgdConfig(0.1, draw(st.integers(1, 3)), batch),
         fine_tune=draw(st.booleans()),
