@@ -23,9 +23,9 @@ from .experiment import run_experiment, run_sweep, sweep_seed, sweep_variant
 from .metrics import ClientMetrics, SweepResult, cross_client_stats, emit, evaluate
 from .model import ModelSpec, linearize_base
 from .nn import (
+    Layers,
     LayerSpec,
     SgdConfig,
-    WeightSet,
     forward,
     init_weights,
     loss_and_grad,

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ShapeError
-from .nn import WeightSet, weights_blob
+from .nn import Layers, weights_blob
 
 MANIFEST_SUFFIX = ".json"
 BLOB_SUFFIX = ".bin"
@@ -33,7 +33,7 @@ def atomic_write(path: Path, data: str | bytes) -> None:
         raise
 
 
-def save_weights(prefix: str | Path, weights: WeightSet, split_index: int) -> tuple[Path, Path]:
+def save_weights(prefix: str | Path, weights: Layers, split_index: int) -> tuple[Path, Path]:
     """Write <prefix>.json and <prefix>.bin; returns the two paths.
 
     split_index is the number of base layers among the layers stored here
@@ -44,7 +44,7 @@ def save_weights(prefix: str | Path, weights: WeightSet, split_index: int) -> tu
         raise ShapeError(f"split index {split_index} out of range for {len(weights)} layers")
     manifest = {
         "dtype": "<f8",
-        "layer_shapes": [[int(w.shape[0]), int(w.shape[1])] for w, _ in weights.layers],
+        "layer_shapes": [[int(w.shape[0]), int(w.shape[1])] for w, _ in weights],
         "split_index": int(split_index),
     }
     manifest_path = Path(str(prefix) + MANIFEST_SUFFIX)
@@ -58,7 +58,7 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def load_weights(prefix: str | Path) -> tuple[WeightSet, int]:
+def load_weights(prefix: str | Path) -> tuple[Layers, int]:
     """Inverse of save_weights; round-trips bit-exactly."""
     prefix = Path(prefix)
     manifest_path = Path(str(prefix) + MANIFEST_SUFFIX)
@@ -92,4 +92,4 @@ def load_weights(prefix: str | Path) -> tuple[WeightSet, int]:
         b = raw[pos : pos + out_dim].copy()
         pos += out_dim
         layers.append((w, b))
-    return WeightSet(layers), split_index
+    return layers, split_index

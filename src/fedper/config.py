@@ -4,6 +4,7 @@ mapping onto domain objects.  Unknown keys are rejected everywhere."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -25,6 +26,7 @@ from .nn import SgdConfig
 from .protocol import RunConfig
 
 ABLATIONS = ("none", "linear_base")
+LAYER_KEYS = ("activation", "in_dim", "out_dim")
 DATASET_KINDS = ("gaussian_mixture", "shells", "csv")
 CLUSTER_PERMUTATIONS = ("identity", "cycle", "swap")
 
@@ -155,9 +157,9 @@ def _int(value: Any, name: str, minimum: int) -> int:
 
 
 def _num(value: Any, name: str) -> float:
-    """value as a float if it is a JSON number; JSON booleans are not numbers."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    _require(number, f"{name} must be a number, got {value!r}")
+    """value as a float if it is a finite JSON number; JSON booleans are not numbers."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    _require(number, f"{name} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -177,7 +179,17 @@ def resolve(cfg: dict) -> ResolvedConfig:
     _int(cfg["master_seed"], "master_seed", 0)
 
     model_cfg = cfg["model"]
-    model_cfg["k_personal"] = algorithm_k_personal(cfg["algorithm"], model_cfg["k_personal"])
+    layers = model_cfg["layers"]
+    _require(isinstance(layers, list), "model.layers must be a list of layer objects")
+    for i, layer in enumerate(layers):
+        _require(
+            isinstance(layer, dict) and sorted(layer) == list(LAYER_KEYS),
+            f"model.layers[{i}] must have exactly the keys {', '.join(LAYER_KEYS)}",
+        )
+        for key in ("in_dim", "out_dim"):
+            _int(layer[key], f"model.layers[{i}].{key}", 1)
+    k_personal = _int(model_cfg["k_personal"], "model.k_personal", 0)
+    model_cfg["k_personal"] = algorithm_k_personal(cfg["algorithm"], k_personal)
     spec = ModelSpec.from_json(model_cfg)
 
     sgd_cfg = cfg["sgd"]
@@ -198,8 +210,11 @@ def resolve(cfg: dict) -> ResolvedConfig:
         )
         for key in ("num_classes", "dim", "per_class", "clusters", "cluster_shift"):
             _int(ds_cfg[key], f"dataset.{key}", 0 if key == "cluster_shift" else 1)
+        for key in ("sigma", "radius_step", "noise"):
+            _num(ds_cfg[key], f"dataset.{key}")
     if ds_cfg["seed"] is None:
         ds_cfg["seed"] = rngmod.derive_seed(cfg["master_seed"], rngmod.DATASET)
+    _int(ds_cfg["seed"], "dataset.seed", 0)
 
     part_cfg = cfg["partition"]
     _require(part_cfg["mode"] in PARTITION_MODES, f"partition.mode must be one of {PARTITION_MODES}")
@@ -218,7 +233,7 @@ def resolve(cfg: dict) -> ResolvedConfig:
         k=_int(part_cfg["k"], "partition.k", 1),
         volume_range=(vr[0], vr[1]),
         train_fraction=_num(part_cfg["train_fraction"], "partition.train_fraction"),
-        seed=int(part_cfg["seed"]),
+        seed=_int(part_cfg["seed"], "partition.seed", 0),
         rater_disagreement=rater,
     )
 
@@ -268,31 +283,16 @@ def cluster_permutations(kind: str, clusters: int, num_classes: int, shift: int 
 
 
 def build_dataset(ds_cfg: dict) -> LabeledDataset:
+    """The dataset of a dataset section that resolve has checked."""
     if ds_cfg["kind"] == "csv":
         return load_csv(ds_cfg["path"])
+    sizes = {key: ds_cfg[key] for key in ("num_classes", "dim", "per_class", "seed")}
     if ds_cfg["kind"] == "shells":
-        return synth_shells(
-            num_classes=int(ds_cfg["num_classes"]),
-            dim=int(ds_cfg["dim"]),
-            per_class=int(ds_cfg["per_class"]),
-            seed=int(ds_cfg["seed"]),
-            radius_step=float(ds_cfg["radius_step"]),
-            noise=float(ds_cfg["noise"]),
-        )
+        return synth_shells(**sizes, radius_step=float(ds_cfg["radius_step"]), noise=float(ds_cfg["noise"]))
     perms = cluster_permutations(
-        ds_cfg["cluster_permutation"],
-        int(ds_cfg["clusters"]),
-        int(ds_cfg["num_classes"]),
-        int(ds_cfg["cluster_shift"]),
+        ds_cfg["cluster_permutation"], ds_cfg["clusters"], ds_cfg["num_classes"], ds_cfg["cluster_shift"]
     )
-    return synth_classification(
-        num_classes=int(ds_cfg["num_classes"]),
-        dim=int(ds_cfg["dim"]),
-        per_class=int(ds_cfg["per_class"]),
-        label_permutations=perms,
-        seed=int(ds_cfg["seed"]),
-        sigma=float(ds_cfg["sigma"]),
-    )
+    return synth_classification(**sizes, label_permutations=perms, sigma=float(ds_cfg["sigma"]))
 
 
 def echo_config(resolved: ResolvedConfig, path: Path) -> None:

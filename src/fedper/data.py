@@ -284,9 +284,13 @@ def load_csv(path: str | Path) -> LabeledDataset:
         if len(fields) != dim + 1:
             raise ParseError(f"{path}: line {lineno}: expected {dim + 1} fields, got {len(fields)}")
         try:
-            rows.append([float(v) for v in fields[:-1]])
+            row = [float(v) for v in fields[:-1]]
         except ValueError as exc:
             raise ParseError(f"{path}: line {lineno}: bad feature value: {exc}") from exc
+        bad = [v.strip() for v, x in zip(fields, row) if not math.isfinite(x)]
+        if bad:
+            raise ParseError(f"{path}: line {lineno}: non-finite feature value {bad[0]!r}")
+        rows.append(row)
         label_text = fields[-1].strip()
         try:
             y = int(label_text)

@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import rng as rngmod
-from .data import LabeledDataset, partition, train_test_split
+from .data import K_CLASS, LabeledDataset, partition, train_test_split
 from .errors import ConfigError, UsageError
 from .metrics import SweepPoint, SweepResult, cross_client_stats
 from .model import ModelSpec
@@ -72,6 +72,8 @@ def sweep_variant(cfg: RunConfig, axis: str, value: int | str) -> RunConfig:
         raise UsageError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     if axis == AXIS_ALGORITHM and value not in ALGORITHMS:
         raise UsageError(f"unknown algorithm {value!r}; expected one of {ALGORITHMS}")
+    if axis == AXIS_K and cfg.partition.mode != K_CLASS:
+        raise UsageError(f"axis {AXIS_K} needs partition.mode {K_CLASS}; {cfg.partition.mode} ignores k")
     cfg = replace(cfg, master_seed=sweep_seed(cfg.master_seed, axis, value))
     if axis == AXIS_K:
         return replace(cfg, partition=replace(cfg.partition, k=int(value)))

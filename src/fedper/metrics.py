@@ -11,7 +11,7 @@ import numpy as np
 
 from .checkpoint import atomic_write
 from .errors import SimulationError, UsageError
-from .nn import WeightSet, _forward, check_data, cross_entropy
+from .nn import Layers, _forward, check_data, cross_entropy
 
 if TYPE_CHECKING:
     from .data import LabeledDataset
@@ -58,14 +58,14 @@ class SweepResult:
 
 
 def evaluate(
-    spec: "ModelSpec", base: WeightSet, personal: WeightSet, data: "LabeledDataset"
+    spec: "ModelSpec", base: Layers, personal: Layers, data: "LabeledDataset"
 ) -> EvalResult:
     """Accuracy (argmax of logits, ties to the lowest class index) and mean
     cross-entropy on a dataset.  Pure and deterministic."""
     if len(data) == 0:
         raise UsageError("evaluate requires a non-empty dataset")
     check_data(spec, data)
-    logits = _forward(spec, base.layers + personal.layers, data.X)[-1]
+    logits = _forward(spec, base + personal, data.X)[-1]
     predictions = np.argmax(logits, axis=1)  # np.argmax breaks ties toward the lowest index
     accuracy = float(np.mean(predictions == data.y))
     loss = float(np.mean(cross_entropy(logits, data.y)))

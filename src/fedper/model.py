@@ -65,11 +65,9 @@ class ModelSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelSpec":
-        layers = tuple(
-            LayerSpec(int(l["in_dim"]), int(l["out_dim"]), str(l["activation"]))
-            for l in obj["layers"]
-        )
-        return cls(layers, int(obj["k_personal"]))
+        """Inverse of to_json; the config's values are type-checked by
+        fedper.config.resolve."""
+        return cls(tuple(LayerSpec(**l) for l in obj["layers"]), obj["k_personal"])
 
 
 def linearize_base(spec: ModelSpec) -> ModelSpec:

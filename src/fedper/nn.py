@@ -3,9 +3,10 @@ lock-step mini-batch SGD engine that runs every client's local training.
 
 Weights are float64 throughout so that protocol-level equivalence tests can
 compare trajectories bitwise.  A network is described by a ModelSpec (see
-fedper.model) and carried as two WeightSets: the shared base layers followed
-by the client-local personalization layers.  For training, the weights of N
-clients are stacked layer by layer into (N, out, in) and (N, out) arrays.
+fedper.model), and its weights are a list of (W, b) pairs, one per layer: the
+shared base layers followed by the client-local personalization layers, so
+the model is base + personal.  For training, the weights of N clients are
+stacked layer by layer into (N, out, in) and (N, out) arrays.
 """
 
 from __future__ import annotations
@@ -59,24 +60,16 @@ class SgdConfig:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
 
 
-@dataclass(eq=False)
-class WeightSet:
-    """Ordered list of (weight matrix, bias vector) pairs, one per layer."""
-
-    layers: list[tuple[np.ndarray, np.ndarray]]
-
-    def __len__(self) -> int:
-        return len(self.layers)
-
-    def copy(self) -> "WeightSet":
-        return WeightSet([(w.copy(), b.copy()) for w, b in self.layers])
+# (weight matrix, bias vector) per layer, in order; stacked weights carry a
+# leading client axis on both arrays.
+Layers = list[tuple[np.ndarray, np.ndarray]]
 
 
-def weights_equal(a: WeightSet, b: WeightSet) -> bool:
-    """Bitwise equality of two weight sets."""
+def weights_equal(a: Layers, b: Layers) -> bool:
+    """Bitwise equality of two weight lists."""
     if len(a) != len(b):
         return False
-    for (wa, ba), (wb, bb) in zip(a.layers, b.layers):
+    for (wa, ba), (wb, bb) in zip(a, b):
         if wa.shape != wb.shape or ba.shape != bb.shape:
             return False
         if wa.tobytes() != wb.tobytes() or ba.tobytes() != bb.tobytes():
@@ -84,21 +77,21 @@ def weights_equal(a: WeightSet, b: WeightSet) -> bool:
     return True
 
 
-def weights_blob(ws: WeightSet) -> bytes:
+def weights_blob(ws: Layers) -> bytes:
     """Little-endian float64 bytes of all layers, weights then bias each."""
     parts = []
-    for w, b in ws.layers:
+    for w, b in ws:
         parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
         parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
     return b"".join(parts)
 
 
-def weights_checksum(ws: WeightSet) -> str:
+def weights_checksum(ws: Layers) -> str:
     """SHA-256 of the weight blob; equal checksums mean bitwise equal values."""
     return hashlib.sha256(weights_blob(ws)).hexdigest()
 
 
-def init_weights(layer_specs: Sequence[LayerSpec], rng: np.random.Generator) -> WeightSet:
+def init_weights(layer_specs: Sequence[LayerSpec], rng: np.random.Generator) -> Layers:
     """Random initialization: W uniform on +-sqrt(6/(fan_in+fan_out)), biases zero."""
     layers = []
     for spec in layer_specs:
@@ -106,31 +99,24 @@ def init_weights(layer_specs: Sequence[LayerSpec], rng: np.random.Generator) -> 
         w = rng.uniform(-limit, limit, size=(spec.out_dim, spec.in_dim))
         b = np.zeros(spec.out_dim)
         layers.append((w, b))
-    return WeightSet(layers)
+    return layers
 
 
-def check_weights_match(layer_specs: Sequence[LayerSpec], ws: WeightSet, offset: int = 0) -> None:
-    """Raise ShapeError (naming the layer index) if ws does not realize the specs."""
-    if len(ws) != len(layer_specs):
-        raise ShapeError(f"expected {len(layer_specs)} layers starting at index {offset}, got {len(ws)}")
-    for i, (spec, (w, b)) in enumerate(zip(layer_specs, ws.layers)):
-        if w.shape != (spec.out_dim, spec.in_dim):
-            raise ShapeError(
-                f"layer {offset + i}: weight shape {w.shape} != expected "
-                f"({spec.out_dim}, {spec.in_dim})"
-            )
-        if b.shape != (spec.out_dim,):
-            raise ShapeError(f"layer {offset + i}: bias shape {b.shape} != expected ({spec.out_dim},)")
-
-
-def _check_model_weights(spec: "ModelSpec", base: WeightSet, personal: WeightSet) -> None:
+def _check_model_weights(spec: "ModelSpec", base: Layers, personal: Layers) -> None:
+    """Raise ShapeError (naming the layer index) unless base + personal
+    realizes the spec's layers with its base/personal split."""
     if len(base) != spec.k_base or len(personal) != spec.k_personal:
         raise ShapeError(
             f"weight split ({len(base)} base, {len(personal)} personal) does not match "
             f"spec ({spec.k_base} base, {spec.k_personal} personal)"
         )
-    check_weights_match(spec.layers[: spec.k_base], base, offset=0)
-    check_weights_match(spec.layers[spec.k_base :], personal, offset=spec.k_base)
+    for i, (lspec, (w, b)) in enumerate(zip(spec.layers, base + personal)):
+        if w.shape != (lspec.out_dim, lspec.in_dim):
+            raise ShapeError(
+                f"layer {i}: weight shape {w.shape} != expected ({lspec.out_dim}, {lspec.in_dim})"
+            )
+        if b.shape != (lspec.out_dim,):
+            raise ShapeError(f"layer {i}: bias shape {b.shape} != expected ({lspec.out_dim},)")
 
 
 def check_data(spec: "ModelSpec", data: "LabeledDataset") -> None:
@@ -142,18 +128,18 @@ def check_data(spec: "ModelSpec", data: "LabeledDataset") -> None:
         raise ShapeError(f"dataset has {data.num_classes} classes, the model outputs {spec.out_dim}")
 
 
-def stack_weights(sets: Sequence[WeightSet]) -> list[tuple[np.ndarray, np.ndarray]]:
+def stack_weights(sets: Sequence[Layers]) -> Layers:
     """Layer-wise (N, out, in) weight and (N, out) bias stacks of N weight
-    sets; row j is a copy of sets[j]."""
+    lists; row j is a copy of sets[j]."""
     return [
-        (np.stack([s.layers[i][0] for s in sets]), np.stack([s.layers[i][1] for s in sets]))
+        (np.stack([s[i][0] for s in sets]), np.stack([s[i][1] for s in sets]))
         for i in range(len(sets[0]))
     ]
 
 
-def unstack_weights(layers: Sequence[tuple[np.ndarray, np.ndarray]], j: int) -> WeightSet:
+def unstack_weights(layers: Layers, j: int) -> Layers:
     """Row j of layer stacks, as views."""
-    return WeightSet([(w[j], b[j]) for w, b in layers])
+    return [(w[j], b[j]) for w, b in layers]
 
 
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
@@ -170,9 +156,7 @@ def _chain(name: str, delta: np.ndarray, a: np.ndarray) -> np.ndarray:
     return delta
 
 
-def _forward(
-    spec: "ModelSpec", layers: Sequence[tuple[np.ndarray, np.ndarray]], x: np.ndarray
-) -> list[np.ndarray]:
+def _forward(spec: "ModelSpec", layers: Layers, x: np.ndarray) -> list[np.ndarray]:
     """Run the stack on (..., batch, in_dim) inputs; returns every layer's
     activations, the input first and the network output last.
 
@@ -201,11 +185,11 @@ def cross_entropy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _backprop(
     spec: "ModelSpec",
-    layers: Sequence[tuple[np.ndarray, np.ndarray]],
+    layers: Layers,
     acts: list[np.ndarray],
     y: np.ndarray,
     first_trained: int = 0,
-) -> list[tuple[np.ndarray, np.ndarray]]:
+) -> Layers:
     """Exact gradients of the batch-mean cross-entropy for layers
     first_trained.. (in order), from a cached forward pass.  Leading dims
     are stacked weights as in _forward."""
@@ -223,29 +207,29 @@ def _backprop(
     return grads[::-1]
 
 
-def forward(spec: "ModelSpec", base: WeightSet, personal: WeightSet, x: np.ndarray) -> np.ndarray:
+def forward(spec: "ModelSpec", base: Layers, personal: Layers, x: np.ndarray) -> np.ndarray:
     """Forward pass for a single feature vector; returns the logits."""
     _check_model_weights(spec, base, personal)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != spec.in_dim:
         raise ShapeError(f"layer 0: input shape {x.shape} != expected ({spec.in_dim},)")
-    return _forward(spec, base.layers + personal.layers, x[None, :])[-1][0]
+    return _forward(spec, base + personal, x[None, :])[-1][0]
 
 
 def loss_and_grad(
-    spec: "ModelSpec", base: WeightSet, personal: WeightSet, batch: "LabeledDataset"
-) -> tuple[float, WeightSet, WeightSet]:
-    """Mean cross-entropy over the batch plus exact gradients for both weight sets."""
+    spec: "ModelSpec", base: Layers, personal: Layers, batch: "LabeledDataset"
+) -> tuple[float, Layers, Layers]:
+    """Mean cross-entropy over the batch plus exact gradients for base and personal."""
     if len(batch) == 0:
         raise UsageError("loss_and_grad requires a non-empty batch")
     _check_model_weights(spec, base, personal)
     check_data(spec, batch)
-    layers = base.layers + personal.layers
+    layers = base + personal
     acts = _forward(spec, layers, batch.X)
     loss = float(np.mean(cross_entropy(acts[-1], batch.y)))
     grads = _backprop(spec, layers, acts, batch.y)
     kb = spec.k_base
-    return loss, WeightSet(grads[:kb]), WeightSet(grads[kb:])
+    return loss, grads[:kb], grads[kb:]
 
 
 def minibatch_indices(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -257,7 +241,7 @@ def minibatch_indices(n: int, batch_size: int, rng: np.random.Generator) -> list
 
 def train_lockstep(
     spec: "ModelSpec",
-    layers: list[tuple[np.ndarray, np.ndarray]],
+    layers: Layers,
     data: Sequence["LabeledDataset"],
     rngs: Sequence[np.random.Generator],
     epochs: int,
@@ -320,23 +304,23 @@ def train_lockstep(
 
 def sgd(
     spec: "ModelSpec",
-    base: WeightSet,
-    personal: WeightSet,
+    base: Layers,
+    personal: Layers,
     dataset: "LabeledDataset",
     cfg: SgdConfig,
     rng: np.random.Generator,
-) -> tuple[WeightSet, WeightSet]:
+) -> tuple[Layers, Layers]:
     """Mini-batch SGD over the dataset for cfg.epochs epochs.
 
     Each epoch draws a fresh permutation from rng and walks batches of
-    cfg.batch_size, updating both weight sets by -eta * gradient.  Inputs are
+    cfg.batch_size, updating base and personal by -eta * gradient.  Inputs are
     not mutated; the updated copies are returned.
     """
     if len(dataset) == 0:
         raise UsageError("sgd requires a non-empty dataset")
     _check_model_weights(spec, base, personal)
     check_data(spec, dataset)
-    layers = stack_weights([WeightSet(base.layers + personal.layers)])
+    layers = stack_weights([base + personal])
     train_lockstep(spec, layers, [dataset], [rng], cfg.epochs, cfg.batch_size, cfg.eta)
     kb = spec.k_base
     return unstack_weights(layers[:kb], 0), unstack_weights(layers[kb:], 0)

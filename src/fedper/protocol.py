@@ -25,8 +25,8 @@ from .data import LabeledDataset, PartitionSpec
 from .metrics import ClientMetrics, evaluate
 from .model import ModelSpec
 from .nn import (
+    Layers,
     SgdConfig,
-    WeightSet,
     check_data,
     init_weights,
     sgd,
@@ -57,23 +57,12 @@ class Message:
 
 @dataclass
 class ClientState:
-    """One simulated device: its data, its private personalization weights,
-    and its handle on the seed hierarchy."""
+    """One simulated device: its data and its private personalization weights."""
 
     client_id: int
     train: LabeledDataset
     test: LabeledDataset
-    personal: WeightSet
-    sgd: SgdConfig
-    stream: rngmod.PartyStream
-
-    def __post_init__(self) -> None:
-        if len(self.train) < 1:
-            raise ConfigError(f"client {self.client_id} has an empty training set")
-
-    @property
-    def n_train(self) -> int:
-        return len(self.train)
+    personal: Layers
 
 
 @dataclass
@@ -81,7 +70,7 @@ class ServerState:
     """Global base weights, the per-client aggregation weights, and the log
     of every message exchanged."""
 
-    base: WeightSet
+    base: Layers
     agg_weights: list[float]
     message_log: list[Message] = field(default_factory=list)
 
@@ -143,12 +132,18 @@ def server_init(cfg: RunConfig, client_sizes: Sequence[int]) -> ServerState:
             raise ConfigError(f"client {j} reports {n} training samples; every client needs >= 1")
     total = sum(client_sizes)
     agg_weights = [n / total for n in client_sizes]
-    server_stream = rngmod.PartyStream(cfg.master_seed, rngmod.SERVER_PARTY)
-    base = init_weights(cfg.spec.base_layers, server_stream.rng(0, rngmod.INIT))
+    server_stream = rngmod.substream(cfg.master_seed, rngmod.SERVER_PARTY, 0, rngmod.INIT)
+    base = init_weights(cfg.spec.base_layers, server_stream)
     state = ServerState(base=base, agg_weights=agg_weights)
     for j in range(len(client_sizes)):
         state.log(client_name(j), SERVER, MSG_TRAIN_SIZE)
     return state
+
+
+def _client_stream(
+    cfg: RunConfig, client_id: int, round_idx: int, purpose: int
+) -> np.random.Generator:
+    return rngmod.substream(cfg.master_seed, rngmod.client_party(client_id), round_idx, purpose)
 
 
 def make_client(
@@ -157,15 +152,17 @@ def make_client(
     train: LabeledDataset,
     test: LabeledDataset,
 ) -> ClientState:
-    """Build a client with personalization weights drawn from its own stream."""
-    check_data(cfg.spec, train)
-    check_data(cfg.spec, test)
-    stream = rngmod.PartyStream(cfg.master_seed, rngmod.client_party(client_id))
-    personal = init_weights(cfg.spec.personal_layers, stream.rng(0, rngmod.INIT))
-    return ClientState(client_id, train, test, personal, cfg.sgd, stream)
+    """Build a client with personalization weights drawn from its own stream.
+    Every client needs a non-empty training set and a non-empty test set."""
+    for kind, data in (("training", train), ("test", test)):
+        if len(data) < 1:
+            raise ConfigError(f"client {client_id} has an empty {kind} set")
+        check_data(cfg.spec, data)
+    personal = init_weights(cfg.spec.personal_layers, _client_stream(cfg, client_id, 0, rngmod.INIT))
+    return ClientState(client_id, train, test, personal)
 
 
-def _check_base(client: ClientState, spec: ModelSpec, base_in: WeightSet) -> None:
+def _check_base(client: ClientState, spec: ModelSpec, base_in: Layers) -> None:
     if len(base_in) != spec.k_base:
         raise ProtocolError(
             f"client {client.client_id}: received {len(base_in)} base layers, expected {spec.k_base}"
@@ -173,52 +170,49 @@ def _check_base(client: ClientState, spec: ModelSpec, base_in: WeightSet) -> Non
 
 
 def client_round(
-    client: ClientState, spec: ModelSpec, base_in: WeightSet, round_idx: int
-) -> tuple[WeightSet, ClientState]:
+    client: ClientState, cfg: RunConfig, base_in: Layers, round_idx: int
+) -> tuple[Layers, ClientState]:
     """One local training pass: SGD jointly updates the received base weights
     and the client's personal weights.  Only the updated base is returned for
     the wire; the personal update stays in the returned client state."""
-    _check_base(client, spec, base_in)
-    gen = client.stream.rng(round_idx, rngmod.SGD)
-    base_out, personal_out = sgd(spec, base_in, client.personal, client.train, client.sgd, gen)
+    _check_base(client, cfg.spec, base_in)
+    gen = _client_stream(cfg, client.client_id, round_idx, rngmod.SGD)
+    base_out, personal_out = sgd(cfg.spec, base_in, client.personal, client.train, cfg.sgd, gen)
     return base_out, replace(client, personal=personal_out)
 
 
 def _fine_tune_pass(
-    spec: ModelSpec, layers: list, clients: Sequence[ClientState], round_idx: int
+    cfg: RunConfig, layers: Layers, clients: Sequence[ClientState], round_idx: int
 ) -> None:
     """One epoch of SGD on the personal layers of every client, base frozen;
     client j's weights are row j of the layer stacks, updated in place."""
-    cfg = clients[0].sgd
     train_lockstep(
-        spec,
+        cfg.spec,
         layers,
         [c.train for c in clients],
-        [c.stream.rng(round_idx, rngmod.FINE_TUNE) for c in clients],
+        [_client_stream(cfg, c.client_id, round_idx, rngmod.FINE_TUNE) for c in clients],
         epochs=1,
-        batch_size=cfg.batch_size,
-        eta=cfg.eta,
-        first_trained=spec.k_base,
+        batch_size=cfg.sgd.batch_size,
+        eta=cfg.sgd.eta,
+        first_trained=cfg.spec.k_base,
     )
 
 
-def fine_tune(
-    client: ClientState, spec: ModelSpec, base_in: WeightSet, round_idx: int
-) -> ClientState:
+def fine_tune(client: ClientState, cfg: RunConfig, base_in: Layers, round_idx: int) -> ClientState:
     """One epoch of SGD on the personal layers only, base frozen in place.
 
     The base layers take part in the forward pass but are never updated, so
     base_in is returned to the caller untouched.
     """
-    if spec.k_personal < 1:
+    if cfg.spec.k_personal < 1:
         raise UsageError("fine_tune requires at least one personalization layer")
-    _check_base(client, spec, base_in)
-    layers = stack_weights([WeightSet(base_in.layers + client.personal.layers)])
-    _fine_tune_pass(spec, layers, [client], round_idx)
-    return replace(client, personal=unstack_weights(layers[spec.k_base :], 0))
+    _check_base(client, cfg.spec, base_in)
+    layers = stack_weights([base_in + client.personal])
+    _fine_tune_pass(cfg, layers, [client], round_idx)
+    return replace(client, personal=unstack_weights(layers[cfg.spec.k_base :], 0))
 
 
-def aggregate(updates: Sequence[tuple[WeightSet, float]]) -> WeightSet:
+def aggregate(updates: Sequence[tuple[Layers, float]]) -> Layers:
     """Convex combination of the clients' base updates, accumulated in the
     given (ascending client id) order.
 
@@ -235,14 +229,14 @@ def aggregate(updates: Sequence[tuple[WeightSet, float]]) -> WeightSet:
         if g <= 0:
             raise ConfigError(f"aggregation weights must be positive, got {g}")
     first, _ = updates[0]
-    shapes = [(w.shape, b.shape) for w, b in first.layers]
+    shapes = [(w.shape, b.shape) for w, b in first]
     for ws, _ in updates[1:]:
-        if [(w.shape, b.shape) for w, b in ws.layers] != shapes:
-            raise ProtocolError("aggregate requires shape-identical weight sets")
+        if [(w.shape, b.shape) for w, b in ws] != shapes:
+            raise ProtocolError("aggregate requires shape-identical weight lists")
 
-    out = first.copy()
+    out = [(w.copy(), b.copy()) for w, b in first]
     for ws, g in updates[1:]:
-        for (ow, ob), (w, b), (fw, fb) in zip(out.layers, ws.layers, first.layers):
+        for (ow, ob), (w, b), (fw, fb) in zip(out, ws, first):
             ow += g * (w - fw)
             ob += g * (b - fb)
     return out
@@ -264,63 +258,82 @@ def run_federation(
     on.  All clients train together on the lock-step engine, which gives
     every client bitwise the result of training it on its own.
 
-    A client whose weights turn non-finite (typically a learning rate too
-    large for its data) stops the run with a SimulationError.
+    A round that overflows, or leaves a client's weights non-finite
+    (typically a learning rate too large for the data), stops the run with a
+    SimulationError.
     """
-    spec = cfg.spec
     clients = [make_client(cfg, j, train, test) for j, (train, test) in enumerate(client_data)]
-    for c in clients:
-        if len(c.test) < 1:
-            raise ConfigError(f"client {c.client_id} has an empty test set")
-    server = server_init(cfg, [c.n_train for c in clients])
-    n = len(clients)
+    server = server_init(cfg, [len(c.train) for c in clients])
+    # the one copy of the personal weights: each client's are views of its
+    # row, and the training passes update the stacks in place
     personal = stack_weights([c.personal for c in clients])
-    kb = spec.k_base
+    for c in clients:
+        c.personal = unstack_weights(personal, c.client_id)
 
     records = []
     for round_idx in range(1, cfg.rounds + 1):
-        for j in range(n):
-            server.log(SERVER, client_name(j), MSG_BASE_WEIGHTS)
-        # row j of every stack is client j's copy: the broadcast base, then
-        # its own personal layers (updated in place across rounds)
-        layers = stack_weights([server.base] * n) + personal
-        if cfg.fine_tune and spec.k_personal >= 1:
-            _fine_tune_pass(spec, layers, clients, round_idx)
-        train_lockstep(
-            spec,
-            layers,
-            [c.train for c in clients],
-            [c.stream.rng(round_idx, rngmod.SGD) for c in clients],
-            cfg.sgd.epochs,
-            cfg.sgd.batch_size,
-            cfg.sgd.eta,
-        )
-        _check_finite(layers, round_idx)
-
-        for j in range(n):
-            server.log(client_name(j), SERVER, MSG_BASE_WEIGHTS)
-        server.base = aggregate(
-            [(unstack_weights(layers[:kb], j), g) for j, g in enumerate(server.agg_weights)]
-        )
-        clients = [replace(c, personal=unstack_weights(personal, c.client_id)) for c in clients]
-        round_metrics = tuple(
-            ClientMetrics(
-                c.client_id,
-                round_idx,
-                evaluate(spec, server.base, c.personal, c.test).accuracy,
-                evaluate(spec, server.base, c.personal, c.train).loss,
-            )
-            for c in clients
-        )
-        records.append(RoundRecord(round_idx, weights_checksum(server.base), round_metrics))
-
+        # an overflow can leave every weight finite but meaningless
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                records.append(_train_round(cfg, server, clients, personal, round_idx))
+        except FloatingPointError as exc:
+            raise SimulationError(
+                f"round {round_idx}: {exc}; the run diverged (try a smaller sgd.eta)"
+            ) from exc
         if checkpoint_dir is not None and checkpoint_every > 0 and round_idx % checkpoint_every == 0:
             write_checkpoint(Path(checkpoint_dir), f"round{round_idx:04d}", server, clients)
 
     return FederationResult(RoundHistory(tuple(records)), server, clients)
 
 
-def _check_finite(layers: Sequence[tuple[np.ndarray, np.ndarray]], round_idx: int) -> None:
+def _train_round(
+    cfg: RunConfig,
+    server: ServerState,
+    clients: Sequence[ClientState],
+    personal: Layers,
+    round_idx: int,
+) -> RoundRecord:
+    """One round: broadcast, local training, aggregation into server.base,
+    and every client's metrics.  personal is updated in place."""
+    spec = cfg.spec
+    n = len(clients)
+    for j in range(n):
+        server.log(SERVER, client_name(j), MSG_BASE_WEIGHTS)
+    # row j of every stack is client j's copy: the broadcast base, then its
+    # own personal layers
+    layers = stack_weights([server.base] * n) + personal
+    if cfg.fine_tune and spec.k_personal >= 1:
+        _fine_tune_pass(cfg, layers, clients, round_idx)
+    train_lockstep(
+        spec,
+        layers,
+        [c.train for c in clients],
+        [_client_stream(cfg, c.client_id, round_idx, rngmod.SGD) for c in clients],
+        cfg.sgd.epochs,
+        cfg.sgd.batch_size,
+        cfg.sgd.eta,
+    )
+    _check_finite(layers, round_idx)
+
+    for j in range(n):
+        server.log(client_name(j), SERVER, MSG_BASE_WEIGHTS)
+    kb = spec.k_base
+    server.base = aggregate(
+        [(unstack_weights(layers[:kb], j), g) for j, g in enumerate(server.agg_weights)]
+    )
+    metrics = tuple(
+        ClientMetrics(
+            c.client_id,
+            round_idx,
+            evaluate(spec, server.base, c.personal, c.test).accuracy,
+            evaluate(spec, server.base, c.personal, c.train).loss,
+        )
+        for c in clients
+    )
+    return RoundRecord(round_idx, weights_checksum(server.base), metrics)
+
+
+def _check_finite(layers: Layers, round_idx: int) -> None:
     """Raise SimulationError naming the first client whose row of the weight
     stacks holds a NaN or an infinity."""
     finite = np.ones(len(layers[0][0]), dtype=bool)

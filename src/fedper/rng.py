@@ -9,8 +9,6 @@ results cannot depend on the order in which parties execute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 SERVER_PARTY = 0
@@ -40,13 +38,3 @@ def derive_seed(master_seed: int, *key: int) -> int:
     seq = np.random.SeedSequence(master_seed, spawn_key=tuple(key))
     return int(seq.generate_state(1, np.uint64)[0])
 
-
-@dataclass(frozen=True)
-class PartyStream:
-    """One party's handle on the seed hierarchy."""
-
-    master_seed: int
-    party: int
-
-    def rng(self, round_idx: int, purpose: int) -> np.random.Generator:
-        return substream(self.master_seed, self.party, round_idx, purpose)

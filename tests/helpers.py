@@ -8,7 +8,7 @@ import numpy as np
 
 from fedper.data import LabeledDataset
 from fedper.model import ModelSpec
-from fedper.nn import LayerSpec, WeightSet
+from fedper.nn import Layers, LayerSpec
 
 
 def rand_spec(rng: np.random.Generator, max_layers: int = 3, max_dim: int = 8) -> ModelSpec:
@@ -22,13 +22,11 @@ def rand_spec(rng: np.random.Generator, max_layers: int = 3, max_dim: int = 8) -
     return ModelSpec(tuple(layers), k_personal)
 
 
-def rand_weights(layer_specs, rng: np.random.Generator) -> WeightSet:
-    return WeightSet(
-        [
-            (rng.standard_normal((l.out_dim, l.in_dim)), rng.standard_normal(l.out_dim))
-            for l in layer_specs
-        ]
-    )
+def rand_weights(layer_specs, rng: np.random.Generator) -> Layers:
+    return [
+        (rng.standard_normal((l.out_dim, l.in_dim)), rng.standard_normal(l.out_dim))
+        for l in layer_specs
+    ]
 
 
 def rand_batch(spec: ModelSpec, rng: np.random.Generator, size: int) -> LabeledDataset:
@@ -38,13 +36,13 @@ def rand_batch(spec: ModelSpec, rng: np.random.Generator, size: int) -> LabeledD
     return LabeledDataset(x, [y for _, y in rows], spec.out_dim)
 
 
-def ref_loss(spec: ModelSpec, base: WeightSet, personal: WeightSet, batch) -> float:
+def ref_loss(spec: ModelSpec, base: Layers, personal: Layers, batch) -> float:
     """Independent loss oracle: plain per-sample forward plus textbook
     softmax cross-entropy, no caching, no vectorized batching."""
     total = 0.0
     for x, y in zip(batch.X, batch.y):
         a = x
-        for lspec, (w, b) in zip(spec.layers, base.layers + personal.layers):
+        for lspec, (w, b) in zip(spec.layers, base + personal):
             z = w @ a + b
             a = np.where(z > 0, z, 0.0) if lspec.activation == "relu" else z
         shifted = a - a.max()
@@ -54,18 +52,21 @@ def ref_loss(spec: ModelSpec, base: WeightSet, personal: WeightSet, batch) -> fl
 
 
 def fd_gradients(
-    spec: ModelSpec, base: WeightSet, personal: WeightSet, batch, h: float = 1e-5
-) -> tuple[WeightSet, WeightSet]:
+    spec: ModelSpec, base: Layers, personal: Layers, batch, h: float = 1e-5
+) -> tuple[Layers, Layers]:
     """Central finite differences of ref_loss over every weight and bias."""
 
     def loss_with(sets):
         return ref_loss(spec, sets[0], sets[1], batch)
 
+    def copies():
+        return [[(w.copy(), b.copy()) for w, b in ws] for ws in (base, personal)]
+
     out = []
     for which in (0, 1):
         grads = []
         source = (base, personal)[which]
-        for li, (w, b) in enumerate(source.layers):
+        for li, (w, b) in enumerate(source):
             gw = np.zeros_like(w)
             gb = np.zeros_like(b)
             for arr, grad in ((w, gw), (b, gb)):
@@ -73,21 +74,21 @@ def fd_gradients(
                 gflat = grad.reshape(-1)
                 for i in range(flat.size):
                     orig = flat[i]
-                    sets = [base.copy(), personal.copy()]
-                    sets[which].layers[li][0 if arr is w else 1].reshape(-1)[i] = orig + h
+                    sets = copies()
+                    sets[which][li][0 if arr is w else 1].reshape(-1)[i] = orig + h
                     up = loss_with(sets)
-                    sets = [base.copy(), personal.copy()]
-                    sets[which].layers[li][0 if arr is w else 1].reshape(-1)[i] = orig - h
+                    sets = copies()
+                    sets[which][li][0 if arr is w else 1].reshape(-1)[i] = orig - h
                     down = loss_with(sets)
                     gflat[i] = (up - down) / (2 * h)
             grads.append((gw, gb))
-        out.append(WeightSet(grads))
+        out.append(grads)
     return out[0], out[1]
 
 
-def assert_grad_close(analytic: WeightSet, fd: WeightSet, rtol=1e-6, atol=1e-9) -> None:
+def assert_grad_close(analytic: Layers, fd: Layers, rtol=1e-6, atol=1e-9) -> None:
     """Relative error <= rtol with an atol floor for near-zero components."""
     assert len(analytic) == len(fd)
-    for (aw, ab), (fw, fb) in zip(analytic.layers, fd.layers):
+    for (aw, ab), (fw, fb) in zip(analytic, fd):
         assert np.allclose(aw, fw, rtol=rtol, atol=atol), np.abs(aw - fw).max()
         assert np.allclose(ab, fb, rtol=rtol, atol=atol), np.abs(ab - fb).max()

@@ -29,7 +29,6 @@ from fedper.model import ModelSpec, linearize_base
 from fedper.nn import (
     LayerSpec,
     SgdConfig,
-    WeightSet,
     init_weights,
     loss_and_grad,
     weights_checksum,
@@ -161,7 +160,7 @@ def test_criterion_03_aggregation_oracle():
         n_layers = int(rng.integers(1, 4))
         shapes = [(int(rng.integers(1, 8)), int(rng.integers(1, 8))) for _ in range(n_layers)]
         sets = [
-            WeightSet([(rng.standard_normal((o, i)), rng.standard_normal(o)) for o, i in shapes])
+            [(rng.standard_normal((o, i)), rng.standard_normal(o)) for o, i in shapes]
             for _ in range(n_clients)
         ]
         raw = rng.uniform(0.1, 1.0, n_clients)
@@ -170,10 +169,10 @@ def test_criterion_03_aggregation_oracle():
         got = aggregate(list(zip(sets, gammas)))
         for li in range(n_layers):
             for part in (0, 1):
-                flat = got.layers[li][part].reshape(-1)
+                flat = got[li][part].reshape(-1)
                 for pos in range(flat.size):
                     brute = sum(
-                        g * ws.layers[li][part].reshape(-1)[pos] for ws, g in zip(sets, gammas)
+                        g * ws[li][part].reshape(-1)[pos] for ws, g in zip(sets, gammas)
                     )
                     assert abs(flat[pos] - brute) < 1e-12
 
@@ -250,7 +249,7 @@ def test_criterion_08_fine_tuning_variant(trend_runs):
                          rand_batch(cfg.spec, np.random.default_rng(2), 4))
     base_in = init_weights(cfg.spec.base_layers, np.random.default_rng(3))
     checksum_before = weights_checksum(base_in)
-    fine_tune(client, cfg.spec, base_in, round_idx=1)
+    fine_tune(client, cfg, base_in, round_idx=1)
     assert weights_checksum(base_in) == checksum_before
 
     baseline = final_mean(runs[("fedper", 2)])

@@ -6,17 +6,15 @@ import pytest
 
 from fedper.checkpoint import atomic_write, load_weights, save_weights
 from fedper.errors import ParseError
-from fedper.nn import WeightSet, weights_equal
+from fedper.nn import weights_equal
 
 
 def random_weights(seed=0):
     rng = np.random.default_rng(seed)
-    return WeightSet(
-        [
-            (rng.standard_normal((4, 3)), rng.standard_normal(4)),
-            (rng.standard_normal((2, 4)), rng.standard_normal(2)),
-        ]
-    )
+    return [
+        (rng.standard_normal((4, 3)), rng.standard_normal(4)),
+        (rng.standard_normal((2, 4)), rng.standard_normal(2)),
+    ]
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -37,7 +35,7 @@ def test_manifest_lists_shapes_and_split(tmp_path):
 
 
 def test_empty_weight_set(tmp_path):
-    save_weights(tmp_path / "empty", WeightSet([]), split_index=0)
+    save_weights(tmp_path / "empty", [], split_index=0)
     loaded, split_index = load_weights(tmp_path / "empty")
     assert len(loaded) == 0 and split_index == 0
 
@@ -48,10 +46,10 @@ def test_blob_is_little_endian_in_layer_order(tmp_path):
     ws = random_weights()
     _, blob_path = save_weights(tmp_path / "ckpt", ws, split_index=1)
     raw = blob_path.read_bytes()
-    first_weight = ws.layers[0][0][0, 0]
+    first_weight = ws[0][0][0, 0]
     assert raw[:8] == struct.pack("<d", first_weight)
     # bias of layer 0 follows its 4x3 weight block
-    assert raw[8 * 12 : 8 * 13] == struct.pack("<d", ws.layers[0][1][0])
+    assert raw[8 * 12 : 8 * 13] == struct.pack("<d", ws[0][1][0])
 
 
 def test_truncated_blob_rejected(tmp_path):

@@ -91,6 +91,22 @@ class TestInputValidation:
             "partition.rater_disagreement=1",
             'partition.train_fraction="0.5"',
             "dataset.per_class=30.5",
+            "dataset.sigma=abc",
+            "dataset.sigma=NaN",
+            "dataset.radius_step=abc",
+            "dataset.noise=true",
+            "dataset.seed=abc",
+            "dataset.seed=1.5",
+            "partition.seed=abc",
+            "partition.seed=-1",
+            "model.k_personal=abc",
+            "model.k_personal=1.9",
+            "model.k_personal=true",
+            'model.layers=[{"in_dim":8,"out_dim":4}]',
+            'model.layers=[{"in_dim":8,"out_dim":4,"activation":"identity","bias":false}]',
+            'model.layers=[{"in_dim":true,"out_dim":4,"activation":"identity"}]',
+            'model.layers=[{"in_dim":8,"out_dim":4.0,"activation":"identity"}]',
+            "model.layers=5",
         ],
     )
     def test_mistyped_value_is_usage_error(self, setting, tmp_path):
@@ -197,11 +213,17 @@ class TestRunCommand:
 
         assert final_mean(out_lin) < final_mean(out_full)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
     def test_diverged_run_fails_without_history(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["run", "--set", "sgd.eta=1e6", "--set", "rounds=3", "--out", str(out)]) == 1
-        assert "non-finite weights" in capsys.readouterr().err
+        assert "round 1: overflow encountered" in capsys.readouterr().err
+        assert not (out / "run_history.csv").exists()
+
+    def test_overflow_with_finite_weights_fails_without_history(self, tmp_path, capsys):
+        # at this size the weights stay finite while the losses overflow
+        out = tmp_path / "o"
+        assert main(["run", *SMALL, "--set", "rounds=3", "--set", "sgd.eta=1e6", "--out", str(out)]) == 1
+        assert "round 2: overflow encountered" in capsys.readouterr().err
         assert not (out / "run_history.csv").exists()
 
     def test_commands_do_not_mutate_input_files(self, tmp_path):
@@ -252,6 +274,12 @@ class TestSweepCommand:
     def test_unknown_algorithm_value(self, tmp_path):
         args = ["sweep", *SMALL, "--axis", "algorithm", "--values", "fedper,fedprox"]
         assert main([*args, "--out", str(tmp_path / "s")]) == 2
+
+    def test_k_axis_rejected_when_partition_ignores_k(self, tmp_path, capsys):
+        args = ["sweep", *SMALL, "--set", "partition.mode=unbalanced_users", "--axis", "k"]
+        assert main([*args, "--values", "1,2", "--out", str(tmp_path / "s")]) == 2
+        assert "ignores k" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
 
 class TestPartitionCommand:

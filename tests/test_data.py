@@ -254,6 +254,13 @@ class TestCsv:
         with pytest.raises(ParseError, match="line 3"):
             load_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_feature_reports_line(self, tmp_path, value):
+        path = tmp_path / "d.csv"
+        path.write_text(f"f0,f1,label\n1.0,2.0,0\n{value},1.0,1\n")
+        with pytest.raises(ParseError, match="line 3: non-finite feature value"):
+            load_csv(path)
+
     def test_non_integer_label(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f0,label\n1.0,1.5\n")

@@ -9,13 +9,13 @@ from fedper.data import LabeledDataset, synth_classification
 from fedper.errors import UsageError
 from fedper.metrics import ClientMetrics, cross_client_stats, emit, evaluate
 from fedper.model import ModelSpec
-from fedper.nn import LayerSpec, SgdConfig, WeightSet, init_weights, sgd
+from fedper.nn import LayerSpec, SgdConfig, init_weights, sgd
 from fedper.protocol import RoundHistory, RoundRecord
 
 
 def identity_model(dim):
     spec = ModelSpec((LayerSpec(dim, dim, "identity"),), 0)
-    weights = WeightSet([(np.eye(dim), np.zeros(dim))])
+    weights = [(np.eye(dim), np.zeros(dim))]
     return spec, weights
 
 
@@ -25,17 +25,17 @@ class TestEvaluate:
         spec = ModelSpec((LayerSpec(2, 8, "relu"), LayerSpec(8, 2, "identity")), 0)
         rng = np.random.default_rng(0)
         base = init_weights(spec.layers, rng)
-        base, _ = sgd(spec, base, WeightSet([]), ds, SgdConfig(0.5, 60, 40), rng)
-        result = evaluate(spec, base, WeightSet([]), ds)
+        base, _ = sgd(spec, base, [], ds, SgdConfig(0.5, 60, 40), rng)
+        result = evaluate(spec, base, [], ds)
         assert result.accuracy == 1.0
 
     def test_chance_level_with_uniform_logits(self):
         # zero weights: all logits equal, argmax resolves to class 0, so
         # accuracy is exactly the fraction of label-0 samples (1/C balanced)
         spec = ModelSpec((LayerSpec(3, 4, "identity"),), 0)
-        weights = WeightSet([(np.zeros((4, 3)), np.zeros(4))])
+        weights = [(np.zeros((4, 3)), np.zeros(4))]
         x = np.array([np.random.default_rng(i).standard_normal(3) for i in range(80)])
-        result = evaluate(spec, weights, WeightSet([]), LabeledDataset(x, np.arange(80) % 4, 4))
+        result = evaluate(spec, weights, [], LabeledDataset(x, np.arange(80) % 4, 4))
         assert result.accuracy == 0.25
 
     def test_hand_built_three_samples(self):
@@ -45,29 +45,29 @@ class TestEvaluate:
             [0.0, 2.0, 9.0],  # argmax 2, label 1: wrong
             [1.0, 8.0, 2.0],  # argmax 1, label 1: correct
         ])
-        result = evaluate(spec, weights, WeightSet([]), LabeledDataset(x, [0, 1, 1], 3))
+        result = evaluate(spec, weights, [], LabeledDataset(x, [0, 1, 1], 3))
         assert result.accuracy == pytest.approx(2 / 3)
 
     def test_tie_breaks_to_lowest_index(self):
         spec, weights = identity_model(2)
-        result = evaluate(spec, weights, WeightSet([]), LabeledDataset(np.array([[1.0, 1.0]]), [0], 2))
+        result = evaluate(spec, weights, [], LabeledDataset(np.array([[1.0, 1.0]]), [0], 2))
         assert result.accuracy == 1.0
 
     def test_loss_is_mean_cross_entropy(self):
         spec, weights = identity_model(2)
-        result = evaluate(spec, weights, WeightSet([]), LabeledDataset(np.array([[0.0, 0.0]]), [1], 2))
+        result = evaluate(spec, weights, [], LabeledDataset(np.array([[0.0, 0.0]]), [1], 2))
         assert result.loss == pytest.approx(math.log(2), rel=1e-15)
 
     def test_empty_test_rejected(self):
         spec, weights = identity_model(2)
         with pytest.raises(UsageError):
-            evaluate(spec, weights, WeightSet([]), LabeledDataset(np.empty((0, 2)), [], 2))
+            evaluate(spec, weights, [], LabeledDataset(np.empty((0, 2)), [], 2))
 
     def test_pure(self):
         spec, weights = identity_model(2)
-        snapshot = weights.layers[0][0].copy()
-        evaluate(spec, weights, WeightSet([]), LabeledDataset(np.array([[1.0, 2.0]]), [0], 2))
-        assert np.array_equal(weights.layers[0][0], snapshot)
+        snapshot = weights[0][0].copy()
+        evaluate(spec, weights, [], LabeledDataset(np.array([[1.0, 2.0]]), [0], 2))
+        assert np.array_equal(weights[0][0], snapshot)
 
 
 class TestCrossClientStats:

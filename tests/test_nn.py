@@ -9,7 +9,6 @@ from fedper.model import ModelSpec
 from fedper.nn import (
     LayerSpec,
     SgdConfig,
-    WeightSet,
     forward,
     init_weights,
     loss_and_grad,
@@ -23,38 +22,38 @@ from helpers import assert_grad_close, fd_gradients, rand_batch, rand_spec, rand
 def one_layer(w, b, activation="identity", k_personal=0):
     w = np.asarray(w, dtype=np.float64)
     spec = ModelSpec((LayerSpec(w.shape[1], w.shape[0], activation),), k_personal)
-    weights = WeightSet([(w, np.asarray(b, dtype=np.float64))])
+    weights = [(w, np.asarray(b, dtype=np.float64))]
     return spec, weights
 
 
 class TestForward:
     def test_identity_map(self):
         spec, weights = one_layer([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
-        out = forward(spec, weights, WeightSet([]), np.array([3.0, 4.0]))
+        out = forward(spec, weights, [], np.array([3.0, 4.0]))
         assert np.array_equal(out, [3.0, 4.0])
 
     def test_relu_clamps_negative(self):
         spec, weights = one_layer([[-1.0]], [0.0], activation="relu")
-        out = forward(spec, weights, WeightSet([]), np.array([5.0]))
+        out = forward(spec, weights, [], np.array([5.0]))
         assert np.array_equal(out, [0.0])
 
     def test_two_layer_chain(self):
         # hand matrix chain: 3 * (2 * 1) = 6
         spec = ModelSpec((LayerSpec(1, 1, "identity"), LayerSpec(1, 1, "identity")), 1)
-        base = WeightSet([(np.array([[2.0]]), np.zeros(1))])
-        personal = WeightSet([(np.array([[3.0]]), np.zeros(1))])
+        base = [(np.array([[2.0]]), np.zeros(1))]
+        personal = [(np.array([[3.0]]), np.zeros(1))]
         out = forward(spec, base, personal, np.array([1.0]))
         assert np.array_equal(out, [6.0])
 
     def test_bad_input_dim_names_layer(self):
         spec, weights = one_layer([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
         with pytest.raises(ShapeError, match="layer 0"):
-            forward(spec, weights, WeightSet([]), np.array([1.0, 2.0, 3.0]))
+            forward(spec, weights, [], np.array([1.0, 2.0, 3.0]))
 
     def test_bad_layer_shape_names_layer(self):
         spec = ModelSpec((LayerSpec(2, 2, "identity"), LayerSpec(2, 3, "identity")), 1)
-        base = WeightSet([(np.eye(2), np.zeros(2))])
-        personal = WeightSet([(np.zeros((4, 2)), np.zeros(4))])
+        base = [(np.eye(2), np.zeros(2))]
+        personal = [(np.zeros((4, 2)), np.zeros(4))]
         with pytest.raises(ShapeError, match="layer 1"):
             forward(spec, base, personal, np.zeros(2))
 
@@ -63,10 +62,10 @@ class TestForward:
         spec = rand_spec(rng)
         base = rand_weights(spec.base_layers, rng)
         personal = rand_weights(spec.personal_layers, rng)
-        before = [(w.copy(), b.copy()) for w, b in base.layers + personal.layers]
+        before = [(w.copy(), b.copy()) for w, b in base + personal]
         x = rng.standard_normal(spec.in_dim)
         forward(spec, base, personal, x)
-        after = base.layers + personal.layers
+        after = base + personal
         for (w0, b0), (w1, b1) in zip(before, after):
             assert np.array_equal(w0, w1) and np.array_equal(b0, b1)
 
@@ -75,8 +74,8 @@ class TestLossAndGrad:
     def test_uniform_logits_max_entropy(self):
         # zero weights give uniform logits over C classes: loss = ln C
         spec = ModelSpec((LayerSpec(3, 2, "identity"),), 0)
-        weights = WeightSet([(np.zeros((2, 3)), np.zeros(2))])
-        loss, _, _ = loss_and_grad(spec, weights, WeightSet([]), LabeledDataset(np.ones((1, 3)), [0], 2))
+        weights = [(np.zeros((2, 3)), np.zeros(2))]
+        loss, _, _ = loss_and_grad(spec, weights, [], LabeledDataset(np.ones((1, 3)), [0], 2))
         assert loss == pytest.approx(math.log(2), rel=1e-15)
 
     def test_matches_independent_loss_oracle(self):
@@ -111,14 +110,14 @@ class TestLossAndGrad:
         loss2, gb2, gp2 = loss_and_grad(spec, base, personal, batch.subset(np.tile(np.arange(3), 2)))
         assert loss2 == pytest.approx(loss1, rel=1e-12)
         for s1, s2 in ((gb1, gb2), (gp1, gp2)):
-            for (w1, b1), (w2, b2) in zip(s1.layers, s2.layers):
+            for (w1, b1), (w2, b2) in zip(s1, s2):
                 assert np.allclose(w1, w2, rtol=1e-12, atol=1e-15)
                 assert np.allclose(b1, b2, rtol=1e-12, atol=1e-15)
 
     def test_empty_batch_rejected(self):
         spec, weights = one_layer([[1.0]], [0.0])
         with pytest.raises(UsageError):
-            loss_and_grad(spec, weights, WeightSet([]), LabeledDataset(np.empty((0, 1)), [], 1))
+            loss_and_grad(spec, weights, [], LabeledDataset(np.empty((0, 1)), [], 1))
 
     def test_gradients_finite(self):
         rng = np.random.default_rng(11)
@@ -128,7 +127,7 @@ class TestLossAndGrad:
             personal = rand_weights(spec.personal_layers, rng)
             loss, gb, gp = loss_and_grad(spec, base, personal, rand_batch(spec, rng, 3))
             assert math.isfinite(loss)
-            for w, b in gb.layers + gp.layers:
+            for w, b in gb + gp:
                 assert np.isfinite(w).all() and np.isfinite(b).all()
 
 
@@ -146,7 +145,7 @@ class TestSgd:
         # 1x2 identity layer, one sample: softmax gradient known in closed form
         spec = ModelSpec((LayerSpec(1, 2, "identity"),), 0)
         w = np.array([[0.3], [-0.2]])
-        weights = WeightSet([(w.copy(), np.zeros(2))])
+        weights = [(w.copy(), np.zeros(2))]
         x, y, eta = 1.0, 0, 0.1
         logits = w[:, 0] * x
         probs = np.exp(logits - logits.max())
@@ -155,11 +154,11 @@ class TestSgd:
         grad_b = probs - np.array([1.0, 0.0])
 
         b2, _ = sgd(
-            spec, weights, WeightSet([]), LabeledDataset(np.array([[x]]), [y], 2),
+            spec, weights, [], LabeledDataset(np.array([[x]]), [y], 2),
             SgdConfig(eta, 1, 1), np.random.default_rng(0),
         )
-        assert np.allclose(b2.layers[0][0], w - eta * grad_w, rtol=1e-15, atol=1e-15)
-        assert np.allclose(b2.layers[0][1], -eta * grad_b, rtol=1e-15, atol=1e-15)
+        assert np.allclose(b2[0][0], w - eta * grad_w, rtol=1e-15, atol=1e-15)
+        assert np.allclose(b2[0][1], -eta * grad_b, rtol=1e-15, atol=1e-15)
 
     def test_full_batch_single_update(self):
         # b >= n and e=1 collapses to exactly one full-batch gradient step
@@ -175,7 +174,7 @@ class TestSgd:
         eta = 0.05
         b2, p2 = sgd(spec, base, personal, dataset, SgdConfig(eta, 1, 10), np.random.default_rng(seed))
         for (w2, bias2), (w0, bias0), (gw, gbias) in zip(
-            b2.layers + p2.layers, base.layers + personal.layers, gb.layers + gp.layers
+            b2 + p2, base + personal, gb + gp
         ):
             assert np.array_equal(w2, w0 - eta * gw)
             assert np.array_equal(bias2, bias0 - eta * gbias)
@@ -196,16 +195,16 @@ class TestSgd:
         spec = rand_spec(rng)
         base = rand_weights(spec.base_layers, rng)
         personal = rand_weights(spec.personal_layers, rng)
-        snapshot = [(w.copy(), b.copy()) for w, b in base.layers + personal.layers]
+        snapshot = [(w.copy(), b.copy()) for w, b in base + personal]
         sgd(spec, base, personal, rand_batch(spec, rng, 4), SgdConfig(0.1, 2, 2), np.random.default_rng(1))
-        for (w0, b0), (w1, b1) in zip(snapshot, base.layers + personal.layers):
+        for (w0, b0), (w1, b1) in zip(snapshot, base + personal):
             assert np.array_equal(w0, w1) and np.array_equal(b0, b1)
 
     def test_empty_dataset_rejected(self):
         spec, weights = one_layer([[1.0]], [0.0])
         with pytest.raises(UsageError):
             sgd(
-                spec, weights, WeightSet([]), LabeledDataset(np.empty((0, 1)), [], 1),
+                spec, weights, [], LabeledDataset(np.empty((0, 1)), [], 1),
                 SgdConfig(0.1, 1, 1), np.random.default_rng(0),
             )
 
@@ -247,7 +246,7 @@ class TestValidation:
     def test_init_weights_bounds_and_zero_bias(self):
         specs = (LayerSpec(4, 6, "relu"),)
         ws = init_weights(specs, np.random.default_rng(0))
-        w, b = ws.layers[0]
+        w, b = ws[0]
         limit = math.sqrt(6.0 / (4 + 6))
         assert np.all(np.abs(w) <= limit)
         assert np.array_equal(b, np.zeros(6))

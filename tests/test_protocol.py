@@ -5,14 +5,13 @@ from hypothesis import strategies as st
 
 import fedper.rng as rngmod
 from fedper.data import LabeledDataset, PartitionSpec
-from fedper.errors import ConfigError, ProtocolError, ShapeError, UsageError
+from fedper.errors import ConfigError, ProtocolError, ShapeError, SimulationError, UsageError
 from fedper.metrics import ClientMetrics, evaluate
 from fedper.model import ModelSpec
 from fedper.nn import (
     ACTIVATIONS,
     LayerSpec,
     SgdConfig,
-    WeightSet,
     init_weights,
     loss_and_grad,
     sgd,
@@ -109,8 +108,8 @@ class TestClientRound:
         rng = np.random.default_rng(0)
         client = self._client(cfg, rng)
         base_in = init_weights(spec.base_layers, np.random.default_rng(5))
-        personal_before = client.personal.copy()
-        base_out, updated = client_round(client, spec, base_in, round_idx=1)
+        personal_before = [(w.copy(), b.copy()) for w, b in client.personal]
+        base_out, updated = client_round(client, cfg, base_in, round_idx=1)
         assert weights_equal(base_out, base_in)
         assert weights_equal(updated.personal, personal_before)
 
@@ -121,9 +120,9 @@ class TestClientRound:
         rng = np.random.default_rng(1)
         client = self._client(cfg, rng)
         base_in = init_weights(spec.base_layers, np.random.default_rng(5))
-        base_out, updated = client_round(client, spec, base_in, round_idx=3)
+        base_out, updated = client_round(client, cfg, base_in, round_idx=3)
         expected, _ = sgd(
-            spec, base_in, WeightSet([]), client.train, cfg.sgd,
+            spec, base_in, [], client.train, cfg.sgd,
             rngmod.substream(cfg.master_seed, rngmod.client_party(0), 3, rngmod.SGD),
         )
         assert weights_equal(base_out, expected)
@@ -141,11 +140,11 @@ class TestClientRound:
         client = make_client(cfg, 0, sample, rand_batch(spec, rng, 1))
         base_in = init_weights(spec.base_layers, np.random.default_rng(5))
         _, gb, gp = loss_and_grad(spec, base_in, client.personal, sample)
-        base_out, updated = client_round(client, spec, base_in, round_idx=1)
+        base_out, updated = client_round(client, cfg, base_in, round_idx=1)
         for (w2, b2), (w0, b0), (gw, gbias) in zip(
-            base_out.layers + updated.personal.layers,
-            base_in.layers + client.personal.layers,
-            gb.layers + gp.layers,
+            base_out + updated.personal,
+            base_in + client.personal,
+            gb + gp,
         ):
             assert np.array_equal(w2, w0 - 0.1 * gw)
             assert np.array_equal(b2, b0 - 0.1 * gbias)
@@ -157,12 +156,21 @@ class TestClientRound:
         with pytest.raises(ShapeError):
             make_client(cfg, 0, data, data)
 
+    @pytest.mark.parametrize("empty", ["training", "test"])
+    def test_empty_dataset_rejected(self, empty):
+        cfg = toy_cfg(toy_spec())
+        rng = np.random.default_rng(4)
+        sets = {"training": rand_batch(cfg.spec, rng, 4), "test": rand_batch(cfg.spec, rng, 2)}
+        sets[empty] = rand_batch(cfg.spec, rng, 0)
+        with pytest.raises(ConfigError, match=f"client 3 has an empty {empty} set"):
+            make_client(cfg, 3, sets["training"], sets["test"])
+
     def test_wrong_base_shape_rejected(self):
         spec = toy_spec()
         cfg = toy_cfg(spec)
         client = self._client(cfg, np.random.default_rng(3))
         with pytest.raises(ProtocolError):
-            client_round(client, spec, WeightSet([]), round_idx=1)
+            client_round(client, cfg, [], round_idx=1)
 
 
 class TestFineTune:
@@ -175,14 +183,14 @@ class TestFineTune:
         return spec, cfg, client, base_in
 
     def test_zero_eta_no_change(self):
-        spec, _, client, base_in = self._setup(eta=0.0)
-        updated = fine_tune(client, spec, base_in, round_idx=1)
+        _, cfg, client, base_in = self._setup(eta=0.0)
+        updated = fine_tune(client, cfg, base_in, round_idx=1)
         assert weights_equal(updated.personal, client.personal)
 
     def test_base_frozen_exactly(self):
-        spec, _, client, base_in = self._setup()
+        _, cfg, client, base_in = self._setup()
         checksum_before = weights_checksum(base_in)
-        fine_tune(client, spec, base_in, round_idx=1)
+        fine_tune(client, cfg, base_in, round_idx=1)
         assert weights_checksum(base_in) == checksum_before
 
     def test_matches_masked_gradient_oracle(self):
@@ -191,13 +199,13 @@ class TestFineTune:
         from fedper.nn import minibatch_indices
 
         gen = rngmod.substream(cfg.master_seed, rngmod.client_party(0), 2, rngmod.FINE_TUNE)
-        expected = client.personal.copy()
-        for idx in minibatch_indices(len(client.train), client.sgd.batch_size, gen):
+        expected = [(w.copy(), b.copy()) for w, b in client.personal]
+        for idx in minibatch_indices(len(client.train), cfg.sgd.batch_size, gen):
             _, _, gp = loss_and_grad(spec, base_in, expected, client.train.subset(idx))
-            for (w, b), (gw, gb) in zip(expected.layers, gp.layers):
-                w -= client.sgd.eta * gw
-                b -= client.sgd.eta * gb
-        updated = fine_tune(client, spec, base_in, round_idx=2)
+            for (w, b), (gw, gb) in zip(expected, gp):
+                w -= cfg.sgd.eta * gw
+                b -= cfg.sgd.eta * gb
+        updated = fine_tune(client, cfg, base_in, round_idx=2)
         assert weights_equal(updated.personal, expected)
 
     def test_rejects_when_nothing_is_personal(self):
@@ -208,7 +216,7 @@ class TestFineTune:
             rand_batch(spec, np.random.default_rng(1), 2),
         )
         with pytest.raises(UsageError):
-            fine_tune(client, spec, init_weights(spec.base_layers, np.random.default_rng(2)), 1)
+            fine_tune(client, cfg, init_weights(spec.base_layers, np.random.default_rng(2)), 1)
 
 
 class TestAggregate:
@@ -216,7 +224,7 @@ class TestAggregate:
         out = []
         for _ in range(n):
             out.append(
-                WeightSet([(rng.standard_normal((o, i)), rng.standard_normal(o)) for o, i in layers])
+                [(rng.standard_normal((o, i)), rng.standard_normal(o)) for o, i in layers]
             )
         return out
 
@@ -227,10 +235,10 @@ class TestAggregate:
         assert weights_equal(out, ws)
 
     def test_two_scalar_hand_mean(self):
-        a = WeightSet([(np.array([[0.0]]), np.zeros(1))])
-        b = WeightSet([(np.array([[4.0]]), np.zeros(1))])
+        a = [(np.array([[0.0]]), np.zeros(1))]
+        b = [(np.array([[4.0]]), np.zeros(1))]
         out = aggregate([(a, 0.25), (b, 0.75)])
-        assert out.layers[0][0][0, 0] == 3.0
+        assert out[0][0][0, 0] == 3.0
 
     def test_matches_brute_force_weighted_mean(self):
         rng = np.random.default_rng(1)
@@ -242,11 +250,11 @@ class TestAggregate:
             out = aggregate(list(zip(sets, gammas)))
             for li in range(2):
                 for arr_idx in range(2):
-                    got = out.layers[li][arr_idx]
+                    got = out[li][arr_idx]
                     flat = got.reshape(-1)
                     for pos in range(flat.size):
                         expected = sum(
-                            g * ws.layers[li][arr_idx].reshape(-1)[pos]
+                            g * ws[li][arr_idx].reshape(-1)[pos]
                             for ws, g in zip(sets, gammas)
                         )
                         assert abs(flat[pos] - expected) < 1e-12
@@ -258,7 +266,7 @@ class TestAggregate:
         updates = list(zip(sets, gammas))
         out = aggregate(updates)
         shuffled = aggregate([updates[2], updates[0], updates[3], updates[1]])
-        for (w1, b1), (w2, b2) in zip(out.layers, shuffled.layers):
+        for (w1, b1), (w2, b2) in zip(out, shuffled):
             assert np.allclose(w1, w2, rtol=0, atol=1e-12)
             assert np.allclose(b1, b2, rtol=0, atol=1e-12)
 
@@ -268,8 +276,8 @@ class TestAggregate:
         out = aggregate([(ws, 1 / 5) for ws in sets])
         for li in range(2):
             for part in (0, 1):
-                mean = np.mean([ws.layers[li][part] for ws in sets], axis=0)
-                assert np.allclose(out.layers[li][part], mean, rtol=0, atol=1e-12)
+                mean = np.mean([ws[li][part] for ws in sets], axis=0)
+                assert np.allclose(out[li][part], mean, rtol=0, atol=1e-12)
 
     def test_gamma_sum_violation(self):
         rng = np.random.default_rng(2)
@@ -298,12 +306,12 @@ class TestRunFederation:
             spec.base_layers, rngmod.substream(cfg.master_seed, rngmod.SERVER_PARTY, 0, rngmod.INIT)
         )
         expected, _ = sgd(
-            spec, base0, WeightSet([]), data[0][0], cfg.sgd,
+            spec, base0, [], data[0][0], cfg.sgd,
             rngmod.substream(cfg.master_seed, rngmod.client_party(0), 1, rngmod.SGD),
         )
         assert weights_equal(result.server.base, expected)
         metrics = result.history.rounds[0].clients[0]
-        assert metrics.test_accuracy == evaluate(spec, expected, WeightSet([]), data[0][1]).accuracy
+        assert metrics.test_accuracy == evaluate(spec, expected, [], data[0][1]).accuracy
 
     def test_deterministic_given_master_seed(self):
         spec = toy_spec()
@@ -350,6 +358,15 @@ class TestRunFederation:
         with pytest.raises(ConfigError):
             run_federation(cfg, data)
 
+    def test_nan_features_stop_the_run(self):
+        # NaN propagates without a floating-point signal; the weight check names the client
+        spec = toy_spec()
+        cfg = toy_cfg(spec, num_clients=2)
+        data = toy_client_data(spec, 2, np.random.default_rng(16))
+        data[1][0].X[3, 1] = np.nan
+        with pytest.raises(SimulationError, match="client 1 has non-finite weights after round 1"):
+            run_federation(cfg, data)
+
     def test_no_clients_rejected(self):
         with pytest.raises(ConfigError, match="at least one client"):
             run_federation(toy_cfg(toy_spec()), [])
@@ -384,11 +401,11 @@ class TestFedAvgEquivalence:
             locals_ = []
             for j, (train, _) in enumerate(client_data):
                 gen = rngmod.substream(cfg.master_seed, rngmod.client_party(j), round_idx, rngmod.SGD)
-                updated, _ = sgd(spec, global_weights, WeightSet([]), train, cfg.sgd, gen)
+                updated, _ = sgd(spec, global_weights, [], train, cfg.sgd, gen)
                 locals_.append(updated)
-            merged = locals_[0].copy()
+            merged = [(w.copy(), b.copy()) for w, b in locals_[0]]
             for ws, g in list(zip(locals_, gammas))[1:]:
-                for (ow, ob), (w, b), (fw, fb) in zip(merged.layers, ws.layers, locals_[0].layers):
+                for (ow, ob), (w, b), (fw, fb) in zip(merged, ws, locals_[0]):
                     ow += g * (w - fw)
                     ob += g * (b - fb)
             global_weights = merged
@@ -396,8 +413,8 @@ class TestFedAvgEquivalence:
                 ClientMetrics(
                     j,
                     round_idx,
-                    evaluate(spec, global_weights, WeightSet([]), test).accuracy,
-                    evaluate(spec, global_weights, WeightSet([]), train).loss,
+                    evaluate(spec, global_weights, [], test).accuracy,
+                    evaluate(spec, global_weights, [], train).loss,
                 )
                 for j, (train, test) in enumerate(client_data)
             )
@@ -451,15 +468,15 @@ class TestBatchingInvariance:
     def one_client_at_a_time(cfg: RunConfig, client_data):
         spec = cfg.spec
         clients = [make_client(cfg, j, train, test) for j, (train, test) in enumerate(client_data)]
-        server = server_init(cfg, [c.n_train for c in clients])
+        server = server_init(cfg, [len(c.train) for c in clients])
         base = server.base
         records = []
         for round_idx in range(1, cfg.rounds + 1):
             updates = []
             for j, client in enumerate(clients):
                 if cfg.fine_tune and spec.k_personal >= 1:
-                    client = fine_tune(client, spec, base, round_idx)
-                base_out, clients[j] = client_round(client, spec, base, round_idx)
+                    client = fine_tune(client, cfg, base, round_idx)
+                base_out, clients[j] = client_round(client, cfg, base, round_idx)
                 updates.append((base_out, server.agg_weights[j]))
             base = aggregate(updates)
             metrics = tuple(
