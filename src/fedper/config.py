@@ -99,7 +99,7 @@ def load_config_file(path: str | Path) -> dict:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal past Python's digit limit
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config root must be a JSON object")
@@ -116,7 +116,7 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
         dotted, text = item.split("=", 1)
         try:
             value = json.loads(text)
-        except json.JSONDecodeError:
+        except ValueError:  # as for load_config_file
             value = text
         node = cfg
         parts = dotted.split(".")
@@ -157,10 +157,20 @@ def _int(value: Any, name: str, minimum: int) -> int:
 
 
 def _num(value: Any, name: str) -> float:
-    """value as a float if it is a finite JSON number; JSON booleans are not numbers."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-    _require(number, f"{name} must be a finite number, got {value!r}")
-    return float(value)
+    """value as a float if it is a finite JSON number; JSON booleans are not
+    numbers, and an integer too large for a float is not finite."""
+    try:
+        number = float(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else math.nan
+    except OverflowError:
+        number = math.inf
+    _require(math.isfinite(number), f"{name} must be a finite number, got {value!r}")
+    return number
+
+
+def _text(value: Any, name: str) -> str:
+    """value itself if it is a non-empty string."""
+    _require(isinstance(value, str) and value != "", f"{name} must be a non-empty string, got {value!r}")
+    return value
 
 
 def resolve(cfg: dict) -> ResolvedConfig:
@@ -202,7 +212,7 @@ def resolve(cfg: dict) -> ResolvedConfig:
     ds_cfg = cfg["dataset"]
     _require(ds_cfg["kind"] in DATASET_KINDS, f"dataset.kind must be one of {DATASET_KINDS}")
     if ds_cfg["kind"] == "csv":
-        _require(bool(ds_cfg["path"]), "dataset.path is required for kind=csv")
+        _text(ds_cfg["path"], "dataset.path (required for kind=csv)")
     else:
         _require(
             ds_cfg["cluster_permutation"] in CLUSTER_PERMUTATIONS,
@@ -240,10 +250,14 @@ def resolve(cfg: dict) -> ResolvedConfig:
     out_cfg = cfg["output"]
     _require(out_cfg["format"] in ("csv", "json"), "output.format must be csv or json")
     _int(out_cfg["checkpoint_every"], "output.checkpoint_every", 0)
+    # run_id names files inside the output directory, so it must not leave it
+    run_id = _text(out_cfg["run_id"], "output.run_id")
     _require(
-        isinstance(out_cfg["run_id"], str) and out_cfg["run_id"] != "",
-        "output.run_id must be a non-empty string",
+        run_id not in (".", "..") and "/" not in run_id and "\\" not in run_id,
+        f"output.run_id must be a plain file name (no / or \\, not . or ..), got {run_id!r}",
     )
+    if out_cfg["dir"] is not None:
+        _text(out_cfg["dir"], "output.dir")
 
     if ds_cfg["kind"] != "csv":
         _require(

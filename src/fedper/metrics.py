@@ -65,11 +65,20 @@ def evaluate(
     if len(data) == 0:
         raise UsageError("evaluate requires a non-empty dataset")
     check_data(spec, data)
-    logits = _forward(spec, base + personal, data.X)[-1]
-    predictions = np.argmax(logits, axis=1)  # np.argmax breaks ties toward the lowest index
-    accuracy = float(np.mean(predictions == data.y))
-    loss = float(np.mean(cross_entropy(logits, data.y)))
-    return EvalResult(accuracy, loss)
+    accuracy, loss = scores(spec, base + personal, data.X, data.y)
+    return EvalResult(float(accuracy), float(loss))
+
+
+def scores(
+    spec: "ModelSpec", layers: Layers, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """evaluate's accuracy and loss over the last axis of (..., n) labels y
+    for (..., n, in_dim) inputs x; with stacked layers (see nn._forward)
+    each leading slice is scored on its own, by the same gemms and
+    reductions as a call of its own."""
+    logits = _forward(spec, layers, x)[-1]
+    correct = np.argmax(logits, axis=-1) == y  # np.argmax breaks ties toward the lowest index
+    return correct.mean(axis=-1), cross_entropy(logits, y).mean(axis=-1)
 
 
 def cross_client_stats(values: Sequence[float]) -> SummaryStats:

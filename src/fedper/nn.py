@@ -142,18 +142,23 @@ def unstack_weights(layers: Layers, j: int) -> Layers:
     return [(w[j], b[j]) for w, b in layers]
 
 
-def _activate(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    return z
+def _flat_views(spec: "ModelSpec", block: np.ndarray, first: int = 0) -> Layers:
+    """Stacked (W, b) views of layers first.. into an (n, P) block whose
+    rows hold them end to end, each layer's W (row-major) then its b."""
+    n, views, start = len(block), [], 0
+    for lspec in spec.layers[first:]:
+        mid = start + lspec.out_dim * lspec.in_dim
+        end = mid + lspec.out_dim
+        views.append((block[:, start:mid].reshape(n, lspec.out_dim, lspec.in_dim), block[:, mid:end]))
+        start = end
+    return views
 
 
-def _chain(name: str, delta: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """delta times the derivative of the activation whose output is a
-    (relu: a > 0 exactly where its input is; identity: exactly delta)."""
+def _chain(name: str, delta: np.ndarray, a: np.ndarray) -> None:
+    """Multiply delta in place by the derivative of the activation whose
+    output is a (relu: a > 0 exactly where its input is; identity: 1)."""
     if name == "relu":
-        return delta * (a > 0.0)
-    return delta
+        delta *= a > 0.0
 
 
 def _forward(spec: "ModelSpec", layers: Layers, x: np.ndarray) -> list[np.ndarray]:
@@ -165,7 +170,11 @@ def _forward(spec: "ModelSpec", layers: Layers, x: np.ndarray) -> list[np.ndarra
     """
     acts = [x]
     for lspec, (w, b) in zip(spec.layers, layers):
-        acts.append(_activate(lspec.activation, acts[-1] @ w.swapaxes(-1, -2) + b[..., None, :]))
+        z = acts[-1] @ w.swapaxes(-1, -2)
+        z += b[..., None, :]
+        if lspec.activation == "relu":
+            np.maximum(z, 0.0, out=z)
+        acts.append(z)
     return acts
 
 
@@ -184,27 +193,27 @@ def cross_entropy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _backprop(
-    spec: "ModelSpec",
-    layers: Layers,
-    acts: list[np.ndarray],
-    y: np.ndarray,
-    first_trained: int = 0,
-) -> Layers:
-    """Exact gradients of the batch-mean cross-entropy for layers
-    first_trained.. (in order), from a cached forward pass.  Leading dims
-    are stacked weights as in _forward."""
-    _, expz, sums = _softmax_parts(acts[-1])
+    spec: "ModelSpec", layers: Layers, acts: list[np.ndarray], onehot: np.ndarray, grads: Layers
+) -> None:
+    """Exact gradients of the batch-mean cross-entropy for the last
+    len(grads) layers, written into grads, from a cached forward pass.
+    onehot is True at each row's label.  Leading dims are stacked weights as
+    in _forward."""
+    first_trained = len(layers) - len(grads)
+    _, delta, sums = _softmax_parts(acts[-1])
     # softmax minus the one-hot label; subtracting 0.0 leaves a value exact
-    delta = expz / sums - (y[..., None] == np.arange(expz.shape[-1]))
-    delta /= y.shape[-1]
+    delta /= sums
+    delta -= onehot
+    delta /= delta.shape[-2]
     # the final layer's activation is part of the chain too
-    delta = _chain(spec.layers[-1].activation, delta, acts[-1])
-    grads = []
+    _chain(spec.layers[-1].activation, delta, acts[-1])
     for i in range(len(layers) - 1, first_trained - 1, -1):
-        grads.append((delta.swapaxes(-1, -2) @ acts[i], delta.sum(axis=-2)))
+        gw, gb = grads[i - first_trained]
+        np.matmul(delta.swapaxes(-1, -2), acts[i], out=gw)
+        delta.sum(axis=-2, out=gb)
         if i > first_trained:
-            delta = _chain(spec.layers[i - 1].activation, delta @ layers[i][0], acts[i])
-    return grads[::-1]
+            delta = delta @ layers[i][0]
+            _chain(spec.layers[i - 1].activation, delta, acts[i])
 
 
 def forward(spec: "ModelSpec", base: Layers, personal: Layers, x: np.ndarray) -> np.ndarray:
@@ -227,7 +236,8 @@ def loss_and_grad(
     layers = base + personal
     acts = _forward(spec, layers, batch.X)
     loss = float(np.mean(cross_entropy(acts[-1], batch.y)))
-    grads = _backprop(spec, layers, acts, batch.y)
+    grads = [(np.empty_like(w), np.empty_like(b)) for w, b in layers]
+    _backprop(spec, layers, acts, np.eye(spec.out_dim, dtype=bool).take(batch.y, axis=0), grads)
     kb = spec.k_base
     return loss, grads[:kb], grads[kb:]
 
@@ -270,36 +280,55 @@ def train_lockstep(
     client reads another's weights, data or generator; so the result is
     bitwise independent of which clients share a bucket and of the order in
     which buckets run.
+
+    For the pass, the weights live in one (N, P) block, row j holding client
+    j's layers end to end (see _flat_views).  A bucket of every client works
+    on it in place; any other gathers its rows into a spare block and
+    scatters them back.  Gradients fill the trained columns of a second
+    block, so an update is two whole-block operations.
     """
-    everyone = list(range(len(data)))
     sizes = [len(d) for d in data]
     starts = np.cumsum([0] + sizes[:-1])
     x_all = np.concatenate([d.X for d in data])
-    y_all = np.concatenate([d.y for d in data])
-    # every client's batches for the whole pass, as rows of x_all
+    # row r is True at the label of row r of x_all
+    onehot = np.eye(spec.out_dim, dtype=bool).take(np.concatenate([d.y for d in data]), axis=0)
+    # every client's batches for the whole pass, as indices into its own data
     plans = [
-        [start + idx for _ in range(epochs) for idx in minibatch_indices(n, batch_size, gen)]
-        for n, start, gen in zip(sizes, starts, rngs)
+        [idx for _ in range(epochs) for idx in minibatch_indices(n, batch_size, gen)]
+        for n, gen in zip(sizes, rngs)
     ]
+    flat = np.concatenate([a.reshape(len(data), -1) for w, b in layers for a in (w, b)], axis=1)
+    frozen = sum(w[0].size + b[0].size for w, b in layers[:first_trained])
+    spare, grad = np.empty_like(flat), np.empty((len(data), flat.shape[1] - frozen))
+    # per bucket size: its weight block, that block's layers and trained
+    # columns, and its gradient block and that block's layers
+    views: dict[int, tuple] = {}
     for t in range(max(len(plan) for plan in plans)):
         buckets: dict[int, list[int]] = {}
         for j, plan in enumerate(plans):
             if t < len(plan):
                 buckets.setdefault(len(plan[t]), []).append(j)
-        for clients in buckets.values():
-            rows = np.stack([plans[j][t] for j in clients])
-            # a bucket of every client works on the stacks in place, any
-            # other on gathered copies that are scattered back
-            whole = clients == everyone
-            ws = layers if whole else [(w[clients], b[clients]) for w, b in layers]
-            grads = _backprop(spec, ws, _forward(spec, ws, x_all[rows]), y_all[rows], first_trained)
-            for i, (gw, gb) in enumerate(grads, start=first_trained):
-                w, b = ws[i]
-                w -= eta * gw
-                b -= eta * gb
-                if not whole:
-                    layers[i][0][clients] = w
-                    layers[i][1][clients] = b
+        for bucket in buckets.values():
+            n, clients = len(bucket), np.array(bucket)
+            if n not in views:
+                block = flat if n == len(data) else spare[:n]
+                views[n] = (block, _flat_views(spec, block), block[:, frozen:], grad[:n],
+                            _flat_views(spec, grad[:n], first_trained))
+            block, ws, trained, g, gs = views[n]
+            if block is not flat:
+                # clients are in range; "clip" skips the checked mode's buffered copy
+                np.take(flat, clients, axis=0, out=block, mode="clip")
+            # the batches' rows of x_all; take gathers faster than fancy indexing
+            rows = np.array([plans[j][t] for j in bucket]) + starts[clients, None]
+            acts = _forward(spec, ws, x_all.take(rows, axis=0))
+            _backprop(spec, ws, acts, onehot.take(rows, axis=0), gs)
+            g *= eta
+            trained -= g
+            if block is not flat:
+                flat[clients] = block
+    for (w, b), (fw, fb) in zip(layers[first_trained:], _flat_views(spec, flat)[first_trained:]):
+        w[...] = fw
+        b[...] = fb
 
 
 def sgd(

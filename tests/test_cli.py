@@ -107,11 +107,27 @@ class TestInputValidation:
             'model.layers=[{"in_dim":true,"out_dim":4,"activation":"identity"}]',
             'model.layers=[{"in_dim":8,"out_dim":4.0,"activation":"identity"}]',
             "model.layers=5",
+            pytest.param("sgd.eta=1" + "0" * 400, id="sgd.eta=int-too-large-for-a-float"),
+            pytest.param("sgd.eta=1" + "0" * 5000, id="sgd.eta=int-past-the-digit-limit"),
+            "output.dir=5",
+            'output.dir=""',
         ],
     )
     def test_mistyped_value_is_usage_error(self, setting, tmp_path):
         assert main(["run", *SMALL, "--set", setting, "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("path", [None, 5, '""'])
+    def test_csv_path_must_be_a_non_empty_string(self, path, tmp_path):
+        settings = ["--set", "dataset.kind=csv"] + ([] if path is None else ["--set", f"dataset.path={path}"])
+        assert main(["run", *SMALL, *settings, "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("run_id", ["../../x", "a/b", "a\\b", ".", ".."])
+    def test_run_id_must_stay_in_the_output_directory(self, run_id, tmp_path):
+        out = tmp_path / "d" / "e"
+        assert main(["run", *SMALL, "--set", f"output.run_id={run_id}", "--out", str(out)]) == 2
+        assert list(tmp_path.rglob("*")) == []
 
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "k", "--values", "2"]])
     def test_csv_of_wrong_width_is_usage_error(self, command, tmp_path):

@@ -1,11 +1,18 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedper.metrics
+import fedper.nn
+import fedper.protocol
 import fedper.rng as rngmod
+from fedper.config import build_dataset, default_config, resolve
 from fedper.data import LabeledDataset, PartitionSpec
 from fedper.errors import ConfigError, ProtocolError, ShapeError, SimulationError, UsageError
+from fedper.experiment import run_experiment
 from fedper.metrics import ClientMetrics, evaluate
 from fedper.model import ModelSpec
 from fedper.nn import (
@@ -32,7 +39,7 @@ from fedper.protocol import (
     run_federation,
     server_init,
 )
-from helpers import rand_batch
+from helpers import rand_batch, rand_weights
 
 
 def toy_spec(k_personal=1):
@@ -501,6 +508,69 @@ class TestBatchingInvariance:
         assert weights_checksum(ours.server.base) == weights_checksum(base)
         for mine, theirs in zip(ours.clients, clients):
             assert weights_checksum(mine.personal) == weights_checksum(theirs.personal)
+
+
+class TestStackedEvaluation:
+    """Sets of one length are scored by one stacked forward pass, which must
+    give every set bitwise what evaluate gives it alone."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_layers=st.integers(1, 3),
+        data=st.data(),
+        lengths=st.lists(st.sampled_from([1, 2, 3, 5]), min_size=1, max_size=8),
+        max_rows=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_evaluate_per_set(self, n_layers, data, lengths, max_rows, seed):
+        dims = data.draw(st.lists(st.integers(1, 6), min_size=n_layers + 1, max_size=n_layers + 1))
+        activations = data.draw(st.lists(st.sampled_from(ACTIVATIONS), min_size=n_layers, max_size=n_layers))
+        layers = tuple(LayerSpec(dims[i], dims[i + 1], activations[i]) for i in range(n_layers))
+        spec = ModelSpec(layers, data.draw(st.integers(0, n_layers - 1)))
+        rng = np.random.default_rng(seed)
+        base = rand_weights(spec.base_layers, rng)
+        personal = [rand_weights(spec.personal_layers, rng) for _ in lengths]
+        sets = [rand_batch(spec, rng, n) for n in lengths]
+        # max_rows below a set's length scores its sets one by one; above,
+        # it splits a group of equal-length sets into several
+        with mock.patch.object(fedper.protocol, "EVAL_ROWS", max_rows):
+            stacked = fedper.protocol._evaluate_all(spec, base, fedper.nn.stack_weights(personal), sets)
+        alone = [evaluate(spec, base, p, d) for p, d in zip(personal, sets)]
+        assert repr(stacked) == repr(alone)  # repr tells -0.0 from 0.0
+
+
+class TestLaunchCounts:
+    """A default-config round trains in one forward pass per bucket and
+    evaluates in one forward pass per distinct set length."""
+
+    @staticmethod
+    def buckets(sizes, epochs, batch):
+        """Launches of one lock-step pass: at each step, one per distinct
+        batch size among the clients that still have batches."""
+        plans = [[min(batch, n - i) for _ in range(epochs) for i in range(0, n, batch)] for n in sizes]
+        return sum(len({p[t] for p in plans if t < len(p)}) for t in range(max(map(len, plans))))
+
+    def test_default_config(self, monkeypatch):
+        counts = {"train": 0, "eval": 0}
+
+        def counting(kind, forward):
+            def wrapped(*args):
+                counts[kind] += 1
+                return forward(*args)
+            return wrapped
+
+        monkeypatch.setattr(fedper.nn, "_forward", counting("train", fedper.nn._forward))
+        monkeypatch.setattr(fedper.metrics, "_forward", counting("eval", fedper.metrics._forward))
+        resolved = resolve({**default_config(), "rounds": 2})
+        result = run_experiment(resolved.run, build_dataset(resolved.dataset))
+
+        train_sizes = [len(c.train) for c in result.clients]
+        test_sizes = [len(c.test) for c in result.clients]
+        sgd_cfg = resolved.run.sgd
+        assert self.buckets(train_sizes, sgd_cfg.epochs, sgd_cfg.batch_size) == 31
+        assert counts["train"] == 2 * 31
+        assert len(set(train_sizes)) + len(set(test_sizes)) == 5
+        assert counts["eval"] == 2 * 5  # one per distinct set length, not one per set
 
 
 class TestRunConfigValidation:
