@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -142,6 +143,13 @@ class ResolvedConfig:
     effective: dict
 
 
+# The longest file names derived from output.run_id are sweep results,
+# {run_id}_{axis}_{value}.json (22 bytes past the run_id for
+# _algorithm_fedper.json), each first written as {name}.{pid}.tmp (at most
+# 12 more); 200 bytes keep every one within the usual 255-byte name limit.
+RUN_ID_MAX_BYTES = 200
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
@@ -255,6 +263,14 @@ def resolve(cfg: dict) -> ResolvedConfig:
     _require(
         run_id not in (".", "..") and "/" not in run_id and "\\" not in run_id,
         f"output.run_id must be a plain file name (no / or \\, not . or ..), got {run_id!r}",
+    )
+    try:
+        run_id_bytes = len(os.fsencode(run_id))
+    except UnicodeEncodeError:
+        raise ConfigError(f"output.run_id must be encodable as a file name, got {run_id!r}") from None
+    _require(
+        run_id_bytes <= RUN_ID_MAX_BYTES,
+        f"output.run_id must be at most {RUN_ID_MAX_BYTES} bytes in UTF-8, got {run_id_bytes}",
     )
     if out_cfg["dir"] is not None:
         _text(out_cfg["dir"], "output.dir")

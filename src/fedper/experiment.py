@@ -89,12 +89,18 @@ def run_sweep(
     values: Sequence[int | str],
 ) -> SweepResult:
     """Re-run the experiment once per axis value; points are independent runs
-    and come back sorted by value."""
+    and come back sorted by value.  The values must be distinct, and every
+    point's config is checked before the first one trains."""
     if len(values) == 0:
         raise UsageError("sweep needs at least one value")
+    # each point writes a file named by its value, so a repeat would overwrite one
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise UsageError(f"sweep values must be distinct, got {repeated[0]!r} more than once")
+    variants = [sweep_variant(cfg, axis, value) for value in values]
     points = []
-    for value in values:
-        result = run_experiment(sweep_variant(cfg, axis, value), ds)
+    for value, variant in zip(values, variants):
+        result = run_experiment(variant, ds)
         stats = cross_client_stats(result.history.final_accuracies())
         points.append(SweepPoint(value, stats.mean, stats.std, result.history))
     points.sort(key=lambda p: p.value)

@@ -7,6 +7,14 @@ fedper.model), and its weights are a list of (W, b) pairs, one per layer: the
 shared base layers followed by the client-local personalization layers, so
 the model is base + personal.  For training, the weights of N clients are
 stacked layer by layer into (N, out, in) and (N, out) arrays.
+
+The engine is planned once per run, because a client's training set never
+changes: a RowBlock holds every client's training rows (features, labels and
+one-hot labels) end to end, and a LockstepPlan fixes which clients share
+each stacked launch, where each launch's rows come from, and the weight and
+gradient blocks.  A training pass (LockstepPlan.run) only draws each
+client's permutations and runs the launches.  sgd is the same engine with a
+single client.
 """
 
 from __future__ import annotations
@@ -154,13 +162,6 @@ def _flat_views(spec: "ModelSpec", block: np.ndarray, first: int = 0) -> Layers:
     return views
 
 
-def _chain(name: str, delta: np.ndarray, a: np.ndarray) -> None:
-    """Multiply delta in place by the derivative of the activation whose
-    output is a (relu: a > 0 exactly where its input is; identity: 1)."""
-    if name == "relu":
-        delta *= a > 0.0
-
-
 def _forward(spec: "ModelSpec", layers: Layers, x: np.ndarray) -> list[np.ndarray]:
     """Run the stack on (..., batch, in_dim) inputs; returns every layer's
     activations, the input first and the network output last.
@@ -180,9 +181,11 @@ def _forward(spec: "ModelSpec", layers: Layers, x: np.ndarray) -> list[np.ndarra
 
 def _softmax_parts(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row max, exp(logits - max) and its row sums: the stable softmax."""
-    zmax = logits.max(axis=-1, keepdims=True)
-    expz = np.exp(logits - zmax)
-    return zmax, expz, expz.sum(axis=-1, keepdims=True)
+    # the ufunc reductions themselves skip ndarray.max's and .sum's Python wrappers
+    zmax = np.maximum.reduce(logits, axis=-1, keepdims=True)
+    expz = logits - zmax
+    np.exp(expz, out=expz)
+    return zmax, expz, np.add.reduce(expz, axis=-1, keepdims=True)
 
 
 def cross_entropy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -196,24 +199,30 @@ def _backprop(
     spec: "ModelSpec", layers: Layers, acts: list[np.ndarray], onehot: np.ndarray, grads: Layers
 ) -> None:
     """Exact gradients of the batch-mean cross-entropy for the last
-    len(grads) layers, written into grads, from a cached forward pass.
-    onehot is True at each row's label.  Leading dims are stacked weights as
-    in _forward."""
+    len(grads) layers, written into grads, from a cached forward pass whose
+    hidden activations it overwrites.  onehot is True at each row's label.
+    Leading dims are stacked weights as in _forward."""
     first_trained = len(layers) - len(grads)
     _, delta, sums = _softmax_parts(acts[-1])
     # softmax minus the one-hot label; subtracting 0.0 leaves a value exact
     delta /= sums
     delta -= onehot
     delta /= delta.shape[-2]
-    # the final layer's activation is part of the chain too
-    _chain(spec.layers[-1].activation, delta, acts[-1])
+    # the final layer's activation is part of the chain too; relu's
+    # derivative is 1 exactly where its output a is > 0, identity's is 1
+    if spec.layers[-1].activation == "relu":
+        delta *= acts[-1] > 0.0
     for i in range(len(layers) - 1, first_trained - 1, -1):
         gw, gb = grads[i - first_trained]
         np.matmul(delta.swapaxes(-1, -2), acts[i], out=gw)
-        delta.sum(axis=-2, out=gb)
+        np.add.reduce(delta, axis=-2, out=gb)
         if i > first_trained:
-            delta = delta @ layers[i][0]
-            _chain(spec.layers[i - 1].activation, delta, acts[i])
+            # acts[i] is read here for the last time, so the next delta
+            # overwrites it instead of taking new memory
+            alive = acts[i] > 0.0 if spec.layers[i - 1].activation == "relu" else None
+            delta = np.matmul(delta, layers[i][0], out=acts[i])
+            if alive is not None:
+                delta *= alive
 
 
 def forward(spec: "ModelSpec", base: Layers, personal: Layers, x: np.ndarray) -> np.ndarray:
@@ -249,86 +258,143 @@ def minibatch_indices(n: int, batch_size: int, rng: np.random.Generator) -> list
     return [perm[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
-def train_lockstep(
-    spec: "ModelSpec",
-    layers: Layers,
-    data: Sequence["LabeledDataset"],
-    rngs: Sequence[np.random.Generator],
-    epochs: int,
-    batch_size: int,
-    eta: float,
-    first_trained: int = 0,
-) -> None:
-    """Mini-batch SGD for N clients at once, updating stacked weights in place.
+@dataclass(frozen=True, eq=False)
+class RowBlock:
+    """The labeled rows of several sets end to end, in a chosen set order:
+    set j, of sizes[j] rows, is rows starts[j] onwards of x and y (and of
+    onehot, row r True at the label of row r, if the block has one)."""
 
-    layers holds one (W (N, out, in), b (N, out)) stack per model layer, row
-    j being client j's copy; data[j] and rngs[j] are client j's training set
-    and generator.  Each client walks exactly the batches it would walk
-    alone: per epoch a fresh permutation from its own generator, cut into
-    batch_size slices with the last one partial, each step moving its
-    weights by -eta * gradient.  Layers before first_trained are frozen:
-    they take part in the forward pass, but no gradient is computed for them
-    and they are never updated.
+    x: np.ndarray
+    y: np.ndarray
+    starts: np.ndarray
+    sizes: list[int]
+    onehot: np.ndarray | None = None
+
+    @classmethod
+    def of(
+        cls, sets: Sequence["LabeledDataset"], order: Sequence[int] | None = None, onehot_width: int = 0
+    ) -> "RowBlock":
+        """The sets listed in order (default: all, in turn) copied into one
+        block, with onehot_width-wide one-hot rows if it is not 0; the
+        starts of sets left out are 0."""
+        order = list(range(len(sets)) if order is None else order)
+        starts = np.zeros(len(sets), dtype=np.intp)
+        starts[order] = np.cumsum([0] + [len(sets[j]) for j in order[:-1]])
+        y = np.concatenate([sets[j].y for j in order])
+        onehot = np.eye(onehot_width, dtype=bool).take(y, axis=0) if onehot_width else None
+        return cls(np.concatenate([sets[j].X for j in order]), y, starts, [len(d) for d in sets], onehot)
+
+
+class LockstepPlan:
+    """Mini-batch SGD for N clients at once on stacked weights, planned once
+    for clients whose training sets never change.
+
+    Client j trains on its rows of the block, rows.starts[j] onwards, n_j =
+    sizes[j] of them.  It walks exactly the batches it would walk alone: per
+    epoch a fresh permutation from its own generator, cut into batch_size
+    slices with the last one partial, each step moving its weights by -eta *
+    gradient.  Layers before first_trained are frozen: they take part in the
+    forward pass, but no gradient is computed for them and they are never
+    updated.
 
     At step t every client that still has batches takes its t-th one.
     Clients whose batches have the same size form a bucket, which runs one
-    stacked forward and backward pass: np.matmul runs each client's own gemm
-    on its own slice, and every reduction runs within one client's slice.
-    Buckets are never padded, because padding would change the shape of
-    each client's gemm and reductions, and with them the rounding.  Unpadded,
-    every client's arithmetic is the same as in a run on its own, and no
-    client reads another's weights, data or generator; so the result is
-    bitwise independent of which clients share a bucket and of the order in
-    which buckets run.
+    stacked forward and backward pass (a launch): np.matmul runs each
+    client's own gemm on its own slice, and every reduction runs within one
+    client's slice.  Buckets are never padded, because padding would change
+    the shape of each client's gemm and reductions, and with them the
+    rounding.  Unpadded, every client's arithmetic is the same as in a run
+    on its own, and no client reads another's weights, data or generator; so
+    the result is bitwise independent of which clients share a bucket and of
+    the order in which buckets run.
 
-    For the pass, the weights live in one (N, P) block, row j holding client
-    j's layers end to end (see _flat_views).  A bucket of every client works
+    Which clients share which launch depends only on the set sizes, so it is
+    planned here, once: per launch its clients and, per member, where its
+    batch starts in the pass's order array, which holds every client's
+    permutations end to end.  A pass (run) only draws the permutations into
+    that array and runs the launches.
+
+    For a pass, the weights live in one (N, P) block, row j holding client
+    j's layers end to end (see _flat_views).  A launch of every client works
     on it in place; any other gathers its rows into a spare block and
     scatters them back.  Gradients fill the trained columns of a second
     block, so an update is two whole-block operations.
     """
-    sizes = [len(d) for d in data]
-    starts = np.cumsum([0] + sizes[:-1])
-    x_all = np.concatenate([d.X for d in data])
-    # row r is True at the label of row r of x_all
-    onehot = np.eye(spec.out_dim, dtype=bool).take(np.concatenate([d.y for d in data]), axis=0)
-    # every client's batches for the whole pass, as indices into its own data
-    plans = [
-        [idx for _ in range(epochs) for idx in minibatch_indices(n, batch_size, gen)]
-        for n, gen in zip(sizes, rngs)
-    ]
-    flat = np.concatenate([a.reshape(len(data), -1) for w, b in layers for a in (w, b)], axis=1)
-    frozen = sum(w[0].size + b[0].size for w, b in layers[:first_trained])
-    spare, grad = np.empty_like(flat), np.empty((len(data), flat.shape[1] - frozen))
-    # per bucket size: its weight block, that block's layers and trained
-    # columns, and its gradient block and that block's layers
-    views: dict[int, tuple] = {}
-    for t in range(max(len(plan) for plan in plans)):
-        buckets: dict[int, list[int]] = {}
-        for j, plan in enumerate(plans):
-            if t < len(plan):
-                buckets.setdefault(len(plan[t]), []).append(j)
-        for bucket in buckets.values():
-            n, clients = len(bucket), np.array(bucket)
-            if n not in views:
-                block = flat if n == len(data) else spare[:n]
-                views[n] = (block, _flat_views(spec, block), block[:, frozen:], grad[:n],
-                            _flat_views(spec, grad[:n], first_trained))
-            block, ws, trained, g, gs = views[n]
+
+    def __init__(
+        self, spec: "ModelSpec", rows: RowBlock, epochs: int, batch_size: int, first_trained: int = 0
+    ) -> None:
+        self.spec, self.rows, self.epochs, self.first_trained = spec, rows, epochs, first_trained
+        sizes = rows.sizes
+        # client j's permutations fill order[offsets[j] : offsets[j] + epochs * sizes[j]]
+        self.offsets = np.cumsum([0] + [epochs * n for n in sizes[:-1]]).tolist()
+        self.order = np.empty(epochs * sum(sizes), dtype=np.intp)
+        # every client's batches, step by step, as (size, first position in order)
+        steps = [
+            [(min(batch_size, n - i), off + e * n + i) for e in range(epochs) for i in range(0, n, batch_size)]
+            for n, off in zip(sizes, self.offsets)
+        ]
+        n_params = sum(s.out_dim * (s.in_dim + 1) for s in spec.layers)
+        frozen = sum(s.out_dim * (s.in_dim + 1) for s in spec.layers[:first_trained])
+        self.flat = np.empty((len(sizes), n_params))
+        self.weights = _flat_views(spec, self.flat)
+        spare, grad = np.empty_like(self.flat), np.empty((len(sizes), n_params - frozen))
+        # per bucket size: its weight block, that block's layers and trained
+        # columns, and its gradient block and that block's layers
+        views: dict[int, tuple] = {}
+        # per launch: its clients, the position of each one's batch in order
+        # (a column), the offsets of a batch's samples, and the views of its
+        # bucket size
+        samples = np.arange(batch_size)
+        self.launches: list[tuple[np.ndarray, np.ndarray, np.ndarray, tuple]] = []
+        for t in range(max(len(s) for s in steps)):
+            buckets: dict[int, list[int]] = {}
+            for j, s in enumerate(steps):
+                if t < len(s):
+                    buckets.setdefault(s[t][0], []).append(j)
+            for size, clients in buckets.items():
+                n = len(clients)
+                if n not in views:
+                    block = self.flat if n == len(sizes) else spare[:n]
+                    views[n] = (block, _flat_views(spec, block), block[:, frozen:], grad[:n],
+                                _flat_views(spec, grad[:n], first_trained))
+                bases = np.array([steps[j][t][1] for j in clients])[:, None]
+                self.launches.append((np.array(clients), bases, samples[:size], views[n]))
+
+    def batches(self, rngs: Sequence[np.random.Generator]):
+        """Draw one pass's permutations, rngs[j] being client j's generator,
+        and yield each launch with its members' batches: one row of the
+        block per member and sample, (len(clients), batch size)."""
+        order, rows = self.order, self.rows
+        for j, gen in enumerate(rngs):
+            n, off, start = rows.sizes[j], self.offsets[j], rows.starts[j]
+            for e in range(self.epochs):
+                np.add(gen.permutation(n), start, out=order[off + e * n : off + (e + 1) * n])
+        for launch in self.launches:
+            yield launch, order.take(launch[1] + launch[2])
+
+    def run(self, layers: Layers, rngs: Sequence[np.random.Generator], eta: float) -> None:
+        """One training pass, updating the stacked weights in place: layers
+        holds one (W (N, out, in), b (N, out)) stack per model layer, row j
+        being client j's copy, and rngs[j] is client j's generator."""
+        spec, flat, x, onehot = self.spec, self.flat, self.rows.x, self.rows.onehot
+        for (w, b), (fw, fb) in zip(layers, self.weights):
+            fw[...] = w
+            fb[...] = b
+        for (clients, _, _, (block, ws, trained, g, gs)), rows in self.batches(rngs):
             if block is not flat:
                 # clients are in range; "clip" skips the checked mode's buffered copy
                 np.take(flat, clients, axis=0, out=block, mode="clip")
-            # the batches' rows of x_all; take gathers faster than fancy indexing
-            rows = np.array([plans[j][t] for j in bucket]) + starts[clients, None]
-            acts = _forward(spec, ws, x_all.take(rows, axis=0))
-            _backprop(spec, ws, acts, onehot.take(rows, axis=0), gs)
+            # take gathers faster than fancy indexing; the activations are
+            # freed before the next launch allocates its own
+            _backprop(spec, ws, _forward(spec, ws, x.take(rows, axis=0)), onehot.take(rows, axis=0), gs)
             g *= eta
             trained -= g
             if block is not flat:
                 flat[clients] = block
-    for (w, b), (fw, fb) in zip(layers[first_trained:], _flat_views(spec, flat)[first_trained:]):
-        w[...] = fw
-        b[...] = fb
+        for (w, b), (fw, fb) in zip(layers[self.first_trained :], self.weights[self.first_trained :]):
+            w[...] = fw
+            b[...] = fb
 
 
 def sgd(
@@ -350,6 +416,7 @@ def sgd(
     _check_model_weights(spec, base, personal)
     check_data(spec, dataset)
     layers = stack_weights([base + personal])
-    train_lockstep(spec, layers, [dataset], [rng], cfg.epochs, cfg.batch_size, cfg.eta)
+    rows = RowBlock.of([dataset], onehot_width=spec.out_dim)
+    LockstepPlan(spec, rows, cfg.epochs, cfg.batch_size).run(layers, [rng], cfg.eta)
     kb = spec.k_base
     return unstack_weights(layers[:kb], 0), unstack_weights(layers[kb:], 0)

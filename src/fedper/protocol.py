@@ -2,7 +2,14 @@
 sample-weighted aggregation, and the optional personal-layer fine-tuning pass.
 
 Every round trains all clients together on the lock-step engine
-(fedper.nn.train_lockstep), with their weights stacked row by row.
+(fedper.nn.LockstepPlan), with their weights stacked row by row.  What
+depends only on the clients' data is built once per run: the evaluation
+layouts (EvalLayout), which stack the test sets once and lay the training
+sets out group by group in the one block of training rows; the plan of the
+SGD pass on that block and, with fine-tuning on, that of the fine-tune pass.
+So the training sets are scored from views of the rows the training passes
+gather from.  A round only broadcasts the base, runs the passes, aggregates
+and scores.
 
 Communication is in-process.  Every exchange is appended to the server's
 message log as (sender, receiver, payload kind), which makes the privacy
@@ -26,12 +33,13 @@ from .metrics import ClientMetrics, EvalResult, evaluate, scores
 from .model import ModelSpec
 from .nn import (
     Layers,
+    LockstepPlan,
+    RowBlock,
     SgdConfig,
     check_data,
     init_weights,
     sgd,
     stack_weights,
-    train_lockstep,
     unstack_weights,
     weights_checksum,
 )
@@ -181,21 +189,15 @@ def client_round(
     return base_out, replace(client, personal=personal_out)
 
 
-def _fine_tune_pass(
-    cfg: RunConfig, layers: Layers, clients: Sequence[ClientState], round_idx: int
-) -> None:
-    """One epoch of SGD on the personal layers of every client, base frozen;
-    client j's weights are row j of the layer stacks, updated in place."""
-    train_lockstep(
-        cfg.spec,
-        layers,
-        [c.train for c in clients],
-        [_client_stream(cfg, c.client_id, round_idx, rngmod.FINE_TUNE) for c in clients],
-        epochs=1,
-        batch_size=cfg.sgd.batch_size,
-        eta=cfg.sgd.eta,
-        first_trained=cfg.spec.k_base,
-    )
+def _streams(
+    cfg: RunConfig, clients: Sequence[ClientState], round_idx: int, purpose: int
+) -> list[np.random.Generator]:
+    return [_client_stream(cfg, c.client_id, round_idx, purpose) for c in clients]
+
+
+def _fine_tune_plan(cfg: RunConfig, rows: RowBlock) -> LockstepPlan:
+    """One epoch of SGD on the personal layers, base frozen."""
+    return LockstepPlan(cfg.spec, rows, 1, cfg.sgd.batch_size, first_trained=cfg.spec.k_base)
 
 
 def fine_tune(client: ClientState, cfg: RunConfig, base_in: Layers, round_idx: int) -> ClientState:
@@ -208,7 +210,8 @@ def fine_tune(client: ClientState, cfg: RunConfig, base_in: Layers, round_idx: i
         raise UsageError("fine_tune requires at least one personalization layer")
     _check_base(client, cfg.spec, base_in)
     layers = stack_weights([base_in + client.personal])
-    _fine_tune_pass(cfg, layers, [client], round_idx)
+    rows = RowBlock.of([client.train], onehot_width=cfg.spec.out_dim)
+    _fine_tune_plan(cfg, rows).run(layers, _streams(cfg, [client], round_idx, rngmod.FINE_TUNE), cfg.sgd.eta)
     return replace(client, personal=unstack_weights(layers[cfg.spec.k_base :], 0))
 
 
@@ -264,18 +267,30 @@ def run_federation(
     """
     clients = [make_client(cfg, j, train, test) for j, (train, test) in enumerate(client_data)]
     server = server_init(cfg, [len(c.train) for c in clients])
+    spec = cfg.spec
     # the one copy of the personal weights: each client's are views of its
     # row, and the training passes update the stacks in place
     personal = stack_weights([c.personal for c in clients])
     for c in clients:
         c.personal = unstack_weights(personal, c.client_id)
+    # row j of every stack is client j's copy: the round's broadcast base,
+    # then its own personal layers
+    layers = stack_weights([server.base] * len(clients)) + personal
+
+    # training and the scoring of the training sets read one block of rows
+    scoring = (EvalLayout([c.test for c in clients]), EvalLayout([c.train for c in clients], spec.out_dim))
+    rows = scoring[1].rows
+    sgd_plan = LockstepPlan(spec, rows, cfg.sgd.epochs, cfg.sgd.batch_size)
+    fine_tune_plan = _fine_tune_plan(cfg, rows) if cfg.fine_tune and spec.k_personal >= 1 else None
 
     records = []
     for round_idx in range(1, cfg.rounds + 1):
         # an overflow can leave every weight finite but meaningless
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                records.append(_train_round(cfg, server, clients, personal, round_idx))
+                records.append(
+                    _train_round(cfg, server, clients, layers, sgd_plan, fine_tune_plan, scoring, round_idx)
+                )
         except FloatingPointError as exc:
             raise SimulationError(
                 f"round {round_idx}: {exc}; the run diverged (try a smaller sgd.eta)"
@@ -290,39 +305,35 @@ def _train_round(
     cfg: RunConfig,
     server: ServerState,
     clients: Sequence[ClientState],
-    personal: Layers,
+    layers: Layers,
+    sgd_plan: LockstepPlan,
+    fine_tune_plan: LockstepPlan | None,
+    scoring: tuple["EvalLayout", "EvalLayout"],
     round_idx: int,
 ) -> RoundRecord:
     """One round: broadcast, local training, aggregation into server.base,
-    and every client's metrics.  personal is updated in place."""
-    spec = cfg.spec
+    and every client's metrics (scoring holds the test and the training
+    sets' layouts).  layers, the clients' stacked weights, is updated in
+    place."""
     n = len(clients)
+    kb = cfg.spec.k_base
     for j in range(n):
         server.log(SERVER, client_name(j), MSG_BASE_WEIGHTS)
-    # row j of every stack is client j's copy: the broadcast base, then its
-    # own personal layers
-    layers = stack_weights([server.base] * n) + personal
-    if cfg.fine_tune and spec.k_personal >= 1:
-        _fine_tune_pass(cfg, layers, clients, round_idx)
-    train_lockstep(
-        spec,
-        layers,
-        [c.train for c in clients],
-        [_client_stream(cfg, c.client_id, round_idx, rngmod.SGD) for c in clients],
-        cfg.sgd.epochs,
-        cfg.sgd.batch_size,
-        cfg.sgd.eta,
-    )
+    for (w, b), (bw, bb) in zip(layers[:kb], server.base):
+        w[...] = bw
+        b[...] = bb
+    if fine_tune_plan is not None:
+        fine_tune_plan.run(layers, _streams(cfg, clients, round_idx, rngmod.FINE_TUNE), cfg.sgd.eta)
+    sgd_plan.run(layers, _streams(cfg, clients, round_idx, rngmod.SGD), cfg.sgd.eta)
     _check_finite(layers, round_idx)
 
     for j in range(n):
         server.log(client_name(j), SERVER, MSG_BASE_WEIGHTS)
-    kb = spec.k_base
     server.base = aggregate(
         [(unstack_weights(layers[:kb], j), g) for j, g in enumerate(server.agg_weights)]
     )
-    tests = _evaluate_all(spec, server.base, personal, [c.test for c in clients])
-    trains = _evaluate_all(spec, server.base, personal, [c.train for c in clients])
+    personal = layers[kb:]
+    tests, trains = (layout.score(cfg.spec, server.base, personal) for layout in scoring)
     metrics = tuple(
         ClientMetrics(c.client_id, round_idx, test.accuracy, train.loss)
         for c, test, train in zip(clients, tests, trains)
@@ -335,28 +346,63 @@ def _train_round(
 EVAL_ROWS = 4096
 
 
+def _eval_groups(lengths: Sequence[int]) -> list[list[int]]:
+    """The sets scored together: sets of one length, in order, in chunks of
+    up to EVAL_ROWS rows (at least one set each)."""
+    by_length: dict[int, list[int]] = {}
+    for j, n in enumerate(lengths):
+        by_length.setdefault(n, []).append(j)
+    return [
+        members[k : k + max(1, EVAL_ROWS // n)]
+        for n, members in by_length.items()
+        for k in range(0, len(members), max(1, EVAL_ROWS // n))
+    ]
+
+
+class EvalLayout:
+    """How a run's sets are scored, fixed once per run.  The sets of each
+    group of _eval_groups with more than one set are consecutive rows of one
+    block, rows, and are scored through (g, n, in_dim) feature and (g, n)
+    label views of it; a set alone in its group goes to evaluate.  With an
+    onehot_width, rows holds every set, with one-hot labels: it is then also
+    the block the lock-step training passes read."""
+
+    def __init__(self, sets: Sequence[LabeledDataset], onehot_width: int = 0) -> None:
+        self.sets = sets
+        groups = _eval_groups([len(d) for d in sets])
+        self.alone = [g[0] for g in groups if len(g) == 1]
+        stacked = [g for g in groups if len(g) > 1]
+        order = [j for g in (groups if onehot_width else stacked) for j in g]
+        self.rows = RowBlock.of(sets, order, onehot_width) if order else None
+        self.groups = []
+        for group in stacked:
+            start = self.rows.starts[group[0]]
+            shape = (len(group), len(sets[group[0]]))
+            end = start + shape[0] * shape[1]
+            self.groups.append(
+                (np.array(group), self.rows.x[start:end].reshape(*shape, -1), self.rows.y[start:end].reshape(shape))
+            )
+
+    def score(self, spec: ModelSpec, base: Layers, personal: Layers) -> list[EvalResult]:
+        """evaluate(spec, base, row j of personal, sets[j]) for every j.  A
+        group is scored in one stacked forward pass, the base broadcast."""
+        results: list[EvalResult | None] = [None] * len(self.sets)
+        for j in self.alone:
+            results[j] = evaluate(spec, base, unstack_weights(personal, j), self.sets[j])
+        broadcast = [(w[None], b[None]) for w, b in base]
+        for group, x, y in self.groups:
+            layers = broadcast + [(w.take(group, axis=0), b.take(group, axis=0)) for w, b in personal]
+            for j, accuracy, loss in zip(group.tolist(), *scores(spec, layers, x, y)):
+                results[j] = EvalResult(float(accuracy), float(loss))
+        return results
+
+
 def _evaluate_all(
     spec: ModelSpec, base: Layers, personal: Layers, sets: Sequence[LabeledDataset]
 ) -> list[EvalResult]:
-    """evaluate(spec, base, row j of personal, sets[j]) for every j.  Sets of
-    one length are scored in one stacked forward pass, the base broadcast,
-    up to EVAL_ROWS rows at a time; a set alone in its group goes to evaluate."""
-    by_length: dict[int, list[int]] = {}
-    for j, data in enumerate(sets):
-        by_length.setdefault(len(data), []).append(j)
-    results: dict[int, EvalResult] = {}
-    for n, members in by_length.items():
-        step = max(1, EVAL_ROWS // n)
-        for group in (members[k : k + step] for k in range(0, len(members), step)):
-            if len(group) == 1:
-                results[group[0]] = evaluate(spec, base, unstack_weights(personal, group[0]), sets[group[0]])
-                continue
-            layers = [(w[None], b[None]) for w, b in base] + [(w[group], b[group]) for w, b in personal]
-            x = np.stack([sets[j].X for j in group])
-            y = np.stack([sets[j].y for j in group])
-            for j, accuracy, loss in zip(group, *scores(spec, layers, x, y)):
-                results[j] = EvalResult(float(accuracy), float(loss))
-    return [results[j] for j in range(len(sets))]
+    """evaluate(spec, base, row j of personal, sets[j]) for every j, through
+    a layout of its own."""
+    return EvalLayout(sets).score(spec, base, personal)
 
 
 def _check_finite(layers: Layers, round_idx: int) -> None:

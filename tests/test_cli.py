@@ -129,6 +129,37 @@ class TestInputValidation:
         assert main(["run", *SMALL, "--set", f"output.run_id={run_id}", "--out", str(out)]) == 2
         assert list(tmp_path.rglob("*")) == []
 
+    @pytest.mark.parametrize(
+        "run_id, message",
+        [
+            pytest.param("a" * 300, "at most 200 bytes in UTF-8, got 300", id="300-ascii-chars"),
+            pytest.param("\u00e9" * 101, "at most 200 bytes in UTF-8, got 202", id="101-two-byte-chars"),
+            pytest.param("a\ud800", "encodable as a file name", id="lone-surrogate"),
+        ],
+    )
+    def test_run_id_that_cannot_name_a_file_is_usage_error(self, run_id, message, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"output": {"run_id": run_id}}))
+        out = tmp_path / "o"
+        assert main(["run", *SMALL, "--config", str(config), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_longest_run_id_names_every_sweep_file(self, tmp_path):
+        run_id = "\u00e9" * 100  # 200 bytes
+        out = tmp_path / "o"
+        args = ["sweep", *SMALL, "--axis", "algorithm", "--values", "fedper,fedavg"]
+        assert main([*args, "--set", f"output.run_id={run_id}", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            f"{run_id}_algorithm_fedavg.csv", f"{run_id}_algorithm_fedper.csv", f"{run_id}_config.json"
+        ]
+
+    @pytest.mark.parametrize("axis, values", [("kp", "1,1"), ("kp", "1,01"), ("algorithm", "fedper,fedper")])
+    def test_repeated_sweep_values_are_usage_error(self, axis, values, tmp_path):
+        out = tmp_path / "o"
+        assert main(["sweep", *SMALL, "--axis", axis, "--values", values, "--out", str(out)]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "k", "--values", "2"]])
     def test_csv_of_wrong_width_is_usage_error(self, command, tmp_path):
         csv_path = tmp_path / "data.csv"

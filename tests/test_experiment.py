@@ -1,8 +1,10 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import fedper.experiment
 from fedper.data import PartitionSpec, synth_classification
 from fedper.errors import ConfigError, UsageError
 from fedper.experiment import client_shards, run_experiment, run_sweep, sweep_seed, sweep_variant
@@ -105,3 +107,16 @@ class TestSweep:
         cfg, ds = base_setup()
         with pytest.raises(UsageError):
             run_sweep(cfg, ds, "k", [])
+
+    @pytest.mark.parametrize("axis, values", [("kp", [1, 0, 1]), ("algorithm", ["fedavg", "fedavg"])])
+    def test_repeated_values_rejected_before_training(self, axis, values, monkeypatch):
+        cfg, ds = base_setup()
+        monkeypatch.setattr(fedper.experiment, "run_experiment", mock.Mock(side_effect=AssertionError("trained")))
+        with pytest.raises(UsageError, match="must be distinct"):
+            run_sweep(cfg, ds, axis, values)
+
+    def test_bad_late_value_rejected_before_training(self, monkeypatch):
+        cfg, ds = base_setup()
+        monkeypatch.setattr(fedper.experiment, "run_experiment", mock.Mock(side_effect=AssertionError("trained")))
+        with pytest.raises(ConfigError):
+            run_sweep(cfg, ds, "kp", [0, len(cfg.spec.layers)])  # no base layer left

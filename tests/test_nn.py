@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedper.data import LabeledDataset
 from fedper.errors import ConfigError, ShapeError, UsageError
 from fedper.model import ModelSpec
 from fedper.nn import (
     LayerSpec,
+    LockstepPlan,
+    RowBlock,
     SgdConfig,
     forward,
     init_weights,
@@ -220,6 +224,36 @@ class TestEpochBatches:
     def test_last_partial_batch_kept(self):
         batches = minibatch_indices(7, 3, np.random.default_rng(0))
         assert [len(c) for c in batches] == [3, 3, 1]
+
+
+class TestLockstepPlan:
+    """The plan feeds every client, step by step, exactly the batches of
+    minibatch_indices on its own generator, from its own rows of the block."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), epochs=st.integers(1, 3), batch_size=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_rows_fed_are_the_reference_batches(self, data, epochs, batch_size, seed):
+        # sizes below, at and between multiples of the batch size
+        multiple = st.integers(1, 3).map(lambda m: m * batch_size)
+        sizes = data.draw(st.lists(st.one_of(st.integers(1, 3 * batch_size), multiple), min_size=1, max_size=6))
+        order = data.draw(st.permutations(range(len(sizes))))
+        # feature value 1000 j + i marks row i of client j
+        sets = [LabeledDataset(1000.0 * j + np.arange(n)[:, None], np.zeros(n, dtype=int), 2) for j, n in enumerate(sizes)]
+        rows = RowBlock.of(sets, order, onehot_width=2)
+        plan = LockstepPlan(ModelSpec((LayerSpec(1, 2, "identity"),), 0), rows, epochs, batch_size)
+
+        fed: list[list[np.ndarray]] = [[] for _ in sizes]
+        for (clients, *_), batch_rows in plan.batches([np.random.default_rng([seed, j]) for j in range(len(sizes))]):
+            # one batch size per launch, and every member at the same step
+            assert batch_rows.shape[0] == len(clients) and len({len(fed[j]) for j in clients}) == 1
+            for j, r in zip(clients.tolist(), batch_rows):
+                fed[j].append(rows.x[r, 0])
+        for j, n in enumerate(sizes):
+            gen = np.random.default_rng([seed, j])
+            expected = [idx for _ in range(epochs) for idx in minibatch_indices(n, batch_size, gen)]
+            assert len(fed[j]) == len(expected)
+            for got, idx in zip(fed[j], expected):
+                assert np.array_equal(got, sets[j].X[idx, 0])
 
 
 class TestValidation:

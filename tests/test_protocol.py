@@ -1,3 +1,4 @@
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ import fedper.rng as rngmod
 from fedper.config import build_dataset, default_config, resolve
 from fedper.data import LabeledDataset, PartitionSpec
 from fedper.errors import ConfigError, ProtocolError, ShapeError, SimulationError, UsageError
-from fedper.experiment import run_experiment
+from fedper.experiment import client_shards, run_experiment
 from fedper.metrics import ClientMetrics, evaluate
 from fedper.model import ModelSpec
 from fedper.nn import (
@@ -571,6 +572,57 @@ class TestLaunchCounts:
         assert counts["train"] == 2 * 31
         assert len(set(train_sizes)) + len(set(test_sizes)) == 5
         assert counts["eval"] == 2 * 5  # one per distinct set length, not one per set
+
+    def test_planned_once_per_run(self, monkeypatch):
+        """With fine-tuning on, the two lock-step plans and the evaluation
+        layouts are built once, before round 1, and no later round copies
+        client rows; the launch counts are those of test_default_config."""
+        resolved = resolve({**default_config(), "rounds": 3, "fine_tune": True})
+        shards = client_shards(build_dataset(resolved.dataset), resolved.run.partition)
+        client_arrays = [a for pair in shards for d in pair for a in (d.X, d.y)]
+        current_round, plans, layouts, copies, forwards = [0], [], [], [], Counter()
+
+        class CountingPlan(fedper.nn.LockstepPlan):
+            def __init__(self, spec, rows, epochs, batch_size, first_trained=0):
+                plans.append((current_round[0], epochs, first_trained))
+                super().__init__(spec, rows, epochs, batch_size, first_trained)
+
+        class CountingLayout(fedper.protocol.EvalLayout):
+            def __init__(self, *args):
+                layouts.append(current_round[0])
+                super().__init__(*args)
+
+        def wrap(module, name, before):
+            f = getattr(module, name)
+
+            def wrapped(*args, **kwargs):
+                before(*args)
+                return f(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapped)
+
+        def copying(name):
+            def check(arrays, *_):
+                if any(np.shares_memory(a, c) for a in arrays for c in client_arrays):
+                    copies.append((current_round[0], name))
+            return check
+
+        monkeypatch.setattr(fedper.protocol, "LockstepPlan", CountingPlan)
+        monkeypatch.setattr(fedper.protocol, "EvalLayout", CountingLayout)
+        # round_idx is _train_round's last argument
+        wrap(fedper.protocol, "_train_round", lambda *args: current_round.__setitem__(0, args[-1]))
+        for name in ("stack", "concatenate"):
+            wrap(np, name, copying(name))
+        for kind, module in (("train", fedper.nn), ("eval", fedper.metrics)):
+            wrap(module, "_forward", lambda *_, kind=kind: forwards.update([kind]))
+
+        result = run_federation(resolved.run, shards)
+
+        sgd_cfg, k_base = resolved.run.sgd, resolved.run.spec.k_base
+        assert sorted(plans) == [(0, 1, k_base), (0, sgd_cfg.epochs, 0)]  # fine-tune, SGD
+        assert layouts == [0, 0]  # the test sets', the training sets'
+        assert copies and {r for r, _ in copies} == {0}
+        fine_tune_launches = self.buckets([len(c.train) for c in result.clients], 1, sgd_cfg.batch_size)
+        assert forwards == {"train": 3 * (31 + fine_tune_launches), "eval": 3 * 5}
 
 
 class TestRunConfigValidation:
