@@ -1,5 +1,6 @@
-"""Run configuration files: JSON schema, validation, overrides, and the
-mapping onto domain objects.  Unknown keys are rejected everywhere."""
+"""Run configuration files: one schema of every key's default and kind,
+overrides, validation, and the mapping onto domain objects.  Only the
+schema's keys can be set; anything else is rejected."""
 
 from __future__ import annotations
 
@@ -8,17 +9,10 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from . import rng as rngmod
-from .data import (
-    PARTITION_MODES,
-    LabeledDataset,
-    PartitionSpec,
-    load_csv,
-    synth_classification,
-    synth_shells,
-)
+from .data import PARTITION_MODES, LabeledDataset, PartitionSpec, load_csv, synth_classification, synth_shells
 from .checkpoint import atomic_write
 from .errors import ConfigError, ParseError
 from .experiment import ALGORITHMS, algorithm_k_personal
@@ -31,71 +25,128 @@ LAYER_KEYS = ("activation", "in_dim", "out_dim")
 DATASET_KINDS = ("gaussian_mixture", "shells", "csv")
 CLUSTER_PERMUTATIONS = ("identity", "cycle", "swap")
 
-_DEFAULTS: dict[str, Any] = {
-    "algorithm": "fedper",
-    "ablation": "none",
-    "fine_tune": False,
-    "rounds": 50,
-    "master_seed": 20260101,
-    "model": {
-        "layers": [
+
+# A kind is the set of values a key takes: (its name in error messages, a
+# test of one value).
+Kind = tuple[str, Callable[[Any], bool]]
+
+
+def _is_int(value: Any) -> bool:
+    """JSON booleans are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value: Any) -> bool:
+    """JSON booleans are not numbers, and an integer too large for a float is
+    not finite."""
+    try:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _is_layer(layer: Any) -> bool:
+    return (
+        isinstance(layer, dict)
+        and sorted(layer) == list(LAYER_KEYS)
+        and all(_is_int(layer[key]) and layer[key] >= 1 for key in ("in_dim", "out_dim"))
+    )
+
+
+def int_at_least(minimum: int) -> Kind:
+    return f"an int >= {minimum}", lambda value: _is_int(value) and value >= minimum
+
+
+def one_of(*values: str) -> Kind:
+    return f"one of {values}", lambda value: value in values
+
+
+NUMBER = ("a finite number", _is_finite)
+BOOL = ("a boolean", lambda value: isinstance(value, bool))
+TEXT = ("null or a non-empty string", lambda value: value is None or (isinstance(value, str) and value != ""))
+SEED = ("null or an int >= 0", lambda value: value is None or (_is_int(value) and value >= 0))
+# run_id names files inside the output directory, so it must not leave it
+FILE_NAME = (
+    "a plain file name (no / or \\, not . or ..)",
+    lambda value: isinstance(value, str) and value not in ("", ".", "..") and not {"/", "\\"} & set(value),
+)
+INT_PAIR = (
+    "[min, max], two ints", lambda value: isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))
+)
+LAYERS = (
+    f"a list of layer objects, each with exactly the keys {', '.join(LAYER_KEYS)} and int dims >= 1",
+    lambda value: isinstance(value, list) and all(map(_is_layer, value)),
+)
+
+# Every key of a run config, dotted as "section.key", with its default and
+# its kind.  A section is a group of keys, not a key itself.
+SCHEMA: dict[str, tuple[Any, Kind]] = {
+    "algorithm": ("fedper", one_of(*ALGORITHMS)),
+    "ablation": ("none", one_of(*ABLATIONS)),
+    "fine_tune": (False, BOOL),
+    "rounds": (50, int_at_least(1)),
+    "master_seed": (20260101, int_at_least(0)),
+    "model.layers": (
+        [
             {"in_dim": 8, "out_dim": 16, "activation": "relu"},
             {"in_dim": 16, "out_dim": 16, "activation": "relu"},
             {"in_dim": 16, "out_dim": 4, "activation": "identity"},
         ],
-        "k_personal": 1,
-    },
-    "sgd": {"eta": 0.01, "epochs": 4, "batch_size": 16},
-    "dataset": {
-        "kind": "gaussian_mixture",
-        "num_classes": 4,
-        "dim": 8,
-        "per_class": 200,
-        "sigma": 0.5,
-        "clusters": 2,
-        "cluster_permutation": "cycle",
-        "cluster_shift": 1,
-        "radius_step": 1.0,
-        "noise": 0.1,
-        "path": None,
-        "seed": None,
-    },
-    "partition": {
-        "mode": "k_class",
-        "num_clients": 10,
-        "k": 2,
-        "volume_range": [60, 290],
-        "train_fraction": 0.8,
-        "rater_disagreement": False,
-        "seed": None,
-    },
-    "output": {"dir": None, "run_id": "run", "format": "csv", "checkpoint_every": 0},
+        LAYERS,
+    ),
+    "model.k_personal": (1, int_at_least(0)),
+    "sgd.eta": (0.01, NUMBER),
+    "sgd.epochs": (4, int_at_least(1)),
+    "sgd.batch_size": (16, int_at_least(1)),
+    "dataset.kind": ("gaussian_mixture", one_of(*DATASET_KINDS)),
+    "dataset.num_classes": (4, int_at_least(1)),
+    "dataset.dim": (8, int_at_least(1)),
+    "dataset.per_class": (200, int_at_least(1)),
+    "dataset.sigma": (0.5, NUMBER),
+    "dataset.clusters": (2, int_at_least(1)),
+    "dataset.cluster_permutation": ("cycle", one_of(*CLUSTER_PERMUTATIONS)),
+    "dataset.cluster_shift": (1, int_at_least(0)),
+    "dataset.radius_step": (1.0, NUMBER),
+    "dataset.noise": (0.1, NUMBER),
+    "dataset.path": (None, TEXT),
+    "dataset.seed": (None, SEED),
+    "partition.mode": ("k_class", one_of(*PARTITION_MODES)),
+    "partition.num_clients": (10, int_at_least(1)),
+    "partition.k": (2, int_at_least(1)),
+    "partition.volume_range": ([60, 290], INT_PAIR),
+    "partition.train_fraction": (0.8, NUMBER),
+    "partition.rater_disagreement": (False, BOOL),
+    "partition.seed": (None, SEED),
+    "output.dir": (None, TEXT),
+    "output.run_id": ("run", FILE_NAME),
+    "output.format": ("csv", one_of("csv", "json")),
+    "output.checkpoint_every": (0, int_at_least(0)),
 }
+SECTIONS = {key.split(".")[0] for key in SCHEMA if "." in key}
+
+
+def _set(cfg: dict, parts: list[str], value: Any) -> None:
+    """Set the key whose dotted name is split into parts.  Any other name,
+    a section's included, is rejected: a section is only changed key by key."""
+    key = ".".join(parts)
+    if key not in SCHEMA or key.split(".") != parts:
+        hint = f" (a section; set its keys, as {key}.<key>)" if key in SECTIONS else ""
+        raise ConfigError(f"unknown config key: {key}{hint}")
+    node = cfg
+    for part in parts[:-1]:
+        node = node.setdefault(part, {})
+    node[parts[-1]] = value
 
 
 def default_config() -> dict:
-    return json.loads(json.dumps(_DEFAULTS))
-
-
-def _merge(defaults: dict, given: dict, path: str = "") -> dict:
-    out = {}
-    for key, default_value in defaults.items():
-        if key in given and isinstance(default_value, dict) and default_value:
-            value = given[key]
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {path}{key} must be an object")
-            out[key] = _merge(default_value, value, f"{path}{key}.")
-        elif key in given:
-            out[key] = given[key]
-        else:
-            out[key] = default_value
-    unknown = set(given) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(sorted(path + k for k in unknown))}")
-    return out
+    cfg: dict = {}
+    for key, (default, _) in SCHEMA.items():
+        _set(cfg, key.split("."), json.loads(json.dumps(default)))
+    return cfg
 
 
 def load_config_file(path: str | Path) -> dict:
+    """The defaults with the file's keys set over them."""
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -104,7 +155,14 @@ def load_config_file(path: str | Path) -> dict:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config root must be a JSON object")
-    return _merge(_DEFAULTS, raw)
+    cfg = default_config()
+    for name, value in raw.items():
+        if name in SECTIONS and isinstance(value, dict):
+            for key, key_value in value.items():
+                _set(cfg, [name, key], key_value)
+        else:
+            _set(cfg, [name], value)
+    return cfg
 
 
 def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
@@ -119,15 +177,7 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
             value = json.loads(text)
         except ValueError:  # as for load_config_file
             value = text
-        node = cfg
-        parts = dotted.split(".")
-        for part in parts[:-1]:
-            if not isinstance(node, dict) or part not in node:
-                raise ConfigError(f"unknown config key: {dotted}")
-            node = node[part]
-        if not isinstance(node, dict) or parts[-1] not in node:
-            raise ConfigError(f"unknown config key: {dotted}")
-        node[parts[-1]] = value
+        _set(cfg, dotted.split("."), value)
     return cfg
 
 
@@ -155,115 +205,40 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _int(value: Any, name: str, minimum: int) -> int:
-    """value itself if it is an integer >= minimum; JSON booleans are not integers."""
-    _require(
-        isinstance(value, int) and not isinstance(value, bool) and value >= minimum,
-        f"{name} must be an int >= {minimum}, got {value!r}",
-    )
-    return value
-
-
-def _num(value: Any, name: str) -> float:
-    """value as a float if it is a finite JSON number; JSON booleans are not
-    numbers, and an integer too large for a float is not finite."""
-    try:
-        number = float(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else math.nan
-    except OverflowError:
-        number = math.inf
-    _require(math.isfinite(number), f"{name} must be a finite number, got {value!r}")
-    return number
-
-
-def _text(value: Any, name: str) -> str:
-    """value itself if it is a non-empty string."""
-    _require(isinstance(value, str) and value != "", f"{name} must be a non-empty string, got {value!r}")
-    return value
-
-
 def resolve(cfg: dict) -> ResolvedConfig:
     """Validate the merged config dict and build the domain objects.
 
-    algorithm=fedavg forces k_personal to 0, and ablation=linear_base collapses
-    the base layers of the run's model (the echoed config keeps the layers as
-    given).  dataset.seed and partition.seed default to values derived from
-    master_seed so one seed governs the run.
+    Every key is checked against its kind in SCHEMA, whatever the other keys
+    say; the rules that span keys follow.  algorithm=fedavg forces k_personal
+    to 0, and ablation=linear_base collapses the base layers of the run's
+    model (the echoed config keeps the layers as given).  dataset.seed and
+    partition.seed default to values derived from master_seed so one seed
+    governs the run.
     """
     cfg = json.loads(json.dumps(cfg))
-    _require(cfg["algorithm"] in ALGORITHMS, f"algorithm must be one of {ALGORITHMS}")
-    _require(cfg["ablation"] in ABLATIONS, f"ablation must be one of {ABLATIONS}")
-    _require(isinstance(cfg["fine_tune"], bool), "fine_tune must be a boolean")
-    _int(cfg["rounds"], "rounds", 1)
-    _int(cfg["master_seed"], "master_seed", 0)
+    for key, (_, (kind, test)) in SCHEMA.items():
+        section, _, name = key.rpartition(".")
+        value = (cfg[section] if section else cfg)[name]
+        _require(test(value), f"{key} must be {kind}, got {value!r}")
+    model_cfg, sgd_cfg, ds_cfg, part_cfg, out_cfg = (
+        cfg[section] for section in ("model", "sgd", "dataset", "partition", "output")
+    )
 
-    model_cfg = cfg["model"]
-    layers = model_cfg["layers"]
-    _require(isinstance(layers, list), "model.layers must be a list of layer objects")
-    for i, layer in enumerate(layers):
-        _require(
-            isinstance(layer, dict) and sorted(layer) == list(LAYER_KEYS),
-            f"model.layers[{i}] must have exactly the keys {', '.join(LAYER_KEYS)}",
-        )
-        for key in ("in_dim", "out_dim"):
-            _int(layer[key], f"model.layers[{i}].{key}", 1)
-    k_personal = _int(model_cfg["k_personal"], "model.k_personal", 0)
-    model_cfg["k_personal"] = algorithm_k_personal(cfg["algorithm"], k_personal)
+    model_cfg["k_personal"] = algorithm_k_personal(cfg["algorithm"], model_cfg["k_personal"])
     spec = ModelSpec.from_json(model_cfg)
-
-    sgd_cfg = cfg["sgd"]
-    sgd = SgdConfig(
-        _num(sgd_cfg["eta"], "sgd.eta"),
-        _int(sgd_cfg["epochs"], "sgd.epochs", 1),
-        _int(sgd_cfg["batch_size"], "sgd.batch_size", 1),
-    )
-
-    ds_cfg = cfg["dataset"]
-    _require(ds_cfg["kind"] in DATASET_KINDS, f"dataset.kind must be one of {DATASET_KINDS}")
     if ds_cfg["kind"] == "csv":
-        _text(ds_cfg["path"], "dataset.path (required for kind=csv)")
+        _require(ds_cfg["path"] is not None, "dataset.path is required for dataset.kind csv")
     else:
+        _require(spec.in_dim == ds_cfg["dim"], f"model input dim {spec.in_dim} != dataset.dim {ds_cfg['dim']}")
         _require(
-            ds_cfg["cluster_permutation"] in CLUSTER_PERMUTATIONS,
-            f"dataset.cluster_permutation must be one of {CLUSTER_PERMUTATIONS}",
+            spec.out_dim == ds_cfg["num_classes"],
+            f"model output dim {spec.out_dim} != dataset.num_classes {ds_cfg['num_classes']}",
         )
-        for key in ("num_classes", "dim", "per_class", "clusters", "cluster_shift"):
-            _int(ds_cfg[key], f"dataset.{key}", 0 if key == "cluster_shift" else 1)
-        for key in ("sigma", "radius_step", "noise"):
-            _num(ds_cfg[key], f"dataset.{key}")
-    if ds_cfg["seed"] is None:
-        ds_cfg["seed"] = rngmod.derive_seed(cfg["master_seed"], rngmod.DATASET)
-    _int(ds_cfg["seed"], "dataset.seed", 0)
+    for section, purpose in ((ds_cfg, rngmod.DATASET), (part_cfg, rngmod.PARTITION)):
+        if section["seed"] is None:
+            section["seed"] = rngmod.derive_seed(cfg["master_seed"], purpose)
 
-    part_cfg = cfg["partition"]
-    _require(part_cfg["mode"] in PARTITION_MODES, f"partition.mode must be one of {PARTITION_MODES}")
-    if part_cfg["seed"] is None:
-        part_cfg["seed"] = rngmod.derive_seed(cfg["master_seed"], rngmod.PARTITION)
-    rater = part_cfg["rater_disagreement"]
-    _require(isinstance(rater, bool), f"partition.rater_disagreement must be a boolean, got {rater!r}")
-    vr = part_cfg["volume_range"]
-    _require(
-        isinstance(vr, list) and len(vr) == 2 and all(isinstance(v, int) and not isinstance(v, bool) for v in vr),
-        "partition.volume_range must be [min, max]",
-    )
-    partition_spec = PartitionSpec(
-        mode=part_cfg["mode"],
-        num_clients=_int(part_cfg["num_clients"], "partition.num_clients", 1),
-        k=_int(part_cfg["k"], "partition.k", 1),
-        volume_range=(vr[0], vr[1]),
-        train_fraction=_num(part_cfg["train_fraction"], "partition.train_fraction"),
-        seed=_int(part_cfg["seed"], "partition.seed", 0),
-        rater_disagreement=rater,
-    )
-
-    out_cfg = cfg["output"]
-    _require(out_cfg["format"] in ("csv", "json"), "output.format must be csv or json")
-    _int(out_cfg["checkpoint_every"], "output.checkpoint_every", 0)
-    # run_id names files inside the output directory, so it must not leave it
-    run_id = _text(out_cfg["run_id"], "output.run_id")
-    _require(
-        run_id not in (".", "..") and "/" not in run_id and "\\" not in run_id,
-        f"output.run_id must be a plain file name (no / or \\, not . or ..), got {run_id!r}",
-    )
+    run_id = out_cfg["run_id"]
     try:
         run_id_bytes = len(os.fsencode(run_id))
     except UnicodeEncodeError:
@@ -272,19 +247,12 @@ def resolve(cfg: dict) -> ResolvedConfig:
         run_id_bytes <= RUN_ID_MAX_BYTES,
         f"output.run_id must be at most {RUN_ID_MAX_BYTES} bytes in UTF-8, got {run_id_bytes}",
     )
-    if out_cfg["dir"] is not None:
-        _text(out_cfg["dir"], "output.dir")
 
-    if ds_cfg["kind"] != "csv":
-        _require(
-            spec.in_dim == ds_cfg["dim"],
-            f"model input dim {spec.in_dim} != dataset.dim {ds_cfg['dim']}",
-        )
-        _require(
-            spec.out_dim == ds_cfg["num_classes"],
-            f"model output dim {spec.out_dim} != dataset.num_classes {ds_cfg['num_classes']}",
-        )
-
+    sgd = SgdConfig(float(sgd_cfg["eta"]), sgd_cfg["epochs"], sgd_cfg["batch_size"])
+    partition_spec = PartitionSpec(
+        part_cfg["mode"], part_cfg["num_clients"], part_cfg["k"], tuple(part_cfg["volume_range"]),
+        float(part_cfg["train_fraction"]), part_cfg["seed"], part_cfg["rater_disagreement"],
+    )
     if cfg["ablation"] == "linear_base":
         spec = linearize_base(spec)
     run = RunConfig(spec, cfg["rounds"], sgd, cfg["fine_tune"], cfg["master_seed"], partition_spec)

@@ -41,6 +41,22 @@ def client_shards(
     ]
 
 
+def check_dataset(cfg: RunConfig, ds: LabeledDataset) -> None:
+    """Reject a run that cannot work on ds before any partitioning or
+    training.  The model must match the data; under k_class each client
+    needs k of the classes, and as every sample goes to exactly one client,
+    more clients than samples would leave one with none."""
+    if cfg.spec.in_dim != ds.X.shape[1]:
+        raise ConfigError(f"model input dim {cfg.spec.in_dim} != dataset feature dim {ds.X.shape[1]}")
+    if cfg.spec.out_dim != ds.num_classes:
+        raise ConfigError(f"model output dim {cfg.spec.out_dim} != dataset classes {ds.num_classes}")
+    spec = cfg.partition
+    if spec.mode == K_CLASS and spec.k > ds.num_classes:
+        raise ConfigError(f"k={spec.k} exceeds the number of classes {ds.num_classes}")
+    if spec.mode == K_CLASS and spec.num_clients > len(ds):
+        raise ConfigError(f"{spec.num_clients} k_class clients exceed the {len(ds)} samples; some would get none")
+
+
 def run_experiment(
     cfg: RunConfig,
     ds: LabeledDataset,
@@ -48,12 +64,7 @@ def run_experiment(
     checkpoint_every: int = 0,
 ) -> FederationResult:
     """Partition + split + run_federation, fully determined by cfg and ds."""
-    if cfg.spec.in_dim != ds.X.shape[1]:
-        raise ConfigError(f"model input dim {cfg.spec.in_dim} != dataset feature dim {ds.X.shape[1]}")
-    if cfg.spec.out_dim != ds.num_classes:
-        raise ConfigError(
-            f"model output dim {cfg.spec.out_dim} != dataset classes {ds.num_classes}"
-        )
+    check_dataset(cfg, ds)
     shards = client_shards(ds, cfg.partition)
     return run_federation(cfg, shards, checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every)
 
@@ -98,6 +109,8 @@ def run_sweep(
     if repeated:
         raise UsageError(f"sweep values must be distinct, got {repeated[0]!r} more than once")
     variants = [sweep_variant(cfg, axis, value) for value in values]
+    for variant in variants:
+        check_dataset(variant, ds)
     points = []
     for value, variant in zip(values, variants):
         result = run_experiment(variant, ds)

@@ -342,10 +342,11 @@ class LockstepPlan:
         # per bucket size: its weight block, that block's layers and trained
         # columns, and its gradient block and that block's layers
         views: dict[int, tuple] = {}
+        # no batch is larger than the largest set, whatever batch_size is
+        samples = np.arange(min(batch_size, max(sizes)))
         # per launch: its clients, the position of each one's batch in order
         # (a column), the offsets of a batch's samples, and the views of its
         # bucket size
-        samples = np.arange(batch_size)
         self.launches: list[tuple[np.ndarray, np.ndarray, np.ndarray, tuple]] = []
         for t in range(max(len(s) for s in steps)):
             buckets: dict[int, list[int]] = {}

@@ -1,12 +1,18 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import fedper.experiment
 from fedper.cli import main
-from fedper.config import apply_overrides, default_config, resolve
+from fedper.config import SCHEMA, SECTIONS, apply_overrides, build_dataset, default_config, resolve
 from fedper.data import synth_classification, save_csv
 from fedper.errors import ConfigError
+from fedper.experiment import client_shards
 from fedper.model import ModelSpec, linearize_base
 
 
@@ -111,10 +117,27 @@ class TestInputValidation:
             pytest.param("sgd.eta=1" + "0" * 5000, id="sgd.eta=int-past-the-digit-limit"),
             "output.dir=5",
             'output.dir=""',
+            "dataset.path=5",
+            "model=5",
+            "sgd=[]",
+            "output=null",
+            "dataset={}",
         ],
     )
     def test_mistyped_value_is_usage_error(self, setting, tmp_path):
         assert main(["run", *SMALL, "--set", setting, "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_section_in_config_file_must_be_an_object(self, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"sgd": []}))
+        assert main(["run", *SMALL, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_more_k_class_clients_than_samples_rejected_before_partitioning(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fedper.experiment, "partition", lambda *args: pytest.fail("partitioned"))
+        args = ["run", *SMALL, "--set", "partition.num_clients=1000000", "--out", str(tmp_path / "o")]
+        assert main(args) == 2
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("path", [None, 5, '""'])
@@ -195,6 +218,16 @@ class TestRunCommand:
             "--out", str(out_b),
         ]) == 0
         assert (out_a / "run_history.csv").read_bytes() == (out_b / "run_history.csv").read_bytes()
+
+    def test_batch_size_past_every_set_is_full_batch(self, tmp_path):
+        resolved = resolve(apply_overrides(default_config(), SMALL[1::2]))
+        largest = max(len(train) for train, _ in client_shards(build_dataset(resolved.dataset), resolved.run.partition))
+        histories = []
+        for batch_size in (largest, 10**20):
+            out = tmp_path / str(batch_size)
+            assert main(["run", *SMALL, "--set", f"sgd.batch_size={batch_size}", "--out", str(out)]) == 0
+            histories.append((out / "run_history.csv").read_bytes())
+        assert histories[0] == histories[1]
 
     def test_rerun_from_echoed_config_reproduces_bitwise(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -353,3 +386,36 @@ class TestPartitionCommand:
         manifest = json.loads(out.read_text())
         flat = sorted(i for c in manifest["clients"] for i in c["indices"])
         assert flat == list(range(4 * 20))
+
+
+# Values of every JSON type and edge case, and texts that do not parse as
+# JSON; --set parses each as JSON where it can, as a plain string otherwise.
+HUGE = "1" + "0" * 30
+FUZZ_VALUES = [
+    "true", "false", "null", "1.5", "-1", "0", "NaN", "Infinity", "-Infinity", "1e308", HUGE,
+    '""', "x" * 300, "../x", "a/b", "{}", "[]", "[1]", "[1,2,3]",
+]
+# These keys size the run's work (rounds, steps, samples, label groups), so
+# 10**30 of them is a valid run that would not finish rather than an input
+# error; every other key draws every value.
+WORK_SIZED = ("rounds", "sgd.epochs", "dataset.per_class", "dataset.clusters")
+FUZZ_OVERRIDES = [
+    f"{key}={value}"
+    for key in [*SCHEMA, *sorted(SECTIONS)]
+    for value in FUZZ_VALUES
+    if not (key in WORK_SIZED and value == HUGE)
+]
+
+
+class TestConfigFuzz:
+    @settings(
+        max_examples=200, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(overrides=st.lists(st.sampled_from(FUZZ_OVERRIDES), min_size=1, max_size=3))
+    def test_any_overrides_end_in_an_exit_code(self, overrides, tmp_path):
+        out = Path(tempfile.mkdtemp(dir=tmp_path)) / "o"
+        sets = [arg for setting in overrides for arg in ("--set", setting)]
+        code = main(["run", *SMALL, "--set", "rounds=1", *sets, "--out", str(out)])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert not out.exists()

@@ -118,5 +118,7 @@ class TestSweep:
     def test_bad_late_value_rejected_before_training(self, monkeypatch):
         cfg, ds = base_setup()
         monkeypatch.setattr(fedper.experiment, "run_experiment", mock.Mock(side_effect=AssertionError("trained")))
-        with pytest.raises(ConfigError):
-            run_sweep(cfg, ds, "kp", [0, len(cfg.spec.layers)])  # no base layer left
+        # kp: no base layer left; k: more classes per client than the dataset has
+        for axis, values in (("kp", [0, len(cfg.spec.layers)]), ("k", [2, ds.num_classes + 1])):
+            with pytest.raises(ConfigError):
+                run_sweep(cfg, ds, axis, values)
