@@ -1,6 +1,6 @@
 """File output: atomic writes, and weight checkpoint IO as a JSON manifest
-(layer shapes + split index) next to a flat little-endian float64 blob,
-weights then bias per layer in order."""
+(layer shapes, split index, client count if stacked) next to a flat
+little-endian float64 blob, weights then bias (stacks) per layer in order."""
 
 from __future__ import annotations
 
@@ -33,20 +33,29 @@ def atomic_write(path: Path, data: str | bytes) -> None:
         raise
 
 
-def save_weights(prefix: str | Path, weights: Layers, split_index: int) -> tuple[Path, Path]:
+def save_weights(
+    prefix: str | Path, weights: Layers, split_index: int, clients: int | None = None
+) -> tuple[Path, Path]:
     """Write <prefix>.json and <prefix>.bin; returns the two paths.
 
     split_index is the number of base layers among the layers stored here
-    (len(weights) for a base-only file, 0 for a personal-only file).
+    (len(weights) for a base-only file, 0 for a personal-only file).  With
+    clients=N, weights are (N, out, in)/(N, out) stacks, row j client j's,
+    and the manifest records N, which a stack of no layers could not show.
     """
     prefix = Path(prefix)
     if not 0 <= split_index <= len(weights):
         raise ShapeError(f"split index {split_index} out of range for {len(weights)} layers")
+    lead = 0 if clients is None else 1
+    if any(w.ndim != 2 + lead or b.ndim != 1 + lead or lead and {len(w), len(b)} != {clients} for w, b in weights):
+        raise ShapeError(f"weights do not match clients={clients}")
     manifest = {
         "dtype": "<f8",
-        "layer_shapes": [[int(w.shape[0]), int(w.shape[1])] for w, _ in weights],
+        "layer_shapes": [[int(w.shape[lead]), int(w.shape[lead + 1])] for w, _ in weights],
         "split_index": int(split_index),
     }
+    if clients is not None:
+        manifest["clients"] = int(clients)
     manifest_path = Path(str(prefix) + MANIFEST_SUFFIX)
     blob_path = Path(str(prefix) + BLOB_SUFFIX)
     atomic_write(manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
@@ -54,42 +63,48 @@ def save_weights(prefix: str | Path, weights: Layers, split_index: int) -> tuple
     return manifest_path, blob_path
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+def _is_int(value, least: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 def load_weights(prefix: str | Path) -> tuple[Layers, int]:
-    """Inverse of save_weights; round-trips bit-exactly."""
+    """Inverse of save_weights; round-trips bit-exactly.  A stacked file's
+    layers come back as stacks with the leading client axis.  A file pair
+    save_weights would not write raises ParseError naming the file."""
     prefix = Path(prefix)
     manifest_path = Path(str(prefix) + MANIFEST_SUFFIX)
     blob_path = Path(str(prefix) + BLOB_SUFFIX)
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
+        manifest = json.loads(manifest_path.read_bytes().decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ParseError(f"{manifest_path}: invalid manifest: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("dtype") != "<f8":
         raise ParseError(f"{manifest_path}: manifest must be an object with dtype '<f8'")
     shapes = manifest.get("layer_shapes")
     split_index = manifest.get("split_index")
+    n = manifest.get("clients", 1)
     if not (
         isinstance(shapes, list)
-        and all(isinstance(s, list) and len(s) == 2 and all(map(_is_count, s)) for s in shapes)
-        and _is_count(split_index)
+        and all(isinstance(s, list) and len(s) == 2 and all(_is_int(d, 1) for d in s) for s in shapes)
+        and _is_int(split_index, 0) and split_index <= len(shapes)
+        and _is_int(n, 1)
     ):
         raise ParseError(
-            f"{manifest_path}: manifest needs integer layer_shapes [[out, in], ...] and split_index"
+            f"{manifest_path}: manifest needs layer_shapes [[out, in], ...] of ints >= 1, "
+            "an int split_index of at most their count and, if given, an int clients >= 1"
         )
 
-    raw = np.frombuffer(blob_path.read_bytes(), dtype="<f8")
-    expected = sum(o * i + o for o, i in shapes)
-    if raw.size != expected:
-        raise ParseError(f"{blob_path}: blob holds {raw.size} floats, manifest implies {expected}")
-    layers = []
-    pos = 0
+    data = blob_path.read_bytes()
+    expected = 8 * n * sum(o * i + o for o, i in shapes)
+    if len(data) != expected:
+        raise ParseError(f"{blob_path}: blob holds {len(data)} bytes, manifest implies {expected}")
+    raw = np.frombuffer(data, dtype="<f8")
+    lead = (n,) if "clients" in manifest else ()
+    layers, pos = [], 0
     for out_dim, in_dim in shapes:
-        w = raw[pos : pos + out_dim * in_dim].reshape(out_dim, in_dim).copy()
-        pos += out_dim * in_dim
-        b = raw[pos : pos + out_dim].copy()
-        pos += out_dim
+        w = raw[pos : pos + n * out_dim * in_dim].reshape(*lead, out_dim, in_dim).copy()
+        pos += n * out_dim * in_dim
+        b = raw[pos : pos + n * out_dim].reshape(*lead, out_dim).copy()
+        pos += n * out_dim
         layers.append((w, b))
     return layers, split_index

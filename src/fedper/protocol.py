@@ -397,14 +397,6 @@ class EvalLayout:
         return results
 
 
-def _evaluate_all(
-    spec: ModelSpec, base: Layers, personal: Layers, sets: Sequence[LabeledDataset]
-) -> list[EvalResult]:
-    """evaluate(spec, base, row j of personal, sets[j]) for every j, through
-    a layout of its own."""
-    return EvalLayout(sets).score(spec, base, personal)
-
-
 def _check_finite(layers: Layers, round_idx: int) -> None:
     """Raise SimulationError naming the first client whose row of the weight
     stacks holds a NaN or an infinity."""
@@ -421,7 +413,7 @@ def _check_finite(layers: Layers, round_idx: int) -> None:
 def write_checkpoint(
     directory: Path, tag: str, server: ServerState, clients: Sequence[ClientState]
 ) -> None:
-    """Server base plus every client's personal set, in the checkpoint format."""
+    """The server base, and every client's personal layers as one stacked
+    file (clients in client-id order), in the checkpoint format."""
     save_weights(directory / f"{tag}_server_base", server.base, split_index=len(server.base))
-    for c in clients:
-        save_weights(directory / f"{tag}_client{c.client_id}_personal", c.personal, split_index=0)
+    save_weights(directory / f"{tag}_personal", stack_weights([c.personal for c in clients]), 0, len(clients))

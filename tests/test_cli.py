@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import fedper.experiment
@@ -390,10 +390,13 @@ class TestPartitionCommand:
 
 # Values of every JSON type and edge case, and texts that do not parse as
 # JSON; --set parses each as JSON where it can, as a plain string otherwise.
+# 1 turns on output.checkpoint_every=1, so fuzzed runs write checkpoints.
 HUGE = "1" + "0" * 30
 FUZZ_VALUES = [
     "true", "false", "null", "1.5", "-1", "0", "NaN", "Infinity", "-Infinity", "1e308", HUGE,
-    '""', "x" * 300, "../x", "a/b", "{}", "[]", "[1]", "[1,2,3]",
+    '""', "x" * 300, "../x", "a/b", "{}", "[]", "[1]", "[1,2,3]", "1",
+    # the enum values no default takes, so the fuzzer reaches the other modes
+    "fedavg", "linear_base", "shells", "unbalanced_users", "json",
 ]
 # These keys size the run's work (rounds, steps, samples, label groups), so
 # 10**30 of them is a valid run that would not finish rather than an input
@@ -412,6 +415,10 @@ class TestConfigFuzz:
         max_examples=200, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
     @given(overrides=st.lists(st.sampled_from(FUZZ_OVERRIDES), min_size=1, max_size=3))
+    # a random draw seldom holds one given override; these always run
+    @example(overrides=["output.checkpoint_every=1", "algorithm=fedavg", "output.format=json"])
+    @example(overrides=["dataset.kind=shells", "ablation=linear_base", "output.checkpoint_every=1"])
+    @example(overrides=["partition.mode=unbalanced_users"])
     def test_any_overrides_end_in_an_exit_code(self, overrides, tmp_path):
         out = Path(tempfile.mkdtemp(dir=tmp_path)) / "o"
         sets = [arg for setting in overrides for arg in ("--set", setting)]

@@ -10,6 +10,7 @@ import fedper.metrics
 import fedper.nn
 import fedper.protocol
 import fedper.rng as rngmod
+from fedper.checkpoint import load_weights
 from fedper.config import build_dataset, default_config, resolve
 from fedper.data import LabeledDataset, PartitionSpec
 from fedper.errors import ConfigError, ProtocolError, ShapeError, SimulationError, UsageError
@@ -39,6 +40,7 @@ from fedper.protocol import (
     make_client,
     run_federation,
     server_init,
+    write_checkpoint,
 )
 from helpers import rand_batch, rand_weights
 
@@ -386,8 +388,25 @@ class TestRunFederation:
         run_federation(cfg, data, checkpoint_dir=tmp_path, checkpoint_every=2)
         names = {p.name for p in tmp_path.iterdir()}
         assert "round0002_server_base.json" in names
-        assert "round0004_client1_personal.bin" in names
+        assert "round0004_personal.bin" in names
+        assert not any("client" in n for n in names)
         assert not any(n.startswith("round0001") or n.startswith("round0003") for n in names)
+
+    def test_checkpoint_stacks_every_clients_personal_layers(self, tmp_path):
+        spec = toy_spec()
+        cfg = toy_cfg(spec, num_clients=3, rounds=2)
+        data = toy_client_data(spec, 3, np.random.default_rng(15))
+        result = run_federation(cfg, data, checkpoint_dir=tmp_path, checkpoint_every=1)
+        write_checkpoint(tmp_path, "final", result.server, result.clients)
+        tags = Counter(p.name.split("_")[0] for p in tmp_path.iterdir())
+        assert tags == {"round0001": 4, "round0002": 4, "final": 4}
+        for tag in ("round0002", "final"):
+            base, split_index = load_weights(tmp_path / f"{tag}_server_base")
+            assert split_index == spec.k_base and weights_equal(base, result.server.base)
+            stacks, split_index = load_weights(tmp_path / f"{tag}_personal")
+            assert split_index == 0 and [w.shape[0] for w, _ in stacks] == [3] * spec.k_personal
+            for client in result.clients:
+                assert weights_equal(fedper.nn.unstack_weights(stacks, client.client_id), client.personal)
 
 
 class TestFedAvgEquivalence:
@@ -535,7 +554,7 @@ class TestStackedEvaluation:
         # max_rows below a set's length scores its sets one by one; above,
         # it splits a group of equal-length sets into several
         with mock.patch.object(fedper.protocol, "EVAL_ROWS", max_rows):
-            stacked = fedper.protocol._evaluate_all(spec, base, fedper.nn.stack_weights(personal), sets)
+            stacked = fedper.protocol.EvalLayout(sets).score(spec, base, fedper.nn.stack_weights(personal))
         alone = [evaluate(spec, base, p, d) for p, d in zip(personal, sets)]
         assert repr(stacked) == repr(alone)  # repr tells -0.0 from 0.0
 
