@@ -170,16 +170,19 @@ def partition_k_class_indices(ds: LabeledDataset, spec: PartitionSpec) -> list[n
         raise ConfigError(f"k={spec.k} exceeds the number of classes {ds.num_classes}")
 
     assignment = client_classes(spec, ds.num_classes)
-    eligible: list[list[int]] = [[] for _ in range(ds.num_classes)]
-    for j, classes in enumerate(assignment):
-        for c in classes:
-            eligible[c].append(j)
-    for c, owners in enumerate(eligible):
-        if not owners:
+    covered = set().union(*assignment)
+    # stops at the first uncovered class, so it never walks more than the
+    # N * k assigned ones, however many classes the labels imply
+    for c in range(ds.num_classes):
+        if c not in covered:
             raise ConfigError(
                 f"class {c} has no eligible client under N={spec.num_clients}, k={spec.k}; "
                 "increase k or num_clients"
             )
+    eligible: list[list[int]] = [[] for _ in range(ds.num_classes)]
+    for j, classes in enumerate(assignment):
+        for c in classes:
+            eligible[c].append(j)
 
     gen = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(rngmod.PARTITION,)))
     # every client owns k >= 1 classes, so none ends up with no shares
@@ -298,6 +301,8 @@ def load_csv(path: str | Path) -> LabeledDataset:
             raise ParseError(f"{path}: line {lineno}: non-integer label {label_text!r}") from exc
         if y < 0:
             raise ParseError(f"{path}: line {lineno}: negative label {y}")
+        if y > np.iinfo(np.intp).max:
+            raise ParseError(f"{path}: line {lineno}: label {y} is too large (at most {np.iinfo(np.intp).max})")
         labels.append(y)
     if not rows:
         raise ParseError(f"{path}: no data rows")

@@ -11,10 +11,10 @@ stacked layer by layer into (N, out, in) and (N, out) arrays.
 The engine is planned once per run, because a client's training set never
 changes: a RowBlock holds every client's training rows (features, labels and
 one-hot labels) end to end, and a LockstepPlan fixes which clients share
-each stacked launch, where each launch's rows come from, and the weight and
-gradient blocks.  A training pass (LockstepPlan.run) only draws each
-client's permutations and runs the launches.  sgd is the same engine with a
-single client.
+each stacked launch and where each launch's rows come from.  It trains the
+clients' weights, one (N, P) block (weight_block), in place: a pass
+(LockstepPlan.run) only draws each client's permutations and runs the
+launches.  sgd is the same engine with a single client.
 """
 
 from __future__ import annotations
@@ -148,6 +148,19 @@ def stack_weights(sets: Sequence[Layers]) -> Layers:
 def unstack_weights(layers: Layers, j: int) -> Layers:
     """Row j of layer stacks, as views."""
     return [(w[j], b[j]) for w, b in layers]
+
+
+def weight_block(spec: "ModelSpec", sets: Sequence[Layers]) -> tuple[np.ndarray, Layers]:
+    """An (N, P) block whose row j holds a copy of sets[j], a weight list of
+    the spec's layers, and its layer stacks: per layer an (N, out, in) weight
+    and an (N, out) bias view of the block."""
+    block = np.empty((len(sets), sum(s.out_dim * (s.in_dim + 1) for s in spec.layers)))
+    layers = _flat_views(spec, block)
+    for j, ws in enumerate(sets):
+        for (w, b), (lw, lb) in zip(layers, ws):
+            w[j] = lw
+            b[j] = lb
+    return block, layers
 
 
 def _flat_views(spec: "ModelSpec", block: np.ndarray, first: int = 0) -> Layers:
@@ -289,13 +302,13 @@ class LockstepPlan:
     """Mini-batch SGD for N clients at once on stacked weights, planned once
     for clients whose training sets never change.
 
-    Client j trains on its rows of the block, rows.starts[j] onwards, n_j =
-    sizes[j] of them.  It walks exactly the batches it would walk alone: per
-    epoch a fresh permutation from its own generator, cut into batch_size
-    slices with the last one partial, each step moving its weights by -eta *
-    gradient.  Layers before first_trained are frozen: they take part in the
-    forward pass, but no gradient is computed for them and they are never
-    updated.
+    Client j trains on its rows of the row block, rows.starts[j] onwards,
+    n_j = sizes[j] of them.  It walks exactly the batches it would walk
+    alone: per epoch a fresh permutation from its own generator, cut into
+    batch_size slices with the last one partial, each step moving its
+    weights by -eta * gradient.  Layers before first_trained are frozen:
+    they take part in the forward pass, but no gradient is computed for them
+    and they are never updated.
 
     At step t every client that still has batches takes its t-th one.
     Clients whose batches have the same size form a bucket, which runs one
@@ -314,17 +327,18 @@ class LockstepPlan:
     permutations end to end.  A pass (run) only draws the permutations into
     that array and runs the launches.
 
-    For a pass, the weights live in one (N, P) block, row j holding client
-    j's layers end to end (see _flat_views).  A launch of every client works
-    on it in place; any other gathers its rows into a spare block and
-    scatters them back.  Gradients fill the trained columns of a second
-    block, so an update is two whole-block operations.
+    The weights are the given (N, P) block, laid out as weight_block lays
+    it out, row j holding client j's layers; every pass trains it in place.
+    A launch of every client works on it directly; any other gathers its
+    rows into a spare block and scatters them back.  Gradients fill the trained columns of a
+    second block, so an update is two whole-block operations.
     """
 
     def __init__(
-        self, spec: "ModelSpec", rows: RowBlock, epochs: int, batch_size: int, first_trained: int = 0
+        self, spec: "ModelSpec", rows: RowBlock, block: np.ndarray,
+        epochs: int, batch_size: int, first_trained: int = 0,
     ) -> None:
-        self.spec, self.rows, self.epochs, self.first_trained = spec, rows, epochs, first_trained
+        self.spec, self.rows, self.block, self.epochs = spec, rows, block, epochs
         sizes = rows.sizes
         # client j's permutations fill order[offsets[j] : offsets[j] + epochs * sizes[j]]
         self.offsets = np.cumsum([0] + [epochs * n for n in sizes[:-1]]).tolist()
@@ -334,11 +348,8 @@ class LockstepPlan:
             [(min(batch_size, n - i), off + e * n + i) for e in range(epochs) for i in range(0, n, batch_size)]
             for n, off in zip(sizes, self.offsets)
         ]
-        n_params = sum(s.out_dim * (s.in_dim + 1) for s in spec.layers)
         frozen = sum(s.out_dim * (s.in_dim + 1) for s in spec.layers[:first_trained])
-        self.flat = np.empty((len(sizes), n_params))
-        self.weights = _flat_views(spec, self.flat)
-        spare, grad = np.empty_like(self.flat), np.empty((len(sizes), n_params - frozen))
+        spare, grad = np.empty_like(block), np.empty((len(sizes), block.shape[1] - frozen))
         # per bucket size: its weight block, that block's layers and trained
         # columns, and its gradient block and that block's layers
         views: dict[int, tuple] = {}
@@ -356,8 +367,8 @@ class LockstepPlan:
             for size, clients in buckets.items():
                 n = len(clients)
                 if n not in views:
-                    block = self.flat if n == len(sizes) else spare[:n]
-                    views[n] = (block, _flat_views(spec, block), block[:, frozen:], grad[:n],
+                    sub = block if n == len(sizes) else spare[:n]
+                    views[n] = (sub, _flat_views(spec, sub), sub[:, frozen:], grad[:n],
                                 _flat_views(spec, grad[:n], first_trained))
                 bases = np.array([steps[j][t][1] for j in clients])[:, None]
                 self.launches.append((np.array(clients), bases, samples[:size], views[n]))
@@ -374,28 +385,21 @@ class LockstepPlan:
         for launch in self.launches:
             yield launch, order.take(launch[1] + launch[2])
 
-    def run(self, layers: Layers, rngs: Sequence[np.random.Generator], eta: float) -> None:
-        """One training pass, updating the stacked weights in place: layers
-        holds one (W (N, out, in), b (N, out)) stack per model layer, row j
-        being client j's copy, and rngs[j] is client j's generator."""
-        spec, flat, x, onehot = self.spec, self.flat, self.rows.x, self.rows.onehot
-        for (w, b), (fw, fb) in zip(layers, self.weights):
-            fw[...] = w
-            fb[...] = b
-        for (clients, _, _, (block, ws, trained, g, gs)), rows in self.batches(rngs):
-            if block is not flat:
+    def run(self, rngs: Sequence[np.random.Generator], eta: float) -> None:
+        """One training pass of the block, in place; rngs[j] is client j's
+        generator."""
+        spec, block, x, onehot = self.spec, self.block, self.rows.x, self.rows.onehot
+        for (clients, _, _, (sub, ws, trained, g, gs)), rows in self.batches(rngs):
+            if sub is not block:
                 # clients are in range; "clip" skips the checked mode's buffered copy
-                np.take(flat, clients, axis=0, out=block, mode="clip")
+                np.take(block, clients, axis=0, out=sub, mode="clip")
             # take gathers faster than fancy indexing; the activations are
             # freed before the next launch allocates its own
             _backprop(spec, ws, _forward(spec, ws, x.take(rows, axis=0)), onehot.take(rows, axis=0), gs)
             g *= eta
             trained -= g
-            if block is not flat:
-                flat[clients] = block
-        for (w, b), (fw, fb) in zip(layers[self.first_trained :], self.weights[self.first_trained :]):
-            w[...] = fw
-            b[...] = fb
+            if sub is not block:
+                block[clients] = sub
 
 
 def sgd(
@@ -416,8 +420,8 @@ def sgd(
         raise UsageError("sgd requires a non-empty dataset")
     _check_model_weights(spec, base, personal)
     check_data(spec, dataset)
-    layers = stack_weights([base + personal])
+    block, layers = weight_block(spec, [base + personal])
     rows = RowBlock.of([dataset], onehot_width=spec.out_dim)
-    LockstepPlan(spec, rows, cfg.epochs, cfg.batch_size).run(layers, [rng], cfg.eta)
+    LockstepPlan(spec, rows, block, cfg.epochs, cfg.batch_size).run([rng], cfg.eta)
     kb = spec.k_base
     return unstack_weights(layers[:kb], 0), unstack_weights(layers[kb:], 0)

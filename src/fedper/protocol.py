@@ -2,14 +2,15 @@
 sample-weighted aggregation, and the optional personal-layer fine-tuning pass.
 
 Every round trains all clients together on the lock-step engine
-(fedper.nn.LockstepPlan), with their weights stacked row by row.  What
-depends only on the clients' data is built once per run: the evaluation
-layouts (EvalLayout), which stack the test sets once and lay the training
-sets out group by group in the one block of training rows; the plan of the
-SGD pass on that block and, with fine-tuning on, that of the fine-tune pass.
-So the training sets are scored from views of the rows the training passes
-gather from.  A round only broadcasts the base, runs the passes, aggregates
-and scores.
+(fedper.nn.LockstepPlan).  The clients' weights are one block for the whole
+run (fedper.nn.weight_block): row j holds the round's base, then client j's
+personal layers, and ClientState.personal is a view of it.  What depends
+only on the clients' data is built once per run: the evaluation layouts
+(EvalLayout), which stack the test sets once and lay the training sets out
+group by group in the one block of training rows; the plans of the SGD
+pass and, with fine-tuning on, the fine-tune pass on those rows and that
+weight block.  A round only broadcasts the base into the block, runs the
+passes, aggregates and scores.
 
 Communication is in-process.  Every exchange is appended to the server's
 message log as (sender, receiver, payload kind), which makes the privacy
@@ -29,18 +30,21 @@ from . import rng as rngmod
 from .errors import ConfigError, ProtocolError, SimulationError, UsageError
 from .checkpoint import save_weights
 from .data import LabeledDataset, PartitionSpec
-from .metrics import ClientMetrics, EvalResult, evaluate, scores
+from .metrics import ClientMetrics, EvalResult, scores
+from .metrics import evaluate  # unused here; the benchmark traces fedper.protocol.evaluate
 from .model import ModelSpec
 from .nn import (
     Layers,
     LockstepPlan,
     RowBlock,
     SgdConfig,
+    _check_model_weights,
     check_data,
     init_weights,
     sgd,
     stack_weights,
     unstack_weights,
+    weight_block,
     weights_checksum,
 )
 
@@ -195,9 +199,9 @@ def _streams(
     return [_client_stream(cfg, c.client_id, round_idx, purpose) for c in clients]
 
 
-def _fine_tune_plan(cfg: RunConfig, rows: RowBlock) -> LockstepPlan:
-    """One epoch of SGD on the personal layers, base frozen."""
-    return LockstepPlan(cfg.spec, rows, 1, cfg.sgd.batch_size, first_trained=cfg.spec.k_base)
+def _fine_tune_plan(cfg: RunConfig, rows: RowBlock, block: np.ndarray) -> LockstepPlan:
+    """One epoch of SGD on the personal layers of block, base frozen."""
+    return LockstepPlan(cfg.spec, rows, block, 1, cfg.sgd.batch_size, first_trained=cfg.spec.k_base)
 
 
 def fine_tune(client: ClientState, cfg: RunConfig, base_in: Layers, round_idx: int) -> ClientState:
@@ -209,9 +213,10 @@ def fine_tune(client: ClientState, cfg: RunConfig, base_in: Layers, round_idx: i
     if cfg.spec.k_personal < 1:
         raise UsageError("fine_tune requires at least one personalization layer")
     _check_base(client, cfg.spec, base_in)
-    layers = stack_weights([base_in + client.personal])
+    _check_model_weights(cfg.spec, base_in, client.personal)
+    block, layers = weight_block(cfg.spec, [base_in + client.personal])
     rows = RowBlock.of([client.train], onehot_width=cfg.spec.out_dim)
-    _fine_tune_plan(cfg, rows).run(layers, _streams(cfg, [client], round_idx, rngmod.FINE_TUNE), cfg.sgd.eta)
+    _fine_tune_plan(cfg, rows, block).run(_streams(cfg, [client], round_idx, rngmod.FINE_TUNE), cfg.sgd.eta)
     return replace(client, personal=unstack_weights(layers[cfg.spec.k_base :], 0))
 
 
@@ -268,20 +273,17 @@ def run_federation(
     clients = [make_client(cfg, j, train, test) for j, (train, test) in enumerate(client_data)]
     server = server_init(cfg, [len(c.train) for c in clients])
     spec = cfg.spec
-    # the one copy of the personal weights: each client's are views of its
-    # row, and the training passes update the stacks in place
-    personal = stack_weights([c.personal for c in clients])
+    # the one copy of the clients' weights: row j is the round's broadcast
+    # base, then client j's personal layers, which are views of that row
+    block, layers = weight_block(spec, [server.base + c.personal for c in clients])
     for c in clients:
-        c.personal = unstack_weights(personal, c.client_id)
-    # row j of every stack is client j's copy: the round's broadcast base,
-    # then its own personal layers
-    layers = stack_weights([server.base] * len(clients)) + personal
+        c.personal = unstack_weights(layers[spec.k_base :], c.client_id)
 
     # training and the scoring of the training sets read one block of rows
     scoring = (EvalLayout([c.test for c in clients]), EvalLayout([c.train for c in clients], spec.out_dim))
     rows = scoring[1].rows
-    sgd_plan = LockstepPlan(spec, rows, cfg.sgd.epochs, cfg.sgd.batch_size)
-    fine_tune_plan = _fine_tune_plan(cfg, rows) if cfg.fine_tune and spec.k_personal >= 1 else None
+    sgd_plan = LockstepPlan(spec, rows, block, cfg.sgd.epochs, cfg.sgd.batch_size)
+    fine_tune_plan = _fine_tune_plan(cfg, rows, block) if cfg.fine_tune and spec.k_personal >= 1 else None
 
     records = []
     for round_idx in range(1, cfg.rounds + 1):
@@ -313,8 +315,8 @@ def _train_round(
 ) -> RoundRecord:
     """One round: broadcast, local training, aggregation into server.base,
     and every client's metrics (scoring holds the test and the training
-    sets' layouts).  layers, the clients' stacked weights, is updated in
-    place."""
+    sets' layouts).  layers, the layer stacks of the plans' weight block, is
+    updated in place."""
     n = len(clients)
     kb = cfg.spec.k_base
     for j in range(n):
@@ -323,9 +325,9 @@ def _train_round(
         w[...] = bw
         b[...] = bb
     if fine_tune_plan is not None:
-        fine_tune_plan.run(layers, _streams(cfg, clients, round_idx, rngmod.FINE_TUNE), cfg.sgd.eta)
-    sgd_plan.run(layers, _streams(cfg, clients, round_idx, rngmod.SGD), cfg.sgd.eta)
-    _check_finite(layers, round_idx)
+        fine_tune_plan.run(_streams(cfg, clients, round_idx, rngmod.FINE_TUNE), cfg.sgd.eta)
+    sgd_plan.run(_streams(cfg, clients, round_idx, rngmod.SGD), cfg.sgd.eta)
+    _check_finite(sgd_plan.block, round_idx)
 
     for j in range(n):
         server.log(client_name(j), SERVER, MSG_BASE_WEIGHTS)
@@ -361,34 +363,24 @@ def _eval_groups(lengths: Sequence[int]) -> list[list[int]]:
 
 class EvalLayout:
     """How a run's sets are scored, fixed once per run.  The sets of each
-    group of _eval_groups with more than one set are consecutive rows of one
-    block, rows, and are scored through (g, n, in_dim) feature and (g, n)
-    label views of it; a set alone in its group goes to evaluate.  With an
-    onehot_width, rows holds every set, with one-hot labels: it is then also
-    the block the lock-step training passes read."""
+    group of _eval_groups are consecutive rows of one block, rows, and are
+    scored through (g, n, in_dim) feature and (g, n) label views of it.
+    With an onehot_width, rows has one-hot labels: it is then also the block
+    the lock-step training passes read."""
 
     def __init__(self, sets: Sequence[LabeledDataset], onehot_width: int = 0) -> None:
-        self.sets = sets
         groups = _eval_groups([len(d) for d in sets])
-        self.alone = [g[0] for g in groups if len(g) == 1]
-        stacked = [g for g in groups if len(g) > 1]
-        order = [j for g in (groups if onehot_width else stacked) for j in g]
-        self.rows = RowBlock.of(sets, order, onehot_width) if order else None
+        self.rows = RowBlock.of(sets, [j for g in groups for j in g], onehot_width)
         self.groups = []
-        for group in stacked:
-            start = self.rows.starts[group[0]]
-            shape = (len(group), len(sets[group[0]]))
-            end = start + shape[0] * shape[1]
-            self.groups.append(
-                (np.array(group), self.rows.x[start:end].reshape(*shape, -1), self.rows.y[start:end].reshape(shape))
-            )
+        for group in groups:
+            start, shape = self.rows.starts[group[0]], (len(group), len(sets[group[0]]))
+            span = slice(start, start + shape[0] * shape[1])
+            self.groups.append((np.array(group), self.rows.x[span].reshape(*shape, -1), self.rows.y[span].reshape(shape)))
 
     def score(self, spec: ModelSpec, base: Layers, personal: Layers) -> list[EvalResult]:
-        """evaluate(spec, base, row j of personal, sets[j]) for every j.  A
+        """evaluate(spec, base, row j of personal, set j) for every set j.  A
         group is scored in one stacked forward pass, the base broadcast."""
-        results: list[EvalResult | None] = [None] * len(self.sets)
-        for j in self.alone:
-            results[j] = evaluate(spec, base, unstack_weights(personal, j), self.sets[j])
+        results: list[EvalResult | None] = [None] * len(self.rows.sizes)
         broadcast = [(w[None], b[None]) for w, b in base]
         for group, x, y in self.groups:
             layers = broadcast + [(w.take(group, axis=0), b.take(group, axis=0)) for w, b in personal]
@@ -397,12 +389,10 @@ class EvalLayout:
         return results
 
 
-def _check_finite(layers: Layers, round_idx: int) -> None:
+def _check_finite(block: np.ndarray, round_idx: int) -> None:
     """Raise SimulationError naming the first client whose row of the weight
-    stacks holds a NaN or an infinity."""
-    finite = np.ones(len(layers[0][0]), dtype=bool)
-    for w, b in layers:
-        finite &= np.isfinite(w).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
+    block holds a NaN or an infinity."""
+    finite = np.isfinite(block).all(axis=1)
     if not finite.all():
         raise SimulationError(
             f"client {int(np.argmin(finite))} has non-finite weights after round {round_idx}; "

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,20 @@ class TestKClassPartition:
         with pytest.raises(ConfigError, match="no eligible client"):
             partition(ds, spec)
 
+    def test_uncovered_class_found_without_per_class_work(self):
+        # one huge label makes 2,000,001 classes, of which N * k = 20 are assigned
+        y = [0, 1, 2, 3, 2_000_000]
+        ds = LabeledDataset(np.zeros((5, 8)), y, max(y) + 1)
+        spec = PartitionSpec(mode="k_class", num_clients=10, k=2, seed=0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="class 2 has no eligible client"):
+                partition_k_class_indices(ds, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_k_larger_than_c_rejected(self):
         ds = synth_classification(2, 2, 5, seed=0)
         with pytest.raises(ConfigError, match="exceeds"):
@@ -265,6 +280,12 @@ class TestCsv:
         path = tmp_path / "d.csv"
         path.write_text("f0,label\n1.0,1.5\n")
         with pytest.raises(ParseError, match="non-integer label"):
+            load_csv(path)
+
+    def test_label_too_large_for_an_integer_array(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("f0,f1,label\n1.0,2.0,0\n3.0,4.0,1000000000000000000000000000000\n")
+        with pytest.raises(ParseError, match="d.csv: line 3: label 1000000000000000000000000000000 is too large"):
             load_csv(path)
 
     def test_empty_data_section(self, tmp_path):

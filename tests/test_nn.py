@@ -18,6 +18,8 @@ from fedper.nn import (
     loss_and_grad,
     minibatch_indices,
     sgd,
+    weight_block,
+    weights_blob,
     weights_equal,
 )
 from helpers import assert_grad_close, fd_gradients, rand_batch, rand_spec, rand_weights, ref_loss
@@ -240,7 +242,9 @@ class TestLockstepPlan:
         # feature value 1000 j + i marks row i of client j
         sets = [LabeledDataset(1000.0 * j + np.arange(n)[:, None], np.zeros(n, dtype=int), 2) for j, n in enumerate(sizes)]
         rows = RowBlock.of(sets, order, onehot_width=2)
-        plan = LockstepPlan(ModelSpec((LayerSpec(1, 2, "identity"),), 0), rows, epochs, batch_size)
+        spec = ModelSpec((LayerSpec(1, 2, "identity"),), 0)
+        block, _ = weight_block(spec, [[(np.zeros((2, 1)), np.zeros(2))]] * len(sizes))
+        plan = LockstepPlan(spec, rows, block, epochs, batch_size)
 
         fed: list[list[np.ndarray]] = [[] for _ in sizes]
         for (clients, *_), batch_rows in plan.batches([np.random.default_rng([seed, j]) for j in range(len(sizes))]):
@@ -254,6 +258,20 @@ class TestLockstepPlan:
             assert len(fed[j]) == len(expected)
             for got, idx in zip(fed[j], expected):
                 assert np.array_equal(got, sets[j].X[idx, 0])
+
+
+class TestWeightBlock:
+    def test_rows_are_copies_and_stacks_are_views(self):
+        spec = rand_spec(np.random.default_rng(3))
+        sets = [rand_weights(spec.layers, np.random.default_rng(seed)) for seed in range(4)]
+        block, layers = weight_block(spec, sets)
+        assert block.shape == (4, sum(s.out_dim * (s.in_dim + 1) for s in spec.layers))
+        for j, ws in enumerate(sets):
+            # row j is set j's layers end to end, each W (row-major) then its b
+            assert block[j].tobytes() == weights_blob(ws)
+            assert weights_equal([(w[j], b[j]) for w, b in layers], ws)
+        assert all(np.shares_memory(w, block) and np.shares_memory(b, block) for w, b in layers)
+        assert not any(np.shares_memory(w, block) for ws in sets for w, _ in ws)
 
 
 class TestValidation:

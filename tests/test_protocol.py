@@ -11,7 +11,7 @@ import fedper.nn
 import fedper.protocol
 import fedper.rng as rngmod
 from fedper.checkpoint import load_weights
-from fedper.config import build_dataset, default_config, resolve
+from fedper.config import apply_overrides, build_dataset, default_config, resolve
 from fedper.data import LabeledDataset, PartitionSpec
 from fedper.errors import ConfigError, ProtocolError, ShapeError, SimulationError, UsageError
 from fedper.experiment import client_shards, run_experiment
@@ -227,6 +227,13 @@ class TestFineTune:
         )
         with pytest.raises(UsageError):
             fine_tune(client, cfg, init_weights(spec.base_layers, np.random.default_rng(2)), 1)
+
+    @pytest.mark.parametrize("train", [client_round, fine_tune])
+    def test_wrong_layer_shape_rejected_by_name(self, train):
+        _, cfg, client, _ = self._setup()
+        base_in = [(np.zeros((3, 5)), np.zeros(3)), (np.zeros((6, 6)), np.zeros(6))]
+        with pytest.raises(ShapeError, match=r"layer 0: weight shape \(3, 5\) != expected \(6, 3\)"):
+            train(client, cfg, base_in, 1)
 
 
 class TestAggregate:
@@ -602,9 +609,9 @@ class TestLaunchCounts:
         current_round, plans, layouts, copies, forwards = [0], [], [], [], Counter()
 
         class CountingPlan(fedper.nn.LockstepPlan):
-            def __init__(self, spec, rows, epochs, batch_size, first_trained=0):
+            def __init__(self, spec, rows, block, epochs, batch_size, first_trained=0):
                 plans.append((current_round[0], epochs, first_trained))
-                super().__init__(spec, rows, epochs, batch_size, first_trained)
+                super().__init__(spec, rows, block, epochs, batch_size, first_trained)
 
         class CountingLayout(fedper.protocol.EvalLayout):
             def __init__(self, *args):
@@ -642,6 +649,43 @@ class TestLaunchCounts:
         assert copies and {r for r, _ in copies} == {0}
         fine_tune_launches = self.buckets([len(c.train) for c in result.clients], 1, sgd_cfg.batch_size)
         assert forwards == {"train": 3 * (31 + fine_tune_launches), "eval": 3 * 5}
+
+    def test_one_weight_block_per_run(self, monkeypatch):
+        """The SGD and the fine-tune plan train one (N, P) block, and every
+        client's personal weights are views of it."""
+        plans = []
+
+        class RecordingPlan(fedper.nn.LockstepPlan):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                plans.append(self)
+
+        monkeypatch.setattr(fedper.protocol, "LockstepPlan", RecordingPlan)
+        resolved = resolve({**default_config(), "rounds": 2, "fine_tune": True})
+        result = run_experiment(resolved.run, build_dataset(resolved.dataset))
+        block = plans[0].block
+        assert len(plans) == 2 and plans[1].block is block
+        assert block.shape[0] == len(result.clients)
+        for c in result.clients:
+            assert all(np.shares_memory(w, block) and np.shares_memory(b, block) for w, b in c.personal)
+
+    def test_ragged_sets_never_call_evaluate(self, monkeypatch):
+        """Every set is scored by the stacked path, also a set whose length
+        no other set shares."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(fedper.metrics, "evaluate", counting)
+        monkeypatch.setattr(fedper.protocol, "evaluate", counting)
+        cfg = apply_overrides(default_config(), ["rounds=2", "partition.mode=unbalanced_users"])
+        resolved = resolve(cfg)
+        result = run_experiment(resolved.run, build_dataset(resolved.dataset))
+        lengths = [len(d) for c in result.clients for d in (c.train, c.test)]
+        assert len(set(lengths)) > len(lengths) // 2  # mostly sets alone in their length
+        assert calls == []
 
 
 class TestRunConfigValidation:
