@@ -1,6 +1,7 @@
 """Deterministic single-process simulator of federated averaging with
 client-local personalization layers."""
 
+from .config import resolve_sweep, sweep_seed
 from .data import (
     LabeledDataset,
     PartitionSpec,
@@ -19,8 +20,8 @@ from .errors import (
     SimulationError,
     UsageError,
 )
-from .experiment import run_experiment, run_sweep, sweep_seed, sweep_variant
-from .metrics import ClientMetrics, SweepResult, cross_client_stats, emit, evaluate
+from .experiment import run_experiment, run_sweep
+from .metrics import ClientMetrics, cross_client_stats, emit, evaluate
 from .model import ModelSpec, linearize_base
 from .nn import (
     Layers,

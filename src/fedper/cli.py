@@ -12,10 +12,12 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import atomic_write
-from .config import apply_overrides, build_dataset, default_config, echo_config, load_config_file, resolve
+from .config import (
+    SWEEP_AXES, apply_overrides, build_dataset, default_config, echo_config, load_config_file, resolve, resolve_sweep,
+)
 from .data import K_CLASS, partition_indices
 from .errors import ConfigError, SimulationError, UsageError
-from .experiment import SWEEP_AXES, run_experiment, run_sweep
+from .experiment import run_experiment, run_sweep
 from .metrics import emit
 from .protocol import write_checkpoint
 
@@ -61,9 +63,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    resolved = resolve(_load(args))
-    ds = build_dataset(resolved.dataset)
-
+    cfg = _load(args)
     values: list[int | str]
     if args.axis == "algorithm":
         values = [v.strip() for v in args.values.split(",") if v.strip()]
@@ -73,15 +73,15 @@ def cmd_sweep(args) -> int:
         except ValueError as exc:
             raise UsageError(f"--values for axis {args.axis} must be integers: {exc}") from exc
 
-    out_dir = _out_dir(args, resolved)
-    run_id = resolved.output["run_id"]
-    sweep = run_sweep(resolved.run, ds, args.axis, values)
+    resolved, runs = resolve_sweep(cfg, args.axis, values)
+    histories = run_sweep(runs, build_dataset(resolved.dataset))
 
-    fmt = resolved.output["format"]
-    for point in sweep.points:
-        emit(point.history, fmt, out_dir / f"{run_id}_{args.axis}_{point.value}.{fmt}")
+    out_dir = _out_dir(args, resolved)
+    run_id, fmt = resolved.output["run_id"], resolved.output["format"]
+    for value, history in zip(values, histories):
+        emit(history, fmt, out_dir / f"{run_id}_{args.axis}_{value}.{fmt}")
     echo_config(resolved, out_dir / f"{run_id}_config.json")
-    print(f"wrote {len(sweep.points)} result file(s) under {out_dir}")
+    print(f"wrote {len(histories)} result file(s) under {out_dir}")
     return 0
 
 

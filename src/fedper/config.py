@@ -1,6 +1,7 @@
 """Run configuration files: one schema of every key's default and kind,
 overrides, validation, and the mapping onto domain objects.  Only the
-schema's keys can be set; anything else is rejected."""
+schema's keys can be set; anything else is rejected.  A sweep point is the
+run config with one key set, resolved as any run."""
 
 from __future__ import annotations
 
@@ -9,17 +10,17 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from . import rng as rngmod
-from .data import PARTITION_MODES, LabeledDataset, PartitionSpec, load_csv, synth_classification, synth_shells
+from .data import K_CLASS, PARTITION_MODES, LabeledDataset, PartitionSpec, load_csv, synth_classification, synth_shells
 from .checkpoint import atomic_write
-from .errors import ConfigError, ParseError
-from .experiment import ALGORITHMS, algorithm_k_personal
+from .errors import ConfigError, ParseError, UsageError
 from .model import ModelSpec, linearize_base
 from .nn import SgdConfig
 from .protocol import RunConfig
 
+ALGORITHMS = ("fedper", "fedavg")
 ABLATIONS = ("none", "linear_base")
 LAYER_KEYS = ("activation", "in_dim", "out_dim")
 DATASET_KINDS = ("gaussian_mixture", "shells", "csv")
@@ -63,12 +64,15 @@ def one_of(*values: str) -> Kind:
 
 NUMBER = ("a finite number", _is_finite)
 BOOL = ("a boolean", lambda value: isinstance(value, bool))
-TEXT = ("null or a non-empty string", lambda value: value is None or (isinstance(value, str) and value != ""))
+TEXT = (
+    "null or a non-empty string without NUL",
+    lambda value: value is None or (isinstance(value, str) and value != "" and "\0" not in value),
+)
 SEED = ("null or an int >= 0", lambda value: value is None or (_is_int(value) and value >= 0))
 # run_id names files inside the output directory, so it must not leave it
 FILE_NAME = (
-    "a plain file name (no / or \\, not . or ..)",
-    lambda value: isinstance(value, str) and value not in ("", ".", "..") and not {"/", "\\"} & set(value),
+    "a plain file name (no /, \\ or NUL, not . or ..)",
+    lambda value: isinstance(value, str) and value not in ("", ".", "..") and not {"/", "\\", "\0"} & set(value),
 )
 INT_PAIR = (
     "[min, max], two ints", lambda value: isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))
@@ -209,9 +213,10 @@ def resolve(cfg: dict) -> ResolvedConfig:
     """Validate the merged config dict and build the domain objects.
 
     Every key is checked against its kind in SCHEMA, whatever the other keys
-    say; the rules that span keys follow.  algorithm=fedavg forces k_personal
-    to 0, and ablation=linear_base collapses the base layers of the run's
-    model (the echoed config keeps the layers as given).  dataset.seed and
+    say; the rules that span keys follow.  algorithm=fedavg (FedPer with no
+    personalization layers) forces k_personal to 0, and ablation=linear_base
+    collapses the base layers of the run's model (the echoed config keeps
+    the layers as given).  dataset.seed and
     partition.seed default to values derived from master_seed so one seed
     governs the run.
     """
@@ -224,7 +229,8 @@ def resolve(cfg: dict) -> ResolvedConfig:
         cfg[section] for section in ("model", "sgd", "dataset", "partition", "output")
     )
 
-    model_cfg["k_personal"] = algorithm_k_personal(cfg["algorithm"], model_cfg["k_personal"])
+    if cfg["algorithm"] == "fedavg":
+        model_cfg["k_personal"] = 0
     spec = ModelSpec.from_json(model_cfg)
     if ds_cfg["kind"] == "csv":
         _require(ds_cfg["path"] is not None, "dataset.path is required for dataset.kind csv")
@@ -257,6 +263,51 @@ def resolve(cfg: dict) -> ResolvedConfig:
         spec = linearize_base(spec)
     run = RunConfig(spec, cfg["rounds"], sgd, cfg["fine_tune"], cfg["master_seed"], partition_spec)
     return ResolvedConfig(run, ds_cfg, out_cfg, cfg)
+
+
+# Each axis of `fedper sweep` and the config key its values set.
+SWEEP_AXES = {"k": "partition.k", "kp": "model.k_personal", "algorithm": "algorithm"}
+
+
+def sweep_seed(master_seed: int, axis: str, value: int | str) -> int:
+    """Per-point master seed, derived from the axis value itself so that
+    reordering the values list leaves every point unchanged."""
+    code = ALGORITHMS.index(value) if axis == "algorithm" else int(value)
+    return rngmod.derive_seed(master_seed, rngmod.SWEEP, list(SWEEP_AXES).index(axis), code)
+
+
+def resolve_sweep(cfg: dict, axis: str, values: Sequence[int | str]) -> tuple[ResolvedConfig, list[RunConfig]]:
+    """The base run of the merged config dict, and one run per value: the
+    dict with the axis key set to the value, resolved as any run, with the
+    value's sweep_seed as master seed and the base run's dataset and
+    partition seeds, so every point trains on the same shards.  Every point
+    is resolved before any data is built."""
+    base = resolve(cfg)
+    if axis not in SWEEP_AXES:
+        raise UsageError(f"unknown sweep axis {axis!r}; expected one of {tuple(SWEEP_AXES)}")
+    if len(values) == 0:
+        raise UsageError("sweep needs at least one value")
+    # each point writes a file named by its value, so a repeat would overwrite one
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise UsageError(f"sweep values must be distinct, got {repeated[0]!r} more than once")
+    mode = base.run.partition.mode
+    if axis == "k" and mode != K_CLASS:
+        raise UsageError(f"axis k needs partition.mode {K_CLASS}; {mode} ignores k")
+    if axis == "kp" and cfg["algorithm"] == "fedavg":
+        raise UsageError("axis kp needs algorithm fedper; fedavg forces model.k_personal to 0 at every point")
+    key = SWEEP_AXES[axis]
+    kind, test = SCHEMA[key][1]
+    runs = []
+    for value in values:
+        _require(test(value), f"{key} must be {kind}, got {value!r}")
+        point = json.loads(json.dumps(cfg))
+        _set(point, key.split("."), value)
+        point["master_seed"] = sweep_seed(base.run.master_seed, axis, value)
+        point["dataset"]["seed"] = base.dataset["seed"]
+        point["partition"]["seed"] = base.run.partition.seed
+        runs.append(resolve(point).run)
+    return base, runs
 
 
 def cluster_permutations(kind: str, clusters: int, num_classes: int, shift: int = 1) -> list[list[int]]:

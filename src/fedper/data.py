@@ -113,7 +113,7 @@ def synth_classification(
         if sorted(p) != list(range(num_classes)):
             raise ConfigError(f"label permutation {p} is not a bijection of range({num_classes})")
 
-    gen = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rngmod.DATASET,)))
+    gen = rngmod.stream(seed, rngmod.DATASET)
     means = class_means(num_classes, dim)
     x = np.empty((num_classes * per_class, dim))
     for c in range(num_classes):
@@ -136,7 +136,7 @@ def synth_shells(
     model whose layers are all linear cannot do better than chance on it."""
     if num_classes < 1 or dim < 1 or per_class < 1:
         raise ConfigError("num_classes, dim and per_class must all be >= 1")
-    gen = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rngmod.DATASET,)))
+    gen = rngmod.stream(seed, rngmod.DATASET)
     shells = []
     for c in range(num_classes):
         direction = gen.standard_normal((per_class, dim))
@@ -184,7 +184,7 @@ def partition_k_class_indices(ds: LabeledDataset, spec: PartitionSpec) -> list[n
         for c in classes:
             eligible[c].append(j)
 
-    gen = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(rngmod.PARTITION,)))
+    gen = rngmod.stream(spec.seed, rngmod.PARTITION)
     # every client owns k >= 1 classes, so none ends up with no shares
     shares: list[list[np.ndarray]] = [[] for _ in range(spec.num_clients)]
     for c in range(ds.num_classes):
@@ -214,7 +214,7 @@ def partition_unbalanced_indices(ds: LabeledDataset, spec: PartitionSpec) -> lis
         raise ConfigError(f"volume_range max {hi} exceeds dataset size {len(ds)}")
     out = []
     for j in range(spec.num_clients):
-        gen = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(rngmod.PARTITION, j)))
+        gen = rngmod.stream(spec.seed, rngmod.PARTITION, j)
         n_j = int(gen.integers(lo, hi + 1))
         out.append(gen.choice(len(ds), size=n_j, replace=False))
     return out
@@ -234,10 +234,7 @@ def partition(ds: LabeledDataset, spec: PartitionSpec) -> list[LabeledDataset]:
     for j, idx in enumerate(partition_indices(ds, spec)):
         y = ds.y[idx]
         if spec.mode == UNBALANCED_USERS and spec.rater_disagreement:
-            gen = np.random.default_rng(
-                np.random.SeedSequence(spec.seed, spawn_key=(rngmod.PARTITION, j, 1))
-            )
-            y = gen.permutation(ds.num_classes)[y]
+            y = rngmod.stream(spec.seed, rngmod.PARTITION, j, 1).permutation(ds.num_classes)[y]
         parts.append(LabeledDataset(ds.X[idx], y, ds.num_classes))
     return parts
 
@@ -248,7 +245,7 @@ def train_test_split(
     """Seeded shuffle, then ceil(fraction * n) samples to train, rest to test."""
     if not 0 < fraction <= 1:
         raise ConfigError(f"train fraction must be in (0, 1], got {fraction}")
-    gen = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rngmod.SPLIT,)))
+    gen = rngmod.stream(seed, rngmod.SPLIT)
     perm = gen.permutation(len(ds))
     n_train = math.ceil(fraction * len(ds))
     return ds.subset(perm[:n_train]), ds.subset(perm[n_train:])
@@ -267,9 +264,11 @@ def load_csv(path: str | Path) -> LabeledDataset:
     """Parse a `f0,...,f{d-1},label` CSV into a dataset; C = max label + 1."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    except ValueError as exc:  # a UnicodeDecodeError
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError(f"{path}: empty file")

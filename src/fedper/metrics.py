@@ -41,22 +41,6 @@ class SummaryStats(NamedTuple):
     max: float
 
 
-@dataclass
-class SweepPoint:
-    value: int | str
-    final_mean_accuracy: float
-    final_std_accuracy: float
-    history: "RoundHistory"
-
-
-@dataclass
-class SweepResult:
-    """One re-run per axis value, points sorted by value."""
-
-    axis: str
-    points: list[SweepPoint]
-
-
 def evaluate(
     spec: "ModelSpec", base: Layers, personal: Layers, data: "LabeledDataset"
 ) -> EvalResult:
@@ -97,42 +81,23 @@ def cross_client_stats(values: Sequence[float]) -> SummaryStats:
     return SummaryStats(mean, std, float(arr.min()), float(arr.max()))
 
 
-def _history_rows(history: "RoundHistory") -> list[dict]:
-    return [
-        {"round": r.round_idx, "client": m.client_id, "accuracy": m.test_accuracy, "loss": m.train_loss}
-        for r in history.rounds
-        for m in r.clients
-    ]
-
-
-def _sweep_rows(sweep: SweepResult) -> list[dict]:
-    return [
-        {"axis": sweep.axis, "value": p.value, **row}
-        for p in sweep.points
-        for row in _history_rows(p.history)
-    ]
-
-
 def _format_cell(v) -> str:
     # repr keeps the full 17-significant-digit float round trip
     return repr(v) if isinstance(v, float) else str(v)
 
 
-def emit(obj, fmt: str, path: str | Path) -> None:
-    """Write a RoundHistory or SweepResult as CSV or JSON (atomically).
-
-    History rows are `round,client,accuracy,loss`; sweep output is the long
-    format with leading `axis,value` columns.  JSON mirrors the same records.
-    """
+def emit(history: "RoundHistory", fmt: str, path: str | Path) -> None:
+    """Write a RoundHistory as CSV or JSON (atomically): one
+    `round,client,accuracy,loss` row per client and round, and JSON mirrors
+    the same records."""
     if fmt not in ("csv", "json"):
         raise UsageError(f"unknown emit format {fmt!r}; expected 'csv' or 'json'")
-    if isinstance(obj, SweepResult):
-        rows = _sweep_rows(obj)
-        columns = ["axis", "value", "round", "client", "accuracy", "loss"]
-    else:
-        rows = _history_rows(obj)
-        columns = ["round", "client", "accuracy", "loss"]
-
+    rows = [
+        {"round": r.round_idx, "client": m.client_id, "accuracy": m.test_accuracy, "loss": m.train_loss}
+        for r in history.rounds
+        for m in r.clients
+    ]
+    columns = ["round", "client", "accuracy", "loss"]
     path = Path(path)
     try:
         if fmt == "csv":

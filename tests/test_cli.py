@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import fedper.experiment
 from fedper.cli import main
-from fedper.config import SCHEMA, SECTIONS, apply_overrides, build_dataset, default_config, resolve
+from fedper.config import SCHEMA, SECTIONS, apply_overrides, build_dataset, default_config, resolve, sweep_seed
 from fedper.data import synth_classification, save_csv
 from fedper.errors import ConfigError
 from fedper.experiment import client_shards
@@ -117,6 +117,8 @@ class TestInputValidation:
             pytest.param("sgd.eta=1" + "0" * 5000, id="sgd.eta=int-past-the-digit-limit"),
             "output.dir=5",
             'output.dir=""',
+            r'output.dir="d\u0000"',
+            r'output.run_id="a\u0000b"',
             "dataset.path=5",
             "model=5",
             "sgd=[]",
@@ -140,7 +142,7 @@ class TestInputValidation:
         assert main(args) == 2
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("path", [None, 5, '""'])
+    @pytest.mark.parametrize("path", [None, 5, '""', r'"q\u0000"'])
     def test_csv_path_must_be_a_non_empty_string(self, path, tmp_path):
         settings = ["--set", "dataset.kind=csv"] + ([] if path is None else ["--set", f"dataset.path={path}"])
         assert main(["run", *SMALL, *settings, "--out", str(tmp_path / "o")]) == 2
@@ -355,6 +357,35 @@ class TestSweepCommand:
         args = ["sweep", *SMALL, "--axis", "algorithm", "--values", "fedper,fedprox"]
         assert main([*args, "--out", str(tmp_path / "s")]) == 2
 
+    def test_kp_axis_rejected_under_fedavg(self, tmp_path, capsys):
+        args = ["sweep", *SMALL, "--set", "algorithm=fedavg", "--axis", "kp", "--values", "0,1"]
+        assert main([*args, "--out", str(tmp_path / "s")]) == 2
+        assert "fedavg forces model.k_personal to 0" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize(
+        "settings, axis, values",
+        [
+            pytest.param(settings, axis, values, id="-".join([*settings, axis]))
+            for settings in ([], ["ablation=linear_base"], ["fine_tune=true"], ["algorithm=fedavg"])
+            for axis, values in (("k", ["1", "2"]), ("kp", ["0", "1", "2"]), ("algorithm", ["fedper", "fedavg"]))
+            if not (axis == "kp" and settings == ["algorithm=fedavg"])  # a usage error, tested above
+        ],
+    )
+    def test_every_point_is_the_run_with_its_axis_key_set(self, settings, axis, values, tmp_path):
+        sets = [arg for setting in settings for arg in ("--set", setting)]
+        out = tmp_path / "sweep"
+        assert main(["sweep", *SMALL, *sets, "--axis", axis, "--values", ",".join(values), "--out", str(out)]) == 0
+        base = resolve(apply_overrides(default_config(), [*SMALL[1::2], *settings]))
+        key = {"k": "partition.k", "kp": "model.k_personal", "algorithm": "algorithm"}[axis]
+        point_sets = [f"dataset.seed={base.dataset['seed']}", f"partition.seed={base.run.partition.seed}"]
+        for value in values:
+            seed = sweep_seed(base.run.master_seed, axis, value if axis == "algorithm" else int(value))
+            run_sets = [arg for setting in [f"{key}={value}", *point_sets] for arg in ("--set", setting)]
+            run_out = tmp_path / f"run_{value}"
+            assert main(["run", *SMALL, *sets, *run_sets, "--seed", str(seed), "--out", str(run_out)]) == 0
+            assert (out / f"run_{axis}_{value}.csv").read_bytes() == (run_out / "run_history.csv").read_bytes()
+
     def test_k_axis_rejected_when_partition_ignores_k(self, tmp_path, capsys):
         args = ["sweep", *SMALL, "--set", "partition.mode=unbalanced_users", "--axis", "k"]
         assert main([*args, "--values", "1,2", "--out", str(tmp_path / "s")]) == 2
@@ -397,6 +428,8 @@ FUZZ_VALUES = [
     '""', "x" * 300, "../x", "a/b", "{}", "[]", "[1]", "[1,2,3]", "1",
     # the enum values no default takes, so the fuzzer reaches the other modes
     "fedavg", "linear_base", "shells", "unbalanced_users", "json",
+    # NUL ends a path at the operating system, so no path-valued key takes it
+    r'"a\u0000b"',
 ]
 # These keys size the run's work (rounds, steps, samples, label groups), so
 # 10**30 of them is a valid run that would not finish rather than an input
@@ -423,6 +456,34 @@ class TestConfigFuzz:
         out = Path(tempfile.mkdtemp(dir=tmp_path)) / "o"
         sets = [arg for setting in overrides for arg in ("--set", setting)]
         code = main(["run", *SMALL, "--set", "rounds=1", *sets, "--out", str(out)])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert not out.exists()
+
+
+# Values of every axis, in and out of range, and one algorithm no axis takes.
+SWEEP_VALUES = ["-1", "0", "1", "2", "5", "fedper", "fedavg", "fedprox"]
+
+
+class TestSweepFuzz:
+    @settings(
+        max_examples=150, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        axis=st.sampled_from(["k", "kp", "algorithm"]),
+        values=st.lists(st.sampled_from(SWEEP_VALUES), min_size=1, max_size=3),
+        overrides=st.lists(st.sampled_from(FUZZ_OVERRIDES), max_size=2),
+    )
+    @example(axis="kp", values=["0", "2"], overrides=["ablation=linear_base"])
+    @example(axis="algorithm", values=["fedper", "fedavg"], overrides=["ablation=linear_base"])
+    @example(axis="algorithm", values=["fedper", "fedavg"], overrides=["algorithm=fedavg"])
+    @example(axis="kp", values=["0", "1"], overrides=["algorithm=fedavg"])
+    def test_any_sweep_ends_in_an_exit_code(self, axis, values, overrides, tmp_path):
+        out = Path(tempfile.mkdtemp(dir=tmp_path)) / "o"
+        sets = [arg for setting in overrides for arg in ("--set", setting)]
+        # --values=... so that a leading -1 is a value, not an option
+        args = ["sweep", *SMALL, "--set", "rounds=1", *sets, "--axis", axis, f"--values={','.join(values)}"]
+        code = main([*args, "--out", str(out)])
         assert code in (0, 1, 2)
         if code == 2:
             assert not out.exists()

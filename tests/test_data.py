@@ -294,6 +294,12 @@ class TestCsv:
         with pytest.raises(ParseError, match="no data rows"):
             load_csv(path)
 
+    def test_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"f0,f1,label\n1.0,2.0,0\n\xff,3.0,1\n")
+        with pytest.raises(ParseError, match="d.csv: not UTF-8 text"):
+            load_csv(path)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b\n1,0\n")

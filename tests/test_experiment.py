@@ -1,13 +1,13 @@
 from dataclasses import replace
 from unittest import mock
 
-import numpy as np
 import pytest
 
 import fedper.experiment
+from fedper.config import apply_overrides, build_dataset, default_config, resolve_sweep, sweep_seed
 from fedper.data import PartitionSpec, synth_classification
 from fedper.errors import ConfigError, UsageError
-from fedper.experiment import client_shards, run_experiment, run_sweep, sweep_seed, sweep_variant
+from fedper.experiment import client_shards, run_experiment, run_sweep
 from fedper.model import ModelSpec
 from fedper.nn import LayerSpec, SgdConfig
 from fedper.protocol import RunConfig
@@ -24,6 +24,18 @@ def base_setup(num_clients=4, k=2, rounds=3, k_personal=1, seed=101):
     )
     ds = synth_classification(4, 4, 40, seed=17)
     return cfg, ds
+
+
+def sweep_setup(axis, values, rounds=3):
+    """The sweep of a small config dict: its base run, one run per value and
+    the dataset they share."""
+    cfg = apply_overrides(default_config(), [
+        f"rounds={rounds}", "dataset.dim=4", "dataset.per_class=40", "partition.num_clients=4",
+        'model.layers=[{"in_dim":4,"out_dim":8,"activation":"relu"},{"in_dim":8,"out_dim":4,"activation":"identity"}]',
+        "sgd.eta=0.05", "sgd.epochs=2", "sgd.batch_size=8", "master_seed=101",
+    ])
+    base, runs = resolve_sweep(cfg, axis, values)
+    return base, runs, build_dataset(base.dataset)
 
 
 class TestPipeline:
@@ -49,76 +61,48 @@ class TestPipeline:
 
 class TestSweep:
     def test_singleton_equals_direct_run(self):
-        cfg, ds = base_setup()
-        sweep = run_sweep(cfg, ds, "k", [2])
-        direct = run_experiment(sweep_variant(cfg, "k", 2), ds)
-        assert len(sweep.points) == 1
-        assert sweep.points[0].history == direct.history
+        base, runs, ds = sweep_setup("k", [2])
+        direct = run_experiment(replace(base.run, master_seed=sweep_seed(base.run.master_seed, "k", 2)), ds)
+        histories = run_sweep(runs, ds)
+        assert len(histories) == 1
+        assert histories[0] == direct.history
 
     def test_kp_zero_point_equals_fedavg_baseline(self):
-        cfg, ds = base_setup()
-        sweep = run_sweep(cfg, ds, "kp", [0, 1])
+        base, runs, ds = sweep_setup("kp", [0, 1])
         fedavg_cfg = replace(
-            cfg,
-            spec=ModelSpec(cfg.spec.layers, 0),
-            master_seed=sweep_seed(cfg.master_seed, "kp", 0),
+            base.run,
+            spec=ModelSpec(base.run.spec.layers, 0),
+            master_seed=sweep_seed(base.run.master_seed, "kp", 0),
         )
         baseline = run_experiment(fedavg_cfg, ds)
-        point = next(p for p in sweep.points if p.value == 0)
-        assert point.history == baseline.history
+        assert run_sweep(runs, ds)[0] == baseline.history
 
     def test_reordering_values_changes_nothing(self):
-        cfg, ds = base_setup()
-        a = run_sweep(cfg, ds, "k", [2, 4])
-        b = run_sweep(cfg, ds, "k", [4, 2])
-        assert [p.value for p in a.points] == [2, 4]
-        assert [p.value for p in b.points] == [2, 4]
-        for pa, pb in zip(a.points, b.points):
-            assert pa.history == pb.history
-
-    def test_algorithm_axis(self):
-        cfg, ds = base_setup()
-        sweep = run_sweep(cfg, ds, "algorithm", ["fedper", "fedavg"])
-        assert [p.value for p in sweep.points] == ["fedavg", "fedper"]
-
-    def test_points_carry_final_stats(self):
-        cfg, ds = base_setup()
-        point = run_sweep(cfg, ds, "k", [4]).points[0]
-        finals = point.history.final_accuracies()
-        assert point.final_mean_accuracy == pytest.approx(np.mean(finals))
-
-    def test_long_format_emission(self, tmp_path):
-        from fedper.metrics import emit
-
-        cfg, ds = base_setup(rounds=2)
-        sweep = run_sweep(cfg, ds, "k", [2, 4])
-        path = tmp_path / "sweep.csv"
-        emit(sweep, "csv", path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "axis,value,round,client,accuracy,loss"
-        assert len(rows) == 1 + 2 * 2 * 4  # two points, 2 rounds, 4 clients
+        _, runs_a, ds = sweep_setup("k", [2, 4])
+        _, runs_b, _ = sweep_setup("k", [4, 2])
+        a, b = run_sweep(runs_a, ds), run_sweep(runs_b, ds)
+        assert a == b[::-1]
 
     def test_unknown_axis_rejected(self):
-        cfg, ds = base_setup()
         with pytest.raises(UsageError):
-            run_sweep(cfg, ds, "rounds", [1])
+            sweep_setup("rounds", [1])
 
     def test_empty_values_rejected(self):
-        cfg, ds = base_setup()
         with pytest.raises(UsageError):
-            run_sweep(cfg, ds, "k", [])
+            sweep_setup("k", [])
 
     @pytest.mark.parametrize("axis, values", [("kp", [1, 0, 1]), ("algorithm", ["fedavg", "fedavg"])])
     def test_repeated_values_rejected_before_training(self, axis, values, monkeypatch):
-        cfg, ds = base_setup()
         monkeypatch.setattr(fedper.experiment, "run_experiment", mock.Mock(side_effect=AssertionError("trained")))
         with pytest.raises(UsageError, match="must be distinct"):
-            run_sweep(cfg, ds, axis, values)
+            sweep_setup(axis, values)
 
     def test_bad_late_value_rejected_before_training(self, monkeypatch):
-        cfg, ds = base_setup()
         monkeypatch.setattr(fedper.experiment, "run_experiment", mock.Mock(side_effect=AssertionError("trained")))
-        # kp: no base layer left; k: more classes per client than the dataset has
-        for axis, values in (("kp", [0, len(cfg.spec.layers)]), ("k", [2, ds.num_classes + 1])):
-            with pytest.raises(ConfigError):
-                run_sweep(cfg, ds, axis, values)
+        # kp: no base layer left, caught when the point resolves
+        with pytest.raises(ConfigError):
+            sweep_setup("kp", [0, 2])
+        # k: more classes per client than the dataset has, caught against the data
+        _, runs, ds = sweep_setup("k", [2, 5])
+        with pytest.raises(ConfigError):
+            run_sweep(runs, ds)
