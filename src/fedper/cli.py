@@ -153,6 +153,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    while "--values" in argv[:-1]:  # argparse takes a value such as -1,0 for an option
+        i = argv.index("--values")
+        argv[i : i + 2] = [f"--values={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors

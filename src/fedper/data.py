@@ -117,7 +117,10 @@ def synth_classification(
     means = class_means(num_classes, dim)
     x = np.empty((num_classes * per_class, dim))
     for c in range(num_classes):
-        x[c * per_class : (c + 1) * per_class] = means[c] + sigma * gen.standard_normal((per_class, dim))
+        # drawn in place, then the same products and sums as means[c] + sigma * draws
+        rows = gen.standard_normal(out=x[c * per_class : (c + 1) * per_class])
+        rows *= sigma
+        rows += means[c]
     cluster = np.arange(per_class) % len(perms)
     y = np.concatenate([np.asarray(perms)[cluster, c] for c in range(num_classes)])
     return LabeledDataset(x, y, num_classes)
@@ -226,29 +229,41 @@ def partition_indices(ds: LabeledDataset, spec: PartitionSpec) -> list[np.ndarra
     return partition_unbalanced_indices(ds, spec)
 
 
+def rater_permutation(spec: PartitionSpec, client_id: int, num_classes: int) -> np.ndarray | None:
+    """The class permutation by which a client relabels its items under
+    unbalanced_users with rater_disagreement; otherwise None."""
+    if spec.mode == UNBALANCED_USERS and spec.rater_disagreement:
+        return rngmod.stream(spec.seed, rngmod.PARTITION, client_id, 1).permutation(num_classes)
+    return None
+
+
 def partition(ds: LabeledDataset, spec: PartitionSpec) -> list[LabeledDataset]:
-    """One dataset per client, gathered at partition_indices.  In the
-    unbalanced regime with rater_disagreement, each client relabels its items
-    by a client-specific permutation of the classes."""
+    """One dataset per client, gathered at partition_indices and relabeled
+    by rater_permutation."""
     parts = []
     for j, idx in enumerate(partition_indices(ds, spec)):
         y = ds.y[idx]
-        if spec.mode == UNBALANCED_USERS and spec.rater_disagreement:
-            y = rngmod.stream(spec.seed, rngmod.PARTITION, j, 1).permutation(ds.num_classes)[y]
-        parts.append(LabeledDataset(ds.X[idx], y, ds.num_classes))
+        perm = rater_permutation(spec, j, ds.num_classes)
+        parts.append(LabeledDataset(ds.X[idx], y if perm is None else perm[y], ds.num_classes))
     return parts
+
+
+def split_positions(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of n samples that train_test_split sends to train and
+    to test: a seeded permutation, cut after ceil(fraction * n)."""
+    if not 0 < fraction <= 1:
+        raise ConfigError(f"train fraction must be in (0, 1], got {fraction}")
+    perm = rngmod.stream(seed, rngmod.SPLIT).permutation(n)
+    n_train = math.ceil(fraction * n)
+    return perm[:n_train], perm[n_train:]
 
 
 def train_test_split(
     ds: LabeledDataset, fraction: float, seed: int
 ) -> tuple[LabeledDataset, LabeledDataset]:
     """Seeded shuffle, then ceil(fraction * n) samples to train, rest to test."""
-    if not 0 < fraction <= 1:
-        raise ConfigError(f"train fraction must be in (0, 1], got {fraction}")
-    gen = rngmod.stream(seed, rngmod.SPLIT)
-    perm = gen.permutation(len(ds))
-    n_train = math.ceil(fraction * len(ds))
-    return ds.subset(perm[:n_train]), ds.subset(perm[n_train:])
+    train, test = split_positions(len(ds), fraction, seed)
+    return ds.subset(train), ds.subset(test)
 
 
 def save_csv(ds: LabeledDataset, path: str | Path) -> None:

@@ -49,20 +49,26 @@ def evaluate(
     if len(data) == 0:
         raise UsageError("evaluate requires a non-empty dataset")
     check_data(spec, data)
-    accuracy, loss = scores(spec, base + personal, data.X, data.y)
-    return EvalResult(float(accuracy), float(loss))
+    logits = _forward(spec, base + personal, data.X)[-1]
+    return EvalResult(float(accuracy(logits, data.y)), float(mean_loss(logits, data.y)))
 
 
-def scores(
-    spec: "ModelSpec", layers: Layers, x: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """evaluate's accuracy and loss over the last axis of (..., n) labels y
-    for (..., n, in_dim) inputs x; with stacked layers (see nn._forward)
+def accuracy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The share of the n rows whose argmax (the lowest on a tie) is the label."""
+    return (np.argmax(logits, axis=-1) == y).mean(axis=-1)
+
+
+def mean_loss(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The mean cross-entropy of the n rows."""
+    return cross_entropy(logits, y).mean(axis=-1)
+
+
+def scores(spec: "ModelSpec", layers: Layers, x: np.ndarray, y: np.ndarray, measure) -> np.ndarray:
+    """measure (accuracy or mean_loss) over the last axis of (..., n) labels
+    y for (..., n, in_dim) inputs x; with stacked layers (see nn._forward)
     each leading slice is scored on its own, by the same gemms and
-    reductions as a call of its own."""
-    logits = _forward(spec, layers, x)[-1]
-    correct = np.argmax(logits, axis=-1) == y  # np.argmax breaks ties toward the lowest index
-    return correct.mean(axis=-1), cross_entropy(logits, y).mean(axis=-1)
+    reductions as evaluate's call of its own."""
+    return measure(_forward(spec, layers, x)[-1], y)
 
 
 def cross_client_stats(values: Sequence[float]) -> SummaryStats:

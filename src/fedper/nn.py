@@ -19,6 +19,7 @@ launches.  sgd is the same engine with a single client.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -175,16 +176,17 @@ def _flat_views(spec: "ModelSpec", block: np.ndarray, first: int = 0) -> Layers:
     return views
 
 
-def _forward(spec: "ModelSpec", layers: Layers, x: np.ndarray) -> list[np.ndarray]:
+def _forward(spec: "ModelSpec", layers: Layers, x: np.ndarray, outs: Sequence | None = None) -> list[np.ndarray]:
     """Run the stack on (..., batch, in_dim) inputs; returns every layer's
-    activations, the input first and the network output last.
+    activations, the input first and the network output last, written into
+    outs (a buffer per layer) if given.
 
     Leading dims index stacked weights: with (G, out, in) weights and
     (G, batch, in) inputs every slice g is its own forward pass.
     """
     acts = [x]
-    for lspec, (w, b) in zip(spec.layers, layers):
-        z = acts[-1] @ w.swapaxes(-1, -2)
+    for i, (lspec, (w, b)) in enumerate(zip(spec.layers, layers)):
+        z = np.matmul(acts[-1], w.swapaxes(-1, -2), out=None if outs is None else outs[i])
         z += b[..., None, :]
         if lspec.activation == "relu":
             np.maximum(z, 0.0, out=z)
@@ -192,13 +194,39 @@ def _forward(spec: "ModelSpec", layers: Layers, x: np.ndarray) -> list[np.ndarra
     return acts
 
 
-def _softmax_parts(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row max, exp(logits - max) and its row sums: the stable softmax."""
-    # the ufunc reductions themselves skip ndarray.max's and .sum's Python wrappers
-    zmax = np.maximum.reduce(logits, axis=-1, keepdims=True)
-    expz = logits - zmax
+# The softmax row max is a chain of np.maximum over the columns up to 8 of
+# them, where the reduction too goes column by column, and from 128 rows.
+# With numpy 2.4 on AVX-512 the reduction took about 0.05 us a row and the
+# chain 6 to 10 us up to 256 rows: 0.06 ms to the reduction's 1.2 ms on a
+# (100, 256, 4) launch, but 5.5 us to 1.8 on (1, 16, 4), and from 9 columns
+# 11 us to 7 even on (10, 16, 9).
+CHAIN_MAX_COLUMNS, CHAIN_MIN_ROWS = 8, 128
+
+
+def _row_max(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """np.maximum.reduce(a, axis=-1, keepdims=True) bitwise, into out if
+    given: a chain over the columns folds them in the reduction's order and
+    rounds nothing.  Like the reduction's vector loop (on rows of adjacent
+    values), it gives numpy's default NaN where a NaN is first of several."""
+    w = a.shape[-1]
+    if w > CHAIN_MAX_COLUMNS or a.size < CHAIN_MIN_ROWS * w:
+        return np.maximum.reduce(a, axis=-1, keepdims=True, out=out)
+    out = np.maximum(a[..., :1], a[..., 1:2] if w > 1 else a[..., :1], out=out)
+    for k in range(2, w):
+        np.maximum(out, a[..., k : k + 1], out=out)
+    if w > 1 and a.strides[-1] == a.itemsize:
+        np.copyto(out, np.nan, where=np.isnan(a[..., :1]))
+    return out
+
+
+def _softmax_parts(logits: np.ndarray, out: Sequence = (None,) * 3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row max, exp(logits - max) and its row sums: the stable softmax,
+    written into the three buffers of out if given."""
+    zmax = _row_max(logits, out[0])
+    expz = np.subtract(logits, zmax, out=out[1])
     np.exp(expz, out=expz)
-    return zmax, expz, np.add.reduce(expz, axis=-1, keepdims=True)
+    # the ufunc reduction itself skips ndarray.sum's Python wrapper
+    return zmax, expz, np.add.reduce(expz, axis=-1, keepdims=True, out=out[2])
 
 
 def cross_entropy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -209,14 +237,16 @@ def cross_entropy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _backprop(
-    spec: "ModelSpec", layers: Layers, acts: list[np.ndarray], onehot: np.ndarray, grads: Layers
+    spec: "ModelSpec", layers: Layers, acts: list[np.ndarray], onehot: np.ndarray, grads: Layers, work=None
 ) -> None:
     """Exact gradients of the batch-mean cross-entropy for the last
     len(grads) layers, written into grads, from a cached forward pass whose
     hidden activations it overwrites.  onehot is True at each row's label.
-    Leading dims are stacked weights as in _forward."""
+    Leading dims are stacked weights as in _forward.  work, if given, holds
+    the buffers to use: a relu mask per layer and _softmax_parts' three."""
+    masks, parts = work or ([None] * len(layers), (None,) * 3)
     first_trained = len(layers) - len(grads)
-    _, delta, sums = _softmax_parts(acts[-1])
+    _, delta, sums = _softmax_parts(acts[-1], parts)
     # softmax minus the one-hot label; subtracting 0.0 leaves a value exact
     delta /= sums
     delta -= onehot
@@ -224,7 +254,7 @@ def _backprop(
     # the final layer's activation is part of the chain too; relu's
     # derivative is 1 exactly where its output a is > 0, identity's is 1
     if spec.layers[-1].activation == "relu":
-        delta *= acts[-1] > 0.0
+        delta *= np.greater(acts[-1], 0.0, out=masks[-1])
     for i in range(len(layers) - 1, first_trained - 1, -1):
         gw, gb = grads[i - first_trained]
         np.matmul(delta.swapaxes(-1, -2), acts[i], out=gw)
@@ -232,7 +262,7 @@ def _backprop(
         if i > first_trained:
             # acts[i] is read here for the last time, so the next delta
             # overwrites it instead of taking new memory
-            alive = acts[i] > 0.0 if spec.layers[i - 1].activation == "relu" else None
+            alive = np.greater(acts[i], 0.0, out=masks[i - 1]) if spec.layers[i - 1].activation == "relu" else None
             delta = np.matmul(delta, layers[i][0], out=acts[i])
             if alive is not None:
                 delta *= alive
@@ -264,13 +294,6 @@ def loss_and_grad(
     return loss, grads[:kb], grads[kb:]
 
 
-def minibatch_indices(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """One epoch's batches: a fresh permutation of range(n) cut into batch_size
-    slices, last partial slice included.  Every sample appears exactly once."""
-    perm = rng.permutation(n)
-    return [perm[i : i + batch_size] for i in range(0, n, batch_size)]
-
-
 @dataclass(frozen=True, eq=False)
 class RowBlock:
     """The labeled rows of several sets end to end, in a chosen set order:
@@ -289,13 +312,26 @@ class RowBlock:
     ) -> "RowBlock":
         """The sets listed in order (default: all, in turn) copied into one
         block, with onehot_width-wide one-hot rows if it is not 0; the
-        starts of sets left out are 0."""
+        starts of sets left out are 0.  Features that already are the
+        consecutive rows of one array, in order, are that array, uncopied."""
         order = list(range(len(sets)) if order is None else order)
         starts = np.zeros(len(sets), dtype=np.intp)
         starts[order] = np.cumsum([0] + [len(sets[j]) for j in order[:-1]])
         y = np.concatenate([sets[j].y for j in order])
         onehot = np.eye(onehot_width, dtype=bool).take(y, axis=0) if onehot_width else None
-        return cls(np.concatenate([sets[j].X for j in order]), y, starts, [len(d) for d in sets], onehot)
+        x = _end_to_end([sets[j].X for j in order])
+        return cls(x, y, starts, [len(d) for d in sets], onehot)
+
+
+def _end_to_end(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """parts end to end: the array whose rows they are, in order and with no
+    rows around or between them, if there is one, else a new one."""
+    whole, at = parts[0].base, np.cumsum([0] + [p.nbytes for p in parts])
+    if whole is not None and whole.flags.c_contiguous and whole.nbytes == at[-1] and all(
+        p.base is whole and p.flags.c_contiguous and p.ctypes.data == whole.ctypes.data + a for p, a in zip(parts, at)
+    ):
+        return whole
+    return np.concatenate(parts)
 
 
 class LockstepPlan:
@@ -330,8 +366,11 @@ class LockstepPlan:
     The weights are the given (N, P) block, laid out as weight_block lays
     it out, row j holding client j's layers; every pass trains it in place.
     A launch of every client works on it directly; any other gathers its
-    rows into a spare block and scatters them back.  Gradients fill the trained columns of a
-    second block, so an update is two whole-block operations.
+    rows into a spare block and scatters them back.  Gradients fill the
+    trained columns of a second block, so an update is two whole-block
+    operations.  A launch's rows, activations and softmax go into one
+    workspace sized for the largest launch, so a pass allocates no arrays
+    of a launch's size.
     """
 
     def __init__(
@@ -356,9 +395,10 @@ class LockstepPlan:
         # no batch is larger than the largest set, whatever batch_size is
         samples = np.arange(min(batch_size, max(sizes)))
         # per launch: its clients, the position of each one's batch in order
-        # (a column), the offsets of a batch's samples, and the views of its
-        # bucket size
-        self.launches: list[tuple[np.ndarray, np.ndarray, np.ndarray, tuple]] = []
+        # (a column), the offsets of a batch's samples, the views of its
+        # bucket size and, once the largest launch is known, its shape's
+        # views of the one workspace
+        self.launches: list[tuple] = []
         for t in range(max(len(s) for s in steps)):
             buckets: dict[int, list[int]] = {}
             for j, s in enumerate(steps):
@@ -372,6 +412,8 @@ class LockstepPlan:
                                 _flat_views(spec, grad[:n], first_trained))
                 bases = np.array([steps[j][t][1] for j in clients])[:, None]
                 self.launches.append((np.array(clients), bases, samples[:size], views[n]))
+        work = _workspace(spec, max(len(c) * len(s) for c, _, s, _ in self.launches))
+        self.launches = [(*launch, work(len(launch[0]), len(launch[2]))) for launch in self.launches]
 
     def batches(self, rngs: Sequence[np.random.Generator]):
         """Draw one pass's permutations, rngs[j] being client j's generator,
@@ -389,17 +431,35 @@ class LockstepPlan:
         """One training pass of the block, in place; rngs[j] is client j's
         generator."""
         spec, block, x, onehot = self.spec, self.block, self.rows.x, self.rows.onehot
-        for (clients, _, _, (sub, ws, trained, g, gs)), rows in self.batches(rngs):
+        for (clients, _, _, (sub, ws, trained, g, gs), (xs, oh, outs, *work)), rows in self.batches(rngs):
+            # indices are in range; "clip" skips the checked mode's buffered copy
             if sub is not block:
-                # clients are in range; "clip" skips the checked mode's buffered copy
                 np.take(block, clients, axis=0, out=sub, mode="clip")
-            # take gathers faster than fancy indexing; the activations are
-            # freed before the next launch allocates its own
-            _backprop(spec, ws, _forward(spec, ws, x.take(rows, axis=0)), onehot.take(rows, axis=0), gs)
+            x.take(rows, axis=0, out=xs, mode="clip")
+            onehot.take(rows, axis=0, out=oh, mode="clip")
+            _backprop(spec, ws, _forward(spec, ws, xs, outs), oh, gs, work)
             g *= eta
             trained -= g
             if sub is not block:
                 block[clients] = sub
+
+
+def _workspace(spec: "ModelSpec", rows: int):
+    """Flat buffers for launches of up to rows rows, and a function that
+    makes a launch shape's views of them, once: the features, the one-hot
+    labels, the layers' outputs and relu masks (one buffer, as a mask is dead
+    before the next is made), and the softmax parts."""
+    layer_widths = [s.out_dim for s in spec.layers]
+    widths = [spec.in_dim, spec.out_dim, *layer_widths, 1, spec.out_dim, 1]
+    flat = [np.empty(rows * w, dtype=bool if i == 1 else np.float64) for i, w in enumerate(widths)]
+    mask = np.empty(rows * max(layer_widths), dtype=bool)
+
+    @functools.cache
+    def views(n: int, b: int) -> tuple:
+        x, onehot, *outs, zmax, expz, sums = [buf[: n * b * w].reshape(n, b, w) for buf, w in zip(flat, widths)]
+        return x, onehot, outs, [mask[: n * b * w].reshape(n, b, w) for w in layer_widths], (zmax, expz, sums)
+
+    return views
 
 
 def sgd(

@@ -6,8 +6,9 @@ Every round trains all clients together on the lock-step engine
 run (fedper.nn.weight_block): row j holds the round's base, then client j's
 personal layers, and ClientState.personal is a view of it.  What depends
 only on the clients' data is built once per run: the evaluation layouts
-(EvalLayout), which stack the test sets once and lay the training sets out
-group by group in the one block of training rows; the plans of the SGD
+(EvalLayout), which lay the test sets and the training sets out group by
+group, each side in one block of rows (the block experiment.client_shards
+gathered, if the sets are views of it); the plans of the SGD
 pass and, with fine-tuning on, the fine-tune pass on those rows and that
 weight block.  A round only broadcasts the base into the block, runs the
 passes, aggregates and scores.
@@ -30,7 +31,7 @@ from . import rng as rngmod
 from .errors import ConfigError, ProtocolError, SimulationError, UsageError
 from .checkpoint import save_weights
 from .data import LabeledDataset, PartitionSpec
-from .metrics import ClientMetrics, EvalResult, scores
+from .metrics import ClientMetrics, accuracy, mean_loss, scores
 from .metrics import evaluate  # unused here; the benchmark traces fedper.protocol.evaluate
 from .model import ModelSpec
 from .nn import (
@@ -334,12 +335,11 @@ def _train_round(
     server.base = aggregate(
         [(unstack_weights(layers[:kb], j), g) for j, g in enumerate(server.agg_weights)]
     )
-    personal = layers[kb:]
-    tests, trains = (layout.score(cfg.spec, server.base, personal) for layout in scoring)
-    metrics = tuple(
-        ClientMetrics(c.client_id, round_idx, test.accuracy, train.loss)
-        for c, test, train in zip(clients, tests, trains)
-    )
+    # the history records the test sets' accuracy and the training sets' loss
+    tests, trains = scoring
+    accuracies = tests.score(cfg.spec, server.base, layers[kb:], accuracy)
+    losses = trains.score(cfg.spec, server.base, layers[kb:], mean_loss)
+    metrics = tuple(ClientMetrics(c.client_id, round_idx, a, loss) for c, a, loss in zip(clients, accuracies, losses))
     return RoundRecord(round_idx, weights_checksum(server.base), metrics)
 
 
@@ -350,15 +350,21 @@ EVAL_ROWS = 4096
 
 def _eval_groups(lengths: Sequence[int]) -> list[list[int]]:
     """The sets scored together: sets of one length, in order, in chunks of
-    up to EVAL_ROWS rows (at least one set each)."""
+    up to EVAL_ROWS rows (at least one set each, empty or not)."""
     by_length: dict[int, list[int]] = {}
     for j, n in enumerate(lengths):
         by_length.setdefault(n, []).append(j)
     return [
-        members[k : k + max(1, EVAL_ROWS // n)]
+        members[k : k + max(1, EVAL_ROWS // max(n, 1))]
         for n, members in by_length.items()
-        for k in range(0, len(members), max(1, EVAL_ROWS // n))
+        for k in range(0, len(members), max(1, EVAL_ROWS // max(n, 1)))
     ]
+
+
+def layout_order(lengths: Sequence[int]) -> list[int]:
+    """The order in which an EvalLayout lays out sets of these lengths:
+    equal lengths together, each length where it first occurs."""
+    return [j for group in _eval_groups(lengths) for j in group]
 
 
 class EvalLayout:
@@ -377,15 +383,16 @@ class EvalLayout:
             span = slice(start, start + shape[0] * shape[1])
             self.groups.append((np.array(group), self.rows.x[span].reshape(*shape, -1), self.rows.y[span].reshape(shape)))
 
-    def score(self, spec: ModelSpec, base: Layers, personal: Layers) -> list[EvalResult]:
-        """evaluate(spec, base, row j of personal, set j) for every set j.  A
-        group is scored in one stacked forward pass, the base broadcast."""
-        results: list[EvalResult | None] = [None] * len(self.rows.sizes)
+    def score(self, spec: ModelSpec, base: Layers, personal: Layers, measure) -> list[float]:
+        """measure (metrics.accuracy or mean_loss) of base + row j of personal
+        on set j, as evaluate gives it, for every set j.  A group is scored
+        in one stacked forward pass, the base broadcast."""
+        results = [0.0] * len(self.rows.sizes)
         broadcast = [(w[None], b[None]) for w, b in base]
         for group, x, y in self.groups:
             layers = broadcast + [(w.take(group, axis=0), b.take(group, axis=0)) for w, b in personal]
-            for j, accuracy, loss in zip(group.tolist(), *scores(spec, layers, x, y)):
-                results[j] = EvalResult(float(accuracy), float(loss))
+            for j, value in zip(group.tolist(), scores(spec, layers, x, y, measure).tolist()):
+                results[j] = value
         return results
 
 

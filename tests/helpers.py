@@ -36,6 +36,13 @@ def rand_batch(spec: ModelSpec, rng: np.random.Generator, size: int) -> LabeledD
     return LabeledDataset(x, [y for _, y in rows], spec.out_dim)
 
 
+def minibatch_indices(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """One epoch's batches: a fresh permutation of range(n) cut into batch_size
+    slices, last partial slice included.  Every sample appears exactly once."""
+    perm = rng.permutation(n)
+    return [perm[i : i + batch_size] for i in range(0, n, batch_size)]
+
+
 def ref_loss(spec: ModelSpec, base: Layers, personal: Layers, batch) -> float:
     """Independent loss oracle: plain per-sample forward plus textbook
     softmax cross-entropy, no caching, no vectorized batching."""

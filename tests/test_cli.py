@@ -137,7 +137,7 @@ class TestInputValidation:
         assert not (tmp_path / "o").exists()
 
     def test_more_k_class_clients_than_samples_rejected_before_partitioning(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(fedper.experiment, "partition", lambda *args: pytest.fail("partitioned"))
+        monkeypatch.setattr(fedper.experiment, "partition_indices", lambda *args: pytest.fail("partitioned"))
         args = ["run", *SMALL, "--set", "partition.num_clients=1000000", "--out", str(tmp_path / "o")]
         assert main(args) == 2
         assert not (tmp_path / "o").exists()
@@ -352,6 +352,13 @@ class TestSweepCommand:
 
     def test_non_integer_values_for_k(self):
         assert main(["sweep", "--axis", "k", "--values", "a,b"]) == 2
+
+    @pytest.mark.parametrize("values", [["--values", "-1,0"], ["--values=-1,0"], ["--values", "0,-1"]])
+    def test_negative_value_is_named_whether_or_not_joined_by_equals(self, values, tmp_path, capsys):
+        args = ["sweep", *SMALL, "--axis", "kp", *values, "--out", str(tmp_path / "s")]
+        assert main(args) == 2
+        assert "model.k_personal must be an int >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_unknown_algorithm_value(self, tmp_path):
         args = ["sweep", *SMALL, "--axis", "algorithm", "--values", "fedper,fedprox"]

@@ -1,16 +1,18 @@
 from dataclasses import replace
 from unittest import mock
 
+import numpy as np
 import pytest
 
 import fedper.experiment
 from fedper.config import apply_overrides, build_dataset, default_config, resolve_sweep, sweep_seed
-from fedper.data import PartitionSpec, synth_classification
+from fedper.data import PartitionSpec, partition, synth_classification, train_test_split
 from fedper.errors import ConfigError, UsageError
 from fedper.experiment import client_shards, run_experiment, run_sweep
 from fedper.model import ModelSpec
 from fedper.nn import LayerSpec, SgdConfig
-from fedper.protocol import RunConfig
+from fedper.protocol import EvalLayout, RunConfig
+from fedper.rng import SPLIT, derive_seed
 
 
 def base_setup(num_clients=4, k=2, rounds=3, k_personal=1, seed=101):
@@ -47,6 +49,35 @@ class TestPipeline:
             total = len(train) + len(test)
             assert len(train) == pytest.approx(0.8 * total, abs=1)
             assert len(test) >= 1
+
+    @pytest.mark.parametrize("spec", [
+        # 7 clients over 4 classes: ragged sets, so the layout order is not the client order
+        PartitionSpec(mode="k_class", num_clients=7, k=2, train_fraction=0.8, seed=31),
+        PartitionSpec(
+            mode="unbalanced_users", num_clients=6, volume_range=(3, 60), train_fraction=0.7, seed=5,
+            rater_disagreement=True,
+        ),
+    ])
+    def test_one_gather_per_side_equals_partition_then_split(self, spec):
+        ds = synth_classification(4, 3, 40, seed=17)
+        shards = client_shards(ds, spec)
+        expected = [
+            train_test_split(shard, spec.train_fraction, derive_seed(spec.seed, SPLIT, j))
+            for j, shard in enumerate(partition(ds, spec))
+        ]
+        assert len(shards) == len(expected) == spec.num_clients
+        for got, want in zip(shards, expected):
+            for g, w in zip(got, want):
+                assert g.num_classes == w.num_classes
+                assert g.X.tobytes() == w.X.tobytes() and g.y.tobytes() == w.y.tobytes()
+        for side in (0, 1):
+            sets = [pair[side] for pair in shards]
+            x_block, y_block = sets[0].X.base, sets[0].y.base
+            assert x_block is not None and y_block is not None
+            assert all(d.X.base is x_block and d.y.base is y_block for d in sets)
+            assert len(x_block) == len(y_block) == sum(len(d) for d in sets)
+            # the scoring layout reads the features where they were gathered
+            assert EvalLayout(sets).rows.x is x_block
 
     def test_deterministic(self):
         cfg, ds = base_setup()

@@ -1,10 +1,14 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import fedper.nn
 from fedper.data import LabeledDataset
 from fedper.errors import ConfigError, ShapeError, UsageError
 from fedper.model import ModelSpec
@@ -13,16 +17,18 @@ from fedper.nn import (
     LockstepPlan,
     RowBlock,
     SgdConfig,
+    _row_max,
     forward,
     init_weights,
     loss_and_grad,
-    minibatch_indices,
     sgd,
     weight_block,
     weights_blob,
     weights_equal,
 )
-from helpers import assert_grad_close, fd_gradients, rand_batch, rand_spec, rand_weights, ref_loss
+from helpers import (
+    assert_grad_close, fd_gradients, minibatch_indices, rand_batch, rand_spec, rand_weights, ref_loss,
+)
 
 
 def one_layer(w, b, activation="identity", k_personal=0):
@@ -258,6 +264,59 @@ class TestLockstepPlan:
             assert len(fed[j]) == len(expected)
             for got, idx in zip(fed[j], expected):
                 assert np.array_equal(got, sets[j].X[idx, 0])
+
+    def test_a_pass_allocates_less_than_one_launch(self):
+        """After a warm-up pass, a pass writes every launch's rows,
+        activations and softmax into the plan's workspace: its allocations
+        peak below the activations of one launch."""
+        spec = ModelSpec((LayerSpec(8, 16, "relu"), LayerSpec(16, 16, "relu"), LayerSpec(16, 4, "identity")), 1)
+        rng = np.random.default_rng(0)
+        sets = [LabeledDataset(rng.standard_normal((300, 8)), rng.integers(0, 4, 300), 4) for _ in range(20)]
+        block, _ = weight_block(spec, [init_weights(spec.layers, rng) for _ in sets])
+        plan = LockstepPlan(spec, RowBlock.of(sets, onehot_width=4), block, 1, 64)
+        plan.run([np.random.default_rng([1, j]) for j in range(20)], 0.01)
+        rngs = [np.random.default_rng([2, j]) for j in range(20)]
+        tracemalloc.start()
+        try:
+            plan.run(rngs, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        launch_activations = 20 * 64 * (16 + 16 + 4) * 8  # 360 KiB
+        assert peak < launch_activations
+
+
+# every value whose order or bits a max can get wrong: signed zeros, signed
+# infinities, NaNs of either sign and with a payload
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, np.uint64(0x7FF8000000000001).view(np.float64), 1.0, -1.0]
+
+
+class TestRowMax:
+    """The softmax row max is np.maximum.reduce over the last axis, bitwise,
+    also where a chain of column maxima stands in for it."""
+
+    # with min_rows 0 every narrow draw takes the chain, which otherwise
+    # starts at more rows than the draws have
+    @pytest.mark.parametrize("min_rows", [0, fedper.nn.CHAIN_MIN_ROWS])
+    @settings(max_examples=150, deadline=None)
+    @given(width=st.integers(1, 12), lead=st.lists(st.integers(1, 4), max_size=3), data=st.data())
+    def test_equals_maximum_reduce_bitwise(self, min_rows, width, lead, data):
+        elements = st.one_of(st.sampled_from(SPECIAL), st.floats(-1e3, 1e3))
+        a = data.draw(hnp.arrays(np.float64, (*lead, width), elements=elements))
+        # a strided view too, every other column of a wider array: numpy
+        # may reduce it by another loop
+        with mock.patch.object(fedper.nn, "CHAIN_MIN_ROWS", min_rows):
+            for view in (a, np.repeat(a, 2, axis=-1)[..., ::2]):
+                expected = np.maximum.reduce(view, axis=-1, keepdims=True).tobytes()
+                assert _row_max(view).tobytes() == expected
+                out = np.full((*lead, 1), 7.0)
+                assert _row_max(view, out) is out and out.tobytes() == expected
+
+    def test_a_launch_of_many_rows_takes_the_chain_bitwise(self):
+        a = np.random.default_rng(5).choice(SPECIAL, size=(3, 50, 4))
+        with mock.patch.object(np.maximum, "reduce", side_effect=AssertionError("reduced")):
+            got = _row_max(a)
+        assert got.tobytes() == np.maximum.reduce(a, axis=-1, keepdims=True).tobytes()
 
 
 class TestWeightBlock:

@@ -42,7 +42,7 @@ from fedper.protocol import (
     server_init,
     write_checkpoint,
 )
-from helpers import rand_batch, rand_weights
+from helpers import minibatch_indices, rand_batch, rand_weights
 
 
 def toy_spec(k_personal=1):
@@ -206,7 +206,6 @@ class TestFineTune:
     def test_matches_masked_gradient_oracle(self):
         # apply the same batch walk by hand, updating only personal weights
         spec, cfg, client, base_in = self._setup()
-        from fedper.nn import minibatch_indices
 
         gen = rngmod.substream(cfg.master_seed, rngmod.client_party(0), 2, rngmod.FINE_TUNE)
         expected = [(w.copy(), b.copy()) for w, b in client.personal]
@@ -560,10 +559,13 @@ class TestStackedEvaluation:
         sets = [rand_batch(spec, rng, n) for n in lengths]
         # max_rows below a set's length scores its sets one by one; above,
         # it splits a group of equal-length sets into several
-        with mock.patch.object(fedper.protocol, "EVAL_ROWS", max_rows):
-            stacked = fedper.protocol.EvalLayout(sets).score(spec, base, fedper.nn.stack_weights(personal))
+        stack = fedper.nn.stack_weights(personal)
         alone = [evaluate(spec, base, p, d) for p, d in zip(personal, sets)]
-        assert repr(stacked) == repr(alone)  # repr tells -0.0 from 0.0
+        with mock.patch.object(fedper.protocol, "EVAL_ROWS", max_rows):
+            layout = fedper.protocol.EvalLayout(sets)
+            for measure, field in ((fedper.metrics.accuracy, "accuracy"), (fedper.metrics.mean_loss, "loss")):
+                stacked = layout.score(spec, base, stack, measure)
+                assert repr(stacked) == repr([getattr(r, field) for r in alone])  # repr tells -0.0 from 0.0
 
 
 class TestLaunchCounts:
