@@ -229,23 +229,20 @@ def partition_indices(ds: LabeledDataset, spec: PartitionSpec) -> list[np.ndarra
     return partition_unbalanced_indices(ds, spec)
 
 
-def rater_permutation(spec: PartitionSpec, client_id: int, num_classes: int) -> np.ndarray | None:
-    """The class permutation by which a client relabels its items under
-    unbalanced_users with rater_disagreement; otherwise None."""
+def relabel(spec: PartitionSpec, client_id: int, y: np.ndarray, num_classes: int) -> np.ndarray:
+    """A client's labels of items labeled y: under unbalanced_users with
+    rater_disagreement, a client-specific permutation of the classes."""
     if spec.mode == UNBALANCED_USERS and spec.rater_disagreement:
-        return rngmod.stream(spec.seed, rngmod.PARTITION, client_id, 1).permutation(num_classes)
-    return None
+        return rngmod.stream(spec.seed, rngmod.PARTITION, client_id, 1).permutation(num_classes)[y]
+    return y
 
 
 def partition(ds: LabeledDataset, spec: PartitionSpec) -> list[LabeledDataset]:
-    """One dataset per client, gathered at partition_indices and relabeled
-    by rater_permutation."""
-    parts = []
-    for j, idx in enumerate(partition_indices(ds, spec)):
-        y = ds.y[idx]
-        perm = rater_permutation(spec, j, ds.num_classes)
-        parts.append(LabeledDataset(ds.X[idx], y if perm is None else perm[y], ds.num_classes))
-    return parts
+    """One dataset per client, gathered at partition_indices and relabeled."""
+    return [
+        LabeledDataset(ds.X[idx], relabel(spec, j, ds.y[idx], ds.num_classes), ds.num_classes)
+        for j, idx in enumerate(partition_indices(ds, spec))
+    ]
 
 
 def split_positions(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng as rngmod
-from .data import K_CLASS, LabeledDataset, PartitionSpec, partition_indices, rater_permutation, split_positions
+from .data import K_CLASS, LabeledDataset, PartitionSpec, partition_indices, relabel, split_positions
 from .data import partition, train_test_split  # unused here; the benchmark traces both by these names
 from .errors import ConfigError
 from .protocol import FederationResult, RoundHistory, RunConfig, layout_order, run_federation
@@ -20,24 +20,22 @@ def client_shards(ds: LabeledDataset, spec: PartitionSpec) -> list[tuple[Labeled
     """Partition the dataset over clients, then split each shard into its own
     train and test sets with a per-client seed derived from the partition
     seed: bitwise what partition and train_test_split give.  Each side's
-    rows are gathered with one take, in the order an EvalLayout lays them
-    out (which then takes them over uncopied); every set is a view of them."""
+    rows are one take of ds, in the order an EvalLayout lays them out (which
+    then takes them over uncopied); every set is a view of them."""
     sides: tuple[list, list] = ([], [])  # per side, per client: its rows of ds and their labels
     for j, idx in enumerate(partition_indices(ds, spec)):
-        perm = rater_permutation(spec, j, ds.num_classes)
-        y = ds.y.take(idx) if perm is None else perm.take(ds.y.take(idx))
+        y = relabel(spec, j, ds.y.take(idx), ds.num_classes)
         seed = rngmod.derive_seed(spec.seed, rngmod.SPLIT, j)
         for side, pos in zip(sides, split_positions(len(idx), spec.train_fraction, seed)):
             side.append((idx.take(pos), y.take(pos)))
     shards = []
     for side in sides:
         order = layout_order([len(y) for _, y in side])
-        x = ds.X.take(np.concatenate([side[j][0] for j in order]), axis=0)
-        y = np.concatenate([side[j][1] for j in order])
+        idx, y = (np.concatenate([side[j][k] for j in order]) for k in (0, 1))
         cuts = np.cumsum([len(side[j][1]) for j in order])[:-1]
-        parts = zip(order, np.split(x, cuts), np.split(y, cuts))
-        sets = {j: LabeledDataset(xj, yj, ds.num_classes) for j, xj, yj in parts}
-        shards.append([sets[j] for j in range(len(side))])
+        pieces = zip(np.split(ds.X.take(idx, axis=0), cuts), np.split(y, cuts))
+        sets = [LabeledDataset(xj, yj, ds.num_classes) for xj, yj in pieces]
+        shards.append([sets[k] for k in np.argsort(order)])
     return list(zip(*shards))
 
 

@@ -19,7 +19,6 @@ launches.  sgd is the same engine with a single client.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -194,28 +193,22 @@ def _forward(spec: "ModelSpec", layers: Layers, x: np.ndarray, outs: Sequence | 
     return acts
 
 
-# The softmax row max is a chain of np.maximum over the columns up to 8 of
-# them, where the reduction too goes column by column, and from 128 rows.
-# With numpy 2.4 on AVX-512 the reduction took about 0.05 us a row and the
-# chain 6 to 10 us up to 256 rows: 0.06 ms to the reduction's 1.2 ms on a
-# (100, 256, 4) launch, but 5.5 us to 1.8 on (1, 16, 4), and from 9 columns
-# 11 us to 7 even on (10, 16, 9).
+# Up to 8 columns and from 128 rows the softmax row max is a chain of
+# np.maximum over the columns.  With numpy 2.4 on AVX-512 it took 0.06 ms to
+# the reduction's 1.2 ms on a (100, 256, 4) launch, but 5.5 us to 1.8 on
+# (1, 16, 4), and from 9 columns 11 us to 7 even on (10, 16, 9).
 CHAIN_MAX_COLUMNS, CHAIN_MIN_ROWS = 8, 128
 
 
 def _row_max(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """np.maximum.reduce(a, axis=-1, keepdims=True) bitwise, into out if
-    given: a chain over the columns folds them in the reduction's order and
-    rounds nothing.  Like the reduction's vector loop (on rows of adjacent
-    values), it gives numpy's default NaN where a NaN is first of several."""
+    """np.maximum.reduce(a, axis=-1, keepdims=True), into out if given; the
+    chain folds the columns in the reduction's order and rounds nothing."""
     w = a.shape[-1]
     if w > CHAIN_MAX_COLUMNS or a.size < CHAIN_MIN_ROWS * w:
         return np.maximum.reduce(a, axis=-1, keepdims=True, out=out)
     out = np.maximum(a[..., :1], a[..., 1:2] if w > 1 else a[..., :1], out=out)
     for k in range(2, w):
         np.maximum(out, a[..., k : k + 1], out=out)
-    if w > 1 and a.strides[-1] == a.itemsize:
-        np.copyto(out, np.nan, where=np.isnan(a[..., :1]))
     return out
 
 
@@ -327,8 +320,9 @@ def _end_to_end(parts: Sequence[np.ndarray]) -> np.ndarray:
     """parts end to end: the array whose rows they are, in order and with no
     rows around or between them, if there is one, else a new one."""
     whole, at = parts[0].base, np.cumsum([0] + [p.nbytes for p in parts])
-    if whole is not None and whole.flags.c_contiguous and whole.nbytes == at[-1] and all(
-        p.base is whole and p.flags.c_contiguous and p.ctypes.data == whole.ctypes.data + a for p, a in zip(parts, at)
+    if isinstance(whole, np.ndarray) and whole.flags.c_contiguous and whole.nbytes == at[-1] and all(
+        p.base is whole and p.dtype == whole.dtype and p.shape[1:] == whole.shape[1:] and p.flags.c_contiguous
+        and p.ctypes.data == whole.ctypes.data + a for p, a in zip(parts, at)
     ):
         return whole
     return np.concatenate(parts)
@@ -366,11 +360,9 @@ class LockstepPlan:
     The weights are the given (N, P) block, laid out as weight_block lays
     it out, row j holding client j's layers; every pass trains it in place.
     A launch of every client works on it directly; any other gathers its
-    rows into a spare block and scatters them back.  Gradients fill the
-    trained columns of a second block, so an update is two whole-block
-    operations.  A launch's rows, activations and softmax go into one
-    workspace sized for the largest launch, so a pass allocates no arrays
-    of a launch's size.
+    rows into a spare block and scatters them back.  Gradients fill the trained columns of a
+    second block, so an update is two whole-block operations.  A launch's
+    rows, activations and softmax go into one workspace, allocated here.
     """
 
     def __init__(
@@ -396,8 +388,7 @@ class LockstepPlan:
         samples = np.arange(min(batch_size, max(sizes)))
         # per launch: its clients, the position of each one's batch in order
         # (a column), the offsets of a batch's samples, the views of its
-        # bucket size and, once the largest launch is known, its shape's
-        # views of the one workspace
+        # bucket size and, once all are known, its views of the workspace
         self.launches: list[tuple] = []
         for t in range(max(len(s) for s in steps)):
             buckets: dict[int, list[int]] = {}
@@ -446,18 +437,16 @@ class LockstepPlan:
 
 def _workspace(spec: "ModelSpec", rows: int):
     """Flat buffers for launches of up to rows rows, and a function that
-    makes a launch shape's views of them, once: the features, the one-hot
-    labels, the layers' outputs and relu masks (one buffer, as a mask is dead
-    before the next is made), and the softmax parts."""
-    layer_widths = [s.out_dim for s in spec.layers]
-    widths = [spec.in_dim, spec.out_dim, *layer_widths, 1, spec.out_dim, 1]
+    makes a launch shape's views of them: the features, the one-hot labels,
+    the layers' outputs and relu masks (one buffer, as a mask is dead before
+    the next is made), and the softmax parts."""
+    widths = [spec.in_dim, spec.out_dim, *(s.out_dim for s in spec.layers), 1, spec.out_dim, 1]
     flat = [np.empty(rows * w, dtype=bool if i == 1 else np.float64) for i, w in enumerate(widths)]
-    mask = np.empty(rows * max(layer_widths), dtype=bool)
+    mask = np.empty(rows * max(widths[2:-3]), dtype=bool)
 
-    @functools.cache
     def views(n: int, b: int) -> tuple:
         x, onehot, *outs, zmax, expz, sums = [buf[: n * b * w].reshape(n, b, w) for buf, w in zip(flat, widths)]
-        return x, onehot, outs, [mask[: n * b * w].reshape(n, b, w) for w in layer_widths], (zmax, expz, sums)
+        return x, onehot, outs, [mask[: o.size].reshape(o.shape) for o in outs], (zmax, expz, sums)
 
     return views
 

@@ -291,32 +291,71 @@ class TestLockstepPlan:
 SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, np.uint64(0x7FF8000000000001).view(np.float64), 1.0, -1.0]
 
 
+def assert_same_row_max(got, expected):
+    """NaN exactly where the reduction gives NaN (its payload bits depend on
+    numpy's vector loop), and every other value bitwise, signed zeros too."""
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == expected[~nan].tobytes()
+
+
 class TestRowMax:
-    """The softmax row max is np.maximum.reduce over the last axis, bitwise,
-    also where a chain of column maxima stands in for it."""
+    """The softmax row max is np.maximum.reduce over the last axis, also
+    where a chain of column maxima stands in for it."""
 
     # with min_rows 0 every narrow draw takes the chain, which otherwise
     # starts at more rows than the draws have
     @pytest.mark.parametrize("min_rows", [0, fedper.nn.CHAIN_MIN_ROWS])
     @settings(max_examples=150, deadline=None)
     @given(width=st.integers(1, 12), lead=st.lists(st.integers(1, 4), max_size=3), data=st.data())
-    def test_equals_maximum_reduce_bitwise(self, min_rows, width, lead, data):
+    def test_equals_maximum_reduce(self, min_rows, width, lead, data):
         elements = st.one_of(st.sampled_from(SPECIAL), st.floats(-1e3, 1e3))
         a = data.draw(hnp.arrays(np.float64, (*lead, width), elements=elements))
         # a strided view too, every other column of a wider array: numpy
         # may reduce it by another loop
         with mock.patch.object(fedper.nn, "CHAIN_MIN_ROWS", min_rows):
             for view in (a, np.repeat(a, 2, axis=-1)[..., ::2]):
-                expected = np.maximum.reduce(view, axis=-1, keepdims=True).tobytes()
-                assert _row_max(view).tobytes() == expected
+                expected = np.maximum.reduce(view, axis=-1, keepdims=True)
+                assert_same_row_max(_row_max(view), expected)
                 out = np.full((*lead, 1), 7.0)
-                assert _row_max(view, out) is out and out.tobytes() == expected
+                assert _row_max(view, out) is out
+                assert_same_row_max(out, expected)
 
-    def test_a_launch_of_many_rows_takes_the_chain_bitwise(self):
+    def test_a_launch_of_many_rows_takes_the_chain(self):
         a = np.random.default_rng(5).choice(SPECIAL, size=(3, 50, 4))
         with mock.patch.object(np.maximum, "reduce", side_effect=AssertionError("reduced")):
             got = _row_max(a)
-        assert got.tobytes() == np.maximum.reduce(a, axis=-1, keepdims=True).tobytes()
+        assert_same_row_max(got, np.maximum.reduce(a, axis=-1, keepdims=True))
+
+
+class TestRowBlock:
+    # X arrays whose .base is not a block of their rows: a 1-D array, bytes
+    # of another dtype, a block of another width, a buffer that is no array
+    @pytest.mark.parametrize("make", [
+        lambda x: x.ravel().copy().reshape(x.shape),
+        lambda x: np.frombuffer(x.tobytes(), dtype=np.uint8).view(np.float64).reshape(x.shape),
+        lambda x: x.reshape(-1, 4).copy().reshape(x.shape),
+        lambda x: np.ndarray(x.shape, buffer=bytearray(x.tobytes())),
+    ], ids=["1-d", "uint8", "other-width", "bytearray"])
+    def test_features_viewing_other_arrays_are_copied(self, make):
+        spec = ModelSpec((LayerSpec(8, 3, "relu"), LayerSpec(3, 2, "identity")), 1)
+        x = np.arange(48.0).reshape(6, 8) / 48
+        y = np.arange(6) % 2
+        rows = RowBlock.of([LabeledDataset(make(x), y, 2)])
+        assert rows.x.shape == (6, 8) and rows.x.tobytes() == x.tobytes()
+        w = init_weights(spec.layers, np.random.default_rng(0))
+        got, want = (
+            sgd(spec, w[:1], w[1:], LabeledDataset(xs, y, 2), SgdConfig(0.1, 2, 4), np.random.default_rng(1))
+            for xs in (make(x), x.copy())
+        )
+        assert weights_equal(got[0] + got[1], want[0] + want[1])
+
+    def test_consecutive_views_of_one_block_are_that_block(self):
+        block = np.arange(48.0).reshape(6, 8).copy()  # owns its rows
+        sets = [LabeledDataset(block[a:b], np.zeros(b - a, dtype=int), 2) for a, b in ((0, 2), (2, 6))]
+        assert RowBlock.of(sets).x is block
+        assert RowBlock.of(sets, [1, 0]).x is not block
+        assert RowBlock.of(sets[:1]).x is not block
 
 
 class TestWeightBlock:
