@@ -43,13 +43,12 @@ def _out_dir(args, resolved) -> Path:
 
 def cmd_run(args) -> int:
     resolved = resolve(_load(args))
-    ds = build_dataset(resolved.dataset)
-
     out_dir = _out_dir(args, resolved)
     run_id = resolved.output["run_id"]
+    # passed on unnamed, so that run_experiment can free it once sharded
     result = run_experiment(
         resolved.run,
-        ds,
+        build_dataset(resolved.dataset),
         checkpoint_dir=out_dir / "checkpoints",
         checkpoint_every=resolved.output["checkpoint_every"],
     )

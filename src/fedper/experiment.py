@@ -21,19 +21,24 @@ def client_shards(ds: LabeledDataset, spec: PartitionSpec) -> list[tuple[Labeled
     train and test sets with a per-client seed derived from the partition
     seed: bitwise what partition and train_test_split give.  Each side's
     rows are one take of ds, in the order an EvalLayout lays them out (which
-    then takes them over uncopied); every set is a view of them."""
-    sides: tuple[list, list] = ([], [])  # per side, per client: its rows of ds and their labels
+    then takes them over uncopied); every set is a view of them.  Only
+    indices are held per client: each side takes its labels, relabels them
+    client by client in place, then takes its features."""
+    sides: tuple[list, list] = ([], [])  # per side, per client: its rows of ds
     for j, idx in enumerate(partition_indices(ds, spec)):
-        y = relabel(spec, j, ds.y.take(idx), ds.num_classes)
         seed = rngmod.derive_seed(spec.seed, rngmod.SPLIT, j)
         for side, pos in zip(sides, split_positions(len(idx), spec.train_fraction, seed)):
-            side.append((idx.take(pos), y.take(pos)))
+            side.append(idx.take(pos))
     shards = []
     for side in sides:
-        order = layout_order([len(y) for _, y in side])
-        idx, y = (np.concatenate([side[j][k] for j in order]) for k in (0, 1))
-        cuts = np.cumsum([len(side[j][1]) for j in order])[:-1]
-        pieces = zip(np.split(ds.X.take(idx, axis=0), cuts), np.split(y, cuts))
+        order = layout_order([len(i) for i in side])
+        cuts = np.cumsum([len(side[j]) for j in order])[:-1]
+        idx = np.concatenate([side[j] for j in order])
+        side.clear()
+        y = np.split(ds.y.take(idx), cuts)
+        for j, yj in zip(order, y):
+            yj[...] = relabel(spec, j, yj, ds.num_classes)
+        pieces = zip(np.split(ds.X.take(idx, axis=0), cuts), y)
         sets = [LabeledDataset(xj, yj, ds.num_classes) for xj, yj in pieces]
         shards.append([sets[k] for k in np.argsort(order)])
     return list(zip(*shards))
@@ -61,9 +66,12 @@ def run_experiment(
     checkpoint_dir: str | Path | None = None,
     checkpoint_every: int = 0,
 ) -> FederationResult:
-    """Partition + split + run_federation, fully determined by cfg and ds."""
+    """Partition + split + run_federation, fully determined by cfg and ds.
+    The federation holds no reference to ds: a caller that holds none
+    either frees it before training starts."""
     check_dataset(cfg, ds)
     shards = client_shards(ds, cfg.partition)
+    del ds
     return run_federation(cfg, shards, checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every)
 
 

@@ -328,6 +328,19 @@ def _end_to_end(parts: Sequence[np.ndarray]) -> np.ndarray:
     return np.concatenate(parts)
 
 
+# The most rows one launch or one scoring group holds, and so the size of a
+# plan's workspace: above it, the stacked forward of large sets ran slower
+# than scoring them one by one.
+ROW_BUDGET = 4096
+
+
+def budget_chunks(members: list[int], rows_each: int) -> list[list[int]]:
+    """members in order, in chunks of as many as fit in ROW_BUDGET rows at
+    rows_each rows a member, and at least one."""
+    step = max(1, ROW_BUDGET // max(rows_each, 1))
+    return [members[k : k + step] for k in range(0, len(members), step)]
+
+
 class LockstepPlan:
     """Mini-batch SGD for N clients at once on stacked weights, planned once
     for clients whose training sets never change.
@@ -341,15 +354,16 @@ class LockstepPlan:
     and they are never updated.
 
     At step t every client that still has batches takes its t-th one.
-    Clients whose batches have the same size form a bucket, which runs one
-    stacked forward and backward pass (a launch): np.matmul runs each
-    client's own gemm on its own slice, and every reduction runs within one
-    client's slice.  Buckets are never padded, because padding would change
-    the shape of each client's gemm and reductions, and with them the
-    rounding.  Unpadded, every client's arithmetic is the same as in a run
-    on its own, and no client reads another's weights, data or generator; so
-    the result is bitwise independent of which clients share a bucket and of
-    the order in which buckets run.
+    Clients whose batches have the same size form a bucket, which runs as
+    stacked forward and backward passes (launches) of as many of its clients
+    as fit in ROW_BUDGET rows (budget_chunks): np.matmul runs each client's
+    own gemm on its own slice, and every reduction runs within one client's
+    slice.  Buckets are never padded, because padding would change the
+    shape of each client's gemm and reductions, and with them the rounding.
+    Unpadded, every client's arithmetic is the same as in a run on its own,
+    and no client reads another's weights, data or generator; so the result
+    is bitwise independent of which clients share a launch and of the order
+    in which launches run.
 
     Which clients share which launch depends only on the set sizes, so it is
     planned here, once: per launch its clients and, per member, where its
@@ -362,7 +376,8 @@ class LockstepPlan:
     A launch of every client works on it directly; any other gathers its
     rows into a spare block and scatters them back.  Gradients fill the trained columns of a
     second block, so an update is two whole-block operations.  A launch's
-    rows, activations and softmax go into one workspace, allocated here.
+    rows, activations and softmax go into one workspace, allocated here for
+    the largest launch: at most ROW_BUDGET rows, unless one batch is larger.
     """
 
     def __init__(
@@ -395,14 +410,15 @@ class LockstepPlan:
             for j, s in enumerate(steps):
                 if t < len(s):
                     buckets.setdefault(s[t][0], []).append(j)
-            for size, clients in buckets.items():
-                n = len(clients)
-                if n not in views:
-                    sub = block if n == len(sizes) else spare[:n]
-                    views[n] = (sub, _flat_views(spec, sub), sub[:, frozen:], grad[:n],
-                                _flat_views(spec, grad[:n], first_trained))
-                bases = np.array([steps[j][t][1] for j in clients])[:, None]
-                self.launches.append((np.array(clients), bases, samples[:size], views[n]))
+            for size, bucket in buckets.items():
+                for clients in budget_chunks(bucket, size):
+                    n = len(clients)
+                    if n not in views:
+                        sub = block if n == len(sizes) else spare[:n]
+                        views[n] = (sub, _flat_views(spec, sub), sub[:, frozen:], grad[:n],
+                                    _flat_views(spec, grad[:n], first_trained))
+                    bases = np.array([steps[j][t][1] for j in clients])[:, None]
+                    self.launches.append((np.array(clients), bases, samples[:size], views[n]))
         work = _workspace(spec, max(len(c) * len(s) for c, _, s, _ in self.launches))
         self.launches = [(*launch, work(len(launch[0]), len(launch[2]))) for launch in self.launches]
 
@@ -452,18 +468,16 @@ def _workspace(spec: "ModelSpec", rows: int):
 
 
 def sgd(
-    spec: "ModelSpec",
-    base: Layers,
-    personal: Layers,
-    dataset: "LabeledDataset",
-    cfg: SgdConfig,
-    rng: np.random.Generator,
+    spec: "ModelSpec", base: Layers, personal: Layers, dataset: "LabeledDataset",
+    cfg: SgdConfig, rng: np.random.Generator, first_trained: int = 0,
 ) -> tuple[Layers, Layers]:
-    """Mini-batch SGD over the dataset for cfg.epochs epochs.
+    """Mini-batch SGD over the dataset for cfg.epochs epochs, on the
+    lock-step engine with one client.
 
     Each epoch draws a fresh permutation from rng and walks batches of
-    cfg.batch_size, updating base and personal by -eta * gradient.  Inputs are
-    not mutated; the updated copies are returned.
+    cfg.batch_size, updating base and personal by -eta * gradient; layers
+    before first_trained stay frozen.  Inputs are not mutated; the updated
+    copies are returned.
     """
     if len(dataset) == 0:
         raise UsageError("sgd requires a non-empty dataset")
@@ -471,6 +485,6 @@ def sgd(
     check_data(spec, dataset)
     block, layers = weight_block(spec, [base + personal])
     rows = RowBlock.of([dataset], onehot_width=spec.out_dim)
-    LockstepPlan(spec, rows, block, cfg.epochs, cfg.batch_size).run([rng], cfg.eta)
+    LockstepPlan(spec, rows, block, cfg.epochs, cfg.batch_size, first_trained).run([rng], cfg.eta)
     kb = spec.k_base
     return unstack_weights(layers[:kb], 0), unstack_weights(layers[kb:], 0)

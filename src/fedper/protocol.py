@@ -35,18 +35,8 @@ from .metrics import ClientMetrics, accuracy, mean_loss, scores
 from .metrics import evaluate  # unused here; the benchmark traces fedper.protocol.evaluate
 from .model import ModelSpec
 from .nn import (
-    Layers,
-    LockstepPlan,
-    RowBlock,
-    SgdConfig,
-    _check_model_weights,
-    check_data,
-    init_weights,
-    sgd,
-    stack_weights,
-    unstack_weights,
-    weight_block,
-    weights_checksum,
+    Layers, LockstepPlan, RowBlock, SgdConfig, budget_chunks, check_data, init_weights, sgd, stack_weights,
+    unstack_weights, weight_block, weights_checksum,
 )
 
 SERVER = "server"
@@ -200,11 +190,6 @@ def _streams(
     return [_client_stream(cfg, c.client_id, round_idx, purpose) for c in clients]
 
 
-def _fine_tune_plan(cfg: RunConfig, rows: RowBlock, block: np.ndarray) -> LockstepPlan:
-    """One epoch of SGD on the personal layers of block, base frozen."""
-    return LockstepPlan(cfg.spec, rows, block, 1, cfg.sgd.batch_size, first_trained=cfg.spec.k_base)
-
-
 def fine_tune(client: ClientState, cfg: RunConfig, base_in: Layers, round_idx: int) -> ClientState:
     """One epoch of SGD on the personal layers only, base frozen in place.
 
@@ -214,11 +199,10 @@ def fine_tune(client: ClientState, cfg: RunConfig, base_in: Layers, round_idx: i
     if cfg.spec.k_personal < 1:
         raise UsageError("fine_tune requires at least one personalization layer")
     _check_base(client, cfg.spec, base_in)
-    _check_model_weights(cfg.spec, base_in, client.personal)
-    block, layers = weight_block(cfg.spec, [base_in + client.personal])
-    rows = RowBlock.of([client.train], onehot_width=cfg.spec.out_dim)
-    _fine_tune_plan(cfg, rows, block).run(_streams(cfg, [client], round_idx, rngmod.FINE_TUNE), cfg.sgd.eta)
-    return replace(client, personal=unstack_weights(layers[cfg.spec.k_base :], 0))
+    gen = _client_stream(cfg, client.client_id, round_idx, rngmod.FINE_TUNE)
+    sgd_cfg = replace(cfg.sgd, epochs=1)
+    _, personal = sgd(cfg.spec, base_in, client.personal, client.train, sgd_cfg, gen, cfg.spec.k_base)
+    return replace(client, personal=personal)
 
 
 def aggregate(updates: Sequence[tuple[Layers, float]]) -> Layers:
@@ -284,7 +268,9 @@ def run_federation(
     scoring = (EvalLayout([c.test for c in clients]), EvalLayout([c.train for c in clients], spec.out_dim))
     rows = scoring[1].rows
     sgd_plan = LockstepPlan(spec, rows, block, cfg.sgd.epochs, cfg.sgd.batch_size)
-    fine_tune_plan = _fine_tune_plan(cfg, rows, block) if cfg.fine_tune and spec.k_personal >= 1 else None
+    fine_tune_plan = None
+    if cfg.fine_tune and spec.k_personal >= 1:  # one epoch on the personal layers, base frozen
+        fine_tune_plan = LockstepPlan(spec, rows, block, 1, cfg.sgd.batch_size, first_trained=spec.k_base)
 
     records = []
     for round_idx in range(1, cfg.rounds + 1):
@@ -343,22 +329,13 @@ def _train_round(
     return RoundRecord(round_idx, weights_checksum(server.base), metrics)
 
 
-# The most rows one stacked evaluation holds: above it, the stacked forward
-# of large sets ran slower than scoring them one by one.
-EVAL_ROWS = 4096
-
-
 def _eval_groups(lengths: Sequence[int]) -> list[list[int]]:
     """The sets scored together: sets of one length, in order, in chunks of
-    up to EVAL_ROWS rows (at least one set each, empty or not)."""
+    up to ROW_BUDGET rows (at least one set each, empty or not)."""
     by_length: dict[int, list[int]] = {}
     for j, n in enumerate(lengths):
         by_length.setdefault(n, []).append(j)
-    return [
-        members[k : k + max(1, EVAL_ROWS // max(n, 1))]
-        for n, members in by_length.items()
-        for k in range(0, len(members), max(1, EVAL_ROWS // max(n, 1)))
-    ]
+    return [chunk for n, members in by_length.items() for chunk in budget_chunks(members, n)]
 
 
 def layout_order(lengths: Sequence[int]) -> list[int]:

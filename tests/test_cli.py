@@ -1,5 +1,7 @@
 import json
 import tempfile
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +9,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import fedper.cli
 import fedper.experiment
+import fedper.nn
+import fedper.protocol
 from fedper.cli import main
 from fedper.config import SCHEMA, SECTIONS, apply_overrides, build_dataset, default_config, resolve, sweep_seed
 from fedper.data import synth_classification, save_csv
@@ -314,6 +319,79 @@ class TestRunCommand:
         before = config_path.read_bytes()
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 0
         assert config_path.read_bytes() == before
+
+
+class TestMemory:
+    """A run holds one copy of the rows at a time: the dataset is freed once
+    it is sharded, and the engine's workspace is sized by the row budget."""
+
+    @staticmethod
+    def watch(monkeypatch):
+        """Weak references to every dataset fedper.cli builds, and per
+        run_federation call whether each one was alive when it started."""
+        refs, alive = [], []
+        build, federate = fedper.cli.build_dataset, fedper.experiment.run_federation
+
+        def building(*args):
+            ds = build(*args)
+            refs.append(weakref.ref(ds))
+            return ds
+
+        def federating(*args, **kwargs):
+            alive.append([ref() is not None for ref in refs])
+            return federate(*args, **kwargs)
+
+        monkeypatch.setattr(fedper.cli, "build_dataset", building)
+        monkeypatch.setattr(fedper.experiment, "run_federation", federating)
+        return alive
+
+    def test_run_frees_the_dataset_before_training(self, monkeypatch, tmp_path):
+        alive = self.watch(monkeypatch)
+        assert main(["run", *SMALL, "--set", "rounds=1", "--out", str(tmp_path)]) == 0
+        assert alive == [[False]]
+
+    def test_sweep_trains_every_point_from_one_dataset(self, monkeypatch, tmp_path):
+        alive = self.watch(monkeypatch)
+        assert main(["sweep", *SMALL, "--axis", "kp", "--values", "0,1,2", "--out", str(tmp_path)]) == 0
+        assert alive == [[True]] * 3
+
+    def test_peak_is_the_dataset_plus_one_copy_of_its_rows(self, monkeypatch, tmp_path):
+        """tracemalloc's peak over a reduced scale run (20 clients of 1,000
+        rows, B=256, checkpoints) stays within the dataset, the blocks of
+        client rows, one workspace of ROW_BUDGET rows and 1 MiB."""
+        sizes = {"dataset": 0, "rows": 0}
+        build, layout = fedper.cli.build_dataset, fedper.protocol.EvalLayout
+
+        def building(*args):
+            ds = build(*args)
+            sizes["dataset"] = ds.X.nbytes + ds.y.nbytes
+            return ds
+
+        class MeasuredLayout(layout):
+            def __init__(self, *args):
+                super().__init__(*args)
+                rows = self.rows
+                sizes["rows"] += rows.x.nbytes + rows.y.nbytes + (0 if rows.onehot is None else rows.onehot.nbytes)
+
+        monkeypatch.setattr(fedper.cli, "build_dataset", building)
+        monkeypatch.setattr(fedper.protocol, "EvalLayout", MeasuredLayout)
+        overrides = [
+            "rounds=1", "dataset.per_class=5000", "partition.num_clients=20",
+            "sgd.batch_size=256", "sgd.epochs=1", "output.checkpoint_every=1",
+        ]
+        args = ["run", *(a for o in overrides for a in ("--set", o)), "--out", str(tmp_path)]
+        spec = resolve(apply_overrides(default_config(), overrides)).run.spec
+        tracemalloc.start()
+        try:
+            work = fedper.nn._workspace(spec, fedper.nn.ROW_BUDGET)
+            workspace = tracemalloc.get_traced_memory()[0]
+            del work
+            tracemalloc.reset_peak()
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sizes["dataset"] + sizes["rows"] + workspace + 2**20, (peak, sizes, workspace)
 
 
 class TestSweepCommand:

@@ -236,11 +236,15 @@ class TestEpochBatches:
 
 class TestLockstepPlan:
     """The plan feeds every client, step by step, exactly the batches of
-    minibatch_indices on its own generator, from its own rows of the block."""
+    minibatch_indices on its own generator, from its own rows of the block,
+    in launches that fit the row budget."""
 
     @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), epochs=st.integers(1, 3), batch_size=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
-    def test_rows_fed_are_the_reference_batches(self, data, epochs, batch_size, seed):
+    @given(
+        data=st.data(), epochs=st.integers(1, 3), batch_size=st.integers(1, 8), budget=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_fed_are_the_reference_batches(self, data, epochs, batch_size, budget, seed):
         # sizes below, at and between multiples of the batch size
         multiple = st.integers(1, 3).map(lambda m: m * batch_size)
         sizes = data.draw(st.lists(st.one_of(st.integers(1, 3 * batch_size), multiple), min_size=1, max_size=6))
@@ -250,7 +254,14 @@ class TestLockstepPlan:
         rows = RowBlock.of(sets, order, onehot_width=2)
         spec = ModelSpec((LayerSpec(1, 2, "identity"),), 0)
         block, _ = weight_block(spec, [[(np.zeros((2, 1)), np.zeros(2))]] * len(sizes))
-        plan = LockstepPlan(spec, rows, block, epochs, batch_size)
+        with mock.patch.object(fedper.nn, "ROW_BUDGET", budget):
+            plan = LockstepPlan(spec, rows, block, epochs, batch_size)
+        for clients, _, samples, _, (xs, onehot, outs, masks, parts) in plan.launches:
+            # a launch fits the budget, or is one client's batch larger than it
+            assert len(clients) * len(samples) <= budget or len(clients) == 1
+            if batch_size <= budget:  # so does every workspace view, and the workspace
+                assert all(a.shape[0] * a.shape[1] <= budget for a in (xs, onehot, *outs, *masks, *parts))
+                assert xs.base.size <= budget * spec.in_dim
 
         fed: list[list[np.ndarray]] = [[] for _ in sizes]
         for (clients, *_), batch_rows in plan.batches([np.random.default_rng([seed, j]) for j in range(len(sizes))]):

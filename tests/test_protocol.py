@@ -536,6 +536,52 @@ class TestBatchingInvariance:
             assert weights_checksum(mine.personal) == weights_checksum(theirs.personal)
 
 
+class TestRowBudget:
+    """Launches and scoring groups share one row budget.  How it cuts a
+    bucket into launches and the sets into scoring groups changes no output
+    byte: a budget of one row, one client per launch and one set per group,
+    gives what the default budget gives."""
+
+    @staticmethod
+    def run(cfg, data, budget):
+        """run_federation's result under the budget, and its plans."""
+        plans = []
+
+        class RecordingPlan(fedper.nn.LockstepPlan):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                plans.append(self)
+
+        with mock.patch.object(fedper.protocol, "LockstepPlan", RecordingPlan), \
+                mock.patch.object(fedper.nn, "ROW_BUDGET", budget):
+            return run_federation(cfg, data), plans
+
+    def assert_budget_free(self, cfg, data):
+        default, plans = self.run(cfg, data, fedper.nn.ROW_BUDGET)
+        one_row, one_row_plans = self.run(cfg, data, 1)
+        assert all(len(launch[0]) == 1 for plan in one_row_plans for launch in plan.launches)
+        assert repr(one_row.history) == repr(default.history)  # repr tells -0.0 from 0.0
+        checksums = [[r.base_checksum for r in h.rounds] for h in (one_row.history, default.history)]
+        assert checksums[0] == checksums[1]
+        # the final weight block: the round's base and every client's personal layers
+        assert one_row_plans[0].block.tobytes() == plans[0].block.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(federations())
+    def test_one_row_budget_changes_no_output(self, federation):
+        self.assert_budget_free(*federation)
+
+    def test_unbalanced_fine_tuned_run(self):
+        """Ragged unbalanced_users sets, fine-tuning on, relu and identity
+        layers."""
+        cfg = apply_overrides(default_config(), ["rounds=2", "fine_tune=true", "partition.mode=unbalanced_users"])
+        resolved = resolve(cfg)
+        assert {s.activation for s in resolved.run.spec.layers} == {"relu", "identity"}
+        shards = client_shards(build_dataset(resolved.dataset), resolved.run.partition)
+        assert len({len(train) for train, _ in shards}) > 1
+        self.assert_budget_free(resolved.run, shards)
+
+
 class TestStackedEvaluation:
     """Sets of one length are scored by one stacked forward pass, which must
     give every set bitwise what evaluate gives it alone."""
@@ -561,7 +607,7 @@ class TestStackedEvaluation:
         # it splits a group of equal-length sets into several
         stack = fedper.nn.stack_weights(personal)
         alone = [evaluate(spec, base, p, d) for p, d in zip(personal, sets)]
-        with mock.patch.object(fedper.protocol, "EVAL_ROWS", max_rows):
+        with mock.patch.object(fedper.nn, "ROW_BUDGET", max_rows):
             layout = fedper.protocol.EvalLayout(sets)
             for measure, field in ((fedper.metrics.accuracy, "accuracy"), (fedper.metrics.mean_loss, "loss")):
                 stacked = layout.score(spec, base, stack, measure)
