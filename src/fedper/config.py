@@ -15,7 +15,7 @@ from typing import Any, Callable, Sequence
 from . import rng as rngmod
 from .data import K_CLASS, PARTITION_MODES, LabeledDataset, PartitionSpec, load_csv, synth_classification, synth_shells
 from .checkpoint import atomic_write
-from .errors import ConfigError, ParseError, UsageError
+from .errors import ConfigError, UsageError
 from .model import ModelSpec, linearize_base
 from .nn import SgdConfig
 from .protocol import RunConfig
@@ -156,7 +156,7 @@ def load_config_file(path: str | Path) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:  # a JSONDecodeError, or an integer literal past Python's digit limit
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config root must be a JSON object")
     cfg = default_config()

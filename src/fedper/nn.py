@@ -175,17 +175,16 @@ def _flat_views(spec: "ModelSpec", block: np.ndarray, first: int = 0) -> Layers:
     return views
 
 
-def _forward(spec: "ModelSpec", layers: Layers, x: np.ndarray, outs: Sequence | None = None) -> list[np.ndarray]:
+def _forward(spec: "ModelSpec", layers: Layers, x: np.ndarray) -> list[np.ndarray]:
     """Run the stack on (..., batch, in_dim) inputs; returns every layer's
-    activations, the input first and the network output last, written into
-    outs (a buffer per layer) if given.
+    activations, the input first and the network output last.
 
     Leading dims index stacked weights: with (G, out, in) weights and
     (G, batch, in) inputs every slice g is its own forward pass.
     """
     acts = [x]
-    for i, (lspec, (w, b)) in enumerate(zip(spec.layers, layers)):
-        z = np.matmul(acts[-1], w.swapaxes(-1, -2), out=None if outs is None else outs[i])
+    for lspec, (w, b) in zip(spec.layers, layers):
+        z = acts[-1] @ w.swapaxes(-1, -2)
         z += b[..., None, :]
         if lspec.activation == "relu":
             np.maximum(z, 0.0, out=z)
@@ -200,26 +199,25 @@ def _forward(spec: "ModelSpec", layers: Layers, x: np.ndarray, outs: Sequence | 
 CHAIN_MAX_COLUMNS, CHAIN_MIN_ROWS = 8, 128
 
 
-def _row_max(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """np.maximum.reduce(a, axis=-1, keepdims=True), into out if given; the
-    chain folds the columns in the reduction's order and rounds nothing."""
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """np.maximum.reduce(a, axis=-1, keepdims=True); the chain folds the
+    columns in the reduction's order and rounds nothing."""
     w = a.shape[-1]
     if w > CHAIN_MAX_COLUMNS or a.size < CHAIN_MIN_ROWS * w:
-        return np.maximum.reduce(a, axis=-1, keepdims=True, out=out)
-    out = np.maximum(a[..., :1], a[..., 1:2] if w > 1 else a[..., :1], out=out)
+        return np.maximum.reduce(a, axis=-1, keepdims=True)
+    out = np.maximum(a[..., :1], a[..., 1:2] if w > 1 else a[..., :1])
     for k in range(2, w):
         np.maximum(out, a[..., k : k + 1], out=out)
     return out
 
 
-def _softmax_parts(logits: np.ndarray, out: Sequence = (None,) * 3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row max, exp(logits - max) and its row sums: the stable softmax,
-    written into the three buffers of out if given."""
-    zmax = _row_max(logits, out[0])
-    expz = np.subtract(logits, zmax, out=out[1])
+def _softmax_parts(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row max, exp(logits - max) and its row sums: the stable softmax."""
+    zmax = _row_max(logits)
+    expz = logits - zmax
     np.exp(expz, out=expz)
     # the ufunc reduction itself skips ndarray.sum's Python wrapper
-    return zmax, expz, np.add.reduce(expz, axis=-1, keepdims=True, out=out[2])
+    return zmax, expz, np.add.reduce(expz, axis=-1, keepdims=True)
 
 
 def cross_entropy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -230,16 +228,14 @@ def cross_entropy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _backprop(
-    spec: "ModelSpec", layers: Layers, acts: list[np.ndarray], onehot: np.ndarray, grads: Layers, work=None
+    spec: "ModelSpec", layers: Layers, acts: list[np.ndarray], onehot: np.ndarray, grads: Layers
 ) -> None:
     """Exact gradients of the batch-mean cross-entropy for the last
     len(grads) layers, written into grads, from a cached forward pass whose
     hidden activations it overwrites.  onehot is True at each row's label.
-    Leading dims are stacked weights as in _forward.  work, if given, holds
-    the buffers to use: a relu mask per layer and _softmax_parts' three."""
-    masks, parts = work or ([None] * len(layers), (None,) * 3)
+    Leading dims are stacked weights as in _forward."""
     first_trained = len(layers) - len(grads)
-    _, delta, sums = _softmax_parts(acts[-1], parts)
+    _, delta, sums = _softmax_parts(acts[-1])
     # softmax minus the one-hot label; subtracting 0.0 leaves a value exact
     delta /= sums
     delta -= onehot
@@ -247,7 +243,7 @@ def _backprop(
     # the final layer's activation is part of the chain too; relu's
     # derivative is 1 exactly where its output a is > 0, identity's is 1
     if spec.layers[-1].activation == "relu":
-        delta *= np.greater(acts[-1], 0.0, out=masks[-1])
+        delta *= acts[-1] > 0.0
     for i in range(len(layers) - 1, first_trained - 1, -1):
         gw, gb = grads[i - first_trained]
         np.matmul(delta.swapaxes(-1, -2), acts[i], out=gw)
@@ -255,7 +251,7 @@ def _backprop(
         if i > first_trained:
             # acts[i] is read here for the last time, so the next delta
             # overwrites it instead of taking new memory
-            alive = np.greater(acts[i], 0.0, out=masks[i - 1]) if spec.layers[i - 1].activation == "relu" else None
+            alive = acts[i] > 0.0 if spec.layers[i - 1].activation == "relu" else None
             delta = np.matmul(delta, layers[i][0], out=acts[i])
             if alive is not None:
                 delta *= alive
@@ -328,9 +324,8 @@ def _end_to_end(parts: Sequence[np.ndarray]) -> np.ndarray:
     return np.concatenate(parts)
 
 
-# The most rows one launch or one scoring group holds, and so the size of a
-# plan's workspace: above it, the stacked forward of large sets ran slower
-# than scoring them one by one.
+# The most rows one launch or one scoring group holds: above it, the stacked
+# forward of large sets ran slower than scoring them one by one.
 ROW_BUDGET = 4096
 
 
@@ -374,10 +369,10 @@ class LockstepPlan:
     The weights are the given (N, P) block, laid out as weight_block lays
     it out, row j holding client j's layers; every pass trains it in place.
     A launch of every client works on it directly; any other gathers its
-    rows into a spare block and scatters them back.  Gradients fill the trained columns of a
-    second block, so an update is two whole-block operations.  A launch's
-    rows, activations and softmax go into one workspace, allocated here for
-    the largest launch: at most ROW_BUDGET rows, unless one batch is larger.
+    rows into a spare block and scatters them back.  Gradients fill the
+    trained columns of a second block, so an update is two whole-block
+    operations.  A launch's arrays hold at most ROW_BUDGET rows, unless one
+    batch is larger, and are freed before the next launch allocates its own.
     """
 
     def __init__(
@@ -402,9 +397,9 @@ class LockstepPlan:
         # no batch is larger than the largest set, whatever batch_size is
         samples = np.arange(min(batch_size, max(sizes)))
         # per launch: its clients, the position of each one's batch in order
-        # (a column), the offsets of a batch's samples, the views of its
-        # bucket size and, once all are known, its views of the workspace
-        self.launches: list[tuple] = []
+        # (a column), the offsets of a batch's samples, and the views of its
+        # bucket size
+        self.launches: list[tuple[np.ndarray, np.ndarray, np.ndarray, tuple]] = []
         for t in range(max(len(s) for s in steps)):
             buckets: dict[int, list[int]] = {}
             for j, s in enumerate(steps):
@@ -419,8 +414,6 @@ class LockstepPlan:
                                     _flat_views(spec, grad[:n], first_trained))
                     bases = np.array([steps[j][t][1] for j in clients])[:, None]
                     self.launches.append((np.array(clients), bases, samples[:size], views[n]))
-        work = _workspace(spec, max(len(c) * len(s) for c, _, s, _ in self.launches))
-        self.launches = [(*launch, work(len(launch[0]), len(launch[2]))) for launch in self.launches]
 
     def batches(self, rngs: Sequence[np.random.Generator]):
         """Draw one pass's permutations, rngs[j] being client j's generator,
@@ -438,33 +431,17 @@ class LockstepPlan:
         """One training pass of the block, in place; rngs[j] is client j's
         generator."""
         spec, block, x, onehot = self.spec, self.block, self.rows.x, self.rows.onehot
-        for (clients, _, _, (sub, ws, trained, g, gs), (xs, oh, outs, *work)), rows in self.batches(rngs):
-            # indices are in range; "clip" skips the checked mode's buffered copy
+        for (clients, _, _, (sub, ws, trained, g, gs)), rows in self.batches(rngs):
             if sub is not block:
+                # clients are in range; "clip" skips the checked mode's buffered copy
                 np.take(block, clients, axis=0, out=sub, mode="clip")
-            x.take(rows, axis=0, out=xs, mode="clip")
-            onehot.take(rows, axis=0, out=oh, mode="clip")
-            _backprop(spec, ws, _forward(spec, ws, xs, outs), oh, gs, work)
+            # take gathers faster than fancy indexing; the activations are
+            # freed before the next launch allocates its own
+            _backprop(spec, ws, _forward(spec, ws, x.take(rows, axis=0)), onehot.take(rows, axis=0), gs)
             g *= eta
             trained -= g
             if sub is not block:
                 block[clients] = sub
-
-
-def _workspace(spec: "ModelSpec", rows: int):
-    """Flat buffers for launches of up to rows rows, and a function that
-    makes a launch shape's views of them: the features, the one-hot labels,
-    the layers' outputs and relu masks (one buffer, as a mask is dead before
-    the next is made), and the softmax parts."""
-    widths = [spec.in_dim, spec.out_dim, *(s.out_dim for s in spec.layers), 1, spec.out_dim, 1]
-    flat = [np.empty(rows * w, dtype=bool if i == 1 else np.float64) for i, w in enumerate(widths)]
-    mask = np.empty(rows * max(widths[2:-3]), dtype=bool)
-
-    def views(n: int, b: int) -> tuple:
-        x, onehot, *outs, zmax, expz, sums = [buf[: n * b * w].reshape(n, b, w) for buf, w in zip(flat, widths)]
-        return x, onehot, outs, [mask[: o.size].reshape(o.shape) for o in outs], (zmax, expz, sums)
-
-    return views
 
 
 def sgd(

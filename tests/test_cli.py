@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import weakref
@@ -14,7 +17,9 @@ import fedper.experiment
 import fedper.nn
 import fedper.protocol
 from fedper.cli import main
-from fedper.config import SCHEMA, SECTIONS, apply_overrides, build_dataset, default_config, resolve, sweep_seed
+from fedper.config import (
+    SCHEMA, SECTIONS, apply_overrides, build_dataset, cluster_permutations, default_config, resolve, sweep_seed,
+)
 from fedper.data import synth_classification, save_csv
 from fedper.errors import ConfigError
 from fedper.experiment import client_shards
@@ -50,6 +55,21 @@ class TestConfig:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"sgd": {"learning_rate": 0.1}}))
         assert main(["run", "--config", str(path)]) == 2
+
+    # a truncated file, and an integer past Python's int digit limit
+    @pytest.mark.parametrize("text", ['{"rounds": 2', '{"rounds": ' + "9" * 5000 + "}"], ids=["truncated", "huge"])
+    def test_invalid_json_is_usage_error(self, text, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"{path}: invalid JSON: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_swap_permutation_swaps_label_pairs_in_odd_clusters(self, tmp_path):
+        assert cluster_permutations("swap", 3, 5) == [[0, 1, 2, 3, 4], [1, 0, 3, 2, 4], [0, 1, 2, 3, 4]]
+        assert cluster_permutations("swap", 2, 4) == [[0, 1, 2, 3], [1, 0, 3, 2]]
+        overrides = ["--set", "dataset.cluster_permutation=swap", "--set", "rounds=1"]
+        assert main(["run", *overrides, "--out", str(tmp_path / "o")]) == 0
 
     def test_fedavg_forces_no_personal_layers(self):
         cfg = apply_overrides(default_config(), ["algorithm=fedavg", "model.k_personal=1"])
@@ -250,6 +270,15 @@ class TestRunCommand:
         assert main(["run", *SMALL]) == 0
         assert (tmp_path / "root" / "run" / "run_history.csv").exists()
 
+    # --out wins over output.dir, which wins over FEDPER_OUT_DIR
+    @pytest.mark.parametrize("out", [None, "o"])
+    def test_output_dir_key(self, out, tmp_path, monkeypatch):
+        monkeypatch.setenv("FEDPER_OUT_DIR", str(tmp_path / "root"))
+        args = ["run", *SMALL, "--set", "rounds=1", "--set", f"output.dir={tmp_path / 'd'}"]
+        assert main([*args, *(["--out", str(tmp_path / out)] if out else [])]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == [out or "d"]
+        assert (tmp_path / (out or "d") / "run_history.csv").exists()
+
     def test_csv_dataset_kind(self, tmp_path):
         ds = synth_classification(4, 8, 30, seed=3)
         csv_path = tmp_path / "data.csv"
@@ -321,9 +350,30 @@ class TestRunCommand:
         assert config_path.read_bytes() == before
 
 
+class TestEntryPoint:
+    def test_python_m_fedper_and_its_exit_status(self, tmp_path, monkeypatch):
+        """python -m fedper, as the benchmark harness starts it; and the
+        entry point raises SystemExit with main's status."""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        manifest = tmp_path / "m.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedper", "partition", "--out", str(manifest)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len(json.loads(manifest.read_text())["clients"]) == 10
+        monkeypatch.setattr(sys, "argv", ["fedper", "run", "--threads", "0", "--out", str(tmp_path / "o")])
+        with pytest.raises(SystemExit) as exc:
+            fedper.cli.entrypoint()
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
+
 class TestMemory:
     """A run holds one copy of the rows at a time: the dataset is freed once
-    it is sharded, and the engine's workspace is sized by the row budget."""
+    it is sharded, and the engine holds one launch of the row budget."""
 
     @staticmethod
     def watch(monkeypatch):
@@ -358,7 +408,7 @@ class TestMemory:
     def test_peak_is_the_dataset_plus_one_copy_of_its_rows(self, monkeypatch, tmp_path):
         """tracemalloc's peak over a reduced scale run (20 clients of 1,000
         rows, B=256, checkpoints) stays within the dataset, the blocks of
-        client rows, one workspace of ROW_BUDGET rows and 1 MiB."""
+        client rows, the arrays of one ROW_BUDGET-row launch and 1 MiB."""
         sizes = {"dataset": 0, "rows": 0}
         build, layout = fedper.cli.build_dataset, fedper.protocol.EvalLayout
 
@@ -381,17 +431,19 @@ class TestMemory:
         ]
         args = ["run", *(a for o in overrides for a in ("--set", o)), "--out", str(tmp_path)]
         spec = resolve(apply_overrides(default_config(), overrides)).run.spec
+        # a launch's bytes a row: its features and one-hot label, each
+        # layer's output and relu mask, and the softmax's max, exps and sum
+        row = 8 * spec.in_dim + spec.out_dim + 8 * (spec.out_dim + 2) + sum(
+            (8 + (s.activation == "relu")) * s.out_dim for s in spec.layers
+        )
+        launch = fedper.nn.ROW_BUDGET * row
         tracemalloc.start()
         try:
-            work = fedper.nn._workspace(spec, fedper.nn.ROW_BUDGET)
-            workspace = tracemalloc.get_traced_memory()[0]
-            del work
-            tracemalloc.reset_peak()
             assert main(args) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= sizes["dataset"] + sizes["rows"] + workspace + 2**20, (peak, sizes, workspace)
+        assert peak <= sizes["dataset"] + sizes["rows"] + launch + 2**20, (peak, sizes, launch)
 
 
 class TestSweepCommand:

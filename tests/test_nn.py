@@ -256,12 +256,9 @@ class TestLockstepPlan:
         block, _ = weight_block(spec, [[(np.zeros((2, 1)), np.zeros(2))]] * len(sizes))
         with mock.patch.object(fedper.nn, "ROW_BUDGET", budget):
             plan = LockstepPlan(spec, rows, block, epochs, batch_size)
-        for clients, _, samples, _, (xs, onehot, outs, masks, parts) in plan.launches:
+        for clients, _, samples, _ in plan.launches:
             # a launch fits the budget, or is one client's batch larger than it
             assert len(clients) * len(samples) <= budget or len(clients) == 1
-            if batch_size <= budget:  # so does every workspace view, and the workspace
-                assert all(a.shape[0] * a.shape[1] <= budget for a in (xs, onehot, *outs, *masks, *parts))
-                assert xs.base.size <= budget * spec.in_dim
 
         fed: list[list[np.ndarray]] = [[] for _ in sizes]
         for (clients, *_), batch_rows in plan.batches([np.random.default_rng([seed, j]) for j in range(len(sizes))]):
@@ -276,25 +273,33 @@ class TestLockstepPlan:
             for got, idx in zip(fed[j], expected):
                 assert np.array_equal(got, sets[j].X[idx, 0])
 
-    def test_a_pass_allocates_less_than_one_launch(self):
-        """After a warm-up pass, a pass writes every launch's rows,
-        activations and softmax into the plan's workspace: its allocations
-        peak below the activations of one launch."""
+    @staticmethod
+    def pass_peak(num_clients):
+        """tracemalloc's peak over one pass (after a warm-up pass) of a plan
+        whose launches all have one shape: 4 of num_clients clients at a
+        64-row batch, each client 4 batches of 256 rows."""
         spec = ModelSpec((LayerSpec(8, 16, "relu"), LayerSpec(16, 16, "relu"), LayerSpec(16, 4, "identity")), 1)
         rng = np.random.default_rng(0)
-        sets = [LabeledDataset(rng.standard_normal((300, 8)), rng.integers(0, 4, 300), 4) for _ in range(20)]
+        sets = [LabeledDataset(rng.standard_normal((256, 8)), rng.integers(0, 4, 256), 4) for _ in range(num_clients)]
         block, _ = weight_block(spec, [init_weights(spec.layers, rng) for _ in sets])
-        plan = LockstepPlan(spec, RowBlock.of(sets, onehot_width=4), block, 1, 64)
-        plan.run([np.random.default_rng([1, j]) for j in range(20)], 0.01)
-        rngs = [np.random.default_rng([2, j]) for j in range(20)]
+        with mock.patch.object(fedper.nn, "ROW_BUDGET", 4 * 64):
+            plan = LockstepPlan(spec, RowBlock.of(sets, onehot_width=4), block, 1, 64)
+        assert {(len(c), len(s)) for c, _, s, _ in plan.launches} == {(4, 64)}
+        plan.run([np.random.default_rng([1, j]) for j in range(num_clients)], 0.01)
+        rngs = [np.random.default_rng([2, j]) for j in range(num_clients)]
         tracemalloc.start()
         try:
             plan.run(rngs, 0.01)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        launch_activations = 20 * 64 * (16 + 16 + 4) * 8  # 360 KiB
-        assert peak < launch_activations
+
+    def test_a_pass_holds_one_launch_at_a_time(self):
+        """Each launch frees its rows, activations and softmax before the
+        next allocates its own: 4x the clients, and so 4x the launches,
+        leave a pass's peak within 10%."""
+        few, many = self.pass_peak(8), self.pass_peak(32)
+        assert many <= 1.1 * few, (few, many)
 
 
 # every value whose order or bits a max can get wrong: signed zeros, signed
@@ -328,9 +333,6 @@ class TestRowMax:
             for view in (a, np.repeat(a, 2, axis=-1)[..., ::2]):
                 expected = np.maximum.reduce(view, axis=-1, keepdims=True)
                 assert_same_row_max(_row_max(view), expected)
-                out = np.full((*lead, 1), 7.0)
-                assert _row_max(view, out) is out
-                assert_same_row_max(out, expected)
 
     def test_a_launch_of_many_rows_takes_the_chain(self):
         a = np.random.default_rng(5).choice(SPECIAL, size=(3, 50, 4))
