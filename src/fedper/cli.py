@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -33,12 +34,25 @@ def _load(args) -> dict:
 
 
 def _out_dir(args, resolved) -> Path:
+    """The output directory, checked before anything trains: the nearest of
+    it and its parents that exists must be a directory."""
     if getattr(args, "out", None):
-        return Path(args.out)
-    if resolved.output["dir"]:
-        return Path(resolved.output["dir"])
-    root = os.environ.get(ENV_OUT_DIR, "out")
-    return Path(root) / resolved.output["run_id"]
+        out = Path(args.out)
+    elif resolved.output["dir"]:
+        out = Path(resolved.output["dir"])
+    else:
+        out = Path(os.environ.get(ENV_OUT_DIR, "out")) / resolved.output["run_id"]
+    for path in (out, *out.parents):
+        try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            continue
+        except OSError as exc:  # a path under a file, a name too long
+            raise UsageError(f"cannot create the output directory: {exc}") from exc
+        if not stat.S_ISDIR(mode):
+            raise UsageError(f"cannot create the output directory {out}: {path} is not a directory")
+        break
+    return out
 
 
 def cmd_run(args) -> int:
@@ -73,9 +87,9 @@ def cmd_sweep(args) -> int:
             raise UsageError(f"--values for axis {args.axis} must be integers: {exc}") from exc
 
     resolved, runs = resolve_sweep(cfg, args.axis, values)
+    out_dir = _out_dir(args, resolved)
     histories = run_sweep(runs, build_dataset(resolved.dataset))
 
-    out_dir = _out_dir(args, resolved)
     run_id, fmt = resolved.output["run_id"], resolved.output["format"]
     for value, history in zip(values, histories):
         emit(history, fmt, out_dir / f"{run_id}_{args.axis}_{value}.{fmt}")

@@ -13,17 +13,19 @@ from . import rng as rngmod
 from .data import K_CLASS, LabeledDataset, PartitionSpec, partition_indices, relabel, split_positions
 from .data import partition, train_test_split  # unused here; the benchmark traces both by these names
 from .errors import ConfigError
-from .protocol import FederationResult, RoundHistory, RunConfig, layout_order, run_federation
+from .nn import layout_order
+from .protocol import FederationResult, RoundHistory, RunConfig, run_federation
 
 
 def client_shards(ds: LabeledDataset, spec: PartitionSpec) -> list[tuple[LabeledDataset, LabeledDataset]]:
     """Partition the dataset over clients, then split each shard into its own
     train and test sets with a per-client seed derived from the partition
     seed: bitwise what partition and train_test_split give.  Each side's
-    rows are one take of ds, in the order an EvalLayout lays them out (which
-    then takes them over uncopied); every set is a view of them.  Only
-    indices are held per client: each side takes its labels, relabels them
-    client by client in place, then takes its features."""
+    rows are one take of ds, in the order a RowBlock lays them out
+    (nn.layout_order; the RowBlock then takes them over uncopied); every set
+    is a view of them.  Only indices are held per client: each side takes
+    its labels, relabels them client by client in place, then takes its
+    features."""
     sides: tuple[list, list] = ([], [])  # per side, per client: its rows of ds
     for j, idx in enumerate(partition_indices(ds, spec)):
         seed = rngmod.derive_seed(spec.seed, rngmod.SPLIT, j)

@@ -11,7 +11,7 @@ import numpy as np
 
 from .checkpoint import atomic_write
 from .errors import SimulationError, UsageError
-from .nn import Layers, _forward, check_data, cross_entropy
+from .nn import Layers, RowBlock, _forward, check_data, cross_entropy
 
 if TYPE_CHECKING:
     from .data import LabeledDataset
@@ -63,12 +63,19 @@ def mean_loss(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
     return cross_entropy(logits, y).mean(axis=-1)
 
 
-def scores(spec: "ModelSpec", layers: Layers, x: np.ndarray, y: np.ndarray, measure) -> np.ndarray:
-    """measure (accuracy or mean_loss) over the last axis of (..., n) labels
-    y for (..., n, in_dim) inputs x; with stacked layers (see nn._forward)
-    each leading slice is scored on its own, by the same gemms and
-    reductions as evaluate's call of its own."""
-    return measure(_forward(spec, layers, x)[-1], y)
+def scores(spec: "ModelSpec", rows: RowBlock, base: Layers, personal: Layers, measure) -> list[float]:
+    """measure (accuracy or mean_loss) of base + row j of the stacked
+    personal layers on set j of rows, for every set j, bitwise as evaluate
+    gives it.  Each of rows.groups is scored in one stacked forward pass
+    (see nn._forward), the base broadcast: every set by the same gemms and
+    reductions as in evaluate's call of its own."""
+    results = [0.0] * len(rows.sizes)
+    broadcast = [(w[None], b[None]) for w, b in base]
+    for group, x, y in rows.groups:
+        layers = broadcast + [(w.take(group, axis=0), b.take(group, axis=0)) for w, b in personal]
+        for j, value in zip(group.tolist(), measure(_forward(spec, layers, x)[-1], y).tolist()):
+            results[j] = value
+    return results
 
 
 def cross_client_stats(values: Sequence[float]) -> SummaryStats:

@@ -9,9 +9,10 @@ the model is base + personal.  For training, the weights of N clients are
 stacked layer by layer into (N, out, in) and (N, out) arrays.
 
 The engine is planned once per run, because a client's training set never
-changes: a RowBlock holds every client's training rows (features, labels and
-one-hot labels) end to end, and a LockstepPlan fixes which clients share
-each stacked launch and where each launch's rows come from.  It trains the
+changes: a RowBlock lays every client's training rows out end to end, equal
+set lengths together (layout_order), and groups them for stacked scoring;
+a LockstepPlan fixes which clients share each stacked launch and where each
+launch's rows come from, and holds the rows' one-hot labels.  It trains the
 clients' weights, one (N, P) block (weight_block), in place: a pass
 (LockstepPlan.run) only draws each client's permutations and runs the
 launches.  sgd is the same engine with a single client.
@@ -20,6 +21,7 @@ launches.  sgd is the same engine with a single client.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -283,35 +285,6 @@ def loss_and_grad(
     return loss, grads[:kb], grads[kb:]
 
 
-@dataclass(frozen=True, eq=False)
-class RowBlock:
-    """The labeled rows of several sets end to end, in a chosen set order:
-    set j, of sizes[j] rows, is rows starts[j] onwards of x and y (and of
-    onehot, row r True at the label of row r, if the block has one)."""
-
-    x: np.ndarray
-    y: np.ndarray
-    starts: np.ndarray
-    sizes: list[int]
-    onehot: np.ndarray | None = None
-
-    @classmethod
-    def of(
-        cls, sets: Sequence["LabeledDataset"], order: Sequence[int] | None = None, onehot_width: int = 0
-    ) -> "RowBlock":
-        """The sets listed in order (default: all, in turn) copied into one
-        block, with onehot_width-wide one-hot rows if it is not 0; the
-        starts of sets left out are 0.  Features that already are the
-        consecutive rows of one array, in order, are that array, uncopied."""
-        order = list(range(len(sets)) if order is None else order)
-        starts = np.zeros(len(sets), dtype=np.intp)
-        starts[order] = np.cumsum([0] + [len(sets[j]) for j in order[:-1]])
-        y = np.concatenate([sets[j].y for j in order])
-        onehot = np.eye(onehot_width, dtype=bool).take(y, axis=0) if onehot_width else None
-        x = _end_to_end([sets[j].X for j in order])
-        return cls(x, y, starts, [len(d) for d in sets], onehot)
-
-
 def _end_to_end(parts: Sequence[np.ndarray]) -> np.ndarray:
     """parts end to end: the array whose rows they are, in order and with no
     rows around or between them, if there is one, else a new one."""
@@ -336,15 +309,50 @@ def budget_chunks(members: list[int], rows_each: int) -> list[list[int]]:
     return [members[k : k + step] for k in range(0, len(members), step)]
 
 
+def layout_order(lengths: Sequence[int]) -> list[int]:
+    """The order in which a RowBlock lays out sets of these lengths: equal
+    lengths together, each length where it first occurs."""
+    by_length: dict[int, list[int]] = {}
+    for j, n in enumerate(lengths):
+        by_length.setdefault(n, []).append(j)
+    return [j for members in by_length.values() for j in members]
+
+
+class RowBlock:
+    """The labeled rows of several sets end to end, in layout_order: set j,
+    of sizes[j] rows, is rows starts[j] onwards of x and y.  Features that
+    already are those rows of one array, in that order, are that array,
+    uncopied.
+
+    groups splits the sets of each length into budget_chunks chunks: per
+    chunk, its members (an index array) and (g, n, in_dim) and (g, n) views
+    of x and y, which stack its g sets of n rows."""
+
+    def __init__(self, sets: Sequence["LabeledDataset"]) -> None:
+        self.sizes = [len(d) for d in sets]
+        order = layout_order(self.sizes)
+        self.x = _end_to_end([sets[j].X for j in order])
+        self.y = np.concatenate([sets[j].y for j in order])
+        self.starts = np.empty(len(sets), dtype=np.intp)
+        self.groups, start = [], 0
+        for n, same in itertools.groupby(order, self.sizes.__getitem__):
+            for chunk in budget_chunks(list(same), n):
+                members, end = np.array(chunk), start + len(chunk) * n
+                self.starts[members] = start + n * np.arange(len(chunk))
+                x, y = self.x[start:end], self.y[start:end]
+                self.groups.append((members, x.reshape(len(chunk), n, x.shape[1]), y.reshape(len(chunk), n)))
+                start = end
+
+
 class LockstepPlan:
     """Mini-batch SGD for N clients at once on stacked weights, planned once
     for clients whose training sets never change.
 
     Client j trains on its rows of the row block, rows.starts[j] onwards,
-    n_j = sizes[j] of them.  It walks exactly the batches it would walk
-    alone: per epoch a fresh permutation from its own generator, cut into
-    batch_size slices with the last one partial, each step moving its
-    weights by -eta * gradient.  Layers before first_trained are frozen:
+    n_j = sizes[j] of them, and on their one-hot labels in onehot.  It
+    walks exactly the batches it would walk alone: per epoch a fresh
+    permutation from its own generator, cut into batch_size slices with the
+    last one partial, each step moving its weights by -eta * gradient.  Layers before first_trained are frozen:
     they take part in the forward pass, but no gradient is computed for them
     and they are never updated.
 
@@ -380,6 +388,8 @@ class LockstepPlan:
         epochs: int, batch_size: int, first_trained: int = 0,
     ) -> None:
         self.spec, self.rows, self.block, self.epochs = spec, rows, block, epochs
+        # row r is True at the label of row r of the block
+        self.onehot = np.eye(spec.out_dim, dtype=bool).take(rows.y, axis=0)
         sizes = rows.sizes
         # client j's permutations fill order[offsets[j] : offsets[j] + epochs * sizes[j]]
         self.offsets = np.cumsum([0] + [epochs * n for n in sizes[:-1]]).tolist()
@@ -430,7 +440,7 @@ class LockstepPlan:
     def run(self, rngs: Sequence[np.random.Generator], eta: float) -> None:
         """One training pass of the block, in place; rngs[j] is client j's
         generator."""
-        spec, block, x, onehot = self.spec, self.block, self.rows.x, self.rows.onehot
+        spec, block, x, onehot = self.spec, self.block, self.rows.x, self.onehot
         for (clients, _, _, (sub, ws, trained, g, gs)), rows in self.batches(rngs):
             if sub is not block:
                 # clients are in range; "clip" skips the checked mode's buffered copy
@@ -461,7 +471,6 @@ def sgd(
     _check_model_weights(spec, base, personal)
     check_data(spec, dataset)
     block, layers = weight_block(spec, [base + personal])
-    rows = RowBlock.of([dataset], onehot_width=spec.out_dim)
-    LockstepPlan(spec, rows, block, cfg.epochs, cfg.batch_size, first_trained).run([rng], cfg.eta)
+    LockstepPlan(spec, RowBlock([dataset]), block, cfg.epochs, cfg.batch_size, first_trained).run([rng], cfg.eta)
     kb = spec.k_base
     return unstack_weights(layers[:kb], 0), unstack_weights(layers[kb:], 0)

@@ -5,13 +5,13 @@ Every round trains all clients together on the lock-step engine
 (fedper.nn.LockstepPlan).  The clients' weights are one block for the whole
 run (fedper.nn.weight_block): row j holds the round's base, then client j's
 personal layers, and ClientState.personal is a view of it.  What depends
-only on the clients' data is built once per run: the evaluation layouts
-(EvalLayout), which lay the test sets and the training sets out group by
-group, each side in one block of rows (the block experiment.client_shards
-gathered, if the sets are views of it); the plans of the SGD
-pass and, with fine-tuning on, the fine-tune pass on those rows and that
-weight block.  A round only broadcasts the base into the block, runs the
-passes, aggregates and scores.
+only on the clients' data is built once per run: a fedper.nn.RowBlock of
+the test sets and one of the training sets, each side one block of rows
+(the block experiment.client_shards gathered, if the sets are views of it)
+grouped for stacked scoring (metrics.scores); and the plans of the SGD pass
+and, with fine-tuning on, the fine-tune pass on those training rows and that
+weight block.  A round (run_federation's loop) only broadcasts the base into
+the block, runs the passes, aggregates and scores.
 
 Communication is in-process.  Every exchange is appended to the server's
 message log as (sender, receiver, payload kind), which makes the privacy
@@ -35,8 +35,8 @@ from .metrics import ClientMetrics, accuracy, mean_loss, scores
 from .metrics import evaluate  # unused here; the benchmark traces fedper.protocol.evaluate
 from .model import ModelSpec
 from .nn import (
-    Layers, LockstepPlan, RowBlock, SgdConfig, budget_chunks, check_data, init_weights, sgd, stack_weights,
-    unstack_weights, weight_block, weights_checksum,
+    Layers, LockstepPlan, RowBlock, SgdConfig, check_data, init_weights, sgd, stack_weights, unstack_weights,
+    weight_block, weights_checksum,
 )
 
 SERVER = "server"
@@ -265,21 +265,38 @@ def run_federation(
         c.personal = unstack_weights(layers[spec.k_base :], c.client_id)
 
     # training and the scoring of the training sets read one block of rows
-    scoring = (EvalLayout([c.test for c in clients]), EvalLayout([c.train for c in clients], spec.out_dim))
-    rows = scoring[1].rows
-    sgd_plan = LockstepPlan(spec, rows, block, cfg.sgd.epochs, cfg.sgd.batch_size)
+    tests, trains = RowBlock([c.test for c in clients]), RowBlock([c.train for c in clients])
+    sgd_plan = LockstepPlan(spec, trains, block, cfg.sgd.epochs, cfg.sgd.batch_size)
     fine_tune_plan = None
     if cfg.fine_tune and spec.k_personal >= 1:  # one epoch on the personal layers, base frozen
-        fine_tune_plan = LockstepPlan(spec, rows, block, 1, cfg.sgd.batch_size, first_trained=spec.k_base)
+        fine_tune_plan = LockstepPlan(spec, trains, block, 1, cfg.sgd.batch_size, first_trained=spec.k_base)
 
-    records = []
+    kb, records = spec.k_base, []
     for round_idx in range(1, cfg.rounds + 1):
         # an overflow can leave every weight finite but meaningless
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                records.append(
-                    _train_round(cfg, server, clients, layers, sgd_plan, fine_tune_plan, scoring, round_idx)
+                for c in clients:
+                    server.log(SERVER, client_name(c.client_id), MSG_BASE_WEIGHTS)
+                for (w, b), (bw, bb) in zip(layers[:kb], server.base):
+                    w[...] = bw
+                    b[...] = bb
+                if fine_tune_plan is not None:
+                    fine_tune_plan.run(_streams(cfg, clients, round_idx, rngmod.FINE_TUNE), cfg.sgd.eta)
+                sgd_plan.run(_streams(cfg, clients, round_idx, rngmod.SGD), cfg.sgd.eta)
+                _check_finite(block, round_idx)
+                for c in clients:
+                    server.log(client_name(c.client_id), SERVER, MSG_BASE_WEIGHTS)
+                server.base = aggregate(
+                    [(unstack_weights(layers[:kb], j), g) for j, g in enumerate(server.agg_weights)]
                 )
+                # the history records the test sets' accuracy and the training sets' loss
+                accuracies = scores(spec, tests, server.base, layers[kb:], accuracy)
+                losses = scores(spec, trains, server.base, layers[kb:], mean_loss)
+                metrics = tuple(
+                    ClientMetrics(c.client_id, round_idx, a, loss) for c, a, loss in zip(clients, accuracies, losses)
+                )
+                records.append(RoundRecord(round_idx, weights_checksum(server.base), metrics))
         except FloatingPointError as exc:
             raise SimulationError(
                 f"round {round_idx}: {exc}; the run diverged (try a smaller sgd.eta)"
@@ -288,89 +305,6 @@ def run_federation(
             write_checkpoint(Path(checkpoint_dir), f"round{round_idx:04d}", server, clients)
 
     return FederationResult(RoundHistory(tuple(records)), server, clients)
-
-
-def _train_round(
-    cfg: RunConfig,
-    server: ServerState,
-    clients: Sequence[ClientState],
-    layers: Layers,
-    sgd_plan: LockstepPlan,
-    fine_tune_plan: LockstepPlan | None,
-    scoring: tuple["EvalLayout", "EvalLayout"],
-    round_idx: int,
-) -> RoundRecord:
-    """One round: broadcast, local training, aggregation into server.base,
-    and every client's metrics (scoring holds the test and the training
-    sets' layouts).  layers, the layer stacks of the plans' weight block, is
-    updated in place."""
-    n = len(clients)
-    kb = cfg.spec.k_base
-    for j in range(n):
-        server.log(SERVER, client_name(j), MSG_BASE_WEIGHTS)
-    for (w, b), (bw, bb) in zip(layers[:kb], server.base):
-        w[...] = bw
-        b[...] = bb
-    if fine_tune_plan is not None:
-        fine_tune_plan.run(_streams(cfg, clients, round_idx, rngmod.FINE_TUNE), cfg.sgd.eta)
-    sgd_plan.run(_streams(cfg, clients, round_idx, rngmod.SGD), cfg.sgd.eta)
-    _check_finite(sgd_plan.block, round_idx)
-
-    for j in range(n):
-        server.log(client_name(j), SERVER, MSG_BASE_WEIGHTS)
-    server.base = aggregate(
-        [(unstack_weights(layers[:kb], j), g) for j, g in enumerate(server.agg_weights)]
-    )
-    # the history records the test sets' accuracy and the training sets' loss
-    tests, trains = scoring
-    accuracies = tests.score(cfg.spec, server.base, layers[kb:], accuracy)
-    losses = trains.score(cfg.spec, server.base, layers[kb:], mean_loss)
-    metrics = tuple(ClientMetrics(c.client_id, round_idx, a, loss) for c, a, loss in zip(clients, accuracies, losses))
-    return RoundRecord(round_idx, weights_checksum(server.base), metrics)
-
-
-def _eval_groups(lengths: Sequence[int]) -> list[list[int]]:
-    """The sets scored together: sets of one length, in order, in chunks of
-    up to ROW_BUDGET rows (at least one set each, empty or not)."""
-    by_length: dict[int, list[int]] = {}
-    for j, n in enumerate(lengths):
-        by_length.setdefault(n, []).append(j)
-    return [chunk for n, members in by_length.items() for chunk in budget_chunks(members, n)]
-
-
-def layout_order(lengths: Sequence[int]) -> list[int]:
-    """The order in which an EvalLayout lays out sets of these lengths:
-    equal lengths together, each length where it first occurs."""
-    return [j for group in _eval_groups(lengths) for j in group]
-
-
-class EvalLayout:
-    """How a run's sets are scored, fixed once per run.  The sets of each
-    group of _eval_groups are consecutive rows of one block, rows, and are
-    scored through (g, n, in_dim) feature and (g, n) label views of it.
-    With an onehot_width, rows has one-hot labels: it is then also the block
-    the lock-step training passes read."""
-
-    def __init__(self, sets: Sequence[LabeledDataset], onehot_width: int = 0) -> None:
-        groups = _eval_groups([len(d) for d in sets])
-        self.rows = RowBlock.of(sets, [j for g in groups for j in g], onehot_width)
-        self.groups = []
-        for group in groups:
-            start, shape = self.rows.starts[group[0]], (len(group), len(sets[group[0]]))
-            span = slice(start, start + shape[0] * shape[1])
-            self.groups.append((np.array(group), self.rows.x[span].reshape(*shape, -1), self.rows.y[span].reshape(shape)))
-
-    def score(self, spec: ModelSpec, base: Layers, personal: Layers, measure) -> list[float]:
-        """measure (metrics.accuracy or mean_loss) of base + row j of personal
-        on set j, as evaluate gives it, for every set j.  A group is scored
-        in one stacked forward pass, the base broadcast."""
-        results = [0.0] * len(self.rows.sizes)
-        broadcast = [(w[None], b[None]) for w, b in base]
-        for group, x, y in self.groups:
-            layers = broadcast + [(w.take(group, axis=0), b.take(group, axis=0)) for w, b in personal]
-            for j, value in zip(group.tolist(), scores(spec, layers, x, y, measure).tolist()):
-                results[j] = value
-        return results
 
 
 def _check_finite(block: np.ndarray, round_idx: int) -> None:

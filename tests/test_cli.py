@@ -279,6 +279,23 @@ class TestRunCommand:
         assert [p.name for p in tmp_path.iterdir()] == [out or "d"]
         assert (tmp_path / (out or "d") / "run_history.csv").exists()
 
+    # a file, a path under a file, and a component longer than a name may be
+    @pytest.mark.parametrize("out", ["f", "f/o", "x" * 300], ids=["file", "under-file", "long-name"])
+    @pytest.mark.parametrize("option", ["--out", "output.dir"])
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "kp", "--values", "0,1"]], ids=["run", "sweep"])
+    def test_output_that_cannot_be_a_directory_is_usage_error(self, command, option, out, tmp_path, monkeypatch):
+        def train(*_args, **_kwargs):
+            raise AssertionError("trained for an output that cannot be written")
+
+        monkeypatch.setattr(fedper.cli, "run_experiment", train)
+        monkeypatch.setattr(fedper.cli, "run_sweep", train)
+        (tmp_path / "f").write_bytes(b"kept")
+        path = str(tmp_path / out)
+        args = ["--out", path] if option == "--out" else ["--set", f"output.dir={path}"]
+        assert main([*command, *SMALL, *args]) == 2
+        assert list(tmp_path.iterdir()) == [tmp_path / "f"]
+        assert (tmp_path / "f").read_bytes() == b"kept"
+
     def test_csv_dataset_kind(self, tmp_path):
         ds = synth_classification(4, 8, 30, seed=3)
         csv_path = tmp_path / "data.csv"
@@ -408,23 +425,29 @@ class TestMemory:
     def test_peak_is_the_dataset_plus_one_copy_of_its_rows(self, monkeypatch, tmp_path):
         """tracemalloc's peak over a reduced scale run (20 clients of 1,000
         rows, B=256, checkpoints) stays within the dataset, the blocks of
-        client rows, the arrays of one ROW_BUDGET-row launch and 1 MiB."""
+        client rows and their one-hot labels, the arrays of one
+        ROW_BUDGET-row launch and 1 MiB."""
         sizes = {"dataset": 0, "rows": 0}
-        build, layout = fedper.cli.build_dataset, fedper.protocol.EvalLayout
+        build = fedper.cli.build_dataset
 
         def building(*args):
             ds = build(*args)
             sizes["dataset"] = ds.X.nbytes + ds.y.nbytes
             return ds
 
-        class MeasuredLayout(layout):
-            def __init__(self, *args):
-                super().__init__(*args)
-                rows = self.rows
-                sizes["rows"] += rows.x.nbytes + rows.y.nbytes + (0 if rows.onehot is None else rows.onehot.nbytes)
+        class MeasuredRows(fedper.nn.RowBlock):
+            def __init__(self, sets):
+                super().__init__(sets)
+                sizes["rows"] += self.x.nbytes + self.y.nbytes
+
+        class MeasuredPlan(fedper.nn.LockstepPlan):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                sizes["rows"] += self.onehot.nbytes
 
         monkeypatch.setattr(fedper.cli, "build_dataset", building)
-        monkeypatch.setattr(fedper.protocol, "EvalLayout", MeasuredLayout)
+        monkeypatch.setattr(fedper.protocol, "RowBlock", MeasuredRows)
+        monkeypatch.setattr(fedper.protocol, "LockstepPlan", MeasuredPlan)
         overrides = [
             "rounds=1", "dataset.per_class=5000", "partition.num_clients=20",
             "sgd.batch_size=256", "sgd.epochs=1", "output.checkpoint_every=1",
@@ -578,13 +601,24 @@ FUZZ_OVERRIDES = [
     for value in FUZZ_VALUES
     if not (key in WORK_SIZED and value == HUGE)
 ]
+# The valid values no default takes, of every enum and boolean key; half of
+# the drawn overrides are one of them, so that two such settings often meet.
+FUZZ_SETTINGS = [
+    "algorithm=fedavg", "ablation=linear_base", "fine_tune=true", "dataset.kind=shells",
+    "dataset.cluster_permutation=identity", "dataset.cluster_permutation=swap", "partition.mode=unbalanced_users",
+    "partition.rater_disagreement=true", "output.format=json", "output.checkpoint_every=1",
+]
 
 
 class TestConfigFuzz:
     @settings(
         max_examples=200, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
-    @given(overrides=st.lists(st.sampled_from(FUZZ_OVERRIDES), min_size=1, max_size=3))
+    @given(
+        overrides=st.lists(
+            st.one_of(st.sampled_from(FUZZ_SETTINGS), st.sampled_from(FUZZ_OVERRIDES)), min_size=1, max_size=3
+        )
+    )
     # a random draw seldom holds one given override; these always run
     @example(overrides=["output.checkpoint_every=1", "algorithm=fedavg", "output.format=json"])
     @example(overrides=["dataset.kind=shells", "ablation=linear_base", "output.checkpoint_every=1"])

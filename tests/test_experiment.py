@@ -10,8 +10,8 @@ from fedper.data import PartitionSpec, partition, synth_classification, train_te
 from fedper.errors import ConfigError, UsageError
 from fedper.experiment import client_shards, run_experiment, run_sweep
 from fedper.model import ModelSpec
-from fedper.nn import LayerSpec, SgdConfig
-from fedper.protocol import EvalLayout, RunConfig
+from fedper.nn import LayerSpec, RowBlock, SgdConfig
+from fedper.protocol import RunConfig
 from fedper.rng import SPLIT, derive_seed
 
 
@@ -76,8 +76,8 @@ class TestPipeline:
             assert x_block is not None and y_block is not None
             assert all(d.X.base is x_block and d.y.base is y_block for d in sets)
             assert len(x_block) == len(y_block) == sum(len(d) for d in sets)
-            # the scoring layout reads the features where they were gathered
-            assert EvalLayout(sets).rows.x is x_block
+            # the row block reads the features where they were gathered
+            assert RowBlock(sets).x is x_block
 
     def test_deterministic(self):
         cfg, ds = base_setup()

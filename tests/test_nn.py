@@ -20,6 +20,7 @@ from fedper.nn import (
     _row_max,
     forward,
     init_weights,
+    layout_order,
     loss_and_grad,
     sgd,
     weight_block,
@@ -248,10 +249,9 @@ class TestLockstepPlan:
         # sizes below, at and between multiples of the batch size
         multiple = st.integers(1, 3).map(lambda m: m * batch_size)
         sizes = data.draw(st.lists(st.one_of(st.integers(1, 3 * batch_size), multiple), min_size=1, max_size=6))
-        order = data.draw(st.permutations(range(len(sizes))))
         # feature value 1000 j + i marks row i of client j
         sets = [LabeledDataset(1000.0 * j + np.arange(n)[:, None], np.zeros(n, dtype=int), 2) for j, n in enumerate(sizes)]
-        rows = RowBlock.of(sets, order, onehot_width=2)
+        rows = RowBlock(sets)
         spec = ModelSpec((LayerSpec(1, 2, "identity"),), 0)
         block, _ = weight_block(spec, [[(np.zeros((2, 1)), np.zeros(2))]] * len(sizes))
         with mock.patch.object(fedper.nn, "ROW_BUDGET", budget):
@@ -283,7 +283,7 @@ class TestLockstepPlan:
         sets = [LabeledDataset(rng.standard_normal((256, 8)), rng.integers(0, 4, 256), 4) for _ in range(num_clients)]
         block, _ = weight_block(spec, [init_weights(spec.layers, rng) for _ in sets])
         with mock.patch.object(fedper.nn, "ROW_BUDGET", 4 * 64):
-            plan = LockstepPlan(spec, RowBlock.of(sets, onehot_width=4), block, 1, 64)
+            plan = LockstepPlan(spec, RowBlock(sets), block, 1, 64)
         assert {(len(c), len(s)) for c, _, s, _ in plan.launches} == {(4, 64)}
         plan.run([np.random.default_rng([1, j]) for j in range(num_clients)], 0.01)
         rngs = [np.random.default_rng([2, j]) for j in range(num_clients)]
@@ -354,7 +354,7 @@ class TestRowBlock:
         spec = ModelSpec((LayerSpec(8, 3, "relu"), LayerSpec(3, 2, "identity")), 1)
         x = np.arange(48.0).reshape(6, 8) / 48
         y = np.arange(6) % 2
-        rows = RowBlock.of([LabeledDataset(make(x), y, 2)])
+        rows = RowBlock([LabeledDataset(make(x), y, 2)])
         assert rows.x.shape == (6, 8) and rows.x.tobytes() == x.tobytes()
         w = init_weights(spec.layers, np.random.default_rng(0))
         got, want = (
@@ -366,9 +366,31 @@ class TestRowBlock:
     def test_consecutive_views_of_one_block_are_that_block(self):
         block = np.arange(48.0).reshape(6, 8).copy()  # owns its rows
         sets = [LabeledDataset(block[a:b], np.zeros(b - a, dtype=int), 2) for a, b in ((0, 2), (2, 6))]
-        assert RowBlock.of(sets).x is block
-        assert RowBlock.of(sets, [1, 0]).x is not block
-        assert RowBlock.of(sets[:1]).x is not block
+        assert RowBlock(sets).x is block
+        assert RowBlock(sets[::-1]).x is not block
+        assert RowBlock(sets[:1]).x is not block
+
+    @settings(max_examples=200, deadline=None)
+    @given(lengths=st.lists(st.sampled_from([1, 2, 3, 5]), min_size=1, max_size=8), budget=st.integers(1, 12))
+    def test_groups_are_budget_chunks_of_one_length_in_layout_order(self, lengths, budget):
+        """Sets gathered in layout_order are taken over uncopied, and the
+        groups walk them in that order, a chunk of one length at a time."""
+        order = layout_order(lengths)
+        block = np.arange(3.0 * sum(lengths)).reshape(-1, 3).copy()  # owns its rows
+        labels = np.arange(len(block))
+        cuts = np.cumsum([lengths[j] for j in order])[:-1]
+        sets = [None] * len(lengths)
+        for j, x, y in zip(order, np.split(block, cuts), np.split(labels, cuts)):
+            sets[j] = LabeledDataset(x, y, len(block))
+        with mock.patch.object(fedper.nn, "ROW_BUDGET", budget):
+            rows = RowBlock(sets)
+        assert rows.x is block
+        assert [j for members, _, _ in rows.groups for j in members.tolist()] == order
+        for members, x, y in rows.groups:
+            (n,) = {lengths[j] for j in members.tolist()}
+            assert len(members) <= max(1, budget // n)
+            assert np.array_equal(x, np.stack([sets[j].X for j in members.tolist()]))
+            assert np.array_equal(y, np.stack([sets[j].y for j in members.tolist()]))
 
 
 class TestWeightBlock:

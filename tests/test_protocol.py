@@ -608,9 +608,9 @@ class TestStackedEvaluation:
         stack = fedper.nn.stack_weights(personal)
         alone = [evaluate(spec, base, p, d) for p, d in zip(personal, sets)]
         with mock.patch.object(fedper.nn, "ROW_BUDGET", max_rows):
-            layout = fedper.protocol.EvalLayout(sets)
+            rows = fedper.nn.RowBlock(sets)
             for measure, field in ((fedper.metrics.accuracy, "accuracy"), (fedper.metrics.mean_loss, "loss")):
-                stacked = layout.score(spec, base, stack, measure)
+                stacked = fedper.metrics.scores(spec, rows, base, stack, measure)
                 assert repr(stacked) == repr([getattr(r, field) for r in alone])  # repr tells -0.0 from 0.0
 
 
@@ -648,23 +648,24 @@ class TestLaunchCounts:
         assert counts["eval"] == 2 * 5  # one per distinct set length, not one per set
 
     def test_planned_once_per_run(self, monkeypatch):
-        """With fine-tuning on, the two lock-step plans and the evaluation
-        layouts are built once, before round 1, and no later round copies
-        client rows; the launch counts are those of test_default_config."""
+        """With fine-tuning on, the two lock-step plans and the row blocks
+        of the test and the training sets are built once, before round 1,
+        and no later round copies client rows; the launch counts are those
+        of test_default_config."""
         resolved = resolve({**default_config(), "rounds": 3, "fine_tune": True})
         shards = client_shards(build_dataset(resolved.dataset), resolved.run.partition)
         client_arrays = [a for pair in shards for d in pair for a in (d.X, d.y)]
-        current_round, plans, layouts, copies, forwards = [0], [], [], [], Counter()
+        current_round, plans, row_blocks, copies, forwards = [0], [], [], [], Counter()
 
         class CountingPlan(fedper.nn.LockstepPlan):
             def __init__(self, spec, rows, block, epochs, batch_size, first_trained=0):
                 plans.append((current_round[0], epochs, first_trained))
                 super().__init__(spec, rows, block, epochs, batch_size, first_trained)
 
-        class CountingLayout(fedper.protocol.EvalLayout):
-            def __init__(self, *args):
-                layouts.append(current_round[0])
-                super().__init__(*args)
+        class CountingRows(fedper.nn.RowBlock):
+            def __init__(self, sets):
+                row_blocks.append(current_round[0])
+                super().__init__(sets)
 
         def wrap(module, name, before):
             f = getattr(module, name)
@@ -681,9 +682,9 @@ class TestLaunchCounts:
             return check
 
         monkeypatch.setattr(fedper.protocol, "LockstepPlan", CountingPlan)
-        monkeypatch.setattr(fedper.protocol, "EvalLayout", CountingLayout)
-        # round_idx is _train_round's last argument
-        wrap(fedper.protocol, "_train_round", lambda *args: current_round.__setitem__(0, args[-1]))
+        monkeypatch.setattr(fedper.protocol, "RowBlock", CountingRows)
+        # round_idx is the third argument of _streams, which every round calls
+        wrap(fedper.protocol, "_streams", lambda *args: current_round.__setitem__(0, args[2]))
         for name in ("stack", "concatenate"):
             wrap(np, name, copying(name))
         for kind, module in (("train", fedper.nn), ("eval", fedper.metrics)):
@@ -693,7 +694,7 @@ class TestLaunchCounts:
 
         sgd_cfg, k_base = resolved.run.sgd, resolved.run.spec.k_base
         assert sorted(plans) == [(0, 1, k_base), (0, sgd_cfg.epochs, 0)]  # fine-tune, SGD
-        assert layouts == [0, 0]  # the test sets', the training sets'
+        assert row_blocks == [0, 0]  # the test sets', the training sets'
         assert copies and {r for r, _ in copies} == {0}
         fine_tune_launches = self.buckets([len(c.train) for c in result.clients], 1, sgd_cfg.batch_size)
         assert forwards == {"train": 3 * (31 + fine_tune_launches), "eval": 3 * 5}
