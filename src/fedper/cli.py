@@ -33,26 +33,32 @@ def _load(args) -> dict:
     return cfg
 
 
+def _creatable(path: Path, is_dir: bool) -> Path:
+    """path, checked before anything is built: the nearest of it and its
+    parents that exists must be a directory, except that an output file
+    (not is_dir) that exists must not be one."""
+    for found in (path, *path.parents):
+        try:
+            found_dir = stat.S_ISDIR(os.stat(found).st_mode)
+        except FileNotFoundError:
+            continue
+        except OSError as exc:  # a path under a file, a name too long
+            raise UsageError(f"cannot create {path}: {exc}") from exc
+        if found_dir == (found == path and not is_dir):
+            raise UsageError(f"cannot create {path}: {found} is {'a' if found_dir else 'not a'} directory")
+        break
+    return path
+
+
 def _out_dir(args, resolved) -> Path:
-    """The output directory, checked before anything trains: the nearest of
-    it and its parents that exists must be a directory."""
+    """The output directory, checked before anything trains."""
     if getattr(args, "out", None):
         out = Path(args.out)
     elif resolved.output["dir"]:
         out = Path(resolved.output["dir"])
     else:
         out = Path(os.environ.get(ENV_OUT_DIR, "out")) / resolved.output["run_id"]
-    for path in (out, *out.parents):
-        try:
-            mode = os.stat(path).st_mode
-        except FileNotFoundError:
-            continue
-        except OSError as exc:  # a path under a file, a name too long
-            raise UsageError(f"cannot create the output directory: {exc}") from exc
-        if not stat.S_ISDIR(mode):
-            raise UsageError(f"cannot create the output directory {out}: {path} is not a directory")
-        break
-    return out
+    return _creatable(out, is_dir=True)
 
 
 def cmd_run(args) -> int:
@@ -100,6 +106,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_partition(args) -> int:
     resolved = resolve(_load(args))
+    out_path = Path(args.out) if args.out else _out_dir(args, resolved) / "partition_manifest.json"
+    _creatable(out_path, is_dir=False)
     ds = build_dataset(resolved.dataset)
     spec = resolved.run.partition
     indices = partition_indices(ds, spec)
@@ -120,7 +128,6 @@ def cmd_partition(args) -> int:
             for j, idx in enumerate(indices)
         ],
     }
-    out_path = Path(args.out) if args.out else _out_dir(args, resolved) / "partition_manifest.json"
     atomic_write(out_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     print(f"wrote {out_path}")
     return 0
@@ -179,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SimulationError, OSError) as exc:
+    except (SimulationError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

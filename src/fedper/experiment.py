@@ -13,7 +13,6 @@ from . import rng as rngmod
 from .data import K_CLASS, LabeledDataset, PartitionSpec, partition_indices, relabel, split_positions
 from .data import partition, train_test_split  # unused here; the benchmark traces both by these names
 from .errors import ConfigError
-from .nn import layout_order
 from .protocol import FederationResult, RoundHistory, RunConfig, run_federation
 
 
@@ -21,11 +20,10 @@ def client_shards(ds: LabeledDataset, spec: PartitionSpec) -> list[tuple[Labeled
     """Partition the dataset over clients, then split each shard into its own
     train and test sets with a per-client seed derived from the partition
     seed: bitwise what partition and train_test_split give.  Each side's
-    rows are one take of ds, in the order a RowBlock lays them out
-    (nn.layout_order; the RowBlock then takes them over uncopied); every set
-    is a view of them.  Only indices are held per client: each side takes
-    its labels, relabels them client by client in place, then takes its
-    features."""
+    rows are one take of ds, in client order, and so are its labels (a
+    RowBlock takes both over uncopied); every set is a view of them.  Only
+    indices are held per client: each side takes its labels, relabels them
+    client by client in place, then takes its features."""
     sides: tuple[list, list] = ([], [])  # per side, per client: its rows of ds
     for j, idx in enumerate(partition_indices(ds, spec)):
         seed = rngmod.derive_seed(spec.seed, rngmod.SPLIT, j)
@@ -33,16 +31,14 @@ def client_shards(ds: LabeledDataset, spec: PartitionSpec) -> list[tuple[Labeled
             side.append(idx.take(pos))
     shards = []
     for side in sides:
-        order = layout_order([len(i) for i in side])
-        cuts = np.cumsum([len(side[j]) for j in order])[:-1]
-        idx = np.concatenate([side[j] for j in order])
+        cuts = np.cumsum([len(i) for i in side])[:-1]
+        idx = np.concatenate(side)
         side.clear()
         y = np.split(ds.y.take(idx), cuts)
-        for j, yj in zip(order, y):
+        for j, yj in enumerate(y):
             yj[...] = relabel(spec, j, yj, ds.num_classes)
         pieces = zip(np.split(ds.X.take(idx, axis=0), cuts), y)
-        sets = [LabeledDataset(xj, yj, ds.num_classes) for xj, yj in pieces]
-        shards.append([sets[k] for k in np.argsort(order)])
+        shards.append([LabeledDataset(xj, yj, ds.num_classes) for xj, yj in pieces])
     return list(zip(*shards))
 
 

@@ -66,14 +66,16 @@ def mean_loss(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
 def scores(spec: "ModelSpec", rows: RowBlock, base: Layers, personal: Layers, measure) -> list[float]:
     """measure (accuracy or mean_loss) of base + row j of the stacked
     personal layers on set j of rows, for every set j, bitwise as evaluate
-    gives it.  Each of rows.groups is scored in one stacked forward pass
+    gives it.  Each of rows.groups is gathered from rows.x and rows.y into
+    (g, n, in_dim) and (g, n) arrays and scored in one stacked forward pass
     (see nn._forward), the base broadcast: every set by the same gemms and
     reductions as in evaluate's call of its own."""
     results = [0.0] * len(rows.sizes)
     broadcast = [(w[None], b[None]) for w, b in base]
-    for group, x, y in rows.groups:
+    for group, idx in rows.groups:
         layers = broadcast + [(w.take(group, axis=0), b.take(group, axis=0)) for w, b in personal]
-        for j, value in zip(group.tolist(), measure(_forward(spec, layers, x)[-1], y).tolist()):
+        logits = _forward(spec, layers, rows.x.take(idx, axis=0))[-1]
+        for j, value in zip(group.tolist(), measure(logits, rows.y.take(idx)).tolist()):
             results[j] = value
     return results
 

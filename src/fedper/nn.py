@@ -9,19 +9,19 @@ the model is base + personal.  For training, the weights of N clients are
 stacked layer by layer into (N, out, in) and (N, out) arrays.
 
 The engine is planned once per run, because a client's training set never
-changes: a RowBlock lays every client's training rows out end to end, equal
-set lengths together (layout_order), and groups them for stacked scoring;
-a LockstepPlan fixes which clients share each stacked launch and where each
-launch's rows come from, and holds the rows' one-hot labels.  It trains the
-clients' weights, one (N, P) block (weight_block), in place: a pass
-(LockstepPlan.run) only draws each client's permutations and runs the
-launches.  sgd is the same engine with a single client.
+changes: a RowBlock holds every client's training rows and labels end to
+end, in client order, and groups the sets of each length for stacked
+scoring; a LockstepPlan fixes which clients share each stacked launch and
+where each launch's rows come from.  It trains the clients' weights, one
+(N, P) block (weight_block), in place: a pass (LockstepPlan.run) only draws
+each client's permutations and runs the launches, each of which gathers its
+rows and builds their one-hot labels.  sgd is the same engine with a single
+client.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -309,39 +309,29 @@ def budget_chunks(members: list[int], rows_each: int) -> list[list[int]]:
     return [members[k : k + step] for k in range(0, len(members), step)]
 
 
-def layout_order(lengths: Sequence[int]) -> list[int]:
-    """The order in which a RowBlock lays out sets of these lengths: equal
-    lengths together, each length where it first occurs."""
-    by_length: dict[int, list[int]] = {}
-    for j, n in enumerate(lengths):
-        by_length.setdefault(n, []).append(j)
-    return [j for members in by_length.values() for j in members]
-
-
 class RowBlock:
-    """The labeled rows of several sets end to end, in layout_order: set j,
-    of sizes[j] rows, is rows starts[j] onwards of x and y.  Features that
-    already are those rows of one array, in that order, are that array,
-    uncopied.
+    """The labeled rows of several sets end to end, in the order given: set
+    j, of sizes[j] rows, is rows starts[j] onwards of x and y.  Features or
+    labels that already are those rows of one array, in that order, are
+    that array, uncopied.
 
-    groups splits the sets of each length into budget_chunks chunks: per
-    chunk, its members (an index array) and (g, n, in_dim) and (g, n) views
-    of x and y, which stack its g sets of n rows."""
+    groups splits the sets of each length, each length where it first
+    occurs, into budget_chunks chunks: per chunk, its members (an index
+    array) and the (g, n) indices of their rows, which stack its g sets of
+    n rows."""
 
     def __init__(self, sets: Sequence["LabeledDataset"]) -> None:
         self.sizes = [len(d) for d in sets]
-        order = layout_order(self.sizes)
-        self.x = _end_to_end([sets[j].X for j in order])
-        self.y = np.concatenate([sets[j].y for j in order])
-        self.starts = np.empty(len(sets), dtype=np.intp)
-        self.groups, start = [], 0
-        for n, same in itertools.groupby(order, self.sizes.__getitem__):
-            for chunk in budget_chunks(list(same), n):
-                members, end = np.array(chunk), start + len(chunk) * n
-                self.starts[members] = start + n * np.arange(len(chunk))
-                x, y = self.x[start:end], self.y[start:end]
-                self.groups.append((members, x.reshape(len(chunk), n, x.shape[1]), y.reshape(len(chunk), n)))
-                start = end
+        self.x = _end_to_end([d.X for d in sets])
+        self.y = _end_to_end([d.y for d in sets])
+        self.starts = np.cumsum([0] + self.sizes[:-1])
+        by_length: dict[int, list[int]] = {}
+        for j, n in enumerate(self.sizes):
+            by_length.setdefault(n, []).append(j)
+        self.groups = [
+            (np.array(chunk), self.starts[chunk][:, None] + np.arange(n))
+            for n, same in by_length.items() for chunk in budget_chunks(same, n)
+        ]
 
 
 class LockstepPlan:
@@ -349,8 +339,7 @@ class LockstepPlan:
     for clients whose training sets never change.
 
     Client j trains on its rows of the row block, rows.starts[j] onwards,
-    n_j = sizes[j] of them, and on their one-hot labels in onehot.  It
-    walks exactly the batches it would walk alone: per epoch a fresh
+    n_j = sizes[j] of them.  It walks exactly the batches it would walk alone: per epoch a fresh
     permutation from its own generator, cut into batch_size slices with the
     last one partial, each step moving its weights by -eta * gradient.  Layers before first_trained are frozen:
     they take part in the forward pass, but no gradient is computed for them
@@ -379,8 +368,10 @@ class LockstepPlan:
     A launch of every client works on it directly; any other gathers its
     rows into a spare block and scatters them back.  Gradients fill the
     trained columns of a second block, so an update is two whole-block
-    operations.  A launch's arrays hold at most ROW_BUDGET rows, unless one
-    batch is larger, and are freed before the next launch allocates its own.
+    operations.  A launch gathers its rows and labels from the row block and
+    one-hot encodes the labels itself.  Its arrays hold at most ROW_BUDGET
+    rows, unless one batch is larger, and are freed before the next launch
+    allocates its own.
     """
 
     def __init__(
@@ -388,8 +379,6 @@ class LockstepPlan:
         epochs: int, batch_size: int, first_trained: int = 0,
     ) -> None:
         self.spec, self.rows, self.block, self.epochs = spec, rows, block, epochs
-        # row r is True at the label of row r of the block
-        self.onehot = np.eye(spec.out_dim, dtype=bool).take(rows.y, axis=0)
         sizes = rows.sizes
         # client j's permutations fill order[offsets[j] : offsets[j] + epochs * sizes[j]]
         self.offsets = np.cumsum([0] + [epochs * n for n in sizes[:-1]]).tolist()
@@ -440,14 +429,15 @@ class LockstepPlan:
     def run(self, rngs: Sequence[np.random.Generator], eta: float) -> None:
         """One training pass of the block, in place; rngs[j] is client j's
         generator."""
-        spec, block, x, onehot = self.spec, self.block, self.rows.x, self.onehot
+        spec, block, x, y = self.spec, self.block, self.rows.x, self.rows.y
+        eye = np.eye(spec.out_dim, dtype=bool)
         for (clients, _, _, (sub, ws, trained, g, gs)), rows in self.batches(rngs):
             if sub is not block:
                 # clients are in range; "clip" skips the checked mode's buffered copy
                 np.take(block, clients, axis=0, out=sub, mode="clip")
-            # take gathers faster than fancy indexing; the activations are
-            # freed before the next launch allocates its own
-            _backprop(spec, ws, _forward(spec, ws, x.take(rows, axis=0)), onehot.take(rows, axis=0), gs)
+            # take gathers faster than fancy indexing; the activations and
+            # the one-hot labels are freed before the next launch allocates
+            _backprop(spec, ws, _forward(spec, ws, x.take(rows, axis=0)), eye.take(y.take(rows), axis=0), gs)
             g *= eta
             trained -= g
             if sub is not block:

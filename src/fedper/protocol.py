@@ -6,11 +6,11 @@ Every round trains all clients together on the lock-step engine
 run (fedper.nn.weight_block): row j holds the round's base, then client j's
 personal layers, and ClientState.personal is a view of it.  What depends
 only on the clients' data is built once per run: a fedper.nn.RowBlock of
-the test sets and one of the training sets, each side one block of rows
-(the block experiment.client_shards gathered, if the sets are views of it)
-grouped for stacked scoring (metrics.scores); and the plans of the SGD pass
-and, with fine-tuning on, the fine-tune pass on those training rows and that
-weight block.  A round (run_federation's loop) only broadcasts the base into
+the test sets and one of the training sets, each side its rows and labels
+end to end in client order (the arrays experiment.client_shards gathered,
+uncopied, if the sets are views of them) grouped for stacked scoring
+(metrics.scores); and the plans of the SGD pass and, with fine-tuning on,
+the fine-tune pass on those training rows and that weight block.  A round (run_federation's loop) only broadcasts the base into
 the block, runs the passes, aggregates and scores.
 
 Communication is in-process.  Every exchange is appended to the server's

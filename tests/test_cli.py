@@ -230,6 +230,13 @@ class TestInputValidation:
 
 
 class TestRunCommand:
+    def test_allocation_failure_is_runtime_error(self, tmp_path, capsys):
+        # numpy refuses this dataset's arrays at once, without allocating
+        out = tmp_path / "o"
+        assert main(["run", "--set", "dataset.per_class=1000000000000000", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
     def test_one_round_history_rows(self, tmp_path):
         out = tmp_path / "o"
         code = main(["run", *SMALL, "--set", "rounds=1", "--out", str(out)])
@@ -425,8 +432,7 @@ class TestMemory:
     def test_peak_is_the_dataset_plus_one_copy_of_its_rows(self, monkeypatch, tmp_path):
         """tracemalloc's peak over a reduced scale run (20 clients of 1,000
         rows, B=256, checkpoints) stays within the dataset, the blocks of
-        client rows and their one-hot labels, the arrays of one
-        ROW_BUDGET-row launch and 1 MiB."""
+        client rows, the arrays of one ROW_BUDGET-row launch and 1 MiB."""
         sizes = {"dataset": 0, "rows": 0}
         build = fedper.cli.build_dataset
 
@@ -440,14 +446,8 @@ class TestMemory:
                 super().__init__(sets)
                 sizes["rows"] += self.x.nbytes + self.y.nbytes
 
-        class MeasuredPlan(fedper.nn.LockstepPlan):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                sizes["rows"] += self.onehot.nbytes
-
         monkeypatch.setattr(fedper.cli, "build_dataset", building)
         monkeypatch.setattr(fedper.protocol, "RowBlock", MeasuredRows)
-        monkeypatch.setattr(fedper.protocol, "LockstepPlan", MeasuredPlan)
         overrides = [
             "rounds=1", "dataset.per_class=5000", "partition.num_clients=20",
             "sgd.batch_size=256", "sgd.epochs=1", "output.checkpoint_every=1",
@@ -571,6 +571,15 @@ class TestPartitionCommand:
         assert main([*base, "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    @pytest.mark.parametrize("out", ["d", "f/m.json", "a" * 300], ids=["directory", "under-a-file", "name-too-long"])
+    def test_out_that_cannot_be_a_file_is_usage_error_before_building(self, out, tmp_path, monkeypatch):
+        (tmp_path / "d").mkdir()
+        (tmp_path / "f").write_text("")
+        monkeypatch.setattr(fedper.cli, "build_dataset", lambda *args: pytest.fail("built the dataset"))
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["partition", "--set", "dataset.per_class=20", "--out", str(tmp_path / out)]) == 2
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_manifest_indices_form_partition(self, tmp_path):
         out = tmp_path / "m.json"
         assert main(["partition", "--set", "dataset.per_class=20", "--out", str(out)]) == 0
@@ -643,7 +652,7 @@ class TestSweepFuzz:
     @given(
         axis=st.sampled_from(["k", "kp", "algorithm"]),
         values=st.lists(st.sampled_from(SWEEP_VALUES), min_size=1, max_size=3),
-        overrides=st.lists(st.sampled_from(FUZZ_OVERRIDES), max_size=2),
+        overrides=st.lists(st.one_of(st.sampled_from(FUZZ_SETTINGS), st.sampled_from(FUZZ_OVERRIDES)), max_size=2),
     )
     @example(axis="kp", values=["0", "2"], overrides=["ablation=linear_base"])
     @example(axis="algorithm", values=["fedper", "fedavg"], overrides=["ablation=linear_base"])

@@ -51,7 +51,7 @@ class TestPipeline:
             assert len(test) >= 1
 
     @pytest.mark.parametrize("spec", [
-        # 7 clients over 4 classes: ragged sets, so the layout order is not the client order
+        # 7 clients over 4 classes: ragged sets
         PartitionSpec(mode="k_class", num_clients=7, k=2, train_fraction=0.8, seed=31),
         PartitionSpec(
             mode="unbalanced_users", num_clients=6, volume_range=(3, 60), train_fraction=0.7, seed=5,
@@ -76,8 +76,9 @@ class TestPipeline:
             assert x_block is not None and y_block is not None
             assert all(d.X.base is x_block and d.y.base is y_block for d in sets)
             assert len(x_block) == len(y_block) == sum(len(d) for d in sets)
-            # the row block reads the features where they were gathered
-            assert RowBlock(sets).x is x_block
+            # the row block reads the rows where they were gathered
+            rows = RowBlock(sets)
+            assert rows.x is x_block and rows.y is y_block
 
     def test_deterministic(self):
         cfg, ds = base_setup()

@@ -1,6 +1,9 @@
 """Golden outputs: per-round base checksums and a digest of the history for
-5 rounds of three configs, recorded from the per-client training loop that
-the lock-step engine replaced.  Any change to the arithmetic of local
+5 rounds of four configs.  The first three were recorded from the
+per-client training loop that the lock-step engine replaced; the fourth has
+40 equal sets of 160 training rows, so ROW_BUDGET splits its whole-set
+launches and its training scoring groups into 25 + 15 clients, and the
+spare-block gather/scatter runs.  Any change to the arithmetic of local
 training, aggregation or evaluation shows here as a mismatch."""
 
 import hashlib
@@ -49,6 +52,17 @@ GOLDEN = {
             "51a893bbb5ef60764344d6d4c301de70a45e3dc835e2d66321f5d710eab1b41e",
         ],
         "78d6483b28eb9fda0bd2483ddb3030ef0f8b0b785a58c2ef40639f8cd22a8f70",
+    ),
+    "budget_split": (
+        ["rounds=5", "partition.num_clients=40", "partition.k=4", "dataset.per_class=2000", "sgd.batch_size=256"],
+        [
+            "cb183964864106ecbc02d1f12a353c517ee2fd27543875b4c512bb387c8caf92",
+            "2b549d79a3ce05a49af3ea32a5a6b55d8e78e392fd693679665353287c6c2d01",
+            "f13cd0e941b9b567679ceee4e87cfbb1ed970dfcf14c0ed02a63a6655238d99f",
+            "7fec607f51db17929262a86aa654fb991267b07a5ce683acdaabd032cf03b0cc",
+            "e405ba321f22c204125ebea36164d93e37bc1d7fb496cd16e89136f88ada71a0",
+        ],
+        "9fd752033dfac0c0d6d74f4eb70ff3d31b421190de1e626a80cd2e7de35c9190",
     ),
 }
 

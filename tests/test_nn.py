@@ -20,7 +20,6 @@ from fedper.nn import (
     _row_max,
     forward,
     init_weights,
-    layout_order,
     loss_and_grad,
     sgd,
     weight_block,
@@ -372,25 +371,25 @@ class TestRowBlock:
 
     @settings(max_examples=200, deadline=None)
     @given(lengths=st.lists(st.sampled_from([1, 2, 3, 5]), min_size=1, max_size=8), budget=st.integers(1, 12))
-    def test_groups_are_budget_chunks_of_one_length_in_layout_order(self, lengths, budget):
-        """Sets gathered in layout_order are taken over uncopied, and the
-        groups walk them in that order, a chunk of one length at a time."""
-        order = layout_order(lengths)
+    def test_groups_are_budget_chunks_of_one_length_in_client_order(self, lengths, budget):
+        """Sets gathered end to end in client order are taken over
+        uncopied, features and labels both, and the groups walk the sets of
+        each length in client order, each length where it first occurs, a
+        budget chunk at a time."""
         block = np.arange(3.0 * sum(lengths)).reshape(-1, 3).copy()  # owns its rows
         labels = np.arange(len(block))
-        cuts = np.cumsum([lengths[j] for j in order])[:-1]
-        sets = [None] * len(lengths)
-        for j, x, y in zip(order, np.split(block, cuts), np.split(labels, cuts)):
-            sets[j] = LabeledDataset(x, y, len(block))
+        cuts = np.cumsum(lengths)[:-1]
+        sets = [LabeledDataset(x, y, len(block)) for x, y in zip(np.split(block, cuts), np.split(labels, cuts))]
         with mock.patch.object(fedper.nn, "ROW_BUDGET", budget):
             rows = RowBlock(sets)
-        assert rows.x is block
-        assert [j for members, _, _ in rows.groups for j in members.tolist()] == order
-        for members, x, y in rows.groups:
+        assert rows.x is block and rows.y is labels
+        by_length = sorted(range(len(lengths)), key=lambda j: lengths.index(lengths[j]))
+        assert [j for members, _ in rows.groups for j in members.tolist()] == by_length
+        for members, idx in rows.groups:
             (n,) = {lengths[j] for j in members.tolist()}
             assert len(members) <= max(1, budget // n)
-            assert np.array_equal(x, np.stack([sets[j].X for j in members.tolist()]))
-            assert np.array_equal(y, np.stack([sets[j].y for j in members.tolist()]))
+            assert np.array_equal(rows.x.take(idx, axis=0), np.stack([sets[j].X for j in members.tolist()]))
+            assert np.array_equal(rows.y.take(idx), np.stack([sets[j].y for j in members.tolist()]))
 
 
 class TestWeightBlock:
