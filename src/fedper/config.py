@@ -63,6 +63,7 @@ def one_of(*values: str) -> Kind:
 
 
 NUMBER = ("a finite number", _is_finite)
+FRACTION = ("a number in (0, 1) (at 1 no client has a test set)", lambda value: _is_finite(value) and 0 < value < 1)
 BOOL = ("a boolean", lambda value: isinstance(value, bool))
 TEXT = (
     "null or a non-empty string without NUL",
@@ -118,7 +119,7 @@ SCHEMA: dict[str, tuple[Any, Kind]] = {
     "partition.num_clients": (10, int_at_least(1)),
     "partition.k": (2, int_at_least(1)),
     "partition.volume_range": ([60, 290], INT_PAIR),
-    "partition.train_fraction": (0.8, NUMBER),
+    "partition.train_fraction": (0.8, FRACTION),
     "partition.rater_disagreement": (False, BOOL),
     "partition.seed": (None, SEED),
     "output.dir": (None, TEXT),

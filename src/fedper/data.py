@@ -11,6 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng as rngmod
+from .checkpoint import atomic_write
 from .errors import ConfigError, ParseError, ShapeError
 
 K_CLASS = "k_class"
@@ -264,12 +265,11 @@ def train_test_split(
 
 
 def save_csv(ds: LabeledDataset, path: str | Path) -> None:
-    """Write `f0,...,f{d-1},label` rows; floats use repr so a reload is exact."""
-    path = Path(path)
+    """Write `f0,...,f{d-1},label` rows atomically; floats use repr so a reload is exact."""
     lines = [",".join([f"f{i}" for i in range(ds.X.shape[1])] + ["label"])]
     for x, y in zip(ds.X, ds.y):
         lines.append(",".join([repr(float(v)) for v in x] + [str(int(y))]))
-    path.write_text("\n".join(lines) + "\n")
+    atomic_write(Path(path), "\n".join(lines) + "\n")
 
 
 def load_csv(path: str | Path) -> LabeledDataset:

@@ -9,14 +9,14 @@ the model is base + personal.  For training, the weights of N clients are
 stacked layer by layer into (N, out, in) and (N, out) arrays.
 
 The engine is planned once per run, because a client's training set never
-changes: a RowBlock holds every client's training rows and labels end to
-end, in client order, and groups the sets of each length for stacked
-scoring; a LockstepPlan fixes which clients share each stacked launch and
-where each launch's rows come from.  It trains the clients' weights, one
-(N, P) block (weight_block), in place: a pass (LockstepPlan.run) only draws
-each client's permutations and runs the launches, each of which gathers its
-rows and builds their one-hot labels.  sgd is the same engine with a single
-client.
+changes, and one planner (launches) decides which sets share each stacked
+launch: a RowBlock holds every client's training rows and labels end to
+end, in client order, grouped for scoring as the launches of one epoch
+whose batch is the whole set; a LockstepPlan attaches views to the
+launches of its pass.  It trains the clients' weights, one (N, P) block
+(weight_block), in place: a pass (LockstepPlan.run) only draws each
+client's permutations and runs the launches, each of which gathers its rows
+and builds their one-hot labels.  sgd is the same engine with one client.
 """
 
 from __future__ import annotations
@@ -302,11 +302,33 @@ def _end_to_end(parts: Sequence[np.ndarray]) -> np.ndarray:
 ROW_BUDGET = 4096
 
 
-def budget_chunks(members: list[int], rows_each: int) -> list[list[int]]:
-    """members in order, in chunks of as many as fit in ROW_BUDGET rows at
-    rows_each rows a member, and at least one."""
-    step = max(1, ROW_BUDGET // max(rows_each, 1))
-    return [members[k : k + step] for k in range(0, len(members), step)]
+def launches(sizes: Sequence[int], offsets: Sequence[int], epochs: int, batch_size: int) -> list[tuple]:
+    """The stacked launches of a lock-step pass of sets of these sizes,
+    each walked epochs times in batches of batch_size, the last one partial:
+    the batch of epoch e that starts at sample i of set j starts at position
+    offsets[j] + e * sizes[j] + i of an order array.  At step t the sets
+    whose t-th batches have one size stack, each size where it first occurs,
+    as many to a launch as fit in ROW_BUDGET rows and at least one.  Per
+    launch: its members, the position of each one's batch (a column) and the
+    offsets of a batch's samples, which sum to its (g, batch size) positions."""
+    steps = [
+        [(min(batch_size, n - i), (j, off + e * n + i)) for e in range(epochs) for i in range(0, n, batch_size)]
+        for j, (n, off) in enumerate(zip(sizes, offsets))
+    ]
+    # no batch is larger than the largest set, whatever batch_size is
+    samples = np.arange(min(batch_size, max(sizes)))
+    planned = []
+    for t in range(max(map(len, steps))):
+        buckets: dict[int, list[tuple[int, int]]] = {}
+        for s in steps:
+            if t < len(s):
+                buckets.setdefault(s[t][0], []).append(s[t][1])
+        for size, bucket in buckets.items():
+            fit = max(1, ROW_BUDGET // size)
+            for k in range(0, len(bucket), fit):
+                members, at = np.array(bucket[k : k + fit]).T.copy()  # two rows: contiguous index arrays gather faster
+                planned.append((members, at[:, None], samples[:size]))
+    return planned
 
 
 class RowBlock:
@@ -315,22 +337,17 @@ class RowBlock:
     labels that already are those rows of one array, in that order, are
     that array, uncopied.
 
-    groups splits the sets of each length, each length where it first
-    occurs, into budget_chunks chunks: per chunk, its members (an index
-    array) and the (g, n) indices of their rows, which stack its g sets of
-    n rows."""
+    groups are the launches of one pass of one epoch whose batch is the
+    whole set: per group, its members (an index array) and the (g, n)
+    indices of their rows, which stack its g sets of n rows."""
 
     def __init__(self, sets: Sequence["LabeledDataset"]) -> None:
         self.sizes = [len(d) for d in sets]
         self.x = _end_to_end([d.X for d in sets])
         self.y = _end_to_end([d.y for d in sets])
         self.starts = np.cumsum([0] + self.sizes[:-1])
-        by_length: dict[int, list[int]] = {}
-        for j, n in enumerate(self.sizes):
-            by_length.setdefault(n, []).append(j)
         self.groups = [
-            (np.array(chunk), self.starts[chunk][:, None] + np.arange(n))
-            for n, same in by_length.items() for chunk in budget_chunks(same, n)
+            (members, at + samples) for members, at, samples in launches(self.sizes, self.starts, 1, max(self.sizes))
         ]
 
 
@@ -339,29 +356,25 @@ class LockstepPlan:
     for clients whose training sets never change.
 
     Client j trains on its rows of the row block, rows.starts[j] onwards,
-    n_j = sizes[j] of them.  It walks exactly the batches it would walk alone: per epoch a fresh
-    permutation from its own generator, cut into batch_size slices with the
-    last one partial, each step moving its weights by -eta * gradient.  Layers before first_trained are frozen:
+    n_j = sizes[j] of them.  It walks exactly the batches it would walk
+    alone: per epoch a fresh permutation from its own generator, cut into
+    batch_size slices with the last one partial, each step moving its
+    weights by -eta * gradient.  Layers before first_trained are frozen:
     they take part in the forward pass, but no gradient is computed for them
     and they are never updated.
 
-    At step t every client that still has batches takes its t-th one.
-    Clients whose batches have the same size form a bucket, which runs as
-    stacked forward and backward passes (launches) of as many of its clients
-    as fit in ROW_BUDGET rows (budget_chunks): np.matmul runs each client's
-    own gemm on its own slice, and every reduction runs within one client's
-    slice.  Buckets are never padded, because padding would change the
-    shape of each client's gemm and reductions, and with them the rounding.
-    Unpadded, every client's arithmetic is the same as in a run on its own,
-    and no client reads another's weights, data or generator; so the result
-    is bitwise independent of which clients share a launch and of the order
-    in which launches run.
-
-    Which clients share which launch depends only on the set sizes, so it is
-    planned here, once: per launch its clients and, per member, where its
-    batch starts in the pass's order array, which holds every client's
-    permutations end to end.  A pass (run) only draws the permutations into
-    that array and runs the launches.
+    The clients whose batches have one size at one step run as stacked
+    forward and backward passes, the launches that launches() plans once
+    from the set sizes: np.matmul runs each client's own gemm on its own
+    slice, and every reduction runs within one client's slice.  Launches are
+    never padded, because padding would change the shape of each client's
+    gemm and reductions, and with them the rounding.  Unpadded, every
+    client's arithmetic is the same as in a run on its own, and no client
+    reads another's weights, data or generator; so the result is bitwise
+    independent of which clients share a launch and of the order in which
+    launches run.  The plan lays out the pass's order array, every client's
+    permutations end to end; a pass (run) only draws the permutations into
+    it and runs the launches.
 
     The weights are the given (N, P) block, laid out as weight_block lays
     it out, row j holding client j's layers; every pass trains it in place.
@@ -383,36 +396,20 @@ class LockstepPlan:
         # client j's permutations fill order[offsets[j] : offsets[j] + epochs * sizes[j]]
         self.offsets = np.cumsum([0] + [epochs * n for n in sizes[:-1]]).tolist()
         self.order = np.empty(epochs * sum(sizes), dtype=np.intp)
-        # every client's batches, step by step, as (size, first position in order)
-        steps = [
-            [(min(batch_size, n - i), off + e * n + i) for e in range(epochs) for i in range(0, n, batch_size)]
-            for n, off in zip(sizes, self.offsets)
-        ]
         frozen = sum(s.out_dim * (s.in_dim + 1) for s in spec.layers[:first_trained])
         spare, grad = np.empty_like(block), np.empty((len(sizes), block.shape[1] - frozen))
-        # per bucket size: its weight block, that block's layers and trained
+        # per launch size: its weight block, that block's layers and trained
         # columns, and its gradient block and that block's layers
         views: dict[int, tuple] = {}
-        # no batch is larger than the largest set, whatever batch_size is
-        samples = np.arange(min(batch_size, max(sizes)))
-        # per launch: its clients, the position of each one's batch in order
-        # (a column), the offsets of a batch's samples, and the views of its
-        # bucket size
+        # per launch: what launches() gives for it, and the views of its size
         self.launches: list[tuple[np.ndarray, np.ndarray, np.ndarray, tuple]] = []
-        for t in range(max(len(s) for s in steps)):
-            buckets: dict[int, list[int]] = {}
-            for j, s in enumerate(steps):
-                if t < len(s):
-                    buckets.setdefault(s[t][0], []).append(j)
-            for size, bucket in buckets.items():
-                for clients in budget_chunks(bucket, size):
-                    n = len(clients)
-                    if n not in views:
-                        sub = block if n == len(sizes) else spare[:n]
-                        views[n] = (sub, _flat_views(spec, sub), sub[:, frozen:], grad[:n],
-                                    _flat_views(spec, grad[:n], first_trained))
-                    bases = np.array([steps[j][t][1] for j in clients])[:, None]
-                    self.launches.append((np.array(clients), bases, samples[:size], views[n]))
+        for clients, at, samples in launches(sizes, self.offsets, epochs, batch_size):
+            n = len(clients)
+            if n not in views:
+                sub = block if n == len(sizes) else spare[:n]
+                views[n] = (sub, _flat_views(spec, sub), sub[:, frozen:], grad[:n],
+                            _flat_views(spec, grad[:n], first_trained))
+            self.launches.append((clients, at, samples, views[n]))
 
     def batches(self, rngs: Sequence[np.random.Generator]):
         """Draw one pass's permutations, rngs[j] being client j's generator,

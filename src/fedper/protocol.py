@@ -4,14 +4,14 @@ sample-weighted aggregation, and the optional personal-layer fine-tuning pass.
 Every round trains all clients together on the lock-step engine
 (fedper.nn.LockstepPlan).  The clients' weights are one block for the whole
 run (fedper.nn.weight_block): row j holds the round's base, then client j's
-personal layers, and ClientState.personal is a view of it.  What depends
-only on the clients' data is built once per run: a fedper.nn.RowBlock of
-the test sets and one of the training sets, each side its rows and labels
-end to end in client order (the arrays experiment.client_shards gathered,
-uncopied, if the sets are views of them) grouped for stacked scoring
-(metrics.scores); and the plans of the SGD pass and, with fine-tuning on,
-the fine-tune pass on those training rows and that weight block.  A round (run_federation's loop) only broadcasts the base into
-the block, runs the passes, aggregates and scores.
+personal layers, and ClientState.personal is a view of it.  Built once per
+run: a fedper.nn.RowBlock of the test sets and one of the training sets,
+each side's rows and labels end to end in client order (uncopied if the
+sets are views of the arrays experiment.client_shards gathered), and the
+plans of the SGD and, with fine-tuning on, the fine-tune pass; one planner,
+fedper.nn.launches, stacks the scoring groups and the passes' launches.  A
+round only broadcasts the base into the block, runs the passes, aggregates
+and scores.
 
 Communication is in-process.  Every exchange is appended to the server's
 message log as (sender, receiver, payload kind), which makes the privacy

@@ -20,7 +20,7 @@ from fedper.cli import main
 from fedper.config import (
     SCHEMA, SECTIONS, apply_overrides, build_dataset, cluster_permutations, default_config, resolve, sweep_seed,
 )
-from fedper.data import synth_classification, save_csv
+from fedper.data import PartitionSpec, partition_indices, synth_classification, save_csv
 from fedper.errors import ConfigError
 from fedper.experiment import client_shards
 from fedper.model import ModelSpec, linearize_base
@@ -217,6 +217,17 @@ class TestInputValidation:
         args = [*command, *SMALL, "--set", "dataset.kind=csv", "--set", f"dataset.path={csv_path}"]
         assert main([*args, "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "kp", "--values", "0,1"]])
+    def test_train_fraction_of_one_is_usage_error_before_building(self, command, tmp_path, monkeypatch, capsys):
+        """At 1 every client's test set is empty, so resolve rejects it,
+        naming the key; the library's PartitionSpec still takes it."""
+        monkeypatch.setattr(fedper.cli, "build_dataset", lambda *args: pytest.fail("built the dataset"))
+        args = [*command, *SMALL, "--set", "partition.train_fraction=1", "--out", str(tmp_path / "o")]
+        assert main(args) == 2
+        assert "partition.train_fraction must be a number in (0, 1)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        assert PartitionSpec("k_class", 2, 1, train_fraction=1).train_fraction == 1
 
     @pytest.mark.parametrize("eta", ["NaN", "Infinity", "true"])
     def test_bad_learning_rate_is_usage_error(self, eta, tmp_path):
@@ -579,6 +590,25 @@ class TestPartitionCommand:
         before = sorted(tmp_path.rglob("*"))
         assert main(["partition", "--set", "dataset.per_class=20", "--out", str(tmp_path / out)]) == 2
         assert sorted(tmp_path.rglob("*")) == before
+
+    def test_unbalanced_manifest_with_rater_disagreement(self, tmp_path):
+        """Each client's indices are distinct, as many as its size, which is
+        within volume_range, and are partition_indices' draw."""
+        settings = [
+            "partition.mode=unbalanced_users", "partition.volume_range=[20,50]", "partition.num_clients=6",
+            "partition.rater_disagreement=true", "dataset.per_class=30",
+        ]
+        out = tmp_path / "m.json"
+        assert main(["partition", *(a for s in settings for a in ("--set", s)), "--out", str(out)]) == 0
+        manifest = json.loads(out.read_text())
+        assert manifest["k"] is None and manifest["volume_range"] == [20, 50]
+        resolved = resolve(apply_overrides(default_config(), settings))
+        expected = partition_indices(build_dataset(resolved.dataset), resolved.run.partition)
+        assert [c["id"] for c in manifest["clients"]] == list(range(6))
+        for client, idx in zip(manifest["clients"], expected):
+            assert 20 <= client["size"] <= 50 and client["size"] == len(client["indices"])
+            assert len(set(client["indices"])) == client["size"]
+            assert client["indices"] == idx.tolist()
 
     def test_manifest_indices_form_partition(self, tmp_path):
         out = tmp_path / "m.json"

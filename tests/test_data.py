@@ -1,5 +1,6 @@
 import collections
 import itertools
+import os
 import tracemalloc
 
 import numpy as np
@@ -305,6 +306,20 @@ class TestCsv:
         path.write_text("a,b\n1,0\n")
         with pytest.raises(ParseError, match="header"):
             load_csv(path)
+
+    def test_save_that_fails_leaves_the_old_file(self, tmp_path, monkeypatch):
+        """A save cut short before its rename keeps the old file's bytes and
+        leaves no temporary file."""
+        path = tmp_path / "d.csv"
+        path.write_text("f0,label\n1.0,0\n")
+
+        def interrupted(*args):
+            raise OSError("interrupted")
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(OSError, match="interrupted"):
+            save_csv(synth_classification(3, 4, 11, seed=8), path)
+        assert path.read_bytes() == b"f0,label\n1.0,0\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
 
     def test_save_load_round_trip_bit_exact(self, tmp_path):
         ds = synth_classification(3, 4, 11, seed=8)

@@ -1,11 +1,14 @@
-"""The README's library example must keep running as the public API
-changes, and its default configuration must be the program's."""
+"""The README's library example and its command lines must keep running as
+the public API and the parser change, and its default configuration must be
+the program's."""
 
 import ast
 import json
 import re
+import shlex
 from pathlib import Path
 
+from fedper.cli import main
 from fedper.config import default_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -23,3 +26,16 @@ def test_default_config_block_is_the_default_config():
     section = README.read_text().split("## Configuration", 1)[1]
     block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
     assert json.loads(block) == default_config()
+
+
+def test_command_lines_run(tmp_path):
+    """Every `fedper ...` line of the sh blocks exits 0, for one round and
+    with its --out under tmp_path."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("fedper ")]
+    assert len(lines) >= 7
+    for line in lines:
+        args = shlex.split(line, comments=True)[1:]
+        out = args.index("--out") + 1
+        args[out] = str(tmp_path / args[out])
+        assert main([*args, "--set", "rounds=1"]) == 0, line
