@@ -27,7 +27,9 @@ def client_shards(ds: LabeledDataset, spec: PartitionSpec) -> list[tuple[Labeled
     sides: tuple[list, list] = ([], [])  # per side, per client: its rows of ds
     for j, idx in enumerate(partition_indices(ds, spec)):
         seed = rngmod.derive_seed(spec.seed, rngmod.SPLIT, j)
-        for side, pos in zip(sides, split_positions(len(idx), spec.train_fraction, seed)):
+        for side, kind, pos in zip(sides, ("training", "test"), split_positions(len(idx), spec.train_fraction, seed)):
+            if len(pos) == 0:  # a usage error, found before any row is gathered
+                raise ConfigError(f"client {j} has an empty {kind} set")
             side.append(idx.take(pos))
     shards = []
     for side in sides:

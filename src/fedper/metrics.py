@@ -11,7 +11,8 @@ import numpy as np
 
 from .checkpoint import atomic_write
 from .errors import SimulationError, UsageError
-from .nn import Layers, RowBlock, _forward, check_data, cross_entropy
+from .nn import Layers, RowBlock, _activations, _forward, _launch_views, _segment, _split, check_data, cross_entropy
+from .nn import unstack_weights, weight_block
 
 if TYPE_CHECKING:
     from .data import LabeledDataset
@@ -49,7 +50,8 @@ def evaluate(
     if len(data) == 0:
         raise UsageError("evaluate requires a non-empty dataset")
     check_data(spec, data)
-    logits = _forward(spec, base + personal, data.X)[-1]
+    acts = _activations(spec, data.X)
+    logits = _forward(spec, acts, [_segment(base + personal, acts)])
     return EvalResult(float(accuracy(logits, data.y)), float(mean_loss(logits, data.y)))
 
 
@@ -63,21 +65,40 @@ def mean_loss(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
     return cross_entropy(logits, y).mean(axis=-1)
 
 
+class ScoringPlan:
+    """Scoring of every set of a RowBlock by its row of a weight_block, in
+    launches planned once: rows.groups, whose sets of one length are a
+    segment, so every set goes through the gemms and reductions of
+    evaluate's call of its own.  They run in workspace if it has the rows."""
+
+    def __init__(self, spec: "ModelSpec", rows: RowBlock, block: np.ndarray, workspace: list | None = None) -> None:
+        self.spec, self.rows, self.block = spec, rows, block
+        self.launches, self.workspace = _launch_views(spec, block, rows.groups, len(spec.layers), workspace)
+
+    def __call__(self, measure) -> list[float]:
+        """measure (accuracy or mean_loss) of row j of the block on set j of
+        the rows, for every set j."""
+        block, x, y = self.block, self.rows.x, self.rows.y
+        results = np.empty(len(self.rows.sizes))
+        for members, idx, shapes, (sub, _, _, acts, _, segments) in self.launches:
+            if sub is not block:  # "clip": see LockstepPlan.run
+                block.take(members, axis=0, out=sub, mode="clip")
+            x.take(idx, axis=0, out=acts[0], mode="clip")
+            # measure is a mean over a set's rows: over sets of one row each
+            # it is each row's value, and a set's measure is their mean
+            values = measure(_forward(self.spec, acts, segments)[:, None], y.take(idx)[:, None])
+            results[members] = np.concatenate(
+                [np.add.reduce(v, axis=-1) / n for (_, (v,)), (_, n) in zip(_split(shapes, [values]), shapes)]
+            )
+        return results.tolist()
+
+
 def scores(spec: "ModelSpec", rows: RowBlock, base: Layers, personal: Layers, measure) -> list[float]:
     """measure (accuracy or mean_loss) of base + row j of the stacked
     personal layers on set j of rows, for every set j, bitwise as evaluate
-    gives it.  Each of rows.groups is gathered from rows.x and rows.y into
-    (g, n, in_dim) and (g, n) arrays and scored in one stacked forward pass
-    (see nn._forward), the base broadcast: every set by the same gemms and
-    reductions as in evaluate's call of its own."""
-    results = [0.0] * len(rows.sizes)
-    broadcast = [(w[None], b[None]) for w, b in base]
-    for group, idx in rows.groups:
-        layers = broadcast + [(w.take(group, axis=0), b.take(group, axis=0)) for w, b in personal]
-        logits = _forward(spec, layers, rows.x.take(idx, axis=0))[-1]
-        for j, value in zip(group.tolist(), measure(logits, rows.y.take(idx)).tolist()):
-            results[j] = value
-    return results
+    gives it; see ScoringPlan."""
+    block, _ = weight_block(spec, [base + unstack_weights(personal, j) for j in range(len(rows.sizes))])
+    return ScoringPlan(spec, rows, block)(measure)
 
 
 def cross_client_stats(values: Sequence[float]) -> SummaryStats:

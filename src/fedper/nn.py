@@ -8,20 +8,22 @@ shared base layers followed by the client-local personalization layers, so
 the model is base + personal.  For training, the weights of N clients are
 stacked layer by layer into (N, out, in) and (N, out) arrays.
 
-The engine is planned once per run, because a client's training set never
-changes, and one planner (launches) decides which sets share each stacked
-launch: a RowBlock holds every client's training rows and labels end to
-end, in client order, grouped for scoring as the launches of one epoch
-whose batch is the whole set; a LockstepPlan attaches views to the
-launches of its pass.  It trains the clients' weights, one (N, P) block
-(weight_block), in place: a pass (LockstepPlan.run) only draws each
-client's permutations and runs the launches, each of which gathers its rows
-and builds their one-hot labels.  sgd is the same engine with one client.
+The engine is planned once per run, as a client's training set never
+changes.  One planner (launches) makes every launch: one per lock-step step
+(more past ROW_BUDGET rows), its batches of one size a segment.  A RowBlock
+holds the clients' rows and labels end to end, in client order; its
+scoring groups are the launches of one epoch whose batch is the whole set.
+A LockstepPlan lays out its launches' views of one workspace once and
+trains one (N, P) weight block (weight_block) in place; a pass shuffles each
+client's slice of the order array in place and runs the launches.  sgd is
+the same engine with one client; loss_and_grad and forward run one-segment
+launches.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -177,21 +179,44 @@ def _flat_views(spec: "ModelSpec", block: np.ndarray, first: int = 0) -> Layers:
     return views
 
 
-def _forward(spec: "ModelSpec", layers: Layers, x: np.ndarray) -> list[np.ndarray]:
-    """Run the stack on (..., batch, in_dim) inputs; returns every layer's
-    activations, the input first and the network output last.
+def _activations(spec: "ModelSpec", x: np.ndarray) -> list[np.ndarray]:
+    """x, a launch's (rows, in_dim) rows, then an empty (rows, out) array per layer."""
+    return [x] + [np.empty((len(x), s.out_dim)) for s in spec.layers]
 
-    Leading dims index stacked weights: with (G, out, in) weights and
-    (G, batch, in) inputs every slice g is its own forward pass.
-    """
-    acts = [x]
-    for lspec, (w, b) in zip(spec.layers, layers):
-        z = acts[-1] @ w.swapaxes(-1, -2)
-        z += b[..., None, :]
+
+def _split(shapes: Sequence[tuple[int, int]], arrays: Sequence[np.ndarray]):
+    """Per segment (g, n) of a launch: the slice of its g members and its
+    (g, n, ...) view of each of arrays, which hold the launch's rows in order."""
+    m = r = 0
+    for g, n in shapes:
+        yield slice(m, m + g), [a[r : r + g * n].reshape(g, n, *a.shape[1:]) for a in arrays]
+        m, r = m + g, r + g * n
+
+
+def _segment(layers: Layers, acts: Sequence[np.ndarray], grads: Layers = ()) -> list[tuple]:
+    """A segment's operands per layer: input and output activations (the
+    output becomes the delta in _backprop), W, W transposed, b as a row, the
+    output transposed, and gradients for the last len(grads) layers."""
+    grads = [(None, None)] * (len(layers) - len(grads)) + list(grads)
+    return [
+        (acts[i], acts[i + 1], w, w.swapaxes(-1, -2), b[..., None, :], acts[i + 1].swapaxes(-1, -2), gw, gb)
+        for i, ((w, b), (gw, gb)) in enumerate(zip(layers, grads))
+    ]
+
+
+def _forward(spec: "ModelSpec", acts: list[np.ndarray], segments: Sequence[list[tuple]]) -> np.ndarray:
+    """Run the stack on a launch's rows, acts[0], into acts[1:]; returns the
+    logits, acts[-1].  Each segment's gemms and bias adds run on its own
+    rows, every (n, in) slice of them its own pass; relu runs once over all
+    the launch's rows."""
+    for i, lspec in enumerate(spec.layers):
+        for segment in segments:
+            x, z, _, wt, bias, _, _, _ = segment[i]
+            np.matmul(x, wt, out=z)
+            z += bias
         if lspec.activation == "relu":
-            np.maximum(z, 0.0, out=z)
-        acts.append(z)
-    return acts
+            np.maximum(acts[i + 1], 0.0, out=acts[i + 1])
+    return acts[-1]
 
 
 # Up to 8 columns and from 128 rows the softmax row max is a chain of
@@ -213,10 +238,10 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _softmax_parts(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row max, exp(logits - max) and its row sums: the stable softmax."""
+def _softmax_parts(logits: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row max, exp(logits - max) (into out if given) and its row sums."""
     zmax = _row_max(logits)
-    expz = logits - zmax
+    expz = np.subtract(logits, zmax, out=out)
     np.exp(expz, out=expz)
     # the ufunc reduction itself skips ndarray.sum's Python wrapper
     return zmax, expz, np.add.reduce(expz, axis=-1, keepdims=True)
@@ -230,33 +255,35 @@ def cross_entropy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _backprop(
-    spec: "ModelSpec", layers: Layers, acts: list[np.ndarray], onehot: np.ndarray, grads: Layers
+    spec: "ModelSpec", acts: list[np.ndarray], segments: Sequence[list[tuple]],
+    onehot: np.ndarray, counts, first_trained: int = 0,
 ) -> None:
-    """Exact gradients of the batch-mean cross-entropy for the last
-    len(grads) layers, written into grads, from a cached forward pass whose
-    hidden activations it overwrites.  onehot is True at each row's label.
-    Leading dims are stacked weights as in _forward."""
-    first_trained = len(layers) - len(grads)
-    _, delta, sums = _softmax_parts(acts[-1])
+    """Exact gradients of each batch's mean cross-entropy for the layers from
+    first_trained on, written into the segments' gradient views, from the
+    launch's forward pass, whose activations become the deltas.  onehot is
+    True at each row's label; counts is each row's batch size (a column or a
+    number).  Gemms and reductions run per segment, the rest once."""
+    logits = acts[-1]
+    # the final layer's activation is part of the chain too; relu's
+    # derivative is 1 exactly where its output a is > 0, identity's is 1
+    alive = logits > 0.0 if spec.layers[-1].activation == "relu" else None
+    _, delta, sums = _softmax_parts(logits, out=logits)
     # softmax minus the one-hot label; subtracting 0.0 leaves a value exact
     delta /= sums
     delta -= onehot
-    delta /= delta.shape[-2]
-    # the final layer's activation is part of the chain too; relu's
-    # derivative is 1 exactly where its output a is > 0, identity's is 1
-    if spec.layers[-1].activation == "relu":
-        delta *= acts[-1] > 0.0
-    for i in range(len(layers) - 1, first_trained - 1, -1):
-        gw, gb = grads[i - first_trained]
-        np.matmul(delta.swapaxes(-1, -2), acts[i], out=gw)
-        np.add.reduce(delta, axis=-2, out=gb)
-        if i > first_trained:
-            # acts[i] is read here for the last time, so the next delta
-            # overwrites it instead of taking new memory
-            alive = acts[i] > 0.0 if spec.layers[i - 1].activation == "relu" else None
-            delta = np.matmul(delta, layers[i][0], out=acts[i])
-            if alive is not None:
-                delta *= alive
+    delta /= counts
+    for i in range(len(spec.layers) - 1, first_trained - 1, -1):
+        if alive is not None:
+            acts[i + 1] *= alive
+        # acts[i] is read here for the last time, so the next delta
+        # overwrites it instead of taking new memory
+        alive = acts[i] > 0.0 if i > first_trained and spec.layers[i - 1].activation == "relu" else None
+        for segment in segments:
+            x, z, w, _, _, zt, gw, gb = segment[i]
+            np.matmul(zt, x, out=gw)
+            np.add.reduce(z, axis=-2, out=gb)
+            if i > first_trained:
+                np.matmul(z, w, out=x)
 
 
 def forward(spec: "ModelSpec", base: Layers, personal: Layers, x: np.ndarray) -> np.ndarray:
@@ -265,7 +292,8 @@ def forward(spec: "ModelSpec", base: Layers, personal: Layers, x: np.ndarray) ->
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != spec.in_dim:
         raise ShapeError(f"layer 0: input shape {x.shape} != expected ({spec.in_dim},)")
-    return _forward(spec, base + personal, x[None, :])[-1][0]
+    acts = _activations(spec, x[None, :])
+    return _forward(spec, acts, [_segment(base + personal, acts)])[0]
 
 
 def loss_and_grad(
@@ -277,10 +305,11 @@ def loss_and_grad(
     _check_model_weights(spec, base, personal)
     check_data(spec, batch)
     layers = base + personal
-    acts = _forward(spec, layers, batch.X)
-    loss = float(np.mean(cross_entropy(acts[-1], batch.y)))
     grads = [(np.empty_like(w), np.empty_like(b)) for w, b in layers]
-    _backprop(spec, layers, acts, np.eye(spec.out_dim, dtype=bool).take(batch.y, axis=0), grads)
+    acts = _activations(spec, batch.X)
+    segments = [_segment(layers, acts, grads)]
+    loss = float(np.mean(cross_entropy(_forward(spec, acts, segments), batch.y)))
+    _backprop(spec, acts, segments, np.eye(spec.out_dim, dtype=bool).take(batch.y, axis=0), len(batch))
     kb = spec.k_base
     return loss, grads[:kb], grads[kb:]
 
@@ -297,8 +326,8 @@ def _end_to_end(parts: Sequence[np.ndarray]) -> np.ndarray:
     return np.concatenate(parts)
 
 
-# The most rows one launch or one scoring group holds: above it, the stacked
-# forward of large sets ran slower than scoring them one by one.
+# The most rows one launch holds: above it, the stacked forward of large
+# sets ran slower than scoring them one by one.
 ROW_BUDGET = 4096
 
 
@@ -306,28 +335,33 @@ def launches(sizes: Sequence[int], offsets: Sequence[int], epochs: int, batch_si
     """The stacked launches of a lock-step pass of sets of these sizes,
     each walked epochs times in batches of batch_size, the last one partial:
     the batch of epoch e that starts at sample i of set j starts at position
-    offsets[j] + e * sizes[j] + i of an order array.  At step t the sets
-    whose t-th batches have one size stack, each size where it first occurs,
-    as many to a launch as fit in ROW_BUDGET rows and at least one.  Per
-    launch: its members, the position of each one's batch (a column) and the
-    offsets of a batch's samples, which sum to its (g, batch size) positions."""
+    offsets[j] + e * sizes[j] + i of an order array.  A launch holds batches
+    of one step: at step t they go by size, each size where it first occurs
+    and its sets in order, as many to a launch as fit in ROW_BUDGET rows
+    and at least one.  Per launch: its members, its rows' positions and its
+    segments' (members, batch size), one segment per size."""
     steps = [
-        [(min(batch_size, n - i), (j, off + e * n + i)) for e in range(epochs) for i in range(0, n, batch_size)]
+        [(min(batch_size, n - i), j, off + e * n + i) for e in range(epochs) for i in range(0, n, batch_size)]
         for j, (n, off) in enumerate(zip(sizes, offsets))
     ]
-    # no batch is larger than the largest set, whatever batch_size is
-    samples = np.arange(min(batch_size, max(sizes)))
     planned = []
     for t in range(max(map(len, steps))):
-        buckets: dict[int, list[tuple[int, int]]] = {}
+        buckets: dict[int, list[tuple[int, int, int]]] = {}
         for s in steps:
             if t < len(s):
-                buckets.setdefault(s[t][0], []).append(s[t][1])
-        for size, bucket in buckets.items():
-            fit = max(1, ROW_BUDGET // size)
-            for k in range(0, len(bucket), fit):
-                members, at = np.array(bucket[k : k + fit]).T.copy()  # two rows: contiguous index arrays gather faster
-                planned.append((members, at[:, None], samples[:size]))
+                buckets.setdefault(s[t][0], []).append(s[t])
+        cuts, rows = [[]], 0
+        for batch in itertools.chain(*buckets.values()):
+            if cuts[-1] and rows + batch[0] > ROW_BUDGET:
+                cuts, rows = cuts + [[]], 0
+            cuts[-1].append(batch)
+            rows += batch[0]
+        for batches in cuts:
+            n, members, at = np.array(batches).T
+            # batch b's samples are positions at[b] onwards, rows cumsum(n)[b - 1] onwards
+            positions = np.arange(n.sum()) + np.repeat(at - np.cumsum(n) + n, n)
+            shapes = tuple((len(list(run)), k) for k, run in itertools.groupby(n.tolist()))
+            planned.append((members.copy(), positions, shapes))  # contiguous indices gather faster
     return planned
 
 
@@ -335,20 +369,45 @@ class RowBlock:
     """The labeled rows of several sets end to end, in the order given: set
     j, of sizes[j] rows, is rows starts[j] onwards of x and y.  Features or
     labels that already are those rows of one array, in that order, are
-    that array, uncopied.
-
-    groups are the launches of one pass of one epoch whose batch is the
-    whole set: per group, its members (an index array) and the (g, n)
-    indices of their rows, which stack its g sets of n rows."""
+    that array, uncopied.  groups are the launches of one pass of one epoch
+    whose batch is the whole set (see launches); a group's positions index
+    its sets' rows of x and y."""
 
     def __init__(self, sets: Sequence["LabeledDataset"]) -> None:
         self.sizes = [len(d) for d in sets]
         self.x = _end_to_end([d.X for d in sets])
         self.y = _end_to_end([d.y for d in sets])
         self.starts = np.cumsum([0] + self.sizes[:-1])
-        self.groups = [
-            (members, at + samples) for members, at, samples in launches(self.sizes, self.starts, 1, max(self.sizes))
-        ]
+        self.groups = launches(self.sizes, self.starts, 1, max(self.sizes))
+
+
+def _launch_views(
+    spec: "ModelSpec", block: np.ndarray, planned: list[tuple], first_trained: int, workspace: list | None = None
+) -> tuple[list[tuple], list[np.ndarray]]:
+    """The launches of planned, each with its views of one workspace (the
+    given _activations arrays if they have the rows): its weight rows (block
+    itself for every client in client order, else a spare block), their
+    columns from layer first_trained on and a gradient block for them, its
+    activations, each row's batch size and its segments' operands."""
+    most = max(len(p) for _, p, _ in planned)
+    if workspace is None or len(workspace[0]) < most:
+        workspace = _activations(spec, np.empty((most, spec.in_dim)))
+    frozen = sum(s.out_dim * (s.in_dim + 1) for s in spec.layers[:first_trained])
+    spare = np.empty((max(len(m) for m, _, _ in planned), block.shape[1]))
+    grad = np.empty((len(spare), block.shape[1] - frozen))
+    clients, work, views = np.arange(len(block)), {}, []
+    for members, positions, shapes in planned:
+        whole, r = np.array_equal(members, clients), len(positions)
+        if (whole, shapes) not in work:  # launches of one layout share views
+            sub, g, acts = block if whole else spare[: len(members)], grad[: len(members)], [a[:r] for a in workspace]
+            segments = [
+                _segment(_flat_views(spec, sub[ms]), live, _flat_views(spec, g[ms], first_trained))
+                for ms, live in _split(shapes, acts)
+            ]
+            counts = np.repeat([float(n) for _, n in shapes], [k * n for k, n in shapes])[:, None]
+            work[whole, shapes] = (sub, sub[:, frozen:], g, acts, counts, segments)
+        views.append((members, positions, shapes, work[whole, shapes]))
+    return views, workspace
 
 
 class LockstepPlan:
@@ -360,81 +419,62 @@ class LockstepPlan:
     alone: per epoch a fresh permutation from its own generator, cut into
     batch_size slices with the last one partial, each step moving its
     weights by -eta * gradient.  Layers before first_trained are frozen:
-    they take part in the forward pass, but no gradient is computed for them
-    and they are never updated.
+    they take part in the forward pass, but are never updated.
 
-    The clients whose batches have one size at one step run as stacked
-    forward and backward passes, the launches that launches() plans once
-    from the set sizes: np.matmul runs each client's own gemm on its own
-    slice, and every reduction runs within one client's slice.  Launches are
-    never padded, because padding would change the shape of each client's
-    gemm and reductions, and with them the rounding.  Unpadded, every
-    client's arithmetic is the same as in a run on its own, and no client
-    reads another's weights, data or generator; so the result is bitwise
-    independent of which clients share a launch and of the order in which
-    launches run.  The plan lays out the pass's order array, every client's
-    permutations end to end; a pass (run) only draws the permutations into
-    it and runs the launches.
+    A step runs as one launch (more past ROW_BUDGET rows), planned by
+    launches(); its batches of one size are a segment.  np.matmul runs each
+    client's own gemm on its own slice of a segment, and every reduction
+    runs within one client's slice; nothing is padded, as padding would
+    change the gemm shapes and with them the rounding.  So every client's
+    arithmetic is that of a run on its own, whichever clients share a
+    launch; the elementwise work runs once per launch.
 
     The weights are the given (N, P) block, laid out as weight_block lays
     it out, row j holding client j's layers; every pass trains it in place.
-    A launch of every client works on it directly; any other gathers its
-    rows into a spare block and scatters them back.  Gradients fill the
-    trained columns of a second block, so an update is two whole-block
-    operations.  A launch gathers its rows and labels from the row block and
-    one-hot encodes the labels itself.  Its arrays hold at most ROW_BUDGET
-    rows, unless one batch is larger, and are freed before the next launch
-    allocates its own.
+    A launch of every client in client order works on it directly; any
+    other gathers its rows into a spare block and scatters them back.  The
+    plan lays out every launch's views of one workspace (_launch_views) and
+    the order array, whose per-client slices a pass fills and shuffles in
+    place, the draws of gen.permutation (an arange, shuffled).
     """
 
     def __init__(
         self, spec: "ModelSpec", rows: RowBlock, block: np.ndarray,
         epochs: int, batch_size: int, first_trained: int = 0,
     ) -> None:
-        self.spec, self.rows, self.block, self.epochs = spec, rows, block, epochs
+        self.spec, self.rows, self.block, self.epochs, self.first_trained = spec, rows, block, epochs, first_trained
         sizes = rows.sizes
         # client j's permutations fill order[offsets[j] : offsets[j] + epochs * sizes[j]]
-        self.offsets = np.cumsum([0] + [epochs * n for n in sizes[:-1]]).tolist()
-        self.order = np.empty(epochs * sum(sizes), dtype=np.intp)
-        frozen = sum(s.out_dim * (s.in_dim + 1) for s in spec.layers[:first_trained])
-        spare, grad = np.empty_like(block), np.empty((len(sizes), block.shape[1] - frozen))
-        # per launch size: its weight block, that block's layers and trained
-        # columns, and its gradient block and that block's layers
-        views: dict[int, tuple] = {}
-        # per launch: what launches() gives for it, and the views of its size
-        self.launches: list[tuple[np.ndarray, np.ndarray, np.ndarray, tuple]] = []
-        for clients, at, samples in launches(sizes, self.offsets, epochs, batch_size):
-            n = len(clients)
-            if n not in views:
-                sub = block if n == len(sizes) else spare[:n]
-                views[n] = (sub, _flat_views(spec, sub), sub[:, frozen:], grad[:n],
-                            _flat_views(spec, grad[:n], first_trained))
-            self.launches.append((clients, at, samples, views[n]))
+        offsets = np.cumsum([0] + [epochs * n for n in sizes[:-1]]).tolist()
+        self.template = np.concatenate([np.tile(np.arange(a, a + n), epochs) for a, n in zip(rows.starts, sizes)])
+        self.order = np.empty_like(self.template)
+        self.shuffles = np.split(self.order, np.cumsum([n for n in sizes for _ in range(epochs)])[:-1])
+        planned = launches(sizes, offsets, epochs, batch_size)
+        self.launches, self.workspace = _launch_views(spec, block, planned, first_trained)
 
     def batches(self, rngs: Sequence[np.random.Generator]):
         """Draw one pass's permutations, rngs[j] being client j's generator,
-        and yield each launch with its members' batches: one row of the
-        block per member and sample, (len(clients), batch size)."""
-        order, rows = self.order, self.rows
-        for j, gen in enumerate(rngs):
-            n, off, start = rows.sizes[j], self.offsets[j], rows.starts[j]
-            for e in range(self.epochs):
-                np.add(gen.permutation(n), start, out=order[off + e * n : off + (e + 1) * n])
+        and yield each launch with its rows of the row block."""
+        order = self.order
+        np.copyto(order, self.template)
+        for gen, part in zip((gen for gen in rngs for _ in range(self.epochs)), self.shuffles):
+            gen.shuffle(part)
         for launch in self.launches:
-            yield launch, order.take(launch[1] + launch[2])
+            yield launch, order.take(launch[1])
 
     def run(self, rngs: Sequence[np.random.Generator], eta: float) -> None:
         """One training pass of the block, in place; rngs[j] is client j's
         generator."""
-        spec, block, x, y = self.spec, self.block, self.rows.x, self.rows.y
+        spec, block, x, y, first = self.spec, self.block, self.rows.x, self.rows.y, self.first_trained
         eye = np.eye(spec.out_dim, dtype=bool)
-        for (clients, _, _, (sub, ws, trained, g, gs)), rows in self.batches(rngs):
+        for (clients, _, _, (sub, trained, g, acts, counts, segments)), rows in self.batches(rngs):
+            # every index is in range; "clip" skips the checked mode's
+            # buffered copy, which it makes for out=
             if sub is not block:
-                # clients are in range; "clip" skips the checked mode's buffered copy
-                np.take(block, clients, axis=0, out=sub, mode="clip")
-            # take gathers faster than fancy indexing; the activations and
-            # the one-hot labels are freed before the next launch allocates
-            _backprop(spec, ws, _forward(spec, ws, x.take(rows, axis=0)), eye.take(y.take(rows), axis=0), gs)
+                block.take(clients, axis=0, out=sub, mode="clip")
+            x.take(rows, axis=0, out=acts[0], mode="clip")
+            _forward(spec, acts, segments)
+            _backprop(spec, acts, segments, eye.take(y.take(rows), axis=0), counts, first)
             g *= eta
             trained -= g
             if sub is not block:

@@ -5,13 +5,15 @@ Every round trains all clients together on the lock-step engine
 (fedper.nn.LockstepPlan).  The clients' weights are one block for the whole
 run (fedper.nn.weight_block): row j holds the round's base, then client j's
 personal layers, and ClientState.personal is a view of it.  Built once per
-run: a fedper.nn.RowBlock of the test sets and one of the training sets,
-each side's rows and labels end to end in client order (uncopied if the
-sets are views of the arrays experiment.client_shards gathered), and the
-plans of the SGD and, with fine-tuning on, the fine-tune pass; one planner,
-fedper.nn.launches, stacks the scoring groups and the passes' launches.  A
-round only broadcasts the base into the block, runs the passes, aggregates
-and scores.
+run: a fedper.nn.RowBlock of the test sets and one of the training sets
+(uncopied if the sets are views of the arrays experiment.client_shards
+gathered), the plans of the SGD and, with fine-tuning on, the fine-tune
+pass (each lays out its launches' views of one workspace; a pass shuffles
+its clients' rows in place), and a fedper.metrics.ScoringPlan per side.
+One planner, fedper.nn.launches, makes every launch: a lock-step step, or
+a side's sets, per launch (more only past ROW_BUDGET rows), one segment
+per batch size or set length.  A round runs the passes, aggregates, writes
+the base into the block and scores from it.
 
 Communication is in-process.  Every exchange is appended to the server's
 message log as (sender, receiver, payload kind), which makes the privacy
@@ -31,7 +33,7 @@ from . import rng as rngmod
 from .errors import ConfigError, ProtocolError, SimulationError, UsageError
 from .checkpoint import save_weights
 from .data import LabeledDataset, PartitionSpec
-from .metrics import ClientMetrics, accuracy, mean_loss, scores
+from .metrics import ClientMetrics, ScoringPlan, accuracy, mean_loss
 from .metrics import evaluate  # unused here; the benchmark traces fedper.protocol.evaluate
 from .model import ModelSpec
 from .nn import (
@@ -270,6 +272,9 @@ def run_federation(
     fine_tune_plan = None
     if cfg.fine_tune and spec.k_personal >= 1:  # one epoch on the personal layers, base frozen
         fine_tune_plan = LockstepPlan(spec, trains, block, 1, cfg.sgd.batch_size, first_trained=spec.k_base)
+    # scoring uses the SGD pass's workspace when its launches fit: a run holds at most two launches' arrays
+    score_trains = ScoringPlan(spec, trains, block, sgd_plan.workspace)
+    score_tests = ScoringPlan(spec, tests, block, score_trains.workspace)
 
     kb, records = spec.k_base, []
     for round_idx in range(1, cfg.rounds + 1):
@@ -278,9 +283,6 @@ def run_federation(
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 for c in clients:
                     server.log(SERVER, client_name(c.client_id), MSG_BASE_WEIGHTS)
-                for (w, b), (bw, bb) in zip(layers[:kb], server.base):
-                    w[...] = bw
-                    b[...] = bb
                 if fine_tune_plan is not None:
                     fine_tune_plan.run(_streams(cfg, clients, round_idx, rngmod.FINE_TUNE), cfg.sgd.eta)
                 sgd_plan.run(_streams(cfg, clients, round_idx, rngmod.SGD), cfg.sgd.eta)
@@ -290,9 +292,12 @@ def run_federation(
                 server.base = aggregate(
                     [(unstack_weights(layers[:kb], j), g) for j, g in enumerate(server.agg_weights)]
                 )
+                # broadcast now: scoring reads row j as the base and client j's layers
+                for (w, b), (bw, bb) in zip(layers[:kb], server.base):
+                    w[...] = bw
+                    b[...] = bb
                 # the history records the test sets' accuracy and the training sets' loss
-                accuracies = scores(spec, tests, server.base, layers[kb:], accuracy)
-                losses = scores(spec, trains, server.base, layers[kb:], mean_loss)
+                accuracies, losses = score_tests(accuracy), score_trains(mean_loss)
                 metrics = tuple(
                     ClientMetrics(c.client_id, round_idx, a, loss) for c, a, loss in zip(clients, accuracies, losses)
                 )

@@ -229,6 +229,29 @@ class TestInputValidation:
         assert list(tmp_path.iterdir()) == []
         assert PartitionSpec("k_class", 2, 1, train_fraction=1).train_fraction == 1
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "kp", "--values", "0,1"]])
+    def test_empty_test_set_is_usage_error_before_gathering_rows(self, command, tmp_path, monkeypatch, capsys):
+        """Below 1 a fraction can still leave a client no test sample: 0.99
+        sends ceil(0.99 * 80) = 80 of the default's 80 samples a client to
+        training.  Each client's split positions are checked before any of
+        the dataset's rows is gathered."""
+        class Ungatherable(np.ndarray):
+            def take(self, *args, **kwargs):
+                pytest.fail("gathered the features")
+
+        build = fedper.cli.build_dataset
+
+        def building(*args):
+            ds = build(*args)
+            ds.X = ds.X.view(Ungatherable)
+            return ds
+
+        monkeypatch.setattr(fedper.cli, "build_dataset", building)
+        args = [*command, "--set", "partition.train_fraction=0.99", "--set", "rounds=1", "--out", str(tmp_path / "o")]
+        assert main(args) == 2
+        assert "client 0 has an empty test set" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("eta", ["NaN", "Infinity", "true"])
     def test_bad_learning_rate_is_usage_error(self, eta, tmp_path):
         assert main(["run", *SMALL, "--set", f"sgd.eta={eta}", "--out", str(tmp_path / "o")]) == 2

@@ -1,10 +1,15 @@
 """Golden outputs: per-round base checksums and a digest of the history for
-5 rounds of four configs.  The first three were recorded from the
+5 rounds of five configs.  The first three were recorded from the
 per-client training loop that the lock-step engine replaced; the fourth has
 40 equal sets of 160 training rows, so ROW_BUDGET splits its whole-set
 launches and its training scoring groups into 25 + 15 clients, and the
-spare-block gather/scatter runs.  Any change to the arithmetic of local
-training, aggregation or evaluation shows here as a mismatch."""
+spare-block gather/scatter runs.  The fifth, recorded from the engine that
+launched each batch size of a step on its own, has 24 ragged fine-tuned
+sets at B=256: the first step of each epoch holds more than ROW_BUDGET rows
+of many batch sizes, so it splits into two launches of several segments
+each, and the training sets' scoring launches mix set lengths.  Any change
+to the arithmetic of local training, aggregation or evaluation shows here
+as a mismatch."""
 
 import hashlib
 
@@ -63,6 +68,26 @@ GOLDEN = {
             "e405ba321f22c204125ebea36164d93e37bc1d7fb496cd16e89136f88ada71a0",
         ],
         "9fd752033dfac0c0d6d74f4eb70ff3d31b421190de1e626a80cd2e7de35c9190",
+    ),
+    "ragged_segments": (
+        [
+            "rounds=5",
+            "partition.mode=unbalanced_users",
+            "partition.rater_disagreement=true",
+            "partition.num_clients=24",
+            "partition.volume_range=[200,400]",
+            "fine_tune=true",
+            "sgd.eta=0.05",
+            "sgd.batch_size=256",
+        ],
+        [
+            "ad74b37c752a4bdc83f2e10ec9a4867d1c68c756c52fd806f98da5fb1776e93e",
+            "093ae4655a911306bdeb474966fa189b49215e5f721bf8f493bc9b7cd77dee6d",
+            "d94e0ad04f7025f2a7d2abdd6cdf99d44aab05eb036f3a9bc935c55d7966ecd2",
+            "64af41e641e739e89d18779e26c1e0be229a82063a51bfd63296b087e94fd568",
+            "d6ff4c6a49ffffbdceefe3163b8f6c766f4639eefd973f80e37c2100ebacf83f",
+        ],
+        "fe661463cef788356814d2c42be9c57334fc78067fb4e1a45b7f1ee0e8f60136",
     ),
 }
 

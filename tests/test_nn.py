@@ -237,7 +237,7 @@ class TestEpochBatches:
 class TestLockstepPlan:
     """The plan feeds every client, step by step, exactly the batches of
     minibatch_indices on its own generator, from its own rows of the block,
-    in launches that fit the row budget."""
+    in launches that fit the row budget, one size per segment."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -255,35 +255,44 @@ class TestLockstepPlan:
         block, _ = weight_block(spec, [[(np.zeros((2, 1)), np.zeros(2))]] * len(sizes))
         with mock.patch.object(fedper.nn, "ROW_BUDGET", budget):
             plan = LockstepPlan(spec, rows, block, epochs, batch_size)
-        for clients, _, samples, _ in plan.launches:
-            # a launch fits the budget, or is one client's batch larger than it
-            assert len(clients) * len(samples) <= budget or len(clients) == 1
 
         fed: list[list[np.ndarray]] = [[] for _ in sizes]
-        for (clients, *_), batch_rows in plan.batches([np.random.default_rng([seed, j]) for j in range(len(sizes))]):
-            # one batch size per launch, and every member at the same step
-            assert batch_rows.shape[0] == len(clients) and len({len(fed[j]) for j in clients}) == 1
-            for j, r in zip(clients.tolist(), batch_rows):
-                fed[j].append(rows.x[r, 0])
+        launch_steps = []
+        rngs = [np.random.default_rng([seed, j]) for j in range(len(sizes))]
+        for (clients, _, shapes, _), batch_rows in plan.batches(rngs):
+            # every member at the same step, in segments of distinct sizes
+            (step,) = {len(fed[j]) for j in clients.tolist()}
+            launch_steps.append(step)
+            assert len({n for _, n in shapes}) == len(shapes)
+            assert sum(g for g, _ in shapes) == len(clients) and len(batch_rows) == sum(g * n for g, n in shapes)
+            # a launch fits the budget, or is one client's batch larger than it
+            assert len(batch_rows) <= budget or len(clients) == 1
+            for ms, (segment_rows,) in fedper.nn._split(shapes, [batch_rows]):
+                for j, r in zip(clients[ms].tolist(), segment_rows):
+                    fed[j].append(rows.x[r, 0])
         for j, n in enumerate(sizes):
             gen = np.random.default_rng([seed, j])
             expected = [idx for _ in range(epochs) for idx in minibatch_indices(n, batch_size, gen)]
             assert len(fed[j]) == len(expected)
             for got, idx in zip(fed[j], expected):
                 assert np.array_equal(got, sets[j].X[idx, 0])
+        # a step whose rows fit the budget is one launch
+        for t in set(launch_steps):
+            step_rows = sum(len(fed[j][t]) for j in range(len(sizes)) if t < len(fed[j]))
+            assert step_rows > budget or launch_steps.count(t) == 1
 
     @staticmethod
     def pass_peak(num_clients):
         """tracemalloc's peak over one pass (after a warm-up pass) of a plan
-        whose launches all have one shape: 4 of num_clients clients at a
-        64-row batch, each client 4 batches of 256 rows."""
+        whose launches all have one shape, one segment of 4 of num_clients
+        clients at a 64-row batch, each client 4 batches of 256 rows."""
         spec = ModelSpec((LayerSpec(8, 16, "relu"), LayerSpec(16, 16, "relu"), LayerSpec(16, 4, "identity")), 1)
         rng = np.random.default_rng(0)
         sets = [LabeledDataset(rng.standard_normal((256, 8)), rng.integers(0, 4, 256), 4) for _ in range(num_clients)]
         block, _ = weight_block(spec, [init_weights(spec.layers, rng) for _ in sets])
         with mock.patch.object(fedper.nn, "ROW_BUDGET", 4 * 64):
             plan = LockstepPlan(spec, RowBlock(sets), block, 1, 64)
-        assert {(len(c), len(s)) for c, _, s, _ in plan.launches} == {(4, 64)}
+        assert {(len(c), shapes) for c, _, shapes, _ in plan.launches} == {(4, ((4, 64),))}
         plan.run([np.random.default_rng([1, j]) for j in range(num_clients)], 0.01)
         rngs = [np.random.default_rng([2, j]) for j in range(num_clients)]
         tracemalloc.start()
@@ -371,11 +380,11 @@ class TestRowBlock:
 
     @settings(max_examples=200, deadline=None)
     @given(lengths=st.lists(st.sampled_from([1, 2, 3, 5]), min_size=1, max_size=8), budget=st.integers(1, 12))
-    def test_groups_are_budget_chunks_of_one_length_in_client_order(self, lengths, budget):
+    def test_groups_are_budget_chunks_of_one_length_per_segment(self, lengths, budget):
         """Sets gathered end to end in client order are taken over
         uncopied, features and labels both, and the groups walk the sets of
-        each length in client order, each length where it first occurs, a
-        budget chunk at a time."""
+        each length in client order, each length where it first occurs, as
+        many to a group as fit the budget, one length per segment."""
         block = np.arange(3.0 * sum(lengths)).reshape(-1, 3).copy()  # owns its rows
         labels = np.arange(len(block))
         cuts = np.cumsum(lengths)[:-1]
@@ -384,12 +393,16 @@ class TestRowBlock:
             rows = RowBlock(sets)
         assert rows.x is block and rows.y is labels
         by_length = sorted(range(len(lengths)), key=lambda j: lengths.index(lengths[j]))
-        assert [j for members, _ in rows.groups for j in members.tolist()] == by_length
-        for members, idx in rows.groups:
-            (n,) = {lengths[j] for j in members.tolist()}
-            assert len(members) <= max(1, budget // n)
-            assert np.array_equal(rows.x.take(idx, axis=0), np.stack([sets[j].X for j in members.tolist()]))
-            assert np.array_equal(rows.y.take(idx), np.stack([sets[j].y for j in members.tolist()]))
+        assert [j for members, _, _ in rows.groups for j in members.tolist()] == by_length
+        for k, (members, idx, shapes) in enumerate(rows.groups):
+            assert len({n for _, n in shapes}) == len(shapes)
+            for (ms, _), (_, n) in zip(fedper.nn._split(shapes, []), shapes):
+                assert {lengths[j] for j in members[ms].tolist()} == {n}
+            assert len(idx) <= budget or len(members) == 1
+            if k + 1 < len(rows.groups):  # the next group's first set would not have fit
+                assert len(idx) + lengths[rows.groups[k + 1][0][0]] > budget
+            assert np.array_equal(rows.x.take(idx, axis=0), np.concatenate([sets[j].X for j in members.tolist()]))
+            assert np.array_equal(rows.y.take(idx), np.concatenate([sets[j].y for j in members.tolist()]))
 
 
 class TestWeightBlock:

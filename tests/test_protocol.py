@@ -615,15 +615,13 @@ class TestStackedEvaluation:
 
 
 class TestLaunchCounts:
-    """A default-config round trains in one forward pass per bucket and
-    evaluates in one forward pass per distinct set length."""
+    """A default-config round trains in one forward pass per lock-step step
+    and scores each side's sets in one forward pass."""
 
     @staticmethod
-    def buckets(sizes, epochs, batch):
-        """Launches of one lock-step pass: at each step, one per distinct
-        batch size among the clients that still have batches."""
-        plans = [[min(batch, n - i) for _ in range(epochs) for i in range(0, n, batch)] for n in sizes]
-        return sum(len({p[t] for p in plans if t < len(p)}) for t in range(max(map(len, plans))))
+    def steps(sizes, epochs, batch):
+        """Steps of one lock-step pass: the most batches any client walks."""
+        return max(epochs * -(-n // batch) for n in sizes)
 
     def test_default_config(self, monkeypatch):
         counts = {"train": 0, "eval": 0}
@@ -642,10 +640,10 @@ class TestLaunchCounts:
         train_sizes = [len(c.train) for c in result.clients]
         test_sizes = [len(c.test) for c in result.clients]
         sgd_cfg = resolved.run.sgd
-        assert self.buckets(train_sizes, sgd_cfg.epochs, sgd_cfg.batch_size) == 31
-        assert counts["train"] == 2 * 31
+        assert self.steps(train_sizes, sgd_cfg.epochs, sgd_cfg.batch_size) == 20
+        assert counts["train"] == 2 * 20
         assert len(set(train_sizes)) + len(set(test_sizes)) == 5
-        assert counts["eval"] == 2 * 5  # one per distinct set length, not one per set
+        assert counts["eval"] == 2 * 2  # one per side, not one per set or per set length
 
     def test_planned_once_per_run(self, monkeypatch):
         """With fine-tuning on, the two lock-step plans and the row blocks
@@ -696,8 +694,8 @@ class TestLaunchCounts:
         assert sorted(plans) == [(0, 1, k_base), (0, sgd_cfg.epochs, 0)]  # fine-tune, SGD
         assert row_blocks == [0, 0]  # the test sets', the training sets'
         assert copies == []
-        fine_tune_launches = self.buckets([len(c.train) for c in result.clients], 1, sgd_cfg.batch_size)
-        assert forwards == {"train": 3 * (31 + fine_tune_launches), "eval": 3 * 5}
+        fine_tune_launches = self.steps([len(c.train) for c in result.clients], 1, sgd_cfg.batch_size)
+        assert forwards == {"train": 3 * (20 + fine_tune_launches), "eval": 3 * 2}
 
     def test_one_weight_block_per_run(self, monkeypatch):
         """The SGD and the fine-tune plan train one (N, P) block, and every
