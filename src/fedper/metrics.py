@@ -1,4 +1,5 @@
-"""Per-client evaluation, cross-client aggregation, and tabular output."""
+"""Per-client measures and evaluation, cross-client statistics, and tabular
+output.  A run scores with these measures on fedper.nn.LockstepPlan.score."""
 
 from __future__ import annotations
 
@@ -11,8 +12,7 @@ import numpy as np
 
 from .checkpoint import atomic_write
 from .errors import SimulationError, UsageError
-from .nn import Layers, RowBlock, _activations, _forward, _launch_views, _segment, _split, check_data, cross_entropy
-from .nn import unstack_weights, weight_block
+from .nn import Layers, check_data, cross_entropy, forward
 
 if TYPE_CHECKING:
     from .data import LabeledDataset
@@ -46,12 +46,11 @@ def evaluate(
     spec: "ModelSpec", base: Layers, personal: Layers, data: "LabeledDataset"
 ) -> EvalResult:
     """Accuracy (argmax of logits, ties to the lowest class index) and mean
-    cross-entropy on a dataset.  Pure and deterministic."""
+    cross-entropy of base + personal on a dataset.  Pure and deterministic."""
     if len(data) == 0:
         raise UsageError("evaluate requires a non-empty dataset")
     check_data(spec, data)
-    acts = _activations(spec, data.X)
-    logits = _forward(spec, acts, [_segment(base + personal, acts)])
+    logits = forward(spec, base, personal, data.X)
     return EvalResult(float(accuracy(logits, data.y)), float(mean_loss(logits, data.y)))
 
 
@@ -63,42 +62,6 @@ def accuracy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
 def mean_loss(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The mean cross-entropy of the n rows."""
     return cross_entropy(logits, y).mean(axis=-1)
-
-
-class ScoringPlan:
-    """Scoring of every set of a RowBlock by its row of a weight_block, in
-    launches planned once: rows.groups, whose sets of one length are a
-    segment, so every set goes through the gemms and reductions of
-    evaluate's call of its own.  They run in workspace if it has the rows."""
-
-    def __init__(self, spec: "ModelSpec", rows: RowBlock, block: np.ndarray, workspace: list | None = None) -> None:
-        self.spec, self.rows, self.block = spec, rows, block
-        self.launches, self.workspace = _launch_views(spec, block, rows.groups, len(spec.layers), workspace)
-
-    def __call__(self, measure) -> list[float]:
-        """measure (accuracy or mean_loss) of row j of the block on set j of
-        the rows, for every set j."""
-        block, x, y = self.block, self.rows.x, self.rows.y
-        results = np.empty(len(self.rows.sizes))
-        for members, idx, shapes, (sub, _, _, acts, _, segments) in self.launches:
-            if sub is not block:  # "clip": see LockstepPlan.run
-                block.take(members, axis=0, out=sub, mode="clip")
-            x.take(idx, axis=0, out=acts[0], mode="clip")
-            # measure is a mean over a set's rows: over sets of one row each
-            # it is each row's value, and a set's measure is their mean
-            values = measure(_forward(self.spec, acts, segments)[:, None], y.take(idx)[:, None])
-            results[members] = np.concatenate(
-                [np.add.reduce(v, axis=-1) / n for (_, (v,)), (_, n) in zip(_split(shapes, [values]), shapes)]
-            )
-        return results.tolist()
-
-
-def scores(spec: "ModelSpec", rows: RowBlock, base: Layers, personal: Layers, measure) -> list[float]:
-    """measure (accuracy or mean_loss) of base + row j of the stacked
-    personal layers on set j of rows, for every set j, bitwise as evaluate
-    gives it; see ScoringPlan."""
-    block, _ = weight_block(spec, [base + unstack_weights(personal, j) for j in range(len(rows.sizes))])
-    return ScoringPlan(spec, rows, block)(measure)
 
 
 def cross_client_stats(values: Sequence[float]) -> SummaryStats:

@@ -1,5 +1,5 @@
 """Dense feed-forward networks: forward pass, exact backpropagation, and the
-lock-step mini-batch SGD engine that runs every client's local training.
+lock-step engine that runs every client's local training and scoring.
 
 Weights are float64 throughout so that protocol-level equivalence tests can
 compare trajectories bitwise.  A network is described by a ModelSpec (see
@@ -8,14 +8,14 @@ shared base layers followed by the client-local personalization layers, so
 the model is base + personal.  For training, the weights of N clients are
 stacked layer by layer into (N, out, in) and (N, out) arrays.
 
-The engine is planned once per run, as a client's training set never
-changes.  One planner (launches) makes every launch: one per lock-step step
-(more past ROW_BUDGET rows), its batches of one size a segment.  A RowBlock
-holds the clients' rows and labels end to end, in client order; its
-scoring groups are the launches of one epoch whose batch is the whole set.
-A LockstepPlan lays out its launches' views of one workspace once and
-trains one (N, P) weight block (weight_block) in place; a pass shuffles each
-client's slice of the order array in place and runs the launches.  sgd is
+The engine is planned once per run, as a client's data never changes.  One
+planner (launches) makes every launch: one per lock-step step (more past
+ROW_BUDGET rows), its batches of one size a segment.  A RowBlock holds the
+clients' rows and labels end to end, in client order.  A LockstepPlan lays
+out, once, its launches' views of one workspace (a run's plans share one)
+and works on one (N, P) weight block (weight_block) in place: run shuffles
+each client's slice of the order array in place and trains, and score, on
+a one-epoch plan whose batch is the whole set, measures every set.  sgd is
 the same engine with one client; loss_and_grad and forward run one-segment
 launches.
 """
@@ -287,13 +287,15 @@ def _backprop(
 
 
 def forward(spec: "ModelSpec", base: Layers, personal: Layers, x: np.ndarray) -> np.ndarray:
-    """Forward pass for a single feature vector; returns the logits."""
+    """Forward pass of one feature vector, or of each row of an (n, in_dim)
+    array; returns the logits, of shape (out_dim,) or (n, out_dim)."""
     _check_model_weights(spec, base, personal)
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != spec.in_dim:
-        raise ShapeError(f"layer 0: input shape {x.shape} != expected ({spec.in_dim},)")
-    acts = _activations(spec, x[None, :])
-    return _forward(spec, acts, [_segment(base + personal, acts)])[0]
+    if x.ndim not in (1, 2) or x.shape[-1] != spec.in_dim:
+        raise ShapeError(f"layer 0: input shape {x.shape} != expected ({spec.in_dim},) or (n, {spec.in_dim})")
+    acts = _activations(spec, x.reshape(-1, spec.in_dim))
+    logits = _forward(spec, acts, [_segment(base + personal, acts)])
+    return logits if x.ndim == 2 else logits[0]
 
 
 def loss_and_grad(
@@ -369,16 +371,13 @@ class RowBlock:
     """The labeled rows of several sets end to end, in the order given: set
     j, of sizes[j] rows, is rows starts[j] onwards of x and y.  Features or
     labels that already are those rows of one array, in that order, are
-    that array, uncopied.  groups are the launches of one pass of one epoch
-    whose batch is the whole set (see launches); a group's positions index
-    its sets' rows of x and y."""
+    that array, uncopied."""
 
     def __init__(self, sets: Sequence["LabeledDataset"]) -> None:
         self.sizes = [len(d) for d in sets]
         self.x = _end_to_end([d.X for d in sets])
         self.y = _end_to_end([d.y for d in sets])
         self.starts = np.cumsum([0] + self.sizes[:-1])
-        self.groups = launches(self.sizes, self.starts, 1, max(self.sizes))
 
 
 def _launch_views(
@@ -430,17 +429,21 @@ class LockstepPlan:
     launch; the elementwise work runs once per launch.
 
     The weights are the given (N, P) block, laid out as weight_block lays
-    it out, row j holding client j's layers; every pass trains it in place.
-    A launch of every client in client order works on it directly; any
-    other gathers its rows into a spare block and scatters them back.  The
-    plan lays out every launch's views of one workspace (_launch_views) and
-    the order array, whose per-client slices a pass fills and shuffles in
-    place, the draws of gen.permutation (an arange, shuffled).
+    it out, row j holding client j's layers; every pass works on it in
+    place.  A launch of every client in client order works on it directly;
+    any other gathers its rows into a spare block (run scatters them back).
+    The plan lays out every launch's views of one workspace (_launch_views),
+    workspace's arrays if they have the rows, and the order array, whose
+    per-client slices run fills and shuffles in place, the draws of
+    gen.permutation (an arange, shuffled).
+
+    Scoring is a pass of the same planner: with one epoch whose batch is
+    the whole set, each set is one batch, whose positions are its rows.
     """
 
     def __init__(
         self, spec: "ModelSpec", rows: RowBlock, block: np.ndarray,
-        epochs: int, batch_size: int, first_trained: int = 0,
+        epochs: int, batch_size: int, first_trained: int = 0, workspace: list | None = None,
     ) -> None:
         self.spec, self.rows, self.block, self.epochs, self.first_trained = spec, rows, block, epochs, first_trained
         sizes = rows.sizes
@@ -450,7 +453,7 @@ class LockstepPlan:
         self.order = np.empty_like(self.template)
         self.shuffles = np.split(self.order, np.cumsum([n for n in sizes for _ in range(epochs)])[:-1])
         planned = launches(sizes, offsets, epochs, batch_size)
-        self.launches, self.workspace = _launch_views(spec, block, planned, first_trained)
+        self.launches, self.workspace = _launch_views(spec, block, planned, first_trained, workspace)
 
     def batches(self, rngs: Sequence[np.random.Generator]):
         """Draw one pass's permutations, rngs[j] being client j's generator,
@@ -479,6 +482,26 @@ class LockstepPlan:
             trained -= g
             if sub is not block:
                 block[clients] = sub
+
+    def score(self, measure) -> list[float]:
+        """measure (accuracy or mean_loss) of row j of the block on set j of
+        the rows, for every set j, bitwise as evaluate gives it: the plan
+        must be of one epoch whose batch is the whole set."""
+        if sum(len(launch[0]) for launch in self.launches) != len(self.rows.sizes):
+            raise UsageError("score needs a plan of one epoch whose batch is the whole set")
+        block, x, y = self.block, self.rows.x, self.rows.y
+        results = np.empty(len(self.rows.sizes))
+        for members, rows, shapes, (sub, _, _, acts, _, segments) in self.launches:
+            if sub is not block:  # "clip": see run
+                block.take(members, axis=0, out=sub, mode="clip")
+            x.take(rows, axis=0, out=acts[0], mode="clip")
+            # measure is a mean over a set's rows: over sets of one row each
+            # it is each row's value, and a set's measure is their mean
+            values = measure(_forward(self.spec, acts, segments)[:, None], y.take(rows)[:, None])
+            results[members] = np.concatenate(
+                [np.add.reduce(v, axis=-1) / n for (_, (v,)), (_, n) in zip(_split(shapes, [values]), shapes)]
+            )
+        return results.tolist()
 
 
 def sgd(

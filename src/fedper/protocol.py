@@ -7,12 +7,10 @@ run (fedper.nn.weight_block): row j holds the round's base, then client j's
 personal layers, and ClientState.personal is a view of it.  Built once per
 run: a fedper.nn.RowBlock of the test sets and one of the training sets
 (uncopied if the sets are views of the arrays experiment.client_shards
-gathered), the plans of the SGD and, with fine-tuning on, the fine-tune
-pass (each lays out its launches' views of one workspace; a pass shuffles
-its clients' rows in place), and a fedper.metrics.ScoringPlan per side.
-One planner, fedper.nn.launches, makes every launch: a lock-step step, or
-a side's sets, per launch (more only past ROW_BUDGET rows), one segment
-per batch size or set length.  A round runs the passes, aggregates, writes
+gathered), and the plans, all of one planner (fedper.nn.launches) and in
+the SGD plan's workspace where their launches fit: the SGD pass, with
+fine-tuning on the fine-tune pass, and per side a scoring pass, one epoch
+whose batch is the whole set.  A round runs the passes, aggregates, writes
 the base into the block and scores from it.
 
 Communication is in-process.  Every exchange is appended to the server's
@@ -33,7 +31,7 @@ from . import rng as rngmod
 from .errors import ConfigError, ProtocolError, SimulationError, UsageError
 from .checkpoint import save_weights
 from .data import LabeledDataset, PartitionSpec
-from .metrics import ClientMetrics, ScoringPlan, accuracy, mean_loss
+from .metrics import ClientMetrics, accuracy, mean_loss
 from .metrics import evaluate  # unused here; the benchmark traces fedper.protocol.evaluate
 from .model import ModelSpec
 from .nn import (
@@ -271,10 +269,10 @@ def run_federation(
     sgd_plan = LockstepPlan(spec, trains, block, cfg.sgd.epochs, cfg.sgd.batch_size)
     fine_tune_plan = None
     if cfg.fine_tune and spec.k_personal >= 1:  # one epoch on the personal layers, base frozen
-        fine_tune_plan = LockstepPlan(spec, trains, block, 1, cfg.sgd.batch_size, first_trained=spec.k_base)
-    # scoring uses the SGD pass's workspace when its launches fit: a run holds at most two launches' arrays
-    score_trains = ScoringPlan(spec, trains, block, sgd_plan.workspace)
-    score_tests = ScoringPlan(spec, tests, block, score_trains.workspace)
+        fine_tune_plan = LockstepPlan(spec, trains, block, 1, cfg.sgd.batch_size, spec.k_base, sgd_plan.workspace)
+    # scoring is a one-epoch pass whose batch is the whole set, every layer frozen
+    score_trains = LockstepPlan(spec, trains, block, 1, max(trains.sizes), len(spec.layers), sgd_plan.workspace)
+    score_tests = LockstepPlan(spec, tests, block, 1, max(tests.sizes), len(spec.layers), score_trains.workspace)
 
     kb, records = spec.k_base, []
     for round_idx in range(1, cfg.rounds + 1):
@@ -297,7 +295,7 @@ def run_federation(
                     w[...] = bw
                     b[...] = bb
                 # the history records the test sets' accuracy and the training sets' loss
-                accuracies, losses = score_tests(accuracy), score_trains(mean_loss)
+                accuracies, losses = score_tests.score(accuracy), score_trains.score(mean_loss)
                 metrics = tuple(
                     ClientMetrics(c.client_id, round_idx, a, loss) for c, a, loss in zip(clients, accuracies, losses)
                 )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fedper.data import LabeledDataset, synth_classification
-from fedper.errors import UsageError
+from fedper.errors import ShapeError, UsageError
 from fedper.metrics import ClientMetrics, cross_client_stats, emit, evaluate
 from fedper.model import ModelSpec
 from fedper.nn import LayerSpec, SgdConfig, init_weights, sgd
@@ -62,6 +62,18 @@ class TestEvaluate:
         spec, weights = identity_model(2)
         with pytest.raises(UsageError):
             evaluate(spec, weights, [], LabeledDataset(np.empty((0, 2)), [], 2))
+
+    @pytest.mark.parametrize("split, match", [
+        (lambda base, personal: (base + personal, []), "weight split"),
+        (lambda base, personal: (base, [(np.zeros((2, 4)), np.zeros(2))]), "layer 1"),
+        (lambda base, personal: (base, []), "weight split"),
+    ], ids=["personal-in-base", "personal-shape", "personal-missing"])
+    def test_weights_are_checked_against_the_spec(self, split, match):
+        spec = ModelSpec((LayerSpec(2, 3, "relu"), LayerSpec(3, 2, "identity")), 1)
+        weights = init_weights(spec.layers, np.random.default_rng(0))
+        data = LabeledDataset(np.array([[1.0, 2.0], [0.5, -1.0]]), [0, 1], 2)
+        with pytest.raises(ShapeError, match=match):
+            evaluate(spec, *split(weights[:1], weights[1:]), data)
 
     def test_pure(self):
         spec, weights = identity_model(2)

@@ -1,5 +1,7 @@
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import fedper.metrics
 import fedper.nn
 from fedper.data import LabeledDataset
 from fedper.errors import ConfigError, ShapeError, UsageError
@@ -61,6 +64,21 @@ class TestForward:
         spec, weights = one_layer([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
         with pytest.raises(ShapeError, match="layer 0"):
             forward(spec, weights, [], np.array([1.0, 2.0, 3.0]))
+
+    def test_rows_give_the_logits_of_each_row(self):
+        rng = np.random.default_rng(4)
+        spec = rand_spec(rng)
+        base, personal = rand_weights(spec.base_layers, rng), rand_weights(spec.personal_layers, rng)
+        x = rng.standard_normal((5, spec.in_dim))
+        out = forward(spec, base, personal, x)
+        assert out.shape == (5, spec.out_dim)
+        np.testing.assert_allclose(out, [forward(spec, base, personal, row) for row in x], rtol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(2, 1, 2), (3, 3), (2, 1)], ids=["3-d", "wide-rows", "narrow-rows"])
+    def test_bad_input_shape_names_layer_0(self, shape):
+        spec, weights = one_layer([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
+        with pytest.raises(ShapeError, match="layer 0"):
+            forward(spec, weights, [], np.zeros(shape))
 
     def test_bad_layer_shape_names_layer(self):
         spec = ModelSpec((LayerSpec(2, 2, "identity"), LayerSpec(2, 3, "identity")), 1)
@@ -281,6 +299,17 @@ class TestLockstepPlan:
             step_rows = sum(len(fed[j][t]) for j in range(len(sizes)) if t < len(fed[j]))
             assert step_rows > budget or launch_steps.count(t) == 1
 
+    @pytest.mark.parametrize("epochs, batch_size", [(2, 3), (1, 2)])
+    def test_score_needs_one_batch_per_set(self, epochs, batch_size):
+        """A plan that walks some set in more than one batch has no launch
+        that holds a whole set, so it refuses to score."""
+        spec = ModelSpec((LayerSpec(1, 2, "identity"),), 0)
+        sets = [LabeledDataset(np.arange(n, dtype=float)[:, None], np.zeros(n, dtype=int), 2) for n in (3, 2)]
+        block, _ = weight_block(spec, [[(np.zeros((2, 1)), np.zeros(2))]] * len(sets))
+        plan = LockstepPlan(spec, RowBlock(sets), block, epochs, batch_size, 1)
+        with pytest.raises(UsageError, match="whole set"):
+            plan.score(fedper.metrics.accuracy)
+
     @staticmethod
     def pass_peak(num_clients):
         """tracemalloc's peak over one pass (after a warm-up pass) of a plan
@@ -382,25 +411,29 @@ class TestRowBlock:
     @given(lengths=st.lists(st.sampled_from([1, 2, 3, 5]), min_size=1, max_size=8), budget=st.integers(1, 12))
     def test_groups_are_budget_chunks_of_one_length_per_segment(self, lengths, budget):
         """Sets gathered end to end in client order are taken over
-        uncopied, features and labels both, and the groups walk the sets of
-        each length in client order, each length where it first occurs, as
-        many to a group as fit the budget, one length per segment."""
+        uncopied, features and labels both, and the launches of a scoring
+        plan (one epoch whose batch is the whole set) walk the sets of each
+        length in client order, each length where it first occurs, as many
+        to a launch as fit the budget, one length per segment."""
         block = np.arange(3.0 * sum(lengths)).reshape(-1, 3).copy()  # owns its rows
         labels = np.arange(len(block))
         cuts = np.cumsum(lengths)[:-1]
         sets = [LabeledDataset(x, y, len(block)) for x, y in zip(np.split(block, cuts), np.split(labels, cuts))]
+        spec = ModelSpec((LayerSpec(3, 2, "identity"),), 0)
+        weights, _ = weight_block(spec, [init_weights(spec.layers, np.random.default_rng(0))] * len(sets))
         with mock.patch.object(fedper.nn, "ROW_BUDGET", budget):
             rows = RowBlock(sets)
+            groups = [launch[:3] for launch in LockstepPlan(spec, rows, weights, 1, max(lengths), 1).launches]
         assert rows.x is block and rows.y is labels
         by_length = sorted(range(len(lengths)), key=lambda j: lengths.index(lengths[j]))
-        assert [j for members, _, _ in rows.groups for j in members.tolist()] == by_length
-        for k, (members, idx, shapes) in enumerate(rows.groups):
+        assert [j for members, _, _ in groups for j in members.tolist()] == by_length
+        for k, (members, idx, shapes) in enumerate(groups):
             assert len({n for _, n in shapes}) == len(shapes)
             for (ms, _), (_, n) in zip(fedper.nn._split(shapes, []), shapes):
                 assert {lengths[j] for j in members[ms].tolist()} == {n}
             assert len(idx) <= budget or len(members) == 1
-            if k + 1 < len(rows.groups):  # the next group's first set would not have fit
-                assert len(idx) + lengths[rows.groups[k + 1][0][0]] > budget
+            if k + 1 < len(groups):  # the next launch's first set would not have fit
+                assert len(idx) + lengths[groups[k + 1][0][0]] > budget
             assert np.array_equal(rows.x.take(idx, axis=0), np.concatenate([sets[j].X for j in members.tolist()]))
             assert np.array_equal(rows.y.take(idx), np.concatenate([sets[j].y for j in members.tolist()]))
 
@@ -455,3 +488,19 @@ class TestValidation:
             LabeledDataset(np.zeros(2), [0, 1], 2)  # X is not 2-D
         with pytest.raises(ShapeError):
             LabeledDataset(np.zeros((3, 2)), [0, 1], 2)  # 3 rows, 2 labels
+
+
+def test_no_other_module_imports_a_private_nn_name():
+    """Launch planning, views, workspaces and passes are decided in nn
+    alone: no other module of the package imports an underscore name from
+    it (tests may)."""
+    imported = [
+        (path.name, alias.name)
+        for path in sorted(Path(fedper.nn.__file__).parent.glob("*.py"))
+        if path.name != "nn.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) in ((1, "nn"), (0, "fedper.nn"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert imported == []

@@ -42,6 +42,7 @@ from fedper.protocol import (
     server_init,
     write_checkpoint,
 )
+import reference
 from helpers import minibatch_indices, rand_batch, rand_weights
 
 
@@ -604,14 +605,56 @@ class TestStackedEvaluation:
         personal = [rand_weights(spec.personal_layers, rng) for _ in lengths]
         sets = [rand_batch(spec, rng, n) for n in lengths]
         # max_rows below a set's length scores its sets one by one; above,
-        # it splits a group of equal-length sets into several
-        stack = fedper.nn.stack_weights(personal)
+        # it splits a launch of equal-length sets into several
+        block, _ = fedper.nn.weight_block(spec, [base + p for p in personal])
         alone = [evaluate(spec, base, p, d) for p, d in zip(personal, sets)]
         with mock.patch.object(fedper.nn, "ROW_BUDGET", max_rows):
             rows = fedper.nn.RowBlock(sets)
+            plan = fedper.nn.LockstepPlan(spec, rows, block, 1, max(lengths), n_layers)
             for measure, field in ((fedper.metrics.accuracy, "accuracy"), (fedper.metrics.mean_loss, "loss")):
-                stacked = fedper.metrics.scores(spec, rows, base, stack, measure)
+                stacked = plan.score(measure)
                 assert repr(stacked) == repr([getattr(r, field) for r in alone])  # repr tells -0.0 from 0.0
+
+
+TWELVE_CLASS_LAYERS = (
+    '[{"in_dim": 8, "out_dim": 16, "activation": "relu"}, {"in_dim": 16, "out_dim": 16, "activation": "relu"},'
+    ' {"in_dim": 16, "out_dim": 12, "activation": "relu"}]'
+)
+
+
+class TestScoringReference:
+    """Every score a run records is, bitwise, the plain-numpy score
+    (tests/reference.py) of that client's model as the round checkpointed
+    it, the round's base plus the client's row of the personal stack: its
+    test set's accuracy and its training set's mean loss."""
+
+    @pytest.mark.parametrize("overrides, row_budget", [
+        (["rounds=4"], None),
+        ([
+            "rounds=4", "partition.mode=unbalanced_users", "partition.rater_disagreement=true",
+            "fine_tune=true", "sgd.eta=0.05",
+        ], None),
+        # more than 8 classes reach the reduction side of nn._row_max
+        (["rounds=3", "dataset.num_classes=12", "partition.k=3", f"model.layers={TWELVE_CLASS_LAYERS}"], None),
+        # 150 rows split the scoring launches of both sides, and the SGD steps
+        (["rounds=2", "model.k_personal=2"], 150),
+    ], ids=["default", "unbalanced-fine-tuned", "twelve-classes", "budget-split"])
+    def test_history_equals_reference_scores(self, tmp_path, overrides, row_budget):
+        resolved = resolve(apply_overrides(default_config(), overrides))
+        with mock.patch.object(fedper.nn, "ROW_BUDGET", row_budget or fedper.nn.ROW_BUDGET):
+            result = run_experiment(resolved.run, build_dataset(resolved.dataset), tmp_path, checkpoint_every=1)
+        if row_budget is not None:
+            sizes = [len(c.train) for c in result.clients]
+            assert sum(sizes) > row_budget > max(sizes)
+        activations = [s.activation for s in resolved.run.spec.layers]
+        for record in result.history.rounds:
+            base, _ = load_weights(tmp_path / f"round{record.round_idx:04d}_server_base")
+            personal, _ = load_weights(tmp_path / f"round{record.round_idx:04d}_personal")
+            for c, m in zip(result.clients, record.clients):
+                layers = base + [(w[c.client_id], b[c.client_id]) for w, b in personal]
+                accuracy, _ = reference.score(layers, activations, c.test.X, c.test.y)
+                _, loss = reference.score(layers, activations, c.train.X, c.train.y)
+                assert repr((m.test_accuracy, m.train_loss)) == repr((accuracy, loss)), (record.round_idx, m)
 
 
 class TestLaunchCounts:
@@ -623,17 +666,43 @@ class TestLaunchCounts:
         """Steps of one lock-step pass: the most batches any client walks."""
         return max(epochs * -(-n // batch) for n in sizes)
 
+    @staticmethod
+    def count_forwards(monkeypatch, counts: Counter) -> None:
+        """Count every nn._forward call into counts, as "eval" inside a
+        plan's score pass and as "train" elsewhere."""
+        forward, score, kind = fedper.nn._forward, fedper.nn.LockstepPlan.score, ["train"]
+
+        def counting_forward(*args):
+            counts[kind[0]] += 1
+            return forward(*args)
+
+        def scoring(plan, measure):
+            kind[0] = "eval"
+            try:
+                return score(plan, measure)
+            finally:
+                kind[0] = "train"
+
+        monkeypatch.setattr(fedper.nn, "_forward", counting_forward)
+        monkeypatch.setattr(fedper.nn.LockstepPlan, "score", scoring)
+
+    @staticmethod
+    def record_plans(monkeypatch) -> list:
+        """A list that gets every LockstepPlan run_federation builds, in
+        the order it builds them."""
+        plans = []
+
+        class RecordingPlan(fedper.nn.LockstepPlan):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                plans.append(self)
+
+        monkeypatch.setattr(fedper.protocol, "LockstepPlan", RecordingPlan)
+        return plans
+
     def test_default_config(self, monkeypatch):
-        counts = {"train": 0, "eval": 0}
-
-        def counting(kind, forward):
-            def wrapped(*args):
-                counts[kind] += 1
-                return forward(*args)
-            return wrapped
-
-        monkeypatch.setattr(fedper.nn, "_forward", counting("train", fedper.nn._forward))
-        monkeypatch.setattr(fedper.metrics, "_forward", counting("eval", fedper.metrics._forward))
+        counts = Counter({"train": 0, "eval": 0})
+        self.count_forwards(monkeypatch, counts)
         resolved = resolve({**default_config(), "rounds": 2})
         result = run_experiment(resolved.run, build_dataset(resolved.dataset))
 
@@ -646,19 +715,20 @@ class TestLaunchCounts:
         assert counts["eval"] == 2 * 2  # one per side, not one per set or per set length
 
     def test_planned_once_per_run(self, monkeypatch):
-        """With fine-tuning on, the two lock-step plans and the row blocks
-        of the test and the training sets are built once, before round 1,
-        and no round copies client rows, nor does the set-up; the launch
-        counts are those of test_default_config."""
+        """With fine-tuning on, the four lock-step plans (SGD, fine-tune and
+        each side's scoring) and the row blocks of the test and the
+        training sets are built once, before round 1, and no round copies
+        client rows, nor does the set-up; the launch counts are those of
+        test_default_config."""
         resolved = resolve({**default_config(), "rounds": 3, "fine_tune": True})
         shards = client_shards(build_dataset(resolved.dataset), resolved.run.partition)
         client_arrays = [a for pair in shards for d in pair for a in (d.X, d.y)]
         current_round, plans, row_blocks, copies, forwards = [0], [], [], [], Counter()
 
         class CountingPlan(fedper.nn.LockstepPlan):
-            def __init__(self, spec, rows, block, epochs, batch_size, first_trained=0):
+            def __init__(self, spec, rows, block, epochs, batch_size, first_trained=0, workspace=None):
                 plans.append((current_round[0], epochs, first_trained))
-                super().__init__(spec, rows, block, epochs, batch_size, first_trained)
+                super().__init__(spec, rows, block, epochs, batch_size, first_trained, workspace)
 
         class CountingRows(fedper.nn.RowBlock):
             def __init__(self, sets):
@@ -685,36 +755,43 @@ class TestLaunchCounts:
         wrap(fedper.protocol, "_streams", lambda *args: current_round.__setitem__(0, args[2]))
         for name in ("stack", "concatenate"):
             wrap(np, name, copying(name))
-        for kind, module in (("train", fedper.nn), ("eval", fedper.metrics)):
-            wrap(module, "_forward", lambda *_, kind=kind: forwards.update([kind]))
+        self.count_forwards(monkeypatch, forwards)
 
         result = run_federation(resolved.run, shards)
 
-        sgd_cfg, k_base = resolved.run.sgd, resolved.run.spec.k_base
-        assert sorted(plans) == [(0, 1, k_base), (0, sgd_cfg.epochs, 0)]  # fine-tune, SGD
+        sgd_cfg, spec = resolved.run.sgd, resolved.run.spec
+        n_layers = len(spec.layers)
+        # fine-tune, each side's scoring, SGD
+        assert sorted(plans) == [(0, 1, spec.k_base), (0, 1, n_layers), (0, 1, n_layers), (0, sgd_cfg.epochs, 0)]
         assert row_blocks == [0, 0]  # the test sets', the training sets'
         assert copies == []
         fine_tune_launches = self.steps([len(c.train) for c in result.clients], 1, sgd_cfg.batch_size)
         assert forwards == {"train": 3 * (20 + fine_tune_launches), "eval": 3 * 2}
 
     def test_one_weight_block_per_run(self, monkeypatch):
-        """The SGD and the fine-tune plan train one (N, P) block, and every
-        client's personal weights are views of it."""
-        plans = []
-
-        class RecordingPlan(fedper.nn.LockstepPlan):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                plans.append(self)
-
-        monkeypatch.setattr(fedper.protocol, "LockstepPlan", RecordingPlan)
+        """The SGD, the fine-tune and both scoring plans work on one (N, P)
+        block, and every client's personal weights are views of it."""
+        plans = self.record_plans(monkeypatch)
         resolved = resolve({**default_config(), "rounds": 2, "fine_tune": True})
         result = run_experiment(resolved.run, build_dataset(resolved.dataset))
         block = plans[0].block
-        assert len(plans) == 2 and plans[1].block is block
+        assert len(plans) == 4 and all(plan.block is block for plan in plans)
         assert block.shape[0] == len(result.clients)
         for c in result.clients:
             assert all(np.shares_memory(w, block) and np.shares_memory(b, block) for w, b in c.personal)
+
+    @pytest.mark.parametrize("overrides", [[], ["partition.mode=unbalanced_users", "sgd.eta=0.05"]])
+    def test_fine_tune_plan_runs_in_the_sgd_plans_workspace(self, monkeypatch, overrides):
+        """A run holds one set of activation arrays for its training
+        passes: every fine-tune launch works on views of the SGD plan's."""
+        plans = self.record_plans(monkeypatch)
+        resolved = resolve(apply_overrides(default_config(), ["rounds=1", "fine_tune=true", *overrides]))
+        run_experiment(resolved.run, build_dataset(resolved.dataset))
+        (sgd_plan,) = [p for p in plans if p.epochs > 1]
+        (fine_tune_plan,) = [p for p in plans if p.first_trained == resolved.run.spec.k_base]
+        assert fine_tune_plan.workspace is sgd_plan.workspace
+        for _, _, _, (_, _, _, acts, _, _) in fine_tune_plan.launches:
+            assert all(np.shares_memory(a, w) for a, w in zip(acts, sgd_plan.workspace))
 
     def test_ragged_sets_never_call_evaluate(self, monkeypatch):
         """Every set is scored by the stacked path, also a set whose length
