@@ -13,7 +13,8 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from . import rng as rngmod
-from .data import K_CLASS, PARTITION_MODES, LabeledDataset, PartitionSpec, load_csv, synth_classification, synth_shells
+from .data import K_CLASS, PARTITION_MODES, LabeledDataset, PartitionSpec, check_partition_size, load_csv
+from .data import synth_classification, synth_shells
 from .checkpoint import atomic_write
 from .errors import ConfigError, UsageError
 from .model import ModelSpec, linearize_base
@@ -214,7 +215,9 @@ def resolve(cfg: dict) -> ResolvedConfig:
     """Validate the merged config dict and build the domain objects.
 
     Every key is checked against its kind in SCHEMA, whatever the other keys
-    say; the rules that span keys follow.  algorithm=fedavg (FedPer with no
+    say; the rules that span keys follow, among them that a synthetic
+    dataset's num_classes * per_class samples fit the partition
+    (data.check_partition_size).  algorithm=fedavg (FedPer with no
     personalization layers) forces k_personal to 0, and ablation=linear_base
     collapses the base layers of the run's model (the echoed config keeps
     the layers as given).  dataset.seed and
@@ -260,6 +263,8 @@ def resolve(cfg: dict) -> ResolvedConfig:
         part_cfg["mode"], part_cfg["num_clients"], part_cfg["k"], tuple(part_cfg["volume_range"]),
         float(part_cfg["train_fraction"]), part_cfg["seed"], part_cfg["rater_disagreement"],
     )
+    if ds_cfg["kind"] != "csv":
+        check_partition_size(partition_spec, ds_cfg["num_classes"] * ds_cfg["per_class"])
     if cfg["ablation"] == "linear_base":
         spec = linearize_base(spec)
     run = RunConfig(spec, cfg["rounds"], sgd, cfg["fine_tune"], cfg["master_seed"], partition_spec)
@@ -281,9 +286,9 @@ def resolve_sweep(cfg: dict, axis: str, values: Sequence[int | str]) -> tuple[Re
     """The base run of the merged config dict, and one run per value: the
     dict with the axis key set to the value, resolved as any run, with the
     value's sweep_seed as master seed and the base run's dataset and
-    partition seeds, so every point trains on the same shards.  Every point
-    is resolved before any data is built."""
-    base = resolve(cfg)
+    partition seeds, so every point trains on the same shards.  The sweep's
+    own rules are checked first, and every point is resolved before any
+    data is built."""
     if axis not in SWEEP_AXES:
         raise UsageError(f"unknown sweep axis {axis!r}; expected one of {tuple(SWEEP_AXES)}")
     if len(values) == 0:
@@ -292,11 +297,12 @@ def resolve_sweep(cfg: dict, axis: str, values: Sequence[int | str]) -> tuple[Re
     repeated = [v for i, v in enumerate(values) if v in values[:i]]
     if repeated:
         raise UsageError(f"sweep values must be distinct, got {repeated[0]!r} more than once")
-    mode = base.run.partition.mode
+    mode = cfg["partition"]["mode"]
     if axis == "k" and mode != K_CLASS:
         raise UsageError(f"axis k needs partition.mode {K_CLASS}; {mode} ignores k")
     if axis == "kp" and cfg["algorithm"] == "fedavg":
         raise UsageError("axis kp needs algorithm fedper; fedavg forces model.k_personal to 0 at every point")
+    base = resolve(cfg)
     key = SWEEP_AXES[axis]
     kind, test = SCHEMA[key][1]
     runs = []

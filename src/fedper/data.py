@@ -150,6 +150,17 @@ def synth_shells(
     return LabeledDataset(np.concatenate(shells), np.repeat(np.arange(num_classes), per_class), num_classes)
 
 
+def check_partition_size(spec: PartitionSpec, n: int) -> None:
+    """Raise ConfigError unless n samples can be partitioned under spec: an
+    unbalanced_users client draws up to volume_range max of them, and as
+    k_class gives every sample to exactly one client, more clients than
+    samples would leave one with none."""
+    if spec.mode == UNBALANCED_USERS and spec.volume_range[1] > n:
+        raise ConfigError(f"volume_range max {spec.volume_range[1]} exceeds dataset size {n}")
+    if spec.mode == K_CLASS and spec.num_clients > n:
+        raise ConfigError(f"{spec.num_clients} k_class clients exceed the {n} samples; some would get none")
+
+
 def client_classes(spec: PartitionSpec, num_classes: int) -> list[list[int]]:
     """Deterministic cyclic class assignment: client j gets classes
     {(j*s + i) mod C : 0 <= i < k} with stride s = max(1, C // N)."""
@@ -213,9 +224,8 @@ def partition_unbalanced_indices(ds: LabeledDataset, spec: PartitionSpec) -> lis
     """
     if spec.mode != UNBALANCED_USERS:
         raise ConfigError(f"partition mode is {spec.mode!r}, expected {UNBALANCED_USERS!r}")
+    check_partition_size(spec, len(ds))
     lo, hi = spec.volume_range
-    if hi > len(ds):
-        raise ConfigError(f"volume_range max {hi} exceeds dataset size {len(ds)}")
     out = []
     for j in range(spec.num_clients):
         gen = rngmod.stream(spec.seed, rngmod.PARTITION, j)
@@ -225,6 +235,7 @@ def partition_unbalanced_indices(ds: LabeledDataset, spec: PartitionSpec) -> lis
 
 
 def partition_indices(ds: LabeledDataset, spec: PartitionSpec) -> list[np.ndarray]:
+    check_partition_size(spec, len(ds))
     if spec.mode == K_CLASS:
         return partition_k_class_indices(ds, spec)
     return partition_unbalanced_indices(ds, spec)

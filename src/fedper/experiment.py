@@ -46,9 +46,9 @@ def client_shards(ds: LabeledDataset, spec: PartitionSpec) -> list[tuple[Labeled
 
 def check_dataset(cfg: RunConfig, ds: LabeledDataset) -> None:
     """Reject a run that cannot work on ds before any partitioning or
-    training.  The model must match the data; under k_class each client
-    needs k of the classes, and as every sample goes to exactly one client,
-    more clients than samples would leave one with none."""
+    training: the model must match the data, and under k_class each client
+    needs k of the classes.  partition_indices checks that the partition
+    fits the dataset's size before it partitions."""
     if cfg.spec.in_dim != ds.X.shape[1]:
         raise ConfigError(f"model input dim {cfg.spec.in_dim} != dataset feature dim {ds.X.shape[1]}")
     if cfg.spec.out_dim != ds.num_classes:
@@ -56,8 +56,6 @@ def check_dataset(cfg: RunConfig, ds: LabeledDataset) -> None:
     spec = cfg.partition
     if spec.mode == K_CLASS and spec.k > ds.num_classes:
         raise ConfigError(f"k={spec.k} exceeds the number of classes {ds.num_classes}")
-    if spec.mode == K_CLASS and spec.num_clients > len(ds):
-        raise ConfigError(f"{spec.num_clients} k_class clients exceed the {len(ds)} samples; some would get none")
 
 
 def run_experiment(

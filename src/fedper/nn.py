@@ -13,11 +13,12 @@ planner (launches) makes every launch: one per lock-step step (more past
 ROW_BUDGET rows), its batches of one size a segment.  A RowBlock holds the
 clients' rows and labels end to end, in client order.  A LockstepPlan lays
 out, once, its launches' views of one workspace (a run's plans share one)
-and works on one (N, P) weight block (weight_block) in place: run shuffles
-each client's slice of the order array in place and trains, and score, on
-a one-epoch plan whose batch is the whole set, measures every set.  sgd is
-the same engine with one client; loss_and_grad and forward run one-segment
-launches.
+and works on one (N, P) weight block (weight_block): every launch gathers
+its members' rows of it into the plan's launch block.  run shuffles each
+client's slice of the order array in place, trains and scatters the rows
+back; score, on a one-epoch plan whose batch is the whole set, measures
+every set.  sgd is the same engine with one client; loss_and_grad and
+forward run one-segment launches.
 """
 
 from __future__ import annotations
@@ -384,28 +385,27 @@ def _launch_views(
     spec: "ModelSpec", block: np.ndarray, planned: list[tuple], first_trained: int, workspace: list | None = None
 ) -> tuple[list[tuple], list[np.ndarray]]:
     """The launches of planned, each with its views of one workspace (the
-    given _activations arrays if they have the rows): its weight rows (block
-    itself for every client in client order, else a spare block), their
-    columns from layer first_trained on and a gradient block for them, its
-    activations, each row's batch size and its segments' operands."""
+    given _activations arrays if they have the rows): its members' rows of
+    a launch block, their columns from layer first_trained on and a
+    gradient block for them, its activations, each row's batch size and its
+    segments' operands."""
     most = max(len(p) for _, p, _ in planned)
     if workspace is None or len(workspace[0]) < most:
         workspace = _activations(spec, np.empty((most, spec.in_dim)))
     frozen = sum(s.out_dim * (s.in_dim + 1) for s in spec.layers[:first_trained])
-    spare = np.empty((max(len(m) for m, _, _ in planned), block.shape[1]))
-    grad = np.empty((len(spare), block.shape[1] - frozen))
-    clients, work, views = np.arange(len(block)), {}, []
+    launch_block = np.empty((max(len(m) for m, _, _ in planned), block.shape[1]))
+    grad = np.empty((len(launch_block), block.shape[1] - frozen))
+    work, views = {}, []
     for members, positions, shapes in planned:
-        whole, r = np.array_equal(members, clients), len(positions)
-        if (whole, shapes) not in work:  # launches of one layout share views
-            sub, g, acts = block if whole else spare[: len(members)], grad[: len(members)], [a[:r] for a in workspace]
+        if shapes not in work:  # launches of one layout share views
+            sub, g, acts = launch_block[: len(members)], grad[: len(members)], [a[: len(positions)] for a in workspace]
             segments = [
                 _segment(_flat_views(spec, sub[ms]), live, _flat_views(spec, g[ms], first_trained))
                 for ms, live in _split(shapes, acts)
             ]
             counts = np.repeat([float(n) for _, n in shapes], [k * n for k, n in shapes])[:, None]
-            work[whole, shapes] = (sub, sub[:, frozen:], g, acts, counts, segments)
-        views.append((members, positions, shapes, work[whole, shapes]))
+            work[shapes] = (sub, sub[:, frozen:], g, acts, counts, segments)
+        views.append((members, positions, shapes, work[shapes]))
     return views, workspace
 
 
@@ -429,13 +429,12 @@ class LockstepPlan:
     launch; the elementwise work runs once per launch.
 
     The weights are the given (N, P) block, laid out as weight_block lays
-    it out, row j holding client j's layers; every pass works on it in
-    place.  A launch of every client in client order works on it directly;
-    any other gathers its rows into a spare block (run scatters them back).
+    it out, row j holding client j's layers.  Every launch gathers its
+    members' rows into the plan's launch block, and run scatters them back.
     The plan lays out every launch's views of one workspace (_launch_views),
-    workspace's arrays if they have the rows, and the order array, whose
-    per-client slices run fills and shuffles in place, the draws of
-    gen.permutation (an arange, shuffled).
+    workspace's arrays if they have the rows.  A plan that trains a layer
+    also holds the order array, whose per-client slices run fills and
+    shuffles in place, the draws of gen.permutation (an arange, shuffled).
 
     Scoring is a pass of the same planner: with one epoch whose batch is
     the whole set, each set is one batch, whose positions are its rows.
@@ -449,9 +448,10 @@ class LockstepPlan:
         sizes = rows.sizes
         # client j's permutations fill order[offsets[j] : offsets[j] + epochs * sizes[j]]
         offsets = np.cumsum([0] + [epochs * n for n in sizes[:-1]]).tolist()
-        self.template = np.concatenate([np.tile(np.arange(a, a + n), epochs) for a, n in zip(rows.starts, sizes)])
-        self.order = np.empty_like(self.template)
-        self.shuffles = np.split(self.order, np.cumsum([n for n in sizes for _ in range(epochs)])[:-1])
+        if first_trained < len(spec.layers):  # only a pass that trains shuffles
+            self.template = np.concatenate([np.tile(np.arange(a, a + n), epochs) for a, n in zip(rows.starts, sizes)])
+            self.order = np.empty_like(self.template)
+            self.shuffles = np.split(self.order, np.cumsum([n for n in sizes for _ in range(epochs)])[:-1])
         planned = launches(sizes, offsets, epochs, batch_size)
         self.launches, self.workspace = _launch_views(spec, block, planned, first_trained, workspace)
 
@@ -473,15 +473,13 @@ class LockstepPlan:
         for (clients, _, _, (sub, trained, g, acts, counts, segments)), rows in self.batches(rngs):
             # every index is in range; "clip" skips the checked mode's
             # buffered copy, which it makes for out=
-            if sub is not block:
-                block.take(clients, axis=0, out=sub, mode="clip")
+            block.take(clients, axis=0, out=sub, mode="clip")
             x.take(rows, axis=0, out=acts[0], mode="clip")
             _forward(spec, acts, segments)
             _backprop(spec, acts, segments, eye.take(y.take(rows), axis=0), counts, first)
             g *= eta
             trained -= g
-            if sub is not block:
-                block[clients] = sub
+            block[clients] = sub
 
     def score(self, measure) -> list[float]:
         """measure (accuracy or mean_loss) of row j of the block on set j of
@@ -492,8 +490,7 @@ class LockstepPlan:
         block, x, y = self.block, self.rows.x, self.rows.y
         results = np.empty(len(self.rows.sizes))
         for members, rows, shapes, (sub, _, _, acts, _, segments) in self.launches:
-            if sub is not block:  # "clip": see run
-                block.take(members, axis=0, out=sub, mode="clip")
+            block.take(members, axis=0, out=sub, mode="clip")  # "clip": see run
             x.take(rows, axis=0, out=acts[0], mode="clip")
             # measure is a mean over a set's rows: over sets of one row each
             # it is each row's value, and a set's measure is their mean

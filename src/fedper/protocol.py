@@ -21,6 +21,7 @@ so no log entry may carry the personal-weights kind.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -215,7 +216,9 @@ def aggregate(updates: Sequence[tuple[Layers, float]]) -> Layers:
     """
     if len(updates) == 0:
         raise ProtocolError("aggregate needs at least one update")
-    gamma_sum = sum(g for _, g in updates)
+    # the exactly rounded sum: a plain one drifts past the tolerance at
+    # about 10^5 equal weights
+    gamma_sum = math.fsum(g for _, g in updates)
     if abs(gamma_sum - 1.0) > 1e-12:
         raise ConfigError(f"aggregation weights sum to {gamma_sum!r}, expected 1 within 1e-12")
     for _, g in updates:

@@ -1,10 +1,18 @@
 """A reference for what a run records, written with plain numpy and sharing
-no code with the engine in fedper.nn: one client, one set, one 2-D array
-at a time."""
+no planner or launch code with the engine in fedper.nn: one client, one
+set, one batch, one 2-D array at a time.  Training takes its gradients from
+fedper.nn.loss_and_grad, and its batches from helpers.minibatch_indices on
+each client's own rng substream."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
+
+import fedper.rng as rngmod
+from fedper.nn import loss_and_grad
+from helpers import minibatch_indices
 
 
 def score(layers, activations, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -21,3 +29,79 @@ def score(layers, activations, x: np.ndarray, y: np.ndarray) -> tuple[float, flo
     top = z.max(axis=1)
     losses = np.log(np.exp(z - top[:, None]).sum(axis=1)) + top - z[np.arange(len(y)), y]
     return float((np.argmax(z, axis=1) == y).mean()), float(losses.mean())
+
+
+def init(layer_specs, gen: np.random.Generator) -> list:
+    """Per layer, W uniform on +-sqrt(6 / (fan_in + fan_out)) and b zero."""
+    out = []
+    for s in layer_specs:
+        limit = np.sqrt(6.0 / (s.in_dim + s.out_dim))
+        out.append((gen.uniform(-limit, limit, size=(s.out_dim, s.in_dim)), np.zeros(s.out_dim)))
+    return out
+
+
+def local_sgd(spec, base, personal, data, eta, epochs, batch_size, gen, personal_only=False):
+    """Copies of base and personal after epochs of mini-batch SGD on data,
+    one batch at a time: per epoch the batches of minibatch_indices on gen,
+    each a step w -= eta * g of the layers it trains (the personal ones
+    only, if personal_only) with g from fedper.nn.loss_and_grad."""
+    base, personal = ([(w.copy(), b.copy()) for w, b in ws] for ws in (base, personal))
+    for _ in range(epochs):
+        for idx in minibatch_indices(len(data), batch_size, gen):
+            _, grad_base, grad_personal = loss_and_grad(spec, base, personal, data.subset(idx))
+            pairs = zip(personal, grad_personal) if personal_only else zip(base + personal, grad_base + grad_personal)
+            for (w, b), (gw, gb) in pairs:
+                w -= eta * gw
+                b -= eta * gb
+    return base, personal
+
+
+def checksum(layers) -> str:
+    """SHA-256 of each layer's W then b, as little-endian float64."""
+    return hashlib.sha256(b"".join(np.asarray(a, dtype="<f8").tobytes() for wb in layers for a in wb)).hexdigest()
+
+
+def federation(cfg, client_data):
+    """A run of cfg on client_data, the (train, test) sets of each client,
+    one client at a time.  Each round every client fine-tunes its personal
+    layers for one epoch (if cfg.fine_tune and it has any) and then trains
+    base and personal layers, each pass on its own stream; the new base is
+    w_0 + sum_j g_j (w_j - w_0) over the clients' updates w_j in client
+    order, g_j = n_j / sum(n); then each client is scored with it.  Returns
+    per round (base checksum, per client (test accuracy, training loss)),
+    and each client's final personal layers."""
+    spec, seed, sgd = cfg.spec, cfg.master_seed, cfg.sgd
+    sizes = [len(train) for train, _ in client_data]
+    gammas = [n / sum(sizes) for n in sizes]
+    base = init(spec.base_layers, rngmod.substream(seed, rngmod.SERVER_PARTY, 0, rngmod.INIT))
+    personals = [
+        init(spec.personal_layers, rngmod.substream(seed, rngmod.client_party(j), 0, rngmod.INIT))
+        for j in range(len(client_data))
+    ]
+    activations = [s.activation for s in spec.layers]
+    records = []
+    for round_idx in range(1, cfg.rounds + 1):
+        updates = []
+        for j, (train, _) in enumerate(client_data):
+            def stream(purpose):
+                return rngmod.substream(seed, rngmod.client_party(j), round_idx, purpose)
+
+            if cfg.fine_tune and spec.k_personal >= 1:
+                _, personals[j] = local_sgd(
+                    spec, base, personals[j], train, sgd.eta, 1, sgd.batch_size, stream(rngmod.FINE_TUNE), True
+                )
+            update, personals[j] = local_sgd(
+                spec, base, personals[j], train, sgd.eta, sgd.epochs, sgd.batch_size, stream(rngmod.SGD)
+            )
+            updates.append(update)
+        base = [(w.copy(), b.copy()) for w, b in updates[0]]
+        for update, g in zip(updates[1:], gammas[1:]):
+            for (w, b), (wj, bj), (w0, b0) in zip(base, update, updates[0]):
+                w += g * (wj - w0)
+                b += g * (bj - b0)
+        scores = [
+            (score(base + p, activations, test.X, test.y)[0], score(base + p, activations, train.X, train.y)[1])
+            for p, (train, test) in zip(personals, client_data)
+        ]
+        records.append((checksum(base), scores))
+    return records, personals

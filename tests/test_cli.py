@@ -167,6 +167,36 @@ class TestInputValidation:
         assert main(args) == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "kp", "--values", "0,1"], ["partition"]])
+    @pytest.mark.parametrize("settings, message", [
+        (["partition.num_clients=900"], "900 k_class clients exceed the 800 samples; some would get none"),
+        (
+            ["partition.mode=unbalanced_users", "partition.volume_range=[60,801]"],
+            "volume_range max 801 exceeds dataset size 800",
+        ),
+    ], ids=["k_class-clients", "unbalanced-volume"])
+    def test_partition_past_the_dataset_size_is_usage_error_before_building(
+        self, command, settings, message, tmp_path, monkeypatch, capsys,
+    ):
+        """A synthetic dataset has num_classes * per_class samples (4 * 200
+        here), so a partition that cannot fit them is refused before the
+        dataset is built."""
+        monkeypatch.setattr(fedper.cli, "build_dataset", lambda *args: pytest.fail("built the dataset"))
+        args = [*command, *(a for s in settings for a in ("--set", s)), "--out", str(tmp_path / "o")]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_csv_partition_past_the_dataset_size_writes_no_manifest(self, tmp_path, capsys):
+        """A CSV dataset's size is known once it is loaded, and partition
+        refuses then, as run does, instead of writing empty clients."""
+        save_csv(synth_classification(4, 8, 5, seed=0), tmp_path / "d.csv")
+        settings = ["dataset.kind=csv", f"dataset.path={tmp_path / 'd.csv'}", "partition.num_clients=30"]
+        args = ["partition", *(a for s in settings for a in ("--set", s)), "--out", str(tmp_path / "m.json")]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: 30 k_class clients exceed the 20 samples; some would get none\n"
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize("path", [None, 5, '""', r'"q\u0000"'])
     def test_csv_path_must_be_a_non_empty_string(self, path, tmp_path):
         settings = ["--set", "dataset.kind=csv"] + ([] if path is None else ["--set", f"dataset.path={path}"])

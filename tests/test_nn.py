@@ -12,8 +12,10 @@ from hypothesis.extra import numpy as hnp
 
 import fedper.metrics
 import fedper.nn
+from fedper.config import apply_overrides, build_dataset, default_config, resolve
 from fedper.data import LabeledDataset
 from fedper.errors import ConfigError, ShapeError, UsageError
+from fedper.experiment import client_shards
 from fedper.model import ModelSpec
 from fedper.nn import (
     LayerSpec,
@@ -337,6 +339,40 @@ class TestLockstepPlan:
         leave a pass's peak within 10%."""
         few, many = self.pass_peak(8), self.pass_peak(32)
         assert many <= 1.1 * few, (few, many)
+
+    def test_a_plan_that_trains_no_layer_holds_no_shuffle_state(self):
+        """The scoring plans of the budget_split golden's shape (40 clients
+        of 160 training and 40 test rows) hold no order array: of the
+        arrays of one 8-byte entry per row of their side that building them
+        leaves allocated, each is a launch's positions (from launches) or
+        its rows' batch sizes (from _launch_views)."""
+        overrides = ["partition.num_clients=40", "partition.k=4", "dataset.per_class=2000", "sgd.batch_size=256"]
+        resolved = resolve(apply_overrides(default_config(), overrides))
+        spec = resolved.run.spec
+        shards = client_shards(build_dataset(resolved.dataset), resolved.run.partition)
+        sides = [RowBlock(side) for side in zip(*shards)]
+        block, _ = weight_block(spec, [init_weights(spec.layers, np.random.default_rng(j)) for j in range(40)])
+        assert [len(rows.x) for rows in sides] == [6400, 1600]
+        allowed = {fedper.nn.launches.__code__, fedper.nn._launch_views.__code__}
+        allowed_lines = {
+            (code.co_filename, line) for code in allowed for _, _, line in code.co_lines() if line is not None
+        }
+        for rows in sides:
+            tracemalloc.start(16)
+            try:
+                plan = LockstepPlan(spec, rows, block, 1, max(rows.sizes), len(spec.layers))
+                snapshot = tracemalloc.take_snapshot()
+            finally:
+                tracemalloc.stop()
+            # per array of that size, the innermost nn frame (they run from the outermost in)
+            sites = [
+                [(f.filename, f.lineno) for f in trace.traceback if f.filename == fedper.nn.__file__][-1]
+                for trace in snapshot.traces
+                if trace.size == 8 * len(rows.x)
+            ]
+            assert set(sites) <= allowed_lines, sites
+            # the tracer sees the positions of a launch of every row (the test side's one launch)
+            assert len(sites) >= sum(len(p) == len(rows.x) for _, p, _, _ in plan.launches)
 
 
 # every value whose order or bits a max can get wrong: signed zeros, signed

@@ -302,6 +302,17 @@ class TestAggregate:
         with pytest.raises(ConfigError):
             aggregate([(a, 0.6), (b, 0.6)])
 
+    def test_weight_sum_is_checked_exactly_rounded(self):
+        """100,000 weights 1 / 100,000 add up to 1 - 1.9e-12 one by one,
+        past the tolerance, but their exactly rounded sum is 1; weights
+        whose sum is 1 + 1e-9 are still refused."""
+        ws = [(np.ones((1, 1)), np.ones(1))]
+        n = 100_000
+        assert abs(sum([1 / n] * n) - 1.0) > 1e-12
+        assert weights_equal(aggregate([(ws, 1 / n)] * n), ws)
+        with pytest.raises(ConfigError, match="sum to"):
+            aggregate([(ws, 0.5), (ws, 0.5 + 1e-9)])
+
     def test_shape_mismatch(self):
         rng = np.random.default_rng(3)
         (a,) = self.rand_sets(rng, 1)
@@ -535,6 +546,26 @@ class TestBatchingInvariance:
         assert weights_checksum(ours.server.base) == weights_checksum(base)
         for mine, theirs in zip(ours.clients, clients):
             assert weights_checksum(mine.personal) == weights_checksum(theirs.personal)
+
+
+class TestTrainingReference:
+    """A run records bitwise what the plain loop of tests/reference.py
+    records, one client and one batch at a time on 2-D arrays: its history
+    (every round's base checksum and scores) and each client's final
+    personal layers."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(federations())
+    def test_run_equals_reference(self, federation):
+        cfg, data = federation
+        ours = run_federation(cfg, data)
+        records, personals = reference.federation(cfg, data)
+        expected = RoundHistory(tuple(
+            RoundRecord(r, checksum, tuple(ClientMetrics(j, r, a, loss) for j, (a, loss) in enumerate(scores)))
+            for r, (checksum, scores) in enumerate(records, 1)
+        ))
+        assert repr(ours.history) == repr(expected)  # repr tells -0.0 from 0.0
+        assert [reference.checksum(c.personal) for c in ours.clients] == list(map(reference.checksum, personals))
 
 
 class TestRowBudget:
