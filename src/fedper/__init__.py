@@ -27,7 +27,6 @@ from .nn import (
     Layers,
     LayerSpec,
     SgdConfig,
-    forward,
     init_weights,
     loss_and_grad,
     sgd,

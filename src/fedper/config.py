@@ -216,7 +216,7 @@ def resolve(cfg: dict) -> ResolvedConfig:
 
     Every key is checked against its kind in SCHEMA, whatever the other keys
     say; the rules that span keys follow, among them that a synthetic
-    dataset's num_classes * per_class samples fit the partition
+    dataset's per_class samples of each class fit the partition
     (data.check_partition_size).  algorithm=fedavg (FedPer with no
     personalization layers) forces k_personal to 0, and ablation=linear_base
     collapses the base layers of the run's model (the echoed config keeps
@@ -264,7 +264,9 @@ def resolve(cfg: dict) -> ResolvedConfig:
         float(part_cfg["train_fraction"]), part_cfg["seed"], part_cfg["rater_disagreement"],
     )
     if ds_cfg["kind"] != "csv":
-        check_partition_size(partition_spec, ds_cfg["num_classes"] * ds_cfg["per_class"])
+        # both generators give every class exactly per_class samples
+        num_classes, per_class = ds_cfg["num_classes"], ds_cfg["per_class"]
+        check_partition_size(partition_spec, num_classes * per_class, num_classes, lambda: [per_class] * num_classes)
     if cfg["ablation"] == "linear_base":
         spec = linearize_base(spec)
     run = RunConfig(spec, cfg["rounds"], sgd, cfg["fine_tune"], cfg["master_seed"], partition_spec)

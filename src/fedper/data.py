@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -150,15 +150,38 @@ def synth_shells(
     return LabeledDataset(np.concatenate(shells), np.repeat(np.arange(num_classes), per_class), num_classes)
 
 
-def check_partition_size(spec: PartitionSpec, n: int) -> None:
-    """Raise ConfigError unless n samples can be partitioned under spec: an
-    unbalanced_users client draws up to volume_range max of them, and as
-    k_class gives every sample to exactly one client, more clients than
-    samples would leave one with none."""
-    if spec.mode == UNBALANCED_USERS and spec.volume_range[1] > n:
-        raise ConfigError(f"volume_range max {spec.volume_range[1]} exceeds dataset size {n}")
-    if spec.mode == K_CLASS and spec.num_clients > n:
+def check_partition_size(
+    spec: PartitionSpec, n: int, num_classes: int, class_counts: Callable[[], Sequence[int]]
+) -> None:
+    """Raise ConfigError unless n samples of num_classes classes, class c
+    having class_counts()[c] of them, can be partitioned under spec: an
+    unbalanced_users client draws up to volume_range max of them, and every
+    k_class client must get some, as it takes the class_shares of its
+    classes.  class_counts is called only once k_class_owners has found
+    every class held by a client, so labels that imply far more classes
+    than the clients hold are never counted class by class."""
+    if spec.mode == UNBALANCED_USERS:
+        if spec.volume_range[1] > n:
+            raise ConfigError(f"volume_range max {spec.volume_range[1]} exceeds dataset size {n}")
+        return
+    # k_class gives every sample to exactly one client
+    if spec.num_clients > n:
         raise ConfigError(f"{spec.num_clients} k_class clients exceed the {n} samples; some would get none")
+    sizes, owners = [0] * spec.num_clients, k_class_owners(spec, num_classes)
+    for count, clients in zip(class_counts(), owners):
+        for j, take in zip(clients, class_shares(int(count), len(clients))):
+            sizes[j] += take
+    if 0 in sizes:
+        j = sizes.index(0)
+        raise ConfigError(
+            f"k_class client {j} would get no sample: each of its classes "
+            f"{client_classes(spec, num_classes)[j]} has fewer samples than clients allowed it"
+        )
+
+
+def check_partition_fits(spec: PartitionSpec, ds: LabeledDataset) -> None:
+    """check_partition_size on the dataset's samples."""
+    check_partition_size(spec, len(ds), ds.num_classes, lambda: np.bincount(ds.y, minlength=ds.num_classes))
 
 
 def client_classes(spec: PartitionSpec, num_classes: int) -> list[list[int]]:
@@ -171,45 +194,54 @@ def client_classes(spec: PartitionSpec, num_classes: int) -> list[list[int]]:
     ]
 
 
-def partition_k_class_indices(ds: LabeledDataset, spec: PartitionSpec) -> list[np.ndarray]:
-    """Sample indices per client for the class-restricted balanced partition.
-
-    Each class's samples are split into equal shares among its eligible
-    clients (remainders to the lowest client ids); within-share selection is
-    shuffled by the spec seed.  The result is an exact partition of the
-    dataset's indices.
-    """
+def k_class_owners(spec: PartitionSpec, num_classes: int) -> list[list[int]]:
+    """The clients allowed each class (client_classes), in client order.
+    Raises ConfigError if k exceeds the number of classes or a class has no
+    client; that check stops at the first such class, so it never walks
+    more than the N * k assigned ones, however many classes the labels
+    imply."""
     if spec.mode != K_CLASS:
         raise ConfigError(f"partition mode is {spec.mode!r}, expected {K_CLASS!r}")
-    if spec.k > ds.num_classes:
-        raise ConfigError(f"k={spec.k} exceeds the number of classes {ds.num_classes}")
-
-    assignment = client_classes(spec, ds.num_classes)
+    if spec.k > num_classes:
+        raise ConfigError(f"k={spec.k} exceeds the number of classes {num_classes}")
+    assignment = client_classes(spec, num_classes)
     covered = set().union(*assignment)
-    # stops at the first uncovered class, so it never walks more than the
-    # N * k assigned ones, however many classes the labels imply
-    for c in range(ds.num_classes):
+    for c in range(num_classes):
         if c not in covered:
             raise ConfigError(
                 f"class {c} has no eligible client under N={spec.num_clients}, k={spec.k}; "
                 "increase k or num_clients"
             )
-    eligible: list[list[int]] = [[] for _ in range(ds.num_classes)]
+    owners: list[list[int]] = [[] for _ in range(num_classes)]
     for j, classes in enumerate(assignment):
         for c in classes:
-            eligible[c].append(j)
+            owners[c].append(j)
+    return owners
 
+
+def class_shares(n: int, owners: int) -> list[int]:
+    """How many of a class's n samples each of its owners takes, in client
+    order: equal shares, one more each to the first n % owners."""
+    share, rem = divmod(n, owners)
+    return [share + (rank < rem) for rank in range(owners)]
+
+
+def partition_k_class_indices(ds: LabeledDataset, spec: PartitionSpec) -> list[np.ndarray]:
+    """Sample indices per client for the class-restricted balanced partition.
+
+    Each class's samples are split into class_shares among its eligible
+    clients (k_class_owners); within-share selection is shuffled by the
+    spec seed.  The result is an exact partition of the dataset's indices;
+    a client whose classes have too few samples gets none
+    (check_partition_size refuses that).
+    """
     gen = rngmod.stream(spec.seed, rngmod.PARTITION)
-    # every client owns k >= 1 classes, so none ends up with no shares
     shares: list[list[np.ndarray]] = [[] for _ in range(spec.num_clients)]
-    for c in range(ds.num_classes):
+    for c, owners in enumerate(k_class_owners(spec, ds.num_classes)):
         idx = np.flatnonzero(ds.y == c)
         gen.shuffle(idx)
-        owners = eligible[c]
-        share, rem = divmod(len(idx), len(owners))
         pos = 0
-        for rank, j in enumerate(owners):
-            take = share + (1 if rank < rem else 0)
+        for j, take in zip(owners, class_shares(len(idx), len(owners))):
             shares[j].append(idx[pos : pos + take])
             pos += take
     return [np.concatenate(parts) for parts in shares]
@@ -224,7 +256,7 @@ def partition_unbalanced_indices(ds: LabeledDataset, spec: PartitionSpec) -> lis
     """
     if spec.mode != UNBALANCED_USERS:
         raise ConfigError(f"partition mode is {spec.mode!r}, expected {UNBALANCED_USERS!r}")
-    check_partition_size(spec, len(ds))
+    check_partition_fits(spec, ds)
     lo, hi = spec.volume_range
     out = []
     for j in range(spec.num_clients):
@@ -235,8 +267,9 @@ def partition_unbalanced_indices(ds: LabeledDataset, spec: PartitionSpec) -> lis
 
 
 def partition_indices(ds: LabeledDataset, spec: PartitionSpec) -> list[np.ndarray]:
-    check_partition_size(spec, len(ds))
+    """Each client's sample indices, once check_partition_size passes."""
     if spec.mode == K_CLASS:
+        check_partition_fits(spec, ds)
         return partition_k_class_indices(ds, spec)
     return partition_unbalanced_indices(ds, spec)
 

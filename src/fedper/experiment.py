@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng as rngmod
-from .data import K_CLASS, LabeledDataset, PartitionSpec, partition_indices, relabel, split_positions
+from .data import LabeledDataset, PartitionSpec, check_partition_fits, partition_indices, relabel, split_positions
 from .data import partition, train_test_split  # unused here; the benchmark traces both by these names
 from .errors import ConfigError
 from .protocol import FederationResult, RoundHistory, RunConfig, run_federation
@@ -45,17 +45,13 @@ def client_shards(ds: LabeledDataset, spec: PartitionSpec) -> list[tuple[Labeled
 
 
 def check_dataset(cfg: RunConfig, ds: LabeledDataset) -> None:
-    """Reject a run that cannot work on ds before any partitioning or
-    training: the model must match the data, and under k_class each client
-    needs k of the classes.  partition_indices checks that the partition
-    fits the dataset's size before it partitions."""
+    """Reject a run whose model does not match ds before any partitioning
+    or training.  partition_indices checks that the partition fits ds
+    (data.check_partition_size) before it partitions."""
     if cfg.spec.in_dim != ds.X.shape[1]:
         raise ConfigError(f"model input dim {cfg.spec.in_dim} != dataset feature dim {ds.X.shape[1]}")
     if cfg.spec.out_dim != ds.num_classes:
         raise ConfigError(f"model output dim {cfg.spec.out_dim} != dataset classes {ds.num_classes}")
-    spec = cfg.partition
-    if spec.mode == K_CLASS and spec.k > ds.num_classes:
-        raise ConfigError(f"k={spec.k} exceeds the number of classes {ds.num_classes}")
 
 
 def run_experiment(
@@ -75,8 +71,9 @@ def run_experiment(
 
 def run_sweep(runs: Sequence[RunConfig], ds: LabeledDataset) -> list[RoundHistory]:
     """Run each resolved sweep point (see config.resolve_sweep) on ds and
-    return its history, in order.  Every point is checked against ds before
-    the first one trains."""
+    return its history, in order.  Every point is checked against ds, its
+    partition included, before the first one trains."""
     for run in runs:
         check_dataset(run, ds)
+        check_partition_fits(run.partition, ds)
     return [run_experiment(run, ds).history for run in runs]

@@ -1,5 +1,6 @@
 """Per-client measures and evaluation, cross-client statistics, and tabular
-output.  A run scores with these measures on fedper.nn.LockstepPlan.score."""
+output.  A run scores with these measures on fedper.nn.LockstepPlan.score;
+evaluate is that pass with one client."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import numpy as np
 
 from .checkpoint import atomic_write
 from .errors import SimulationError, UsageError
-from .nn import Layers, check_data, cross_entropy, forward
+from .nn import Layers, LockstepPlan, RowBlock, check_data, check_weights, cross_entropy, weight_block
 
 if TYPE_CHECKING:
     from .data import LabeledDataset
@@ -46,12 +47,16 @@ def evaluate(
     spec: "ModelSpec", base: Layers, personal: Layers, data: "LabeledDataset"
 ) -> EvalResult:
     """Accuracy (argmax of logits, ties to the lowest class index) and mean
-    cross-entropy of base + personal on a dataset.  Pure and deterministic."""
+    cross-entropy of base + personal on a dataset: the engine's scoring pass
+    with one client.  Pure and deterministic."""
     if len(data) == 0:
         raise UsageError("evaluate requires a non-empty dataset")
     check_data(spec, data)
-    logits = forward(spec, base, personal, data.X)
-    return EvalResult(float(accuracy(logits, data.y)), float(mean_loss(logits, data.y)))
+    check_weights(spec, base, personal)
+    block, _ = weight_block(spec, [base + personal])
+    plan = LockstepPlan(spec, RowBlock([data]), block, 1, len(data), len(spec.layers))
+    (acc,), (loss,) = plan.score(accuracy), plan.score(mean_loss)
+    return EvalResult(acc, loss)
 
 
 def accuracy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:

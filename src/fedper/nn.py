@@ -17,8 +17,9 @@ and works on one (N, P) weight block (weight_block): every launch gathers
 its members' rows of it into the plan's launch block.  run shuffles each
 client's slice of the order array in place, trains and scatters the rows
 back; score, on a one-epoch plan whose batch is the whole set, measures
-every set.  sgd is the same engine with one client; loss_and_grad and
-forward run one-segment launches.
+every set.  sgd is the same engine with one client, as is
+fedper.metrics.evaluate; loss_and_grad alone runs a launch of its own, one
+segment of one batch.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def init_weights(layer_specs: Sequence[LayerSpec], rng: np.random.Generator) -> 
     return layers
 
 
-def _check_model_weights(spec: "ModelSpec", base: Layers, personal: Layers) -> None:
+def check_weights(spec: "ModelSpec", base: Layers, personal: Layers) -> None:
     """Raise ShapeError (naming the layer index) unless base + personal
     realizes the spec's layers with its base/personal split."""
     if len(base) != spec.k_base or len(personal) != spec.k_personal:
@@ -287,25 +288,13 @@ def _backprop(
                 np.matmul(z, w, out=x)
 
 
-def forward(spec: "ModelSpec", base: Layers, personal: Layers, x: np.ndarray) -> np.ndarray:
-    """Forward pass of one feature vector, or of each row of an (n, in_dim)
-    array; returns the logits, of shape (out_dim,) or (n, out_dim)."""
-    _check_model_weights(spec, base, personal)
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (1, 2) or x.shape[-1] != spec.in_dim:
-        raise ShapeError(f"layer 0: input shape {x.shape} != expected ({spec.in_dim},) or (n, {spec.in_dim})")
-    acts = _activations(spec, x.reshape(-1, spec.in_dim))
-    logits = _forward(spec, acts, [_segment(base + personal, acts)])
-    return logits if x.ndim == 2 else logits[0]
-
-
 def loss_and_grad(
     spec: "ModelSpec", base: Layers, personal: Layers, batch: "LabeledDataset"
 ) -> tuple[float, Layers, Layers]:
     """Mean cross-entropy over the batch plus exact gradients for base and personal."""
     if len(batch) == 0:
         raise UsageError("loss_and_grad requires a non-empty batch")
-    _check_model_weights(spec, base, personal)
+    check_weights(spec, base, personal)
     check_data(spec, batch)
     layers = base + personal
     grads = [(np.empty_like(w), np.empty_like(b)) for w, b in layers]
@@ -515,7 +504,7 @@ def sgd(
     """
     if len(dataset) == 0:
         raise UsageError("sgd requires a non-empty dataset")
-    _check_model_weights(spec, base, personal)
+    check_weights(spec, base, personal)
     check_data(spec, dataset)
     block, layers = weight_block(spec, [base + personal])
     LockstepPlan(spec, RowBlock([dataset]), block, cfg.epochs, cfg.batch_size, first_trained).run([rng], cfg.eta)

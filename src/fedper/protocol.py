@@ -216,14 +216,17 @@ def aggregate(updates: Sequence[tuple[Layers, float]]) -> Layers:
     """
     if len(updates) == 0:
         raise ProtocolError("aggregate needs at least one update")
+    for _, g in updates:
+        if not (math.isfinite(g) and g > 0):
+            raise ConfigError(f"aggregation weights must be finite and positive, got {g}")
     # the exactly rounded sum: a plain one drifts past the tolerance at
     # about 10^5 equal weights
-    gamma_sum = math.fsum(g for _, g in updates)
-    if abs(gamma_sum - 1.0) > 1e-12:
+    try:
+        gamma_sum = math.fsum(g for _, g in updates)
+    except OverflowError:  # finite weights whose sum no float holds
+        gamma_sum = math.inf
+    if not abs(gamma_sum - 1.0) <= 1e-12:
         raise ConfigError(f"aggregation weights sum to {gamma_sum!r}, expected 1 within 1e-12")
-    for _, g in updates:
-        if g <= 0:
-            raise ConfigError(f"aggregation weights must be positive, got {g}")
     first, _ = updates[0]
     shapes = [(w.shape, b.shape) for w, b in first]
     for ws, _ in updates[1:]:

@@ -197,6 +197,40 @@ class TestInputValidation:
         assert capsys.readouterr().err == "error: 30 k_class clients exceed the 20 samples; some would get none\n"
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("kind", ["synthetic", "csv"])
+    def test_k_class_client_without_a_sample_writes_no_manifest(self, kind, tmp_path, monkeypatch, capsys):
+        """One sample of each of 4 classes, 4 clients of 2 classes each:
+        every class has two clients and one sample, so client 3, second in
+        line for both of its classes, would get none.  A synthetic dataset
+        is refused before it is built, a csv one once it is loaded."""
+        settings = ["partition.num_clients=4", "dataset.per_class=1"]
+        if kind == "csv":
+            save_csv(synth_classification(4, 8, 1, seed=0), tmp_path / "d.csv")
+            settings += ["dataset.kind=csv", f"dataset.path={tmp_path / 'd.csv'}"]
+        else:
+            monkeypatch.setattr(fedper.cli, "build_dataset", lambda *args: pytest.fail("built the dataset"))
+        args = ["partition", *(a for s in settings for a in ("--set", s)), "--out", str(tmp_path / "m.json")]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            "error: k_class client 3 would get no sample: each of its classes [0, 3] "
+            "has fewer samples than clients allowed it\n"
+        )
+        assert not (tmp_path / "m.json").exists()
+
+    def test_sweep_point_leaving_a_client_without_a_sample_refused_before_any_trains(
+        self, tmp_path, monkeypatch, capsys,
+    ):
+        """At k=4 each of 4 clients holds all 4 classes of 2 samples each,
+        so clients 2 and 3 would get none; the k=1 point before it is not
+        trained, and the dataset is not built."""
+        monkeypatch.setattr(fedper.cli, "build_dataset", lambda *args: pytest.fail("built the dataset"))
+        monkeypatch.setattr(fedper.experiment, "run_experiment", lambda *args: pytest.fail("trained"))
+        settings = ["dataset.per_class=2", "partition.num_clients=4", "partition.train_fraction=0.5", "rounds=1"]
+        args = ["sweep", "--axis", "k", "--values", "1,4", *(a for s in settings for a in ("--set", s))]
+        assert main([*args, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: k_class client 2 would get no sample")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("path", [None, 5, '""', r'"q\u0000"'])
     def test_csv_path_must_be_a_non_empty_string(self, path, tmp_path):
         settings = ["--set", "dataset.kind=csv"] + ([] if path is None else ["--set", f"dataset.path={path}"])

@@ -153,6 +153,20 @@ class TestKClassPartition:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    def test_size_rule_counts_classes_only_once_they_fit_the_clients(self):
+        """partition's size rule finds the uncovered class before it counts
+        the samples of each of the 2,000,001 classes."""
+        ds = LabeledDataset(np.zeros((5, 8)), [0, 1, 2, 3, 2_000_000], 2_000_001)
+        spec = PartitionSpec(mode="k_class", num_clients=5, k=2, seed=0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="class 2 has no eligible client"):
+                partition(ds, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_k_larger_than_c_rejected(self):
         ds = synth_classification(2, 2, 5, seed=0)
         with pytest.raises(ConfigError, match="exceeds"):

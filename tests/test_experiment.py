@@ -134,7 +134,10 @@ class TestSweep:
         # kp: no base layer left, caught when the point resolves
         with pytest.raises(ConfigError):
             sweep_setup("kp", [0, 2])
-        # k: more classes per client than the dataset has, caught against the data
-        _, runs, ds = sweep_setup("k", [2, 5])
-        with pytest.raises(ConfigError):
-            run_sweep(runs, ds)
+        # k: more classes per client than the dataset has, caught when the point resolves too
+        with pytest.raises(ConfigError, match="k=5 exceeds the number of classes 4"):
+            sweep_setup("k", [2, 5])
+        # k: clients left without a sample of these data's 2 per class, caught against the data
+        _, runs, _ = sweep_setup("k", [2, 4])
+        with pytest.raises(ConfigError, match="k_class client 2 would get no sample"):
+            run_sweep(runs, synth_classification(4, 4, 2, seed=0))

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
+import fedper.nn
 from fedper.data import LabeledDataset, synth_classification
 from fedper.errors import ShapeError, UsageError
 from fedper.metrics import ClientMetrics, cross_client_stats, emit, evaluate
 from fedper.model import ModelSpec
 from fedper.nn import LayerSpec, SgdConfig, init_weights, sgd
 from fedper.protocol import RoundHistory, RoundRecord
+import reference
+from helpers import rand_batch, rand_spec, rand_weights
 
 
 def identity_model(dim):
@@ -74,6 +77,53 @@ class TestEvaluate:
         data = LabeledDataset(np.array([[1.0, 2.0], [0.5, -1.0]]), [0, 1], 2)
         with pytest.raises(ShapeError, match=match):
             evaluate(spec, *split(weights[:1], weights[1:]), data)
+
+    def test_relu_then_layer_chain_by_hand(self):
+        # x = 1: the base gives relu([2, -1]) = [2, 0], the personal layer
+        # [6, 0]; the label is 1, so the loss is log(1 + e^-6) + 6 (without
+        # the relu the logits would be [6, -1])
+        spec = ModelSpec((LayerSpec(1, 2, "relu"), LayerSpec(2, 2, "identity")), 1)
+        base = [(np.array([[2.0], [-1.0]]), np.zeros(2))]
+        personal = [(np.array([[3.0, 0.0], [0.0, 1.0]]), np.zeros(2))]
+        result = evaluate(spec, base, personal, LabeledDataset(np.array([[1.0]]), [1], 2))
+        assert result.accuracy == 0.0
+        assert result.loss == pytest.approx(6 + math.log1p(math.exp(-6)), rel=1e-15)
+
+    @pytest.mark.parametrize("rows, classes, match", [
+        (np.zeros((1, 3)), 2, r"layer 0: input dim 3 != expected 2"),
+        (np.zeros((1, 2)), 3, "dataset has 3 classes, the model outputs 2"),
+    ], ids=["input-width", "classes"])
+    def test_data_is_checked_against_the_spec(self, rows, classes, match):
+        spec, weights = identity_model(2)
+        with pytest.raises(ShapeError, match=match):
+            evaluate(spec, weights, [], LabeledDataset(rows, [0], classes))
+
+    @staticmethod
+    def assert_equals_reference(spec, n, seed):
+        """evaluate on n random rows is bitwise (repr tells -0.0 from 0.0)
+        the plain-numpy score of tests/reference.py."""
+        rng = np.random.default_rng(seed)
+        weights = rand_weights(spec.layers, rng)
+        data = rand_batch(spec, rng, n)
+        got = evaluate(spec, weights[: spec.k_base], weights[spec.k_base :], data)
+        activations = [s.activation for s in spec.layers]
+        assert repr(tuple(got)) == repr(reference.score(weights, activations, data.X, data.y))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        self.assert_equals_reference(rand_spec(rng), int(rng.integers(1, 40)), seed)
+
+    def test_set_past_the_row_budget_equals_reference(self):
+        """A set of more rows than ROW_BUDGET is one launch over the budget."""
+        spec = ModelSpec((LayerSpec(8, 16, "relu"), LayerSpec(16, 4, "identity")), 1)
+        self.assert_equals_reference(spec, fedper.nn.ROW_BUDGET + 3, 5)
+
+    def test_twelve_classes_equal_reference(self):
+        """More classes than CHAIN_MAX_COLUMNS: the row max is the reduction."""
+        spec = ModelSpec((LayerSpec(8, 16, "relu"), LayerSpec(16, 12, "identity")), 1)
+        assert spec.out_dim > fedper.nn.CHAIN_MAX_COLUMNS
+        self.assert_equals_reference(spec, 300, 6)
 
     def test_pure(self):
         spec, weights = identity_model(2)

@@ -23,7 +23,6 @@ from fedper.nn import (
     SgdConfig,
     init_weights,
     loss_and_grad,
-    sgd,
     weights_checksum,
     weights_equal,
 )
@@ -132,8 +131,8 @@ class TestClientRound:
         client = self._client(cfg, rng)
         base_in = init_weights(spec.base_layers, np.random.default_rng(5))
         base_out, updated = client_round(client, cfg, base_in, round_idx=3)
-        expected, _ = sgd(
-            spec, base_in, [], client.train, cfg.sgd,
+        expected, _ = reference.local_sgd(
+            spec, base_in, [], client.train, cfg.sgd.eta, cfg.sgd.epochs, cfg.sgd.batch_size,
             rngmod.substream(cfg.master_seed, rngmod.client_party(0), 3, rngmod.SGD),
         )
         assert weights_equal(base_out, expected)
@@ -313,6 +312,16 @@ class TestAggregate:
         with pytest.raises(ConfigError, match="sum to"):
             aggregate([(ws, 0.5), (ws, 0.5 + 1e-9)])
 
+    @pytest.mark.parametrize("gammas", [
+        [0.5, float("nan")], [float("nan")], [0.5, float("inf"), -float("inf")], [1e308, 1e308],
+    ], ids=["nan-among-them", "nan-alone", "infinities", "sum-past-the-largest-float"])
+    def test_weights_that_are_no_finite_positive_numbers_rejected(self, gammas):
+        """A NaN weight fails every comparison, and fsum raises on
+        infinities and on a sum past the largest float: each is refused."""
+        sets = self.rand_sets(np.random.default_rng(6), len(gammas))
+        with pytest.raises(ConfigError, match="aggregation weights"):
+            aggregate(list(zip(sets, gammas)))
+
     def test_shape_mismatch(self):
         rng = np.random.default_rng(3)
         (a,) = self.rand_sets(rng, 1)
@@ -330,16 +339,18 @@ class TestRunFederation:
         data = toy_client_data(spec, 1, rng)
         result = run_federation(cfg, data)
 
-        base0 = init_weights(
+        base0 = reference.init(
             spec.base_layers, rngmod.substream(cfg.master_seed, rngmod.SERVER_PARTY, 0, rngmod.INIT)
         )
-        expected, _ = sgd(
-            spec, base0, [], data[0][0], cfg.sgd,
+        (train, test), activations = data[0], [s.activation for s in spec.layers]
+        expected, _ = reference.local_sgd(
+            spec, base0, [], train, cfg.sgd.eta, cfg.sgd.epochs, cfg.sgd.batch_size,
             rngmod.substream(cfg.master_seed, rngmod.client_party(0), 1, rngmod.SGD),
         )
         assert weights_equal(result.server.base, expected)
         metrics = result.history.rounds[0].clients[0]
-        assert metrics.test_accuracy == evaluate(spec, expected, [], data[0][1]).accuracy
+        assert metrics.test_accuracy == reference.score(expected, activations, test.X, test.y)[0]
+        assert metrics.train_loss == reference.score(expected, activations, train.X, train.y)[1]
 
     def test_deterministic_given_master_seed(self):
         spec = toy_spec()
@@ -429,16 +440,18 @@ class TestRunFederation:
 
 class TestFedAvgEquivalence:
     """Reference implementation: plain federated averaging written as its own
-    loop (no model splitting, no client/server state machinery), sharing only
-    the nn primitives and the rng discipline."""
+    loop (no model splitting, no client/server state machinery), training
+    and scoring with the one-client loops of tests/reference.py and sharing
+    only the rng discipline with the engine."""
 
     @staticmethod
     def reference_fedavg(cfg: RunConfig, client_data):
-        spec = cfg.spec
+        spec, sgd_cfg = cfg.spec, cfg.sgd
+        activations = [s.activation for s in spec.layers]
         sizes = [len(train) for train, _ in client_data]
         total = sum(sizes)
         gammas = [n / total for n in sizes]
-        global_weights = init_weights(
+        global_weights = reference.init(
             spec.layers, rngmod.substream(cfg.master_seed, rngmod.SERVER_PARTY, 0, rngmod.INIT)
         )
         records = []
@@ -446,7 +459,9 @@ class TestFedAvgEquivalence:
             locals_ = []
             for j, (train, _) in enumerate(client_data):
                 gen = rngmod.substream(cfg.master_seed, rngmod.client_party(j), round_idx, rngmod.SGD)
-                updated, _ = sgd(spec, global_weights, [], train, cfg.sgd, gen)
+                updated, _ = reference.local_sgd(
+                    spec, global_weights, [], train, sgd_cfg.eta, sgd_cfg.epochs, sgd_cfg.batch_size, gen
+                )
                 locals_.append(updated)
             merged = [(w.copy(), b.copy()) for w, b in locals_[0]]
             for ws, g in list(zip(locals_, gammas))[1:]:
@@ -458,12 +473,12 @@ class TestFedAvgEquivalence:
                 ClientMetrics(
                     j,
                     round_idx,
-                    evaluate(spec, global_weights, [], test).accuracy,
-                    evaluate(spec, global_weights, [], train).loss,
+                    reference.score(global_weights, activations, test.X, test.y)[0],
+                    reference.score(global_weights, activations, train.X, train.y)[1],
                 )
                 for j, (train, test) in enumerate(client_data)
             )
-            records.append(RoundRecord(round_idx, weights_checksum(global_weights), metrics))
+            records.append(RoundRecord(round_idx, reference.checksum(global_weights), metrics))
         return RoundHistory(tuple(records))
 
     def test_k_p_zero_matches_reference_bitwise(self):
@@ -503,49 +518,6 @@ def federations(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     data = [(rand_batch(spec, rng, n), rand_batch(spec, rng, 2)) for n in sizes]
     return cfg, data
-
-
-class TestBatchingInvariance:
-    """The lock-step engine trains every client bitwise as if it ran alone:
-    run_federation equals a loop that trains one client at a time."""
-
-    @staticmethod
-    def one_client_at_a_time(cfg: RunConfig, client_data):
-        spec = cfg.spec
-        clients = [make_client(cfg, j, train, test) for j, (train, test) in enumerate(client_data)]
-        server = server_init(cfg, [len(c.train) for c in clients])
-        base = server.base
-        records = []
-        for round_idx in range(1, cfg.rounds + 1):
-            updates = []
-            for j, client in enumerate(clients):
-                if cfg.fine_tune and spec.k_personal >= 1:
-                    client = fine_tune(client, cfg, base, round_idx)
-                base_out, clients[j] = client_round(client, cfg, base, round_idx)
-                updates.append((base_out, server.agg_weights[j]))
-            base = aggregate(updates)
-            metrics = tuple(
-                ClientMetrics(
-                    c.client_id,
-                    round_idx,
-                    evaluate(spec, base, c.personal, c.test).accuracy,
-                    evaluate(spec, base, c.personal, c.train).loss,
-                )
-                for c in clients
-            )
-            records.append(RoundRecord(round_idx, weights_checksum(base), metrics))
-        return RoundHistory(tuple(records)), base, clients
-
-    @settings(max_examples=60, deadline=None)
-    @given(federations())
-    def test_lockstep_equals_one_client_at_a_time(self, federation):
-        cfg, data = federation
-        ours = run_federation(cfg, data)
-        history, base, clients = self.one_client_at_a_time(cfg, data)
-        assert repr(ours.history) == repr(history)  # repr tells -0.0 from 0.0
-        assert weights_checksum(ours.server.base) == weights_checksum(base)
-        for mine, theirs in zip(ours.clients, clients):
-            assert weights_checksum(mine.personal) == weights_checksum(theirs.personal)
 
 
 class TestTrainingReference:
@@ -616,7 +588,7 @@ class TestRowBudget:
 
 class TestStackedEvaluation:
     """Sets of one length are scored by one stacked forward pass, which must
-    give every set bitwise what evaluate gives it alone."""
+    give every set bitwise the plain-numpy score of tests/reference.py."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -626,7 +598,7 @@ class TestStackedEvaluation:
         max_rows=st.integers(1, 12),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_equals_evaluate_per_set(self, n_layers, data, lengths, max_rows, seed):
+    def test_equals_reference_per_set(self, n_layers, data, lengths, max_rows, seed):
         dims = data.draw(st.lists(st.integers(1, 6), min_size=n_layers + 1, max_size=n_layers + 1))
         activations = data.draw(st.lists(st.sampled_from(ACTIVATIONS), min_size=n_layers, max_size=n_layers))
         layers = tuple(LayerSpec(dims[i], dims[i + 1], activations[i]) for i in range(n_layers))
@@ -638,13 +610,13 @@ class TestStackedEvaluation:
         # max_rows below a set's length scores its sets one by one; above,
         # it splits a launch of equal-length sets into several
         block, _ = fedper.nn.weight_block(spec, [base + p for p in personal])
-        alone = [evaluate(spec, base, p, d) for p, d in zip(personal, sets)]
+        alone = [reference.score(base + p, activations, d.X, d.y) for p, d in zip(personal, sets)]
         with mock.patch.object(fedper.nn, "ROW_BUDGET", max_rows):
             rows = fedper.nn.RowBlock(sets)
             plan = fedper.nn.LockstepPlan(spec, rows, block, 1, max(lengths), n_layers)
-            for measure, field in ((fedper.metrics.accuracy, "accuracy"), (fedper.metrics.mean_loss, "loss")):
+            for i, measure in enumerate((fedper.metrics.accuracy, fedper.metrics.mean_loss)):
                 stacked = plan.score(measure)
-                assert repr(stacked) == repr([getattr(r, field) for r in alone])  # repr tells -0.0 from 0.0
+                assert repr(stacked) == repr([r[i] for r in alone])  # repr tells -0.0 from 0.0
 
 
 TWELVE_CLASS_LAYERS = (
