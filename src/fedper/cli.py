@@ -75,7 +75,7 @@ def cmd_run(args) -> int:
 
     fmt = resolved.output["format"]
     emit(result.history, fmt, out_dir / f"{run_id}_history.{fmt}")
-    write_checkpoint(out_dir / "checkpoints", "final", result.server, result.clients)
+    write_checkpoint(out_dir / "checkpoints", "final", result.layers, resolved.run.spec.k_base)
     echo_config(resolved, out_dir / f"{run_id}_config.json")
     print(f"wrote {out_dir / f'{run_id}_history.{fmt}'}")
     return 0

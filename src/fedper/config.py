@@ -216,13 +216,13 @@ def resolve(cfg: dict) -> ResolvedConfig:
 
     Every key is checked against its kind in SCHEMA, whatever the other keys
     say; the rules that span keys follow, among them that a synthetic
-    dataset's per_class samples of each class fit the partition
-    (data.check_partition_size).  algorithm=fedavg (FedPer with no
-    personalization layers) forces k_personal to 0, and ablation=linear_base
-    collapses the base layers of the run's model (the echoed config keeps
-    the layers as given).  dataset.seed and
-    partition.seed default to values derived from master_seed so one seed
-    governs the run.
+    dataset's per_class samples of each class fit the partition and leave
+    every client a test sample (data.check_partition_size).
+    algorithm=fedavg (FedPer with no personalization layers) forces
+    k_personal to 0, and ablation=linear_base collapses the base layers of
+    the run's model (the echoed config keeps the layers as given).
+    dataset.seed and partition.seed default to values derived from
+    master_seed so one seed governs the run.
     """
     cfg = json.loads(json.dumps(cfg))
     for key, (_, (kind, test)) in SCHEMA.items():
@@ -266,7 +266,8 @@ def resolve(cfg: dict) -> ResolvedConfig:
     if ds_cfg["kind"] != "csv":
         # both generators give every class exactly per_class samples
         num_classes, per_class = ds_cfg["num_classes"], ds_cfg["per_class"]
-        check_partition_size(partition_spec, num_classes * per_class, num_classes, lambda: [per_class] * num_classes)
+        total, counts = num_classes * per_class, lambda: [per_class] * num_classes
+        check_partition_size(partition_spec, total, num_classes, counts, split=True)
     if cfg["ablation"] == "linear_base":
         spec = linearize_base(spec)
     run = RunConfig(spec, cfg["rounds"], sgd, cfg["fine_tune"], cfg["master_seed"], partition_spec)

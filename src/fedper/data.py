@@ -151,7 +151,7 @@ def synth_shells(
 
 
 def check_partition_size(
-    spec: PartitionSpec, n: int, num_classes: int, class_counts: Callable[[], Sequence[int]]
+    spec: PartitionSpec, n: int, num_classes: int, class_counts: Callable[[], Sequence[int]], split: bool = False
 ) -> None:
     """Raise ConfigError unless n samples of num_classes classes, class c
     having class_counts()[c] of them, can be partitioned under spec: an
@@ -159,29 +159,37 @@ def check_partition_size(
     k_class client must get some, as it takes the class_shares of its
     classes.  class_counts is called only once k_class_owners has found
     every class held by a client, so labels that imply far more classes
-    than the clients hold are never counted class by class."""
+    than the clients hold are never counted class by class.  With split,
+    each client's n_j samples (its shares, or its drawn client_volume) must
+    exceed ceil(train_fraction * n_j), leaving it a test sample."""
     if spec.mode == UNBALANCED_USERS:
-        if spec.volume_range[1] > n:
-            raise ConfigError(f"volume_range max {spec.volume_range[1]} exceeds dataset size {n}")
-        return
-    # k_class gives every sample to exactly one client
-    if spec.num_clients > n:
-        raise ConfigError(f"{spec.num_clients} k_class clients exceed the {n} samples; some would get none")
-    sizes, owners = [0] * spec.num_clients, k_class_owners(spec, num_classes)
-    for count, clients in zip(class_counts(), owners):
-        for j, take in zip(clients, class_shares(int(count), len(clients))):
-            sizes[j] += take
-    if 0 in sizes:
-        j = sizes.index(0)
-        raise ConfigError(
-            f"k_class client {j} would get no sample: each of its classes "
-            f"{client_classes(spec, num_classes)[j]} has fewer samples than clients allowed it"
-        )
+        lo, hi = spec.volume_range
+        if hi > n:
+            raise ConfigError(f"volume_range max {hi} exceeds dataset size {n}")
+        # a test set never shrinks as the volume grows: draw volumes only if the least keeps none
+        drawn = split and lo == math.ceil(spec.train_fraction * lo)
+        sizes = [client_volume(spec, j)[1] for j in range(spec.num_clients)] if drawn else []
+    else:  # k_class gives every sample to exactly one client
+        if spec.num_clients > n:
+            raise ConfigError(f"{spec.num_clients} k_class clients exceed the {n} samples; some would get none")
+        sizes, owners = [0] * spec.num_clients, k_class_owners(spec, num_classes)
+        for count, clients in zip(class_counts(), owners):
+            for j, take in zip(clients, class_shares(int(count), len(clients))):
+                sizes[j] += take
+        if 0 in sizes:
+            j = sizes.index(0)
+            raise ConfigError(
+                f"k_class client {j} would get no sample: each of its classes "
+                f"{client_classes(spec, num_classes)[j]} has fewer samples than clients allowed it"
+            )
+    for j, n_j in enumerate(sizes if split else []):
+        if n_j == math.ceil(spec.train_fraction * n_j):
+            raise ConfigError(f"client {j} has an empty test set: its split trains on all {n_j} of its samples")
 
 
-def check_partition_fits(spec: PartitionSpec, ds: LabeledDataset) -> None:
+def check_partition_fits(spec: PartitionSpec, ds: LabeledDataset, split: bool = False) -> None:
     """check_partition_size on the dataset's samples."""
-    check_partition_size(spec, len(ds), ds.num_classes, lambda: np.bincount(ds.y, minlength=ds.num_classes))
+    check_partition_size(spec, len(ds), ds.num_classes, lambda: np.bincount(ds.y, minlength=ds.num_classes), split)
 
 
 def client_classes(spec: PartitionSpec, num_classes: int) -> list[list[int]]:
@@ -247,6 +255,12 @@ def partition_k_class_indices(ds: LabeledDataset, spec: PartitionSpec) -> list[n
     return [np.concatenate(parts) for parts in shares]
 
 
+def client_volume(spec: PartitionSpec, client_id: int) -> tuple[np.random.Generator, int]:
+    """Client client_id's partition stream and its volume, its first draw."""
+    gen = rngmod.stream(spec.seed, rngmod.PARTITION, client_id)
+    return gen, int(gen.integers(spec.volume_range[0], spec.volume_range[1] + 1))
+
+
 def partition_unbalanced_indices(ds: LabeledDataset, spec: PartitionSpec) -> list[np.ndarray]:
     """Sample indices per client for the unbalanced per-user regime.
 
@@ -257,13 +271,8 @@ def partition_unbalanced_indices(ds: LabeledDataset, spec: PartitionSpec) -> lis
     if spec.mode != UNBALANCED_USERS:
         raise ConfigError(f"partition mode is {spec.mode!r}, expected {UNBALANCED_USERS!r}")
     check_partition_fits(spec, ds)
-    lo, hi = spec.volume_range
-    out = []
-    for j in range(spec.num_clients):
-        gen = rngmod.stream(spec.seed, rngmod.PARTITION, j)
-        n_j = int(gen.integers(lo, hi + 1))
-        out.append(gen.choice(len(ds), size=n_j, replace=False))
-    return out
+    volumes = (client_volume(spec, j) for j in range(spec.num_clients))
+    return [gen.choice(len(ds), size=n_j, replace=False) for gen, n_j in volumes]
 
 
 def partition_indices(ds: LabeledDataset, spec: PartitionSpec) -> list[np.ndarray]:

@@ -27,9 +27,7 @@ def client_shards(ds: LabeledDataset, spec: PartitionSpec) -> list[tuple[Labeled
     sides: tuple[list, list] = ([], [])  # per side, per client: its rows of ds
     for j, idx in enumerate(partition_indices(ds, spec)):
         seed = rngmod.derive_seed(spec.seed, rngmod.SPLIT, j)
-        for side, kind, pos in zip(sides, ("training", "test"), split_positions(len(idx), spec.train_fraction, seed)):
-            if len(pos) == 0:  # a usage error, found before any row is gathered
-                raise ConfigError(f"client {j} has an empty {kind} set")
+        for side, pos in zip(sides, split_positions(len(idx), spec.train_fraction, seed)):
             side.append(idx.take(pos))
     shards = []
     for side in sides:
@@ -45,13 +43,14 @@ def client_shards(ds: LabeledDataset, spec: PartitionSpec) -> list[tuple[Labeled
 
 
 def check_dataset(cfg: RunConfig, ds: LabeledDataset) -> None:
-    """Reject a run whose model does not match ds before any partitioning
-    or training.  partition_indices checks that the partition fits ds
-    (data.check_partition_size) before it partitions."""
+    """Reject a run whose model does not match ds, or whose partition of ds
+    would leave a client without a sample or a test sample
+    (data.check_partition_size), before any partitioning or training."""
     if cfg.spec.in_dim != ds.X.shape[1]:
         raise ConfigError(f"model input dim {cfg.spec.in_dim} != dataset feature dim {ds.X.shape[1]}")
     if cfg.spec.out_dim != ds.num_classes:
         raise ConfigError(f"model output dim {cfg.spec.out_dim} != dataset classes {ds.num_classes}")
+    check_partition_fits(cfg.partition, ds, split=True)
 
 
 def run_experiment(
@@ -72,8 +71,8 @@ def run_experiment(
 def run_sweep(runs: Sequence[RunConfig], ds: LabeledDataset) -> list[RoundHistory]:
     """Run each resolved sweep point (see config.resolve_sweep) on ds and
     return its history, in order.  Every point is checked against ds, its
-    partition included, before the first one trains."""
+    partition and every client's test split included, before the first one
+    trains."""
     for run in runs:
         check_dataset(run, ds)
-        check_partition_fits(run.partition, ds)
     return [run_experiment(run, ds).history for run in runs]

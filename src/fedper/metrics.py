@@ -53,7 +53,7 @@ def evaluate(
         raise UsageError("evaluate requires a non-empty dataset")
     check_data(spec, data)
     check_weights(spec, base, personal)
-    block, _ = weight_block(spec, [base + personal])
+    block, _ = weight_block([base + personal])
     plan = LockstepPlan(spec, RowBlock([data]), block, 1, len(data), len(spec.layers))
     (acc,), (loss,) = plan.score(accuracy), plan.score(mean_loss)
     return EvalResult(acc, loss)

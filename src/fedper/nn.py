@@ -79,18 +79,6 @@ class SgdConfig:
 Layers = list[tuple[np.ndarray, np.ndarray]]
 
 
-def weights_equal(a: Layers, b: Layers) -> bool:
-    """Bitwise equality of two weight lists."""
-    if len(a) != len(b):
-        return False
-    for (wa, ba), (wb, bb) in zip(a, b):
-        if wa.shape != wb.shape or ba.shape != bb.shape:
-            return False
-        if wa.tobytes() != wb.tobytes() or ba.tobytes() != bb.tobytes():
-            return False
-    return True
-
-
 def weights_blob(ws: Layers) -> bytes:
     """Little-endian float64 bytes of all layers, weights then bias each."""
     parts = []
@@ -103,6 +91,12 @@ def weights_blob(ws: Layers) -> bytes:
 def weights_checksum(ws: Layers) -> str:
     """SHA-256 of the weight blob; equal checksums mean bitwise equal values."""
     return hashlib.sha256(weights_blob(ws)).hexdigest()
+
+
+def weights_equal(a: Layers, b: Layers) -> bool:
+    """Bitwise equality of two float64 weight lists: shapes and blobs."""
+    shapes = [[(w.shape, bias.shape) for w, bias in ws] for ws in (a, b)]
+    return shapes[0] == shapes[1] and weights_blob(a) == weights_blob(b)
 
 
 def init_weights(layer_specs: Sequence[LayerSpec], rng: np.random.Generator) -> Layers:
@@ -142,26 +136,18 @@ def check_data(spec: "ModelSpec", data: "LabeledDataset") -> None:
         raise ShapeError(f"dataset has {data.num_classes} classes, the model outputs {spec.out_dim}")
 
 
-def stack_weights(sets: Sequence[Layers]) -> Layers:
-    """Layer-wise (N, out, in) weight and (N, out) bias stacks of N weight
-    lists; row j is a copy of sets[j]."""
-    return [
-        (np.stack([s[i][0] for s in sets]), np.stack([s[i][1] for s in sets]))
-        for i in range(len(sets[0]))
-    ]
-
-
 def unstack_weights(layers: Layers, j: int) -> Layers:
     """Row j of layer stacks, as views."""
     return [(w[j], b[j]) for w, b in layers]
 
 
-def weight_block(spec: "ModelSpec", sets: Sequence[Layers]) -> tuple[np.ndarray, Layers]:
-    """An (N, P) block whose row j holds a copy of sets[j], a weight list of
-    the spec's layers, and its layer stacks: per layer an (N, out, in) weight
-    and an (N, out) bias view of the block."""
-    block = np.empty((len(sets), sum(s.out_dim * (s.in_dim + 1) for s in spec.layers)))
-    layers = _flat_views(spec, block)
+def weight_block(sets: Sequence[Layers]) -> tuple[np.ndarray, Layers]:
+    """An (N, P) block whose row j holds a copy of sets[j], weight lists of
+    the shapes of sets[0], and its layer stacks: per layer an (N, out, in)
+    weight and an (N, out) bias view of the block."""
+    shapes = [(w.shape, b.shape) for ws in sets[:1] for w, b in ws]
+    block = np.empty((len(sets), sum(math.prod(w) + math.prod(b) for w, b in shapes)))
+    layers = _flat_views(shapes, block)
     for j, ws in enumerate(sets):
         for (w, b), (lw, lb) in zip(layers, ws):
             w[j] = lw
@@ -169,14 +155,15 @@ def weight_block(spec: "ModelSpec", sets: Sequence[Layers]) -> tuple[np.ndarray,
     return block, layers
 
 
-def _flat_views(spec: "ModelSpec", block: np.ndarray, first: int = 0) -> Layers:
-    """Stacked (W, b) views of layers first.. into an (n, P) block whose
-    rows hold them end to end, each layer's W (row-major) then its b."""
+def _flat_views(shapes: Sequence[tuple[tuple[int, ...], tuple[int, ...]]], block: np.ndarray) -> Layers:
+    """Stacked (W, b) views of layers of these (W shape, b shape) pairs into
+    an (n, P) block whose rows hold them end to end, each layer's W
+    (row-major) then its b: weights_blob's order."""
     n, views, start = len(block), [], 0
-    for lspec in spec.layers[first:]:
-        mid = start + lspec.out_dim * lspec.in_dim
-        end = mid + lspec.out_dim
-        views.append((block[:, start:mid].reshape(n, lspec.out_dim, lspec.in_dim), block[:, mid:end]))
+    for w_shape, b_shape in shapes:
+        mid = start + math.prod(w_shape)
+        end = mid + math.prod(b_shape)
+        views.append((block[:, start:mid].reshape(n, *w_shape), block[:, mid:end].reshape(n, *b_shape)))
         start = end
     return views
 
@@ -381,6 +368,7 @@ def _launch_views(
     most = max(len(p) for _, p, _ in planned)
     if workspace is None or len(workspace[0]) < most:
         workspace = _activations(spec, np.empty((most, spec.in_dim)))
+    layer_shapes = [((s.out_dim, s.in_dim), (s.out_dim,)) for s in spec.layers]
     frozen = sum(s.out_dim * (s.in_dim + 1) for s in spec.layers[:first_trained])
     launch_block = np.empty((max(len(m) for m, _, _ in planned), block.shape[1]))
     grad = np.empty((len(launch_block), block.shape[1] - frozen))
@@ -389,7 +377,7 @@ def _launch_views(
         if shapes not in work:  # launches of one layout share views
             sub, g, acts = launch_block[: len(members)], grad[: len(members)], [a[: len(positions)] for a in workspace]
             segments = [
-                _segment(_flat_views(spec, sub[ms]), live, _flat_views(spec, g[ms], first_trained))
+                _segment(_flat_views(layer_shapes, sub[ms]), live, _flat_views(layer_shapes[first_trained:], g[ms]))
                 for ms, live in _split(shapes, acts)
             ]
             counts = np.repeat([float(n) for _, n in shapes], [k * n for k, n in shapes])[:, None]
@@ -506,7 +494,7 @@ def sgd(
         raise UsageError("sgd requires a non-empty dataset")
     check_weights(spec, base, personal)
     check_data(spec, dataset)
-    block, layers = weight_block(spec, [base + personal])
+    block, layers = weight_block([base + personal])
     LockstepPlan(spec, RowBlock([dataset]), block, cfg.epochs, cfg.batch_size, first_trained).run([rng], cfg.eta)
     kb = spec.k_base
     return unstack_weights(layers[:kb], 0), unstack_weights(layers[kb:], 0)

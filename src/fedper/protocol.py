@@ -2,16 +2,17 @@
 sample-weighted aggregation, and the optional personal-layer fine-tuning pass.
 
 Every round trains all clients together on the lock-step engine
-(fedper.nn.LockstepPlan).  The clients' weights are one block for the whole
-run (fedper.nn.weight_block): row j holds the round's base, then client j's
-personal layers, and ClientState.personal is a view of it.  Built once per
-run: a fedper.nn.RowBlock of the test sets and one of the training sets
-(uncopied if the sets are views of the arrays experiment.client_shards
-gathered), and the plans, all of one planner (fedper.nn.launches) and in
-the SGD plan's workspace where their launches fit: the SGD pass, with
-fine-tuning on the fine-tune pass, and per side a scoring pass, one epoch
-whose batch is the whole set.  A round runs the passes, aggregates, writes
-the base into the block and scores from it.
+(fedper.nn.LockstepPlan).  The run's weights are one block and no other
+copy (fedper.nn.weight_block): row j holds the round's base, then client
+j's personal layers; ServerState.base views row 0, ClientState.personal
+its client's row.  Built once per run: a fedper.nn.RowBlock of the test
+sets and one of the training sets (uncopied if the sets are views of the
+arrays experiment.client_shards gathered), and the plans, all of one
+planner (fedper.nn.launches) and in the SGD plan's workspace where their
+launches fit: the SGD pass, with fine-tuning on the fine-tune pass, and per
+side a scoring pass, one epoch whose batch is the whole set.  A round runs
+the passes, aggregates the base columns over the rows (aggregate_rows),
+assigns the result to every row and scores from the block.
 
 Communication is in-process.  Every exchange is appended to the server's
 message log as (sender, receiver, payload kind), which makes the privacy
@@ -36,8 +37,8 @@ from .metrics import ClientMetrics, accuracy, mean_loss
 from .metrics import evaluate  # unused here; the benchmark traces fedper.protocol.evaluate
 from .model import ModelSpec
 from .nn import (
-    Layers, LockstepPlan, RowBlock, SgdConfig, check_data, init_weights, sgd, stack_weights, unstack_weights,
-    weight_block, weights_checksum,
+    Layers, LockstepPlan, RowBlock, SgdConfig, check_data, init_weights, sgd, unstack_weights, weight_block,
+    weights_checksum,
 )
 
 SERVER = "server"
@@ -71,8 +72,9 @@ class ClientState:
 
 @dataclass
 class ServerState:
-    """Global base weights, the per-client aggregation weights, and the log
-    of every message exchanged."""
+    """Global base weights (in a run, views of row 0 of the weight block,
+    the aggregated base after each round's broadcast), the per-client
+    aggregation weights, and the log of every message exchanged."""
 
     base: Layers
     agg_weights: list[float]
@@ -124,6 +126,7 @@ class FederationResult:
     history: RoundHistory
     server: ServerState
     clients: list[ClientState]
+    layers: Layers  # the weight block's layer stacks, base layers first
 
 
 def server_init(cfg: RunConfig, client_sizes: Sequence[int]) -> ServerState:
@@ -206,39 +209,43 @@ def fine_tune(client: ClientState, cfg: RunConfig, base_in: Layers, round_idx: i
     return replace(client, personal=personal)
 
 
-def aggregate(updates: Sequence[tuple[Layers, float]]) -> Layers:
-    """Convex combination of the clients' base updates, accumulated in the
-    given (ascending client id) order.
-
-    Computed as w0 + sum_j g_j * (w_j - w0): algebraically the same weighted
-    mean, but exactly a fixed point when every update is identical, and a
-    fixed floating-point order keeps it bitwise deterministic.
-    """
-    if len(updates) == 0:
+def aggregate_rows(rows: np.ndarray, gammas: Sequence[float]) -> np.ndarray:
+    """Convex combination w0 + sum_j g_j * (w_j - w0) of the rows w_j of an
+    (N, P) block, row j client j's base update and gammas[j] its weight:
+    algebraically the weighted mean, but exactly a fixed point when every
+    row is identical.  np.add.reduce over axis 0 adds the rows in row
+    order (a block of one column, which no layer list lays out, it sums
+    pairwise), and a fixed floating-point order keeps it bitwise
+    deterministic."""
+    if len(gammas) == 0:
         raise ProtocolError("aggregate needs at least one update")
-    for _, g in updates:
+    for g in gammas:
         if not (math.isfinite(g) and g > 0):
             raise ConfigError(f"aggregation weights must be finite and positive, got {g}")
     # the exactly rounded sum: a plain one drifts past the tolerance at
     # about 10^5 equal weights
     try:
-        gamma_sum = math.fsum(g for _, g in updates)
+        gamma_sum = math.fsum(gammas)
     except OverflowError:  # finite weights whose sum no float holds
         gamma_sum = math.inf
     if not abs(gamma_sum - 1.0) <= 1e-12:
         raise ConfigError(f"aggregation weights sum to {gamma_sum!r}, expected 1 within 1e-12")
-    first, _ = updates[0]
-    shapes = [(w.shape, b.shape) for w, b in first]
-    for ws, _ in updates[1:]:
-        if [(w.shape, b.shape) for w, b in ws] != shapes:
-            raise ProtocolError("aggregate requires shape-identical weight lists")
+    d = rows - rows[0]
+    d *= np.asarray(gammas)[:, None]
+    d[0] = rows[0]
+    return np.add.reduce(d, axis=0)
 
-    out = [(w.copy(), b.copy()) for w, b in first]
-    for ws, g in updates[1:]:
-        for (ow, ob), (w, b), (fw, fb) in zip(out, ws, first):
-            ow += g * (w - fw)
-            ob += g * (b - fb)
-    return out
+
+def aggregate(updates: Sequence[tuple[Layers, float]]) -> Layers:
+    """aggregate_rows of the clients' base updates, given in ascending
+    client id order with their weights, each laid out as a block row."""
+    sets = [ws for ws, _ in updates]
+    shapes = [[(w.shape, b.shape) for w, b in ws] for ws in sets]
+    if any(s != shapes[0] for s in shapes):
+        raise ProtocolError("aggregate requires shape-identical weight lists")
+    block, layers = weight_block(sets)
+    block[0] = aggregate_rows(block, [g for _, g in updates])
+    return unstack_weights(layers, 0)
 
 
 def run_federation(
@@ -263,12 +270,14 @@ def run_federation(
     """
     clients = [make_client(cfg, j, train, test) for j, (train, test) in enumerate(client_data)]
     server = server_init(cfg, [len(c.train) for c in clients])
-    spec = cfg.spec
-    # the one copy of the clients' weights: row j is the round's broadcast
-    # base, then client j's personal layers, which are views of that row
-    block, layers = weight_block(spec, [server.base + c.personal for c in clients])
+    spec, kb, records = cfg.spec, cfg.spec.k_base, []
+    # the one copy of the run's weights: row j is the round's broadcast base, then
+    # client j's personal layers; the server's base and the clients' layers view it
+    block, layers = weight_block([server.base + c.personal for c in clients])
+    base = block[:, : sum(s.out_dim * (s.in_dim + 1) for s in spec.base_layers)]
+    server.base = unstack_weights(layers[:kb], 0)
     for c in clients:
-        c.personal = unstack_weights(layers[spec.k_base :], c.client_id)
+        c.personal = unstack_weights(layers[kb:], c.client_id)
 
     # training and the scoring of the training sets read one block of rows
     tests, trains = RowBlock([c.test for c in clients]), RowBlock([c.train for c in clients])
@@ -280,7 +289,6 @@ def run_federation(
     score_trains = LockstepPlan(spec, trains, block, 1, max(trains.sizes), len(spec.layers), sgd_plan.workspace)
     score_tests = LockstepPlan(spec, tests, block, 1, max(tests.sizes), len(spec.layers), score_trains.workspace)
 
-    kb, records = spec.k_base, []
     for round_idx in range(1, cfg.rounds + 1):
         # an overflow can leave every weight finite but meaningless
         try:
@@ -293,13 +301,8 @@ def run_federation(
                 _check_finite(block, round_idx)
                 for c in clients:
                     server.log(client_name(c.client_id), SERVER, MSG_BASE_WEIGHTS)
-                server.base = aggregate(
-                    [(unstack_weights(layers[:kb], j), g) for j, g in enumerate(server.agg_weights)]
-                )
-                # broadcast now: scoring reads row j as the base and client j's layers
-                for (w, b), (bw, bb) in zip(layers[:kb], server.base):
-                    w[...] = bw
-                    b[...] = bb
+                # aggregate and broadcast now: scoring reads row j as the base and client j's layers
+                base[...] = aggregate_rows(base, server.agg_weights)
                 # the history records the test sets' accuracy and the training sets' loss
                 accuracies, losses = score_tests.score(accuracy), score_trains.score(mean_loss)
                 metrics = tuple(
@@ -311,9 +314,9 @@ def run_federation(
                 f"round {round_idx}: {exc}; the run diverged (try a smaller sgd.eta)"
             ) from exc
         if checkpoint_dir is not None and checkpoint_every > 0 and round_idx % checkpoint_every == 0:
-            write_checkpoint(Path(checkpoint_dir), f"round{round_idx:04d}", server, clients)
+            write_checkpoint(Path(checkpoint_dir), f"round{round_idx:04d}", layers, kb)
 
-    return FederationResult(RoundHistory(tuple(records)), server, clients)
+    return FederationResult(RoundHistory(tuple(records)), server, clients, layers)
 
 
 def _check_finite(block: np.ndarray, round_idx: int) -> None:
@@ -327,10 +330,9 @@ def _check_finite(block: np.ndarray, round_idx: int) -> None:
         )
 
 
-def write_checkpoint(
-    directory: Path, tag: str, server: ServerState, clients: Sequence[ClientState]
-) -> None:
-    """The server base, and every client's personal layers as one stacked
-    file (clients in client-id order), in the checkpoint format."""
-    save_weights(directory / f"{tag}_server_base", server.base, split_index=len(server.base))
-    save_weights(directory / f"{tag}_personal", stack_weights([c.personal for c in clients]), 0, len(clients))
+def write_checkpoint(directory: Path, tag: str, layers: Layers, k_base: int) -> None:
+    """From a weight block's layer stacks, in the checkpoint format: the
+    server base, row 0 of the first k_base, and every client's personal
+    layers, the rest, as one stacked file (clients in client-id order)."""
+    save_weights(directory / f"{tag}_server_base", unstack_weights(layers[:k_base], 0), split_index=k_base)
+    save_weights(directory / f"{tag}_personal", layers[k_base:], 0, len(layers[0][0]))

@@ -61,15 +61,27 @@ def checksum(layers) -> str:
     return hashlib.sha256(b"".join(np.asarray(a, dtype="<f8").tobytes() for wb in layers for a in wb)).hexdigest()
 
 
+def aggregate(updates, gammas):
+    """w_0 + sum_j g_j (w_j - w_0) over the updates w_j, weight lists given
+    in client order with their weights g_j: a copy of w_0, then update by
+    update from j = 1 on, each array += g_j * (w_j - w_0)."""
+    out = [(w.copy(), b.copy()) for w, b in updates[0]]
+    for update, g in zip(updates[1:], gammas[1:]):
+        for (w, b), (wj, bj), (w0, b0) in zip(out, update, updates[0]):
+            w += g * (wj - w0)
+            b += g * (bj - b0)
+    return out
+
+
 def federation(cfg, client_data):
     """A run of cfg on client_data, the (train, test) sets of each client,
     one client at a time.  Each round every client fine-tunes its personal
     layers for one epoch (if cfg.fine_tune and it has any) and then trains
     base and personal layers, each pass on its own stream; the new base is
-    w_0 + sum_j g_j (w_j - w_0) over the clients' updates w_j in client
-    order, g_j = n_j / sum(n); then each client is scored with it.  Returns
-    per round (base checksum, per client (test accuracy, training loss)),
-    and each client's final personal layers."""
+    aggregate of the clients' updates with g_j = n_j / sum(n); then each
+    client is scored with it.  Returns per round (base checksum, per
+    client (test accuracy, training loss)), and each client's final
+    personal layers."""
     spec, seed, sgd = cfg.spec, cfg.master_seed, cfg.sgd
     sizes = [len(train) for train, _ in client_data]
     gammas = [n / sum(sizes) for n in sizes]
@@ -94,11 +106,7 @@ def federation(cfg, client_data):
                 spec, base, personals[j], train, sgd.eta, sgd.epochs, sgd.batch_size, stream(rngmod.SGD)
             )
             updates.append(update)
-        base = [(w.copy(), b.copy()) for w, b in updates[0]]
-        for update, g in zip(updates[1:], gammas[1:]):
-            for (w, b), (wj, bj), (w0, b0) in zip(base, update, updates[0]):
-                w += g * (wj - w0)
-                b += g * (bj - b0)
+        base = aggregate(updates, gammas)
         scores = [
             (score(base + p, activations, test.X, test.y)[0], score(base + p, activations, train.X, train.y)[1])
             for p, (train, test) in zip(personals, client_data)

@@ -41,13 +41,17 @@ def test_every_trace_target_resolves_to_a_callable(monkeypatch):
 
 
 def test_every_workload_config_runs_and_passes_the_output_check(monkeypatch, tmp_path):
+    """Each workload's full config at master-seed offset 0 writes the
+    outputs the benchmark's stored reference holds: a run the benchmark
+    would refuse as incorrect fails here first."""
     bench = load(monkeypatch, "run")
+    reference = json.loads(bench.REFERENCE.read_text())
     for name, workload in bench.WORKLOADS.items():
         config, out = tmp_path / f"{name}.json", tmp_path / name
-        config.write_text(json.dumps({**bench.workload_config(name, 0), "rounds": 1}))
+        config.write_text(json.dumps(bench.workload_config(name, 0)))
         argv = ["run", "--config", str(config), "--out", str(out), "--threads", str(workload.threads)]
         assert fedper.cli.main(argv) == 0, name
-        _, problems, _ = bench.check_outputs(out, None)
+        _, problems, _ = bench.check_outputs(out, reference[name]["0"])
         assert problems == [], name
 
 

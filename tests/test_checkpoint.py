@@ -7,7 +7,7 @@ import pytest
 
 from fedper.checkpoint import atomic_write, load_weights, save_weights
 from fedper.errors import ParseError, ShapeError
-from fedper.nn import stack_weights, weights_blob, weights_equal
+from fedper.nn import weight_block, weights_blob, weights_equal
 
 
 def random_weights(seed=0):
@@ -81,7 +81,7 @@ def test_bad_manifest_rejected(tmp_path, edit):
 
 
 def test_stacked_round_trip_bit_exact(tmp_path):
-    stacks = stack_weights([random_weights(seed) for seed in range(3)])
+    stacks = weight_block([random_weights(seed) for seed in range(3)])[1]
     manifest_path, blob_path = save_weights(tmp_path / "p", stacks, split_index=0, clients=3)
     manifest = json.loads(manifest_path.read_text())
     # only a stacked file records its client count
@@ -106,7 +106,7 @@ def test_empty_stack_records_its_client_count(tmp_path):
 
 @pytest.mark.parametrize("clients", [None, 2])
 def test_stack_must_match_client_count(tmp_path, clients):
-    stacks = stack_weights([random_weights(seed) for seed in range(3)])
+    stacks = weight_block([random_weights(seed) for seed in range(3)])[1]
     with pytest.raises(ShapeError):
         save_weights(tmp_path / "p", stacks, split_index=0, clients=clients)
 
@@ -148,7 +148,7 @@ def _non_utf8_manifest(manifest_path, blob_path):
     ],
 )
 def test_files_save_weights_never_writes_rejected(tmp_path, layers, corrupt, bad_file):
-    stacks = stack_weights([random_weights(seed)[:layers] for seed in range(3)])
+    stacks = weight_block([random_weights(seed)[:layers] for seed in range(3)])[1]
     manifest_path, blob_path = save_weights(tmp_path / "p", stacks, split_index=min(layers, 1), clients=3)
     corrupt(manifest_path, blob_path)
     with pytest.raises(ParseError, match="^" + re.escape(f"{tmp_path / 'p'}.{bad_file}: ")):

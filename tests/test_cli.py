@@ -231,6 +231,58 @@ class TestInputValidation:
         assert capsys.readouterr().err.startswith("error: k_class client 2 would get no sample")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("base_k, client", [(2, 3), (1, 1)], ids=["base-refused", "point-refused"])
+    def test_sweep_point_leaving_a_client_without_a_test_sample_refused_before_any_trains(
+        self, base_k, client, tmp_path, monkeypatch, capsys,
+    ):
+        """5 samples of each of 4 classes over 4 clients: at k=4 clients 1
+        to 3 get 4 samples, all of which ceil(0.8 * 4) sends to training;
+        at k=2, the sweep's base, so does client 3.  The sweep is refused
+        before the dataset is built, whichever of them is first."""
+        monkeypatch.setattr(fedper.cli, "build_dataset", lambda *args: pytest.fail("built the dataset"))
+        monkeypatch.setattr(fedper.experiment, "run_experiment", lambda *args: pytest.fail("trained"))
+        settings = ["dataset.per_class=5", "partition.num_clients=4", "rounds=1", f"partition.k={base_k}"]
+        args = ["sweep", "--axis", "k", "--values", "1,4", *(a for s in settings for a in ("--set", s))]
+        assert main([*args, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: client {client} has an empty test set: its split trains on all 4 of its samples\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_csv_sweep_point_leaving_a_client_without_a_test_sample_refused_before_any_trains(
+        self, tmp_path, monkeypatch, capsys,
+    ):
+        """A CSV dataset's class counts are known once it is loaded: every
+        point's splits are checked against it before the first one trains."""
+        monkeypatch.setattr(fedper.experiment, "run_experiment", lambda *args: pytest.fail("trained"))
+        save_csv(synth_classification(4, 8, 5, seed=0), tmp_path / "d.csv")
+        settings = [
+            "dataset.kind=csv", f"dataset.path={tmp_path / 'd.csv'}", "partition.num_clients=4", "partition.k=1",
+        ]
+        args = ["sweep", "--axis", "k", "--values", "1,4", *(a for s in settings for a in ("--set", s))]
+        assert main([*args, "--out", str(tmp_path / "o")]) == 2
+        assert "error: client 1 has an empty test set" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("seed, code", [(16, 0), (6, 2)])
+    def test_unbalanced_client_without_a_test_sample_refused_by_its_drawn_volume(
+        self, seed, code, tmp_path, monkeypatch, capsys,
+    ):
+        """Volumes of 4 or 5: a client that draws 4 trains on all of them,
+        one that draws 5 keeps one to test on.  At partition seed 16 all
+        four clients draw 5 and the run goes ahead, though the least volume
+        of the range would leave none; at seed 6 client 2 draws 4, and the
+        run is refused before the dataset is built."""
+        if code:
+            monkeypatch.setattr(fedper.cli, "build_dataset", lambda *args: pytest.fail("built the dataset"))
+        settings = ["partition.mode=unbalanced_users", "partition.volume_range=[4,5]", f"partition.seed={seed}"]
+        args = ["run", *SMALL, *(a for s in settings for a in ("--set", s)), "--out", str(tmp_path / "o")]
+        assert main(args) == code
+        if code:
+            assert capsys.readouterr().err == (
+                "error: client 2 has an empty test set: its split trains on all 4 of its samples\n"
+            )
+
     @pytest.mark.parametrize("path", [None, 5, '""', r'"q\u0000"'])
     def test_csv_path_must_be_a_non_empty_string(self, path, tmp_path):
         settings = ["--set", "dataset.kind=csv"] + ([] if path is None else ["--set", f"dataset.path={path}"])

@@ -137,7 +137,12 @@ class TestSweep:
         # k: more classes per client than the dataset has, caught when the point resolves too
         with pytest.raises(ConfigError, match="k=5 exceeds the number of classes 4"):
             sweep_setup("k", [2, 5])
-        # k: clients left without a sample of these data's 2 per class, caught against the data
+        # k: clients left without a sample of these data's 2 per class, caught against the data;
+        # at train_fraction 0.5 the k=2 point's clients of 2 samples each keep one to test on
         _, runs, _ = sweep_setup("k", [2, 4])
+        halved = [replace(run, partition=replace(run.partition, train_fraction=0.5)) for run in runs]
         with pytest.raises(ConfigError, match="k_class client 2 would get no sample"):
+            run_sweep(halved, synth_classification(4, 4, 2, seed=0))
+        # at 0.8 they train on both, caught against the data at the first point
+        with pytest.raises(ConfigError, match="client 0 has an empty test set"):
             run_sweep(runs, synth_classification(4, 4, 2, seed=0))

@@ -9,12 +9,19 @@ sets at B=256: the first step of each epoch holds more than ROW_BUDGET rows
 of many batch sizes, so it splits into two launches of several segments
 each, and the training sets' scoring launches mix set lengths.  Any change
 to the arithmetic of local training, aggregation or evaluation shows here
-as a mismatch."""
+as a mismatch.
+
+CHECKPOINT_GOLDEN pins the sha256 of the final checkpoint files that
+`fedper run` writes for three of those configs, recorded from the run that
+kept the aggregated base as a separate list and stacked the clients'
+personal layers into new arrays to write them.  fedavg's personal file
+holds no layer."""
 
 import hashlib
 
 import pytest
 
+from fedper.cli import main
 from fedper.config import apply_overrides, build_dataset, default_config, resolve
 from fedper.experiment import run_experiment
 
@@ -108,3 +115,34 @@ def test_per_round_checksums_match_golden(name):
     history = run_experiment(resolved.run, build_dataset(resolved.dataset)).history
     assert [r.base_checksum for r in history.rounds] == checksums
     assert history_digest(history) == digest
+
+
+CHECKPOINT_FILES = ("final_server_base.json", "final_server_base.bin", "final_personal.json", "final_personal.bin")
+CHECKPOINT_GOLDEN = {
+    "default": (
+        "f8146d0c6d2e9a49700a3b480ba255aa44d521fd708ceadc1fd9e412bcb99e5b",
+        "682ab134c23e3c39dd36cbed2e587032867ef461a2db4e54b74177f284a6ca52",
+        "158290753eaf88898702b5e51bdb0844b861fa43b6fa8e1866cb7561eb82b8a5",
+        "6440069a3b9106157d84705f3a9d62b4a927e37a2a54dad8f0c4e8ca4507c8b3",
+    ),
+    "unbalanced_finetune": (
+        "f8146d0c6d2e9a49700a3b480ba255aa44d521fd708ceadc1fd9e412bcb99e5b",
+        "ec2c5529a91b3e2fc20dab30f0dab91290c18b637cec1cb50968444ed45cb3e5",
+        "158290753eaf88898702b5e51bdb0844b861fa43b6fa8e1866cb7561eb82b8a5",
+        "6da4a2c3efdf2b92bccd579c4db35f74308b1e2d32d53731412105be173f89a3",
+    ),
+    "fedavg": (
+        "5b589605a3a9cba231407b1aaff5dd4f922897a09e707de974ebcb331341a339",
+        "51a893bbb5ef60764344d6d4c301de70a45e3dc835e2d66321f5d710eab1b41e",
+        "51c7fc8c06d374d4223a16457d8b417655bb812454889175d723feee44a5be5c",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKPOINT_GOLDEN))
+def test_final_checkpoint_bytes_match_golden(name, tmp_path):
+    settings = [a for setting in GOLDEN[name][0] for a in ("--set", setting)]
+    assert main(["run", *settings, "--out", str(tmp_path)]) == 0
+    written = [hashlib.sha256((tmp_path / "checkpoints" / f).read_bytes()).hexdigest() for f in CHECKPOINT_FILES]
+    assert dict(zip(CHECKPOINT_FILES, written)) == dict(zip(CHECKPOINT_FILES, CHECKPOINT_GOLDEN[name]))

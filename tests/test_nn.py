@@ -213,7 +213,7 @@ class TestLockstepPlan:
         sets = [LabeledDataset(1000.0 * j + np.arange(n)[:, None], np.zeros(n, dtype=int), 2) for j, n in enumerate(sizes)]
         rows = RowBlock(sets)
         spec = ModelSpec((LayerSpec(1, 2, "identity"),), 0)
-        block, _ = weight_block(spec, [[(np.zeros((2, 1)), np.zeros(2))]] * len(sizes))
+        block, _ = weight_block([[(np.zeros((2, 1)), np.zeros(2))]] * len(sizes))
         with mock.patch.object(fedper.nn, "ROW_BUDGET", budget):
             plan = LockstepPlan(spec, rows, block, epochs, batch_size)
 
@@ -248,7 +248,7 @@ class TestLockstepPlan:
         that holds a whole set, so it refuses to score."""
         spec = ModelSpec((LayerSpec(1, 2, "identity"),), 0)
         sets = [LabeledDataset(np.arange(n, dtype=float)[:, None], np.zeros(n, dtype=int), 2) for n in (3, 2)]
-        block, _ = weight_block(spec, [[(np.zeros((2, 1)), np.zeros(2))]] * len(sets))
+        block, _ = weight_block([[(np.zeros((2, 1)), np.zeros(2))]] * len(sets))
         plan = LockstepPlan(spec, RowBlock(sets), block, epochs, batch_size, 1)
         with pytest.raises(UsageError, match="whole set"):
             plan.score(fedper.metrics.accuracy)
@@ -261,7 +261,7 @@ class TestLockstepPlan:
         spec = ModelSpec((LayerSpec(8, 16, "relu"), LayerSpec(16, 16, "relu"), LayerSpec(16, 4, "identity")), 1)
         rng = np.random.default_rng(0)
         sets = [LabeledDataset(rng.standard_normal((256, 8)), rng.integers(0, 4, 256), 4) for _ in range(num_clients)]
-        block, _ = weight_block(spec, [init_weights(spec.layers, rng) for _ in sets])
+        block, _ = weight_block([init_weights(spec.layers, rng) for _ in sets])
         with mock.patch.object(fedper.nn, "ROW_BUDGET", 4 * 64):
             plan = LockstepPlan(spec, RowBlock(sets), block, 1, 64)
         assert {(len(c), shapes) for c, _, shapes, _ in plan.launches} == {(4, ((4, 64),))}
@@ -292,7 +292,7 @@ class TestLockstepPlan:
         spec = resolved.run.spec
         shards = client_shards(build_dataset(resolved.dataset), resolved.run.partition)
         sides = [RowBlock(side) for side in zip(*shards)]
-        block, _ = weight_block(spec, [init_weights(spec.layers, np.random.default_rng(j)) for j in range(40)])
+        block, _ = weight_block([init_weights(spec.layers, np.random.default_rng(j)) for j in range(40)])
         assert [len(rows.x) for rows in sides] == [6400, 1600]
         allowed = {fedper.nn.launches.__code__, fedper.nn._launch_views.__code__}
         allowed_lines = {
@@ -395,7 +395,7 @@ class TestRowBlock:
         cuts = np.cumsum(lengths)[:-1]
         sets = [LabeledDataset(x, y, len(block)) for x, y in zip(np.split(block, cuts), np.split(labels, cuts))]
         spec = ModelSpec((LayerSpec(3, 2, "identity"),), 0)
-        weights, _ = weight_block(spec, [init_weights(spec.layers, np.random.default_rng(0))] * len(sets))
+        weights, _ = weight_block([init_weights(spec.layers, np.random.default_rng(0))] * len(sets))
         with mock.patch.object(fedper.nn, "ROW_BUDGET", budget):
             rows = RowBlock(sets)
             groups = [launch[:3] for launch in LockstepPlan(spec, rows, weights, 1, max(lengths), 1).launches]
@@ -417,7 +417,7 @@ class TestWeightBlock:
     def test_rows_are_copies_and_stacks_are_views(self):
         spec = rand_spec(np.random.default_rng(3))
         sets = [rand_weights(spec.layers, np.random.default_rng(seed)) for seed in range(4)]
-        block, layers = weight_block(spec, sets)
+        block, layers = weight_block(sets)
         assert block.shape == (4, sum(s.out_dim * (s.in_dim + 1) for s in spec.layers))
         for j, ws in enumerate(sets):
             # row j is set j's layers end to end, each W (row-major) then its b

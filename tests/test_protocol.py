@@ -322,6 +322,23 @@ class TestAggregate:
         with pytest.raises(ConfigError, match="aggregation weights"):
             aggregate(list(zip(sets, gammas)))
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_bitwise_equals_the_reference_loop(self, data):
+        """1 to 60 clients' ragged layer lists, each client's values of
+        its own magnitude from 1e-3 to 1e3: aggregate's row reduction gives
+        bitwise the update-by-update loop of tests/reference.py."""
+        n = data.draw(st.integers(1, 60))
+        shapes = data.draw(st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7)), min_size=1, max_size=4))
+        scales = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+        raw = np.array(data.draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+        gammas = (raw / raw.sum()).tolist()
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        sets = [[(c * rng.standard_normal((o, i)), c * rng.standard_normal(o)) for o, i in shapes] for c in scales]
+        got = aggregate(list(zip(sets, gammas)))
+        assert [(w.shape, b.shape) for w, b in got] == [((o, i), (o,)) for o, i in shapes]
+        assert reference.checksum(got) == reference.checksum(reference.aggregate(sets, gammas))
+
     def test_shape_mismatch(self):
         rng = np.random.default_rng(3)
         (a,) = self.rand_sets(rng, 1)
@@ -426,7 +443,7 @@ class TestRunFederation:
         cfg = toy_cfg(spec, num_clients=3, rounds=2)
         data = toy_client_data(spec, 3, np.random.default_rng(15))
         result = run_federation(cfg, data, checkpoint_dir=tmp_path, checkpoint_every=1)
-        write_checkpoint(tmp_path, "final", result.server, result.clients)
+        write_checkpoint(tmp_path, "final", result.layers, spec.k_base)
         tags = Counter(p.name.split("_")[0] for p in tmp_path.iterdir())
         assert tags == {"round0001": 4, "round0002": 4, "final": 4}
         for tag in ("round0002", "final"):
@@ -609,7 +626,7 @@ class TestStackedEvaluation:
         sets = [rand_batch(spec, rng, n) for n in lengths]
         # max_rows below a set's length scores its sets one by one; above,
         # it splits a launch of equal-length sets into several
-        block, _ = fedper.nn.weight_block(spec, [base + p for p in personal])
+        block, _ = fedper.nn.weight_block([base + p for p in personal])
         alone = [reference.score(base + p, activations, d.X, d.y) for p, d in zip(personal, sets)]
         with mock.patch.object(fedper.nn, "ROW_BUDGET", max_rows):
             rows = fedper.nn.RowBlock(sets)
@@ -782,6 +799,14 @@ class TestLaunchCounts:
         assert block.shape[0] == len(result.clients)
         for c in result.clients:
             assert all(np.shares_memory(w, block) and np.shares_memory(b, block) for w, b in c.personal)
+        # the server's base is row 0's, and after the broadcast every row's base columns are bitwise it
+        base_columns = sum(s.out_dim * (s.in_dim + 1) for s in resolved.run.spec.base_layers)
+        assert all(np.shares_memory(w, block[0]) and np.shares_memory(b, block[0]) for w, b in result.server.base)
+        base_row = np.concatenate([a.reshape(-1) for layer in result.server.base for a in layer])
+        assert all(row.tobytes() == base_row.tobytes() for row in block[:, :base_columns])
+        # the result's layer stacks are views of the block, and hold the whole of it
+        assert all(np.shares_memory(a, block) for layer in result.layers for a in layer)
+        assert sum(w[0].size + b[0].size for w, b in result.layers) == block.shape[1]
 
     @pytest.mark.parametrize("overrides", [[], ["partition.mode=unbalanced_users", "sgd.eta=0.05"]])
     def test_fine_tune_plan_runs_in_the_sgd_plans_workspace(self, monkeypatch, overrides):
