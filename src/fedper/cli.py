@@ -13,12 +13,11 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import atomic_write
-from .config import (
-    SWEEP_AXES, apply_overrides, build_dataset, default_config, echo_config, load_config_file, resolve, resolve_sweep,
-)
+from .config import SWEEP_AXES, apply_overrides, build_dataset, default_config, echo_config, load_config_file
+from .config import parse_value, resolve, resolve_sweep
 from .data import K_CLASS, partition_indices
 from .errors import ConfigError, SimulationError, UsageError
-from .experiment import run_experiment, run_sweep
+from .experiment import check_dataset, run_experiment, run_sweep
 from .metrics import emit
 from .protocol import write_checkpoint
 
@@ -82,17 +81,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load(args)
-    values: list[int | str]
-    if args.axis == "algorithm":
-        values = [v.strip() for v in args.values.split(",") if v.strip()]
-    else:
-        try:
-            values = [int(v) for v in args.values.split(",") if v.strip()]
-        except ValueError as exc:
-            raise UsageError(f"--values for axis {args.axis} must be integers: {exc}") from exc
-
-    resolved, runs = resolve_sweep(cfg, args.axis, values)
+    # each item is a --set value of the axis key; spaces around the commas are not part of it
+    values = [parse_value(v.strip()) for v in args.values.split(",") if v.strip()]
+    resolved, runs = resolve_sweep(_load(args), args.axis, values)
     out_dir = _out_dir(args, resolved)
     histories = run_sweep(runs, build_dataset(resolved.dataset))
 
@@ -109,6 +100,7 @@ def cmd_partition(args) -> int:
     out_path = Path(args.out) if args.out else _out_dir(args, resolved) / "partition_manifest.json"
     _creatable(out_path, is_dir=False)
     ds = build_dataset(resolved.dataset)
+    check_dataset(resolved.run, ds)
     spec = resolved.run.partition
     indices = partition_indices(ds, spec)
     manifest = {

@@ -8,15 +8,16 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from . import rng as rngmod
-from .data import K_CLASS, PARTITION_MODES, LabeledDataset, PartitionSpec, check_partition_size, load_csv
+from .data import K_CLASS, PARTITION_MODES, LabeledDataset, PartitionSpec, load_csv
 from .data import synth_classification, synth_shells
 from .checkpoint import atomic_write
 from .errors import ConfigError, UsageError
+from .experiment import check_fits
 from .model import ModelSpec, linearize_base
 from .nn import SgdConfig
 from .protocol import RunConfig
@@ -171,19 +172,24 @@ def load_config_file(path: str | Path) -> dict:
     return cfg
 
 
+def parse_value(text: str) -> Any:
+    """A config value given as text: JSON when it parses, otherwise the
+    plain string."""
+    try:
+        return json.loads(text)
+    except ValueError:  # as for load_config_file
+        return text
+
+
 def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
-    """Apply `--set dotted.key=value` overrides; values parse as JSON when
-    possible, otherwise as plain strings."""
+    """Apply `--set dotted.key=value` overrides, each value read by
+    parse_value."""
     cfg = json.loads(json.dumps(cfg))
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
         dotted, text = item.split("=", 1)
-        try:
-            value = json.loads(text)
-        except ValueError:  # as for load_config_file
-            value = text
-        _set(cfg, dotted.split("."), value)
+        _set(cfg, dotted.split("."), parse_value(text))
     return cfg
 
 
@@ -215,9 +221,10 @@ def resolve(cfg: dict) -> ResolvedConfig:
     """Validate the merged config dict and build the domain objects.
 
     Every key is checked against its kind in SCHEMA, whatever the other keys
-    say; the rules that span keys follow, among them that a synthetic
-    dataset's per_class samples of each class fit the partition and leave
-    every client a test sample (data.check_partition_size).
+    say; the rules that span keys follow.  A synthetic config declares its
+    dataset's shape, so the run is checked against that shape
+    (experiment.check_fits) before the dataset is built; a csv run is
+    checked by experiment.check_dataset once its file is loaded.
     algorithm=fedavg (FedPer with no personalization layers) forces
     k_personal to 0, and ablation=linear_base collapses the base layers of
     the run's model (the echoed config keeps the layers as given).
@@ -238,12 +245,6 @@ def resolve(cfg: dict) -> ResolvedConfig:
     spec = ModelSpec.from_json(model_cfg)
     if ds_cfg["kind"] == "csv":
         _require(ds_cfg["path"] is not None, "dataset.path is required for dataset.kind csv")
-    else:
-        _require(spec.in_dim == ds_cfg["dim"], f"model input dim {spec.in_dim} != dataset.dim {ds_cfg['dim']}")
-        _require(
-            spec.out_dim == ds_cfg["num_classes"],
-            f"model output dim {spec.out_dim} != dataset.num_classes {ds_cfg['num_classes']}",
-        )
     for section, purpose in ((ds_cfg, rngmod.DATASET), (part_cfg, rngmod.PARTITION)):
         if section["seed"] is None:
             section["seed"] = rngmod.derive_seed(cfg["master_seed"], purpose)
@@ -263,14 +264,13 @@ def resolve(cfg: dict) -> ResolvedConfig:
         part_cfg["mode"], part_cfg["num_clients"], part_cfg["k"], tuple(part_cfg["volume_range"]),
         float(part_cfg["train_fraction"]), part_cfg["seed"], part_cfg["rater_disagreement"],
     )
-    if ds_cfg["kind"] != "csv":
-        # both generators give every class exactly per_class samples
-        num_classes, per_class = ds_cfg["num_classes"], ds_cfg["per_class"]
-        total, counts = num_classes * per_class, lambda: [per_class] * num_classes
-        check_partition_size(partition_spec, total, num_classes, counts, split=True)
     if cfg["ablation"] == "linear_base":
         spec = linearize_base(spec)
     run = RunConfig(spec, cfg["rounds"], sgd, cfg["fine_tune"], cfg["master_seed"], partition_spec)
+    if ds_cfg["kind"] != "csv":
+        # both generators give every class exactly per_class samples
+        num_classes, per_class = ds_cfg["num_classes"], ds_cfg["per_class"]
+        check_fits(run, ds_cfg["dim"], num_classes, num_classes * per_class, lambda: [per_class] * num_classes)
     return ResolvedConfig(run, ds_cfg, out_cfg, cfg)
 
 
@@ -285,38 +285,33 @@ def sweep_seed(master_seed: int, axis: str, value: int | str) -> int:
     return rngmod.derive_seed(master_seed, rngmod.SWEEP, list(SWEEP_AXES).index(axis), code)
 
 
-def resolve_sweep(cfg: dict, axis: str, values: Sequence[int | str]) -> tuple[ResolvedConfig, list[RunConfig]]:
+def resolve_sweep(cfg: dict, axis: str, values: Sequence[Any]) -> tuple[ResolvedConfig, list[RunConfig]]:
     """The base run of the merged config dict, and one run per value: the
-    dict with the axis key set to the value, resolved as any run, with the
-    value's sweep_seed as master seed and the base run's dataset and
-    partition seeds, so every point trains on the same shards.  The sweep's
-    own rules are checked first, and every point is resolved before any
-    data is built."""
+    dict with the axis key set to the value, resolved as that run would be,
+    with the value's sweep_seed as master seed.  Its dataset and partition
+    seeds derive from the dict's master seed, so every point trains on the
+    base's shards.  The sweep's own rules, the base, every point and the
+    values' distinctness are checked before any data is built."""
     if axis not in SWEEP_AXES:
         raise UsageError(f"unknown sweep axis {axis!r}; expected one of {tuple(SWEEP_AXES)}")
     if len(values) == 0:
         raise UsageError("sweep needs at least one value")
-    # each point writes a file named by its value, so a repeat would overwrite one
-    repeated = [v for i, v in enumerate(values) if v in values[:i]]
-    if repeated:
-        raise UsageError(f"sweep values must be distinct, got {repeated[0]!r} more than once")
     mode = cfg["partition"]["mode"]
     if axis == "k" and mode != K_CLASS:
         raise UsageError(f"axis k needs partition.mode {K_CLASS}; {mode} ignores k")
     if axis == "kp" and cfg["algorithm"] == "fedavg":
         raise UsageError("axis kp needs algorithm fedper; fedavg forces model.k_personal to 0 at every point")
     base = resolve(cfg)
-    key = SWEEP_AXES[axis]
-    kind, test = SCHEMA[key][1]
     runs = []
     for value in values:
-        _require(test(value), f"{key} must be {kind}, got {value!r}")
         point = json.loads(json.dumps(cfg))
-        _set(point, key.split("."), value)
-        point["master_seed"] = sweep_seed(base.run.master_seed, axis, value)
-        point["dataset"]["seed"] = base.dataset["seed"]
-        point["partition"]["seed"] = base.run.partition.seed
-        runs.append(resolve(point).run)
+        _set(point, SWEEP_AXES[axis].split("."), value)
+        runs.append(replace(resolve(point).run, master_seed=sweep_seed(base.run.master_seed, axis, value)))
+    # each point writes a file named by its value, so a repeat would overwrite
+    # one; checked once every value is of its key's kind, where true is not 1
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise UsageError(f"sweep values must be distinct, got {repeated[0]!r} more than once")
     return base, runs
 
 

@@ -187,9 +187,9 @@ def check_partition_size(
             raise ConfigError(f"client {j} has an empty test set: its split trains on all {n_j} of its samples")
 
 
-def check_partition_fits(spec: PartitionSpec, ds: LabeledDataset, split: bool = False) -> None:
+def check_partition_fits(spec: PartitionSpec, ds: LabeledDataset) -> None:
     """check_partition_size on the dataset's samples."""
-    check_partition_size(spec, len(ds), ds.num_classes, lambda: np.bincount(ds.y, minlength=ds.num_classes), split)
+    check_partition_size(spec, len(ds), ds.num_classes, lambda: np.bincount(ds.y, minlength=ds.num_classes))
 
 
 def client_classes(spec: PartitionSpec, num_classes: int) -> list[list[int]]:

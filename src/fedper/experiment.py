@@ -5,12 +5,12 @@ personalization depth, algorithm)."""
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import rng as rngmod
-from .data import LabeledDataset, PartitionSpec, check_partition_fits, partition_indices, relabel, split_positions
+from .data import LabeledDataset, PartitionSpec, check_partition_size, partition_indices, relabel, split_positions
 from .data import partition, train_test_split  # unused here; the benchmark traces both by these names
 from .errors import ConfigError
 from .protocol import FederationResult, RoundHistory, RunConfig, run_federation
@@ -42,15 +42,25 @@ def client_shards(ds: LabeledDataset, spec: PartitionSpec) -> list[tuple[Labeled
     return list(zip(*shards))
 
 
+def check_fits(cfg: RunConfig, dim: int, num_classes: int, n: int, class_counts: Callable[[], Sequence[int]]) -> None:
+    """Reject a run that does not fit a dataset of n samples of dim features
+    and num_classes classes, class c having class_counts()[c] of them: its
+    model must map dim features to num_classes scores, and its partition
+    must leave every client a sample and a test sample
+    (data.check_partition_size).  This is the one check of a run against
+    its data: config.resolve applies it to the shape a synthetic config
+    declares, before the dataset is built, and check_dataset to a dataset."""
+    if cfg.spec.in_dim != dim:
+        raise ConfigError(f"model input dim {cfg.spec.in_dim} != dataset feature dim {dim}")
+    if cfg.spec.out_dim != num_classes:
+        raise ConfigError(f"model output dim {cfg.spec.out_dim} != dataset classes {num_classes}")
+    check_partition_size(cfg.partition, n, num_classes, class_counts, split=True)
+
+
 def check_dataset(cfg: RunConfig, ds: LabeledDataset) -> None:
-    """Reject a run whose model does not match ds, or whose partition of ds
-    would leave a client without a sample or a test sample
-    (data.check_partition_size), before any partitioning or training."""
-    if cfg.spec.in_dim != ds.X.shape[1]:
-        raise ConfigError(f"model input dim {cfg.spec.in_dim} != dataset feature dim {ds.X.shape[1]}")
-    if cfg.spec.out_dim != ds.num_classes:
-        raise ConfigError(f"model output dim {cfg.spec.out_dim} != dataset classes {ds.num_classes}")
-    check_partition_fits(cfg.partition, ds, split=True)
+    """check_fits on ds's shape, before any partitioning or training: every
+    command checks its runs against the dataset it built or loaded."""
+    check_fits(cfg, ds.X.shape[1], ds.num_classes, len(ds), lambda: np.bincount(ds.y, minlength=ds.num_classes))
 
 
 def run_experiment(

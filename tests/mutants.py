@@ -1,0 +1,120 @@
+"""Mutation check of the fast gates, run by hand (it is not a tier-1 test):
+
+    python tests/mutants.py [NAME ...]
+
+Each mutant is one exact text edit to a copy of src/: a rewrite that looks
+harmless but breaks a contract the gates are meant to hold.  For each named
+mutant (all by default) the repository's src/, tests/ and pyproject.toml are
+copied to a temporary directory, the edit is made there, and the mutant's
+gates are run on the copy with pytest.  A mutant is killed when every one of
+its gates fails, and survives when one passes.  Exits 1 if any survived.
+tests/test_mutants.py checks, in tier-1, that each old text still occurs
+exactly once in src/, so this list cannot rot unseen."""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to src/fedper
+    old: str
+    new: str
+    gates: tuple[str, ...]  # pytest node ids, each of which must fail
+
+    def apply(self, src: Path) -> None:
+        path = src / "fedper" / self.path
+        text = path.read_text()
+        if text.count(self.old) != 1:
+            raise ValueError(f"{self.name}: the old text occurs {text.count(self.old)} times in {self.path}")
+        path.write_text(text.replace(self.old, self.new))
+
+
+MUTANTS = (
+    # the per-row batch-size division is not its reciprocal's multiply; only
+    # the goldens can see it, as tests/reference.py takes its gradients from
+    # nn.loss_and_grad, which runs the same _backprop
+    Mutant(
+        "reciprocal-batch-division", "nn.py", "    delta /= counts\n", "    delta *= 1 / counts\n",
+        ("tests/test_golden.py",),
+    ),
+    # aggregation adds the weighted client deltas in client order
+    Mutant(
+        "reverse-aggregation-order", "protocol.py",
+        "    return np.add.reduce(d, axis=0)\n", "    return np.add.reduce(d[::-1], axis=0)\n",
+        (
+            "tests/test_golden.py",
+            "tests/test_protocol.py::TestTrainingReference",
+            "tests/test_protocol.py::TestFedAvgEquivalence",
+            "tests/test_protocol.py::TestAggregate::test_bitwise_equals_the_reference_loop",
+        ),
+    ),
+    # the fit check leaves every client a test sample
+    Mutant(
+        "fit-check-without-split", "experiment.py",
+        "class_counts, split=True)", "class_counts, split=False)",
+        (
+            "tests/test_cli.py::TestInputValidation::"
+            "test_a_config_that_does_not_fit_its_data_is_refused_by_every_command",
+            "tests/test_cli.py::TestInputValidation::"
+            "test_sweep_point_leaving_a_client_without_a_test_sample_refused_before_any_trains",
+            "tests/test_cli.py::TestInputValidation::"
+            "test_unbalanced_client_without_a_test_sample_refused_by_its_drawn_volume",
+        ),
+    ),
+)
+
+
+def run(mutant: Mutant) -> list[tuple[str, bool, float]]:
+    """(gate, whether it failed, seconds) for each of the mutant's gates."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name in ("src", "tests"):
+            shutil.copytree(REPO / name, root / name, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(REPO / "pyproject.toml", root)
+        mutant.apply(root / "src")
+        results = []
+        for gate in mutant.gates:
+            start = time.perf_counter()
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", gate],
+                cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
+                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            )
+            if proc.returncode not in (0, 1):  # pytest's codes for all passed and some failed
+                raise RuntimeError(f"{mutant.name}: pytest {gate} exited {proc.returncode}")
+            results.append((gate, proc.returncode == 1, time.perf_counter() - start))
+        return results
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    survived = []
+    for mutant in MUTANTS:
+        if names and mutant.name not in names:
+            continue
+        results = run(mutant)
+        for gate, failed, seconds in results:
+            print(f"{mutant.name}: {gate}: {'failed' if failed else 'PASSED'} in {seconds:.1f} s")
+        if not all(failed for _, failed, _ in results):
+            survived.append(mutant.name)
+    print(f"survived: {', '.join(survived)}" if survived else "every mutant was killed")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

@@ -32,6 +32,10 @@ SMALL = [
     "--set", "partition.num_clients=4",
 ]
 
+# 5 samples of each of 4 classes over 4 k=2 clients: client 3 gets 4, and
+# ceil(0.8 * 4) = 4 of them train
+NO_TEST_SAMPLE = "client 3 has an empty test set: its split trains on all 4 of its samples"
+
 
 def read_bytes_tree(root):
     return {
@@ -282,6 +286,42 @@ class TestInputValidation:
             assert capsys.readouterr().err == (
                 "error: client 2 has an empty test set: its split trains on all 4 of its samples\n"
             )
+
+    # (dataset, settings, the refusal): a dataset of None is synthetic, of
+    # those settings; else the arguments of synth_classification, written
+    # to a csv file.  Client 3 is the one to fall short in both partitions.
+    REFUSED = {
+        "no-sample": (None, ["dataset.per_class=1"], "k_class client 3 would get no sample: each of its classes "
+                      "[0, 3] has fewer samples than clients allowed it"),
+        "csv-no-sample": ((4, 8, 1), [], "k_class client 3 would get no sample: each of its classes "
+                          "[0, 3] has fewer samples than clients allowed it"),
+        "no-test-sample": (None, ["dataset.per_class=5"], NO_TEST_SAMPLE),
+        "csv-no-test-sample": ((4, 8, 5), [], NO_TEST_SAMPLE),
+        "csv-wrong-width": ((4, 5, 30), [], "model input dim 8 != dataset feature dim 5"),
+        "csv-too-few-classes": ((3, 8, 30), [], "model output dim 4 != dataset classes 3"),
+    }
+
+    @pytest.mark.parametrize(
+        "command", [["run"], ["sweep", "--axis", "kp", "--values", "0,1"], ["partition"]], ids=["run", "sweep", "partition"]
+    )
+    @pytest.mark.parametrize("dataset, settings, message", REFUSED.values(), ids=REFUSED)
+    def test_a_config_that_does_not_fit_its_data_is_refused_by_every_command(
+        self, command, dataset, settings, message, tmp_path, monkeypatch, capsys,
+    ):
+        """One check decides whether a run fits its data, so run, sweep and
+        partition refuse the same configs with the same line, writing
+        nothing: a synthetic config before its dataset is built, a csv one
+        once its file is loaded."""
+        settings = [*settings, "partition.num_clients=4", "rounds=1"]
+        if dataset is None:
+            monkeypatch.setattr(fedper.cli, "build_dataset", lambda *args: pytest.fail("built the dataset"))
+        else:
+            save_csv(synth_classification(*dataset, seed=0), tmp_path / "d.csv")
+            settings += ["dataset.kind=csv", f"dataset.path={tmp_path / 'd.csv'}"]
+        args = [*command, *(a for s in settings for a in ("--set", s)), "--out", str(tmp_path / "o")]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([] if dataset is None else ["d.csv"])
 
     @pytest.mark.parametrize("path", [None, 5, '""', r'"q\u0000"'])
     def test_csv_path_must_be_a_non_empty_string(self, path, tmp_path):
@@ -662,6 +702,30 @@ class TestSweepCommand:
         assert main(args) == 2
         assert "model.k_personal must be an int >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("text", ["01", "+2", "2.0", "true", "null", " 2 "])
+    def test_a_values_item_is_read_as_a_set_value(self, text, tmp_path, capsys):
+        """--values k=T runs the point of --set partition.k=T: both refuse T
+        with the same line, or both run."""
+        results = []
+        for args in (["sweep", "--axis", "k", "--values", text], ["run", "--set", f"partition.k={text}"]):
+            out = tmp_path / args[0]
+            code = main([*args, *SMALL, "--set", "rounds=1", "--out", str(out)])
+            results.append((code, capsys.readouterr().err, out.exists()))
+        assert results[0] == results[1]
+        code, err, written = results[0]
+        assert (code, written) in ((0, True), (2, False))
+        assert code == 0 or err.startswith("error: partition.k must be an int >= 1, got ")
+
+    @pytest.mark.parametrize("axis, values, message", [
+        ("k", "1,true", "partition.k must be an int >= 1, got True"),
+        ("kp", "0,false", "model.k_personal must be an int >= 0, got False"),
+    ], ids=["k", "kp"])
+    def test_a_boolean_is_refused_as_a_value_not_as_a_repeat(self, axis, values, message, tmp_path, capsys):
+        """true == 1 in Python, so distinctness is checked only once every
+        value is of its key's kind."""
+        assert main(["sweep", *SMALL, "--axis", axis, "--values", values, "--out", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unknown_algorithm_value(self, tmp_path):
         args = ["sweep", *SMALL, "--axis", "algorithm", "--values", "fedper,fedprox"]

@@ -1,14 +1,17 @@
+import json
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedper.experiment
-from fedper.config import apply_overrides, build_dataset, default_config, resolve_sweep, sweep_seed
+from fedper.config import apply_overrides, build_dataset, default_config, resolve, resolve_sweep, sweep_seed
 from fedper.data import PartitionSpec, partition, synth_classification, train_test_split
 from fedper.errors import ConfigError, UsageError
-from fedper.experiment import client_shards, run_experiment, run_sweep
+from fedper.experiment import check_dataset, check_fits, client_shards, run_experiment, run_sweep
 from fedper.model import ModelSpec
 from fedper.nn import LayerSpec, RowBlock, SgdConfig
 from fedper.protocol import RunConfig
@@ -146,3 +149,64 @@ class TestSweep:
         # at 0.8 they train on both, caught against the data at the first point
         with pytest.raises(ConfigError, match="client 0 has an empty test set"):
             run_sweep(runs, synth_classification(4, 4, 2, seed=0))
+
+
+@st.composite
+def synthetic_configs(draw):
+    """A small synthetic config whose model may miss its data's width or
+    class count, and whose partition may leave a client short."""
+    num_classes, dim = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    # one in four models misses its data's width, one in four its classes
+    in_dim, out_dim = (n + draw(st.sampled_from([0, 0, 0, 1])) for n in (dim, num_classes))
+    layers = [
+        {"in_dim": in_dim, "out_dim": 3, "activation": "relu"},
+        {"in_dim": 3, "out_dim": out_dim, "activation": "identity"},
+    ]
+    lo = draw(st.integers(1, 8))
+    settings = {
+        "dataset.kind": draw(st.sampled_from(["gaussian_mixture", "shells"])),
+        "dataset.cluster_permutation": draw(st.sampled_from(["identity", "cycle", "swap"])),
+        "dataset.clusters": draw(st.integers(1, 3)),
+        "dataset.num_classes": num_classes,
+        "dataset.dim": dim,
+        "dataset.per_class": draw(st.integers(1, 12)),
+        "model.layers": layers,
+        "partition.mode": draw(st.sampled_from(["k_class", "unbalanced_users"])),
+        "partition.num_clients": draw(st.integers(1, 5)),
+        "partition.k": draw(st.integers(1, num_classes + 1)),
+        "partition.volume_range": [lo, lo + draw(st.integers(0, 8))],
+        "partition.train_fraction": draw(st.floats(0, 1, exclude_min=True, exclude_max=True)),
+        "partition.seed": draw(st.integers(0, 2**32)),
+    }
+    return apply_overrides(default_config(), [f"{key}={json.dumps(value)}" for key, value in settings.items()])
+
+
+def refusal(check, *args):
+    """The message check(*args) refuses with, or None if it passes."""
+    try:
+        check(*args)
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+class TestFitCheck:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(cfg=synthetic_configs())
+    def test_the_declared_shape_is_the_built_shape(self, cfg):
+        """resolve refuses a synthetic config before its dataset is built,
+        from the shape the config declares: num_classes classes of per_class
+        samples each, dim features wide.  Both generators must build exactly
+        that shape, so that check_dataset on the built dataset says what the
+        check on the declared one said."""
+        kind = cfg["dataset"]["kind"]
+        # as csv, resolve leaves the data to check_dataset, so any run resolves
+        resolved = resolve({**cfg, "dataset": {**cfg["dataset"], "kind": "csv", "path": "unread.csv"}})
+        run, ds_cfg = resolved.run, {**resolved.dataset, "kind": kind}
+        num_classes, per_class = ds_cfg["num_classes"], ds_cfg["per_class"]
+        ds = build_dataset(ds_cfg)
+        assert ds.X.shape == (num_classes * per_class, ds_cfg["dim"]) and ds.num_classes == num_classes
+        assert np.bincount(ds.y, minlength=num_classes).tolist() == [per_class] * num_classes
+        declared = refusal(check_fits, run, ds_cfg["dim"], num_classes, len(ds), lambda: [per_class] * num_classes)
+        assert declared == refusal(check_dataset, run, ds)
+        assert declared == refusal(resolve, cfg)
