@@ -1,6 +1,8 @@
-"""Per-client measures and evaluation, cross-client statistics, and tabular
-output.  A run scores with these measures on fedper.nn.LockstepPlan.score;
-evaluate is that pass with one client."""
+"""Per-row measures and evaluation, cross-client statistics, and tabular
+output.  A measure gives one value per row of logits and labels: correct
+here, and the loss, fedper.nn.cross_entropy.  A run scores with them on
+fedper.nn.LockstepPlan.score, which takes each set's mean; evaluate is that
+pass with one client."""
 
 from __future__ import annotations
 
@@ -46,27 +48,22 @@ class SummaryStats(NamedTuple):
 def evaluate(
     spec: "ModelSpec", base: Layers, personal: Layers, data: "LabeledDataset"
 ) -> EvalResult:
-    """Accuracy (argmax of logits, ties to the lowest class index) and mean
-    cross-entropy of base + personal on a dataset: the engine's scoring pass
-    with one client.  Pure and deterministic."""
+    """Accuracy (the mean of correct: argmax of logits, ties to the lowest
+    class index) and mean cross-entropy of base + personal on a dataset: the
+    engine's scoring pass with one client.  Pure and deterministic."""
     if len(data) == 0:
         raise UsageError("evaluate requires a non-empty dataset")
     check_data(spec, data)
     check_weights(spec, base, personal)
     block, _ = weight_block([base + personal])
     plan = LockstepPlan(spec, RowBlock([data]), block, 1, len(data), len(spec.layers))
-    (acc,), (loss,) = plan.score(accuracy), plan.score(mean_loss)
+    (acc,), (loss,) = plan.score(correct), plan.score(cross_entropy)
     return EvalResult(acc, loss)
 
 
-def accuracy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The share of the n rows whose argmax (the lowest on a tie) is the label."""
-    return (np.argmax(logits, axis=-1) == y).mean(axis=-1)
-
-
-def mean_loss(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The mean cross-entropy of the n rows."""
-    return cross_entropy(logits, y).mean(axis=-1)
+def correct(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """1.0 where a row's argmax (the lowest class on a tie) is its label, else 0.0."""
+    return (np.argmax(logits, axis=-1) == y).astype(np.float64)
 
 
 def cross_client_stats(values: Sequence[float]) -> SummaryStats:

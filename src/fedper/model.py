@@ -54,19 +54,11 @@ class ModelSpec:
     def out_dim(self) -> int:
         return self.layers[-1].out_dim
 
-    def to_json(self) -> dict:
-        return {
-            "layers": [
-                {"in_dim": l.in_dim, "out_dim": l.out_dim, "activation": l.activation}
-                for l in self.layers
-            ],
-            "k_personal": self.k_personal,
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "ModelSpec":
-        """Inverse of to_json; the config's values are type-checked by
-        fedper.config.resolve."""
+        """The spec of a config's "model" object: "layers", a list of
+        {"in_dim", "out_dim", "activation"} objects, and "k_personal".  The
+        values are type-checked by fedper.config.resolve."""
         return cls(tuple(LayerSpec(**l) for l in obj["layers"]), obj["k_personal"])
 
 

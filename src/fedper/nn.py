@@ -16,10 +16,10 @@ out, once, its launches' views of one workspace (a run's plans share one)
 and works on one (N, P) weight block (weight_block): every launch gathers
 its members' rows of it into the plan's launch block.  run shuffles each
 client's slice of the order array in place, trains and scatters the rows
-back; score, on a one-epoch plan whose batch is the whole set, measures
-every set.  sgd is the same engine with one client, as is
-fedper.metrics.evaluate; loss_and_grad alone runs a launch of its own, one
-segment of one batch.
+back; score, on a one-epoch plan whose batch is the whole set, takes each
+set's mean of a per-row measure.  sgd is the same engine with one client,
+as is fedper.metrics.evaluate; loss_and_grad alone runs a launch of its
+own, one segment of one batch.
 """
 
 from __future__ import annotations
@@ -237,10 +237,10 @@ def _softmax_parts(logits: np.ndarray, out: np.ndarray | None = None) -> tuple[n
 
 
 def cross_entropy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-row softmax cross-entropy, logsumexp(logits) - logits[y]."""
+    """Per-row softmax cross-entropy of (rows, classes) logits,
+    logsumexp(logits) - logits[y]."""
     zmax, _, sums = _softmax_parts(logits)
-    picked = np.take_along_axis(logits, y[..., None], axis=-1)
-    return np.log(sums[..., 0]) + zmax[..., 0] - picked[..., 0]
+    return np.log(sums[:, 0]) + zmax[:, 0] - logits[np.arange(len(y)), y]
 
 
 def _backprop(
@@ -459,8 +459,9 @@ class LockstepPlan:
             block[clients] = sub
 
     def score(self, measure) -> list[float]:
-        """measure (accuracy or mean_loss) of row j of the block on set j of
-        the rows, for every set j, bitwise as evaluate gives it: the plan
+        """The mean over set j's rows of measure (fedper.metrics.correct or
+        cross_entropy, one value per row of logits and labels) of row j of
+        the block, for every set j, bitwise as evaluate gives it: the plan
         must be of one epoch whose batch is the whole set."""
         if sum(len(launch[0]) for launch in self.launches) != len(self.rows.sizes):
             raise UsageError("score needs a plan of one epoch whose batch is the whole set")
@@ -469,9 +470,7 @@ class LockstepPlan:
         for members, rows, shapes, (sub, _, _, acts, _, segments) in self.launches:
             block.take(members, axis=0, out=sub, mode="clip")  # "clip": see run
             x.take(rows, axis=0, out=acts[0], mode="clip")
-            # measure is a mean over a set's rows: over sets of one row each
-            # it is each row's value, and a set's measure is their mean
-            values = measure(_forward(self.spec, acts, segments)[:, None], y.take(rows)[:, None])
+            values = measure(_forward(self.spec, acts, segments), y.take(rows))
             results[members] = np.concatenate(
                 [np.add.reduce(v, axis=-1) / n for (_, (v,)), (_, n) in zip(_split(shapes, [values]), shapes)]
             )

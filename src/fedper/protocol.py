@@ -12,7 +12,9 @@ planner (fedper.nn.launches) and in the SGD plan's workspace where their
 launches fit: the SGD pass, with fine-tuning on the fine-tune pass, and per
 side a scoring pass, one epoch whose batch is the whole set.  A round runs
 the passes, aggregates the base columns over the rows (aggregate_rows),
-assigns the result to every row and scores from the block.
+assigns the result to every row and scores from the block: each set's
+mean of a per-row measure, fedper.metrics.correct on the test sets and
+fedper.nn.cross_entropy on the training sets.
 
 Communication is in-process.  Every exchange is appended to the server's
 message log as (sender, receiver, payload kind), which makes the privacy
@@ -33,12 +35,12 @@ from . import rng as rngmod
 from .errors import ConfigError, ProtocolError, SimulationError, UsageError
 from .checkpoint import save_weights
 from .data import LabeledDataset, PartitionSpec
-from .metrics import ClientMetrics, accuracy, mean_loss
+from .metrics import ClientMetrics, correct
 from .metrics import evaluate  # unused here; the benchmark traces fedper.protocol.evaluate
 from .model import ModelSpec
 from .nn import (
-    Layers, LockstepPlan, RowBlock, SgdConfig, check_data, init_weights, sgd, unstack_weights, weight_block,
-    weights_checksum,
+    Layers, LockstepPlan, RowBlock, SgdConfig, check_data, cross_entropy, init_weights, sgd, unstack_weights,
+    weight_block, weights_checksum,
 )
 
 SERVER = "server"
@@ -304,7 +306,7 @@ def run_federation(
                 # aggregate and broadcast now: scoring reads row j as the base and client j's layers
                 base[...] = aggregate_rows(base, server.agg_weights)
                 # the history records the test sets' accuracy and the training sets' loss
-                accuracies, losses = score_tests.score(accuracy), score_trains.score(mean_loss)
+                accuracies, losses = score_tests.score(correct), score_trains.score(cross_entropy)
                 metrics = tuple(
                     ClientMetrics(c.client_id, round_idx, a, loss) for c, a, loss in zip(clients, accuracies, losses)
                 )

@@ -42,12 +42,16 @@ class Mutant:
 
 
 MUTANTS = (
-    # the per-row batch-size division is not its reciprocal's multiply; only
-    # the goldens can see it, as tests/reference.py takes its gradients from
-    # nn.loss_and_grad, which runs the same _backprop
+    # the per-row batch-size division is not its reciprocal's multiply;
+    # tests/reference.py runs its own backward pass, which divides
     Mutant(
         "reciprocal-batch-division", "nn.py", "    delta /= counts\n", "    delta *= 1 / counts\n",
-        ("tests/test_golden.py",),
+        (
+            "tests/test_golden.py",
+            "tests/test_protocol.py::TestTrainingReference",
+            "tests/test_protocol.py::TestFedAvgEquivalence",
+            "tests/test_reference.py::test_gradients_equal_the_engines_bitwise",
+        ),
     ),
     # aggregation adds the weighted client deltas in client order
     Mutant(
@@ -58,6 +62,46 @@ MUTANTS = (
             "tests/test_protocol.py::TestTrainingReference",
             "tests/test_protocol.py::TestFedAvgEquivalence",
             "tests/test_protocol.py::TestAggregate::test_bitwise_equals_the_reference_loop",
+        ),
+    ),
+    # the fine-tune pass trains the personal layers only, the base frozen
+    Mutant(
+        "fine-tune-trains-base", "protocol.py",
+        "cfg.sgd.batch_size, spec.k_base, sgd_plan.workspace)", "cfg.sgd.batch_size, 0, sgd_plan.workspace)",
+        (
+            "tests/test_golden.py",
+            "tests/test_protocol.py::TestTrainingReference",
+        ),
+    ),
+    # every client of a pass draws its batches from its own stream
+    Mutant(
+        "shared-pass-generator", "protocol.py",
+        "    return [_client_stream(cfg, c.client_id, round_idx, purpose) for c in clients]\n",
+        "    return [_client_stream(cfg, clients[0].client_id, round_idx, purpose)] * len(clients)\n",
+        (
+            "tests/test_golden.py",
+            "tests/test_protocol.py::TestTrainingReference",
+            "tests/test_protocol.py::TestFedAvgEquivalence",
+        ),
+    ),
+    # a client's upload carries its base update, never its personal layers
+    Mutant(
+        "personal-payload-on-the-wire", "protocol.py",
+        "server.log(client_name(c.client_id), SERVER, MSG_BASE_WEIGHTS)",
+        "server.log(client_name(c.client_id), SERVER, MSG_PERSONAL_WEIGHTS)",
+        (
+            "tests/test_acceptance.py::test_criterion_04_privacy_invariant",
+            "tests/test_protocol.py::TestRunFederation::test_privacy_no_personal_payloads_and_log_shape",
+        ),
+    ),
+    # an argmax tie goes to the lowest class
+    Mutant(
+        "tie-to-highest-class", "metrics.py",
+        "(np.argmax(logits, axis=-1) == y)", "(logits.shape[-1] - 1 - np.argmax(logits[:, ::-1], axis=-1) == y)",
+        (
+            "tests/test_metrics.py::TestEvaluate::test_tie_breaks_to_lowest_index",
+            "tests/test_protocol.py::TestStackedEvaluation",
+            "tests/test_protocol.py::TestTrainingReference",
         ),
     ),
     # the fit check leaves every client a test sample

@@ -1,8 +1,9 @@
 """A reference for what a run records, written with plain numpy and sharing
-no planner or launch code with the engine in fedper.nn: one client, one
-set, one batch, one 2-D array at a time.  Training takes its gradients from
-fedper.nn.loss_and_grad, and its batches from helpers.minibatch_indices on
-each client's own rng substream."""
+no code with the engine in fedper.nn: one client, one set, one batch, one
+2-D array at a time.  Training takes its gradients from its own backward
+pass, in the engine's order of operations, and its batches from
+helpers.minibatch_indices on each client's own rng substream; from fedper
+it imports only fedper.rng, for those streams."""
 
 from __future__ import annotations
 
@@ -11,21 +12,44 @@ import hashlib
 import numpy as np
 
 import fedper.rng as rngmod
-from fedper.nn import loss_and_grad
 from helpers import minibatch_indices
 
 
-def score(layers, activations, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Accuracy and mean cross-entropy of the model whose layers are the
-    (W, b) pairs of layers, each followed by its activation ("relu" or
-    "identity"), on the rows x with labels y.  Accuracy takes the argmax of
-    the logits (the lowest class on a tie); the loss of a row is
-    log(sum(exp(z - max))) + max - z[label]."""
-    z = x
+def forward(layers, activations, x: np.ndarray) -> list[np.ndarray]:
+    """x, then each layer's output, of the model whose layers are the (W, b)
+    pairs of layers, each followed by its activation ("relu" or
+    "identity"): z @ W.T + b, then max(z, 0) under a relu."""
+    out = [x]
     for (w, b), activation in zip(layers, activations):
-        z = z @ w.T + b
-        if activation == "relu":
-            z = np.maximum(z, 0.0)
+        z = out[-1] @ w.T + b
+        out.append(np.maximum(z, 0.0) if activation == "relu" else z)
+    return out
+
+
+def gradients(layers, activations, x: np.ndarray, y: np.ndarray, first: int = 0) -> list:
+    """(dW, db) of the batch's mean cross-entropy for layers[first:]: the
+    delta is exp(z - max), divided by its row sums, minus the one-hot
+    label, divided by the batch size; then, from the last layer back, it is
+    masked by a > 0 under a relu, gives delta.T @ (the layer's input) and
+    delta.sum(axis=0), and becomes delta @ W for the layer below."""
+    a = forward(layers, activations, x)
+    e = np.exp(a[-1] - a[-1].max(axis=1, keepdims=True))
+    delta = (e / e.sum(axis=1, keepdims=True) - np.eye(e.shape[1])[y]) / len(x)
+    grads = []
+    for i in range(len(layers) - 1, first - 1, -1):
+        if activations[i] == "relu":
+            delta = delta * (a[i + 1] > 0.0)
+        grads.append((delta.T @ a[i], delta.sum(axis=0)))
+        delta = delta @ layers[i][0]
+    return grads[::-1]
+
+
+def score(layers, activations, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Accuracy and mean cross-entropy of the model forward() runs, on the
+    rows x with labels y.  Accuracy takes the argmax of the logits (the
+    lowest class on a tie); the loss of a row is
+    log(sum(exp(z - max))) + max - z[label]."""
+    z = forward(layers, activations, x)[-1]
     top = z.max(axis=1)
     losses = np.log(np.exp(z - top[:, None]).sum(axis=1)) + top - z[np.arange(len(y)), y]
     return float((np.argmax(z, axis=1) == y).mean()), float(losses.mean())
@@ -44,16 +68,17 @@ def local_sgd(spec, base, personal, data, eta, epochs, batch_size, gen, personal
     """Copies of base and personal after epochs of mini-batch SGD on data,
     one batch at a time: per epoch the batches of minibatch_indices on gen,
     each a step w -= eta * g of the layers it trains (the personal ones
-    only, if personal_only) with g from fedper.nn.loss_and_grad."""
-    base, personal = ([(w.copy(), b.copy()) for w, b in ws] for ws in (base, personal))
+    only, if personal_only) with g from gradients()."""
+    layers = [(w.copy(), b.copy()) for w, b in base + personal]
+    activations = [s.activation for s in spec.layers]
+    first = spec.k_base if personal_only else 0
     for _ in range(epochs):
         for idx in minibatch_indices(len(data), batch_size, gen):
-            _, grad_base, grad_personal = loss_and_grad(spec, base, personal, data.subset(idx))
-            pairs = zip(personal, grad_personal) if personal_only else zip(base + personal, grad_base + grad_personal)
-            for (w, b), (gw, gb) in pairs:
+            grads = gradients(layers, activations, data.X[idx], data.y[idx], first)
+            for (w, b), (gw, gb) in zip(layers[first:], grads):
                 w -= eta * gw
                 b -= eta * gb
-    return base, personal
+    return layers[: spec.k_base], layers[spec.k_base :]
 
 
 def checksum(layers) -> str:

@@ -37,8 +37,14 @@ class TestSpec:
             ModelSpec((LayerSpec(2, 3), LayerSpec(4, 2)), 0)
 
     def test_json_round_trip(self):
-        spec = ModelSpec((LayerSpec(2, 3), LayerSpec(3, 2, "identity")), 1)
-        assert ModelSpec.from_json(spec.to_json()) == spec
+        obj = {
+            "layers": [
+                {"in_dim": 2, "out_dim": 3, "activation": "relu"},
+                {"in_dim": 3, "out_dim": 2, "activation": "identity"},
+            ],
+            "k_personal": 1,
+        }
+        assert ModelSpec.from_json(obj) == ModelSpec((LayerSpec(2, 3), LayerSpec(3, 2, "identity")), 1)
 
 
 class TestLinearizeBase:

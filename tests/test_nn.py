@@ -251,7 +251,7 @@ class TestLockstepPlan:
         block, _ = weight_block([[(np.zeros((2, 1)), np.zeros(2))]] * len(sets))
         plan = LockstepPlan(spec, RowBlock(sets), block, epochs, batch_size, 1)
         with pytest.raises(UsageError, match="whole set"):
-            plan.score(fedper.metrics.accuracy)
+            plan.score(fedper.metrics.correct)
 
     @staticmethod
     def pass_peak(num_clients):

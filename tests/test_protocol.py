@@ -52,11 +52,11 @@ def toy_spec(k_personal=1):
     )
 
 
-def toy_cfg(spec, num_clients=3, rounds=2, eta=0.05, fine_tune_flag=False, seed=77):
+def toy_cfg(spec, num_clients=3, rounds=2, eta=0.05, fine_tune_flag=False, seed=77, batch_size=4):
     return RunConfig(
         spec=spec,
         rounds=rounds,
-        sgd=SgdConfig(eta, 2, 4),
+        sgd=SgdConfig(eta, 2, batch_size),
         fine_tune=fine_tune_flag,
         master_seed=seed,
         partition=PartitionSpec(mode="k_class", num_clients=num_clients, k=1, seed=1),
@@ -506,6 +506,14 @@ class TestFedAvgEquivalence:
         reference = self.reference_fedavg(cfg, data)
         assert ours.history == reference
 
+    def test_batches_of_three_match_reference_bitwise(self):
+        """Batches of 3 and 1: dividing the gradient by 3 rounds, where
+        batches of 4 and 1, as above, divide exactly."""
+        spec = toy_spec(k_personal=0)
+        cfg = toy_cfg(spec, num_clients=3, rounds=3, seed=7, batch_size=3)
+        data = toy_client_data(spec, 3, np.random.default_rng(16), n_train=10, n_test=4)
+        assert run_federation(cfg, data).history == self.reference_fedavg(cfg, data)
+
 
 @st.composite
 def federations(draw):
@@ -631,7 +639,7 @@ class TestStackedEvaluation:
         with mock.patch.object(fedper.nn, "ROW_BUDGET", max_rows):
             rows = fedper.nn.RowBlock(sets)
             plan = fedper.nn.LockstepPlan(spec, rows, block, 1, max(lengths), n_layers)
-            for i, measure in enumerate((fedper.metrics.accuracy, fedper.metrics.mean_loss)):
+            for i, measure in enumerate((fedper.metrics.correct, fedper.nn.cross_entropy)):
                 stacked = plan.score(measure)
                 assert repr(stacked) == repr([r[i] for r in alone])  # repr tells -0.0 from 0.0
 
