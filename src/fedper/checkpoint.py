@@ -33,6 +33,11 @@ def atomic_write(path: Path, data: str | bytes) -> None:
         raise
 
 
+def write_json(path: Path, obj) -> None:
+    """atomic_write of obj as JSON: keys sorted, indented by two, a final newline."""
+    atomic_write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
 def save_weights(
     prefix: str | Path, weights: Layers, split_index: int, clients: int | None = None
 ) -> tuple[Path, Path]:
@@ -58,7 +63,7 @@ def save_weights(
         manifest["clients"] = int(clients)
     manifest_path = Path(str(prefix) + MANIFEST_SUFFIX)
     blob_path = Path(str(prefix) + BLOB_SUFFIX)
-    atomic_write(manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    write_json(manifest_path, manifest)
     atomic_write(blob_path, weights_blob(weights))
     return manifest_path, blob_path
 

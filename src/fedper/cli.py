@@ -4,7 +4,6 @@ partition manifest.  Exit codes: 0 ok, 1 runtime error, 2 usage error."""
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import stat
 import sys
@@ -12,8 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import atomic_write
-from .config import SWEEP_AXES, apply_overrides, build_dataset, default_config, echo_config, load_config_file
+from .checkpoint import write_json
+from .config import SWEEP_AXES, apply_overrides, build_dataset, default_config, load_config_file
 from .config import parse_value, resolve, resolve_sweep
 from .data import K_CLASS, partition_indices
 from .errors import ConfigError, SimulationError, UsageError
@@ -75,7 +74,7 @@ def cmd_run(args) -> int:
     fmt = resolved.output["format"]
     emit(result.history, fmt, out_dir / f"{run_id}_history.{fmt}")
     write_checkpoint(out_dir / "checkpoints", "final", result.layers, resolved.run.spec.k_base)
-    echo_config(resolved, out_dir / f"{run_id}_config.json")
+    write_json(out_dir / f"{run_id}_config.json", resolved.effective)
     print(f"wrote {out_dir / f'{run_id}_history.{fmt}'}")
     return 0
 
@@ -90,7 +89,7 @@ def cmd_sweep(args) -> int:
     run_id, fmt = resolved.output["run_id"], resolved.output["format"]
     for value, history in zip(values, histories):
         emit(history, fmt, out_dir / f"{run_id}_{args.axis}_{value}.{fmt}")
-    echo_config(resolved, out_dir / f"{run_id}_config.json")
+    write_json(out_dir / f"{run_id}_config.json", resolved.effective)
     print(f"wrote {len(histories)} result file(s) under {out_dir}")
     return 0
 
@@ -120,7 +119,7 @@ def cmd_partition(args) -> int:
             for j, idx in enumerate(indices)
         ],
     }
-    atomic_write(out_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    write_json(out_path, manifest)
     print(f"wrote {out_path}")
     return 0
 

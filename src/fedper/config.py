@@ -15,7 +15,6 @@ from typing import Any, Callable, Sequence
 from . import rng as rngmod
 from .data import K_CLASS, PARTITION_MODES, LabeledDataset, PartitionSpec, load_csv
 from .data import synth_classification, synth_shells
-from .checkpoint import atomic_write
 from .errors import ConfigError, UsageError
 from .experiment import check_fits
 from .model import ModelSpec, linearize_base
@@ -197,7 +196,8 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
 class ResolvedConfig:
     """A validated config: the run to execute (algorithm and ablation applied
     to its model), the dataset and output sections, and the effective config
-    with every derived seed filled in."""
+    with every derived seed filled in: re-running from it reproduces the run
+    bitwise."""
 
     run: RunConfig
     dataset: dict
@@ -270,7 +270,7 @@ def resolve(cfg: dict) -> ResolvedConfig:
     if ds_cfg["kind"] != "csv":
         # both generators give every class exactly per_class samples
         num_classes, per_class = ds_cfg["num_classes"], ds_cfg["per_class"]
-        check_fits(run, ds_cfg["dim"], num_classes, num_classes * per_class, lambda: [per_class] * num_classes)
+        check_fits(run, ds_cfg["dim"], num_classes, num_classes * per_class, [per_class] * num_classes)
     return ResolvedConfig(run, ds_cfg, out_cfg, cfg)
 
 
@@ -347,9 +347,3 @@ def build_dataset(ds_cfg: dict) -> LabeledDataset:
         ds_cfg["cluster_permutation"], ds_cfg["clusters"], ds_cfg["num_classes"], ds_cfg["cluster_shift"]
     )
     return synth_classification(**sizes, label_permutations=perms, sigma=float(ds_cfg["sigma"]))
-
-
-def echo_config(resolved: ResolvedConfig, path: Path) -> None:
-    """Write the effective config; re-running from this file reproduces the
-    run bitwise (all derived seeds are materialized)."""
-    atomic_write(path, json.dumps(resolved.effective, sort_keys=True, indent=2) + "\n")

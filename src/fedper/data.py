@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -150,46 +150,43 @@ def synth_shells(
     return LabeledDataset(np.concatenate(shells), np.repeat(np.arange(num_classes), per_class), num_classes)
 
 
-def check_partition_size(
-    spec: PartitionSpec, n: int, num_classes: int, class_counts: Callable[[], Sequence[int]], split: bool = False
-) -> None:
+def _check_buildable(spec: PartitionSpec, n: int, num_classes: int, sizes: list[int]) -> None:
+    """Raise ConfigError if spec cannot be built on n samples: an
+    unbalanced_users client could draw more than n, or a k_class client's
+    shares, sizes[j] samples in all, leave it none."""
+    if spec.mode == UNBALANCED_USERS and spec.volume_range[1] > n:
+        raise ConfigError(f"volume_range max {spec.volume_range[1]} exceeds dataset size {n}")
+    if 0 in sizes:
+        j = sizes.index(0)
+        raise ConfigError(
+            f"k_class client {j} would get no sample: each of its classes "
+            f"{client_classes(spec, num_classes)[j]} has fewer samples than clients allowed it"
+        )
+
+
+def check_partition_size(spec: PartitionSpec, n: int, num_classes: int, class_counts: Sequence[int]) -> None:
     """Raise ConfigError unless n samples of num_classes classes, class c
-    having class_counts()[c] of them, can be partitioned under spec: an
-    unbalanced_users client draws up to volume_range max of them, and every
-    k_class client must get some, as it takes the class_shares of its
-    classes.  class_counts is called only once k_class_owners has found
-    every class held by a client, so labels that imply far more classes
-    than the clients hold are never counted class by class.  With split,
-    each client's n_j samples (its shares, or its drawn client_volume) must
-    exceed ceil(train_fraction * n_j), leaving it a test sample."""
-    if spec.mode == UNBALANCED_USERS:
-        lo, hi = spec.volume_range
-        if hi > n:
-            raise ConfigError(f"volume_range max {hi} exceeds dataset size {n}")
-        # a test set never shrinks as the volume grows: draw volumes only if the least keeps none
-        drawn = split and lo == math.ceil(spec.train_fraction * lo)
-        sizes = [client_volume(spec, j)[1] for j in range(spec.num_clients)] if drawn else []
-    else:  # k_class gives every sample to exactly one client
+    having class_counts[c] of them, can be partitioned under spec, leaving
+    every client a sample and a test sample: an unbalanced_users client
+    draws up to volume_range max of them, every k_class client takes the
+    class_shares of its classes, and each client's n_j samples (its shares,
+    or its drawn client_volume) must exceed ceil(train_fraction * n_j)."""
+    sizes: list[int] = []
+    if spec.mode == K_CLASS:  # k_class gives every sample to exactly one client
         if spec.num_clients > n:
             raise ConfigError(f"{spec.num_clients} k_class clients exceed the {n} samples; some would get none")
         sizes, owners = [0] * spec.num_clients, k_class_owners(spec, num_classes)
-        for count, clients in zip(class_counts(), owners):
+        for count, clients in zip(class_counts, owners):
             for j, take in zip(clients, class_shares(int(count), len(clients))):
                 sizes[j] += take
-        if 0 in sizes:
-            j = sizes.index(0)
-            raise ConfigError(
-                f"k_class client {j} would get no sample: each of its classes "
-                f"{client_classes(spec, num_classes)[j]} has fewer samples than clients allowed it"
-            )
-    for j, n_j in enumerate(sizes if split else []):
+    _check_buildable(spec, n, num_classes, sizes)
+    lo = spec.volume_range[0]
+    # a test set never shrinks as the volume grows: draw volumes only if the least keeps none
+    if spec.mode == UNBALANCED_USERS and lo == math.ceil(spec.train_fraction * lo):
+        sizes = [client_volume(spec, j)[1] for j in range(spec.num_clients)]
+    for j, n_j in enumerate(sizes):
         if n_j == math.ceil(spec.train_fraction * n_j):
             raise ConfigError(f"client {j} has an empty test set: its split trains on all {n_j} of its samples")
-
-
-def check_partition_fits(spec: PartitionSpec, ds: LabeledDataset) -> None:
-    """check_partition_size on the dataset's samples."""
-    check_partition_size(spec, len(ds), ds.num_classes, lambda: np.bincount(ds.y, minlength=ds.num_classes))
 
 
 def client_classes(spec: PartitionSpec, num_classes: int) -> list[list[int]]:
@@ -241,7 +238,7 @@ def partition_k_class_indices(ds: LabeledDataset, spec: PartitionSpec) -> list[n
     clients (k_class_owners); within-share selection is shuffled by the
     spec seed.  The result is an exact partition of the dataset's indices;
     a client whose classes have too few samples gets none
-    (check_partition_size refuses that).
+    (partition_indices refuses that).
     """
     gen = rngmod.stream(spec.seed, rngmod.PARTITION)
     shares: list[list[np.ndarray]] = [[] for _ in range(spec.num_clients)]
@@ -266,21 +263,23 @@ def partition_unbalanced_indices(ds: LabeledDataset, spec: PartitionSpec) -> lis
 
     Client j draws its volume n_j uniformly from volume_range and then n_j
     items without replacement, all from its own seeded stream; different
-    clients may overlap.
+    clients may overlap.  A volume_range max above len(ds) is refused.
     """
     if spec.mode != UNBALANCED_USERS:
         raise ConfigError(f"partition mode is {spec.mode!r}, expected {UNBALANCED_USERS!r}")
-    check_partition_fits(spec, ds)
+    _check_buildable(spec, len(ds), ds.num_classes, [])
     volumes = (client_volume(spec, j) for j in range(spec.num_clients))
     return [gen.choice(len(ds), size=n_j, replace=False) for gen, n_j in volumes]
 
 
 def partition_indices(ds: LabeledDataset, spec: PartitionSpec) -> list[np.ndarray]:
-    """Each client's sample indices, once check_partition_size passes."""
-    if spec.mode == K_CLASS:
-        check_partition_fits(spec, ds)
-        return partition_k_class_indices(ds, spec)
-    return partition_unbalanced_indices(ds, spec)
+    """Each client's sample indices.  Refuses only a partition it cannot
+    build (_check_buildable); experiment.check_fits refuses the rest."""
+    if spec.mode == UNBALANCED_USERS:
+        return partition_unbalanced_indices(ds, spec)
+    indices = partition_k_class_indices(ds, spec)
+    _check_buildable(spec, len(ds), ds.num_classes, [len(idx) for idx in indices])
+    return indices
 
 
 def relabel(spec: PartitionSpec, client_id: int, y: np.ndarray, num_classes: int) -> np.ndarray:

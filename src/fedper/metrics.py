@@ -6,14 +6,13 @@ pass with one client."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .checkpoint import atomic_write
+from .checkpoint import atomic_write, write_json
 from .errors import SimulationError, UsageError
 from .nn import Layers, LockstepPlan, RowBlock, check_data, check_weights, cross_entropy, weight_block
 
@@ -106,6 +105,6 @@ def emit(history: "RoundHistory", fmt: str, path: str | Path) -> None:
             lines.extend(",".join(_format_cell(row[c]) for c in columns) for row in rows)
             atomic_write(path, "\n".join(lines) + "\n")
         else:
-            atomic_write(path, json.dumps(rows, sort_keys=True, indent=2) + "\n")
+            write_json(path, rows)
     except OSError as exc:
         raise SimulationError(f"cannot write {path}: {exc}") from exc

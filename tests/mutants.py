@@ -2,13 +2,14 @@
 
     python tests/mutants.py [NAME ...]
 
-Each mutant is one exact text edit to a copy of src/: a rewrite that looks
-harmless but breaks a contract the gates are meant to hold.  For each named
+Each mutant is a few exact text edits to one file of a copy of src/: a
+rewrite that looks harmless but breaks a contract the gates are meant to
+hold.  For each named
 mutant (all by default) the repository's src/, tests/ and pyproject.toml are
 copied to a temporary directory, the edit is made there, and the mutant's
 gates are run on the copy with pytest.  A mutant is killed when every one of
 its gates fails, and survives when one passes.  Exits 1 if any survived.
-tests/test_mutants.py checks, in tier-1, that each old text still occurs
+tests/test_mutants.py checks, in tier-1, that every old text still occurs
 exactly once in src/, so this list cannot rot unseen."""
 
 from __future__ import annotations
@@ -29,23 +30,24 @@ REPO = Path(__file__).resolve().parent.parent
 class Mutant:
     name: str
     path: str  # relative to src/fedper
-    old: str
-    new: str
+    edits: tuple[tuple[str, str], ...]  # (old text, new text), made in order
     gates: tuple[str, ...]  # pytest node ids, each of which must fail
 
     def apply(self, src: Path) -> None:
         path = src / "fedper" / self.path
         text = path.read_text()
-        if text.count(self.old) != 1:
-            raise ValueError(f"{self.name}: the old text occurs {text.count(self.old)} times in {self.path}")
-        path.write_text(text.replace(self.old, self.new))
+        for old, new in self.edits:
+            if text.count(old) != 1:
+                raise ValueError(f"{self.name}: {old!r} occurs {text.count(old)} times in {self.path}")
+            text = text.replace(old, new)
+        path.write_text(text)
 
 
 MUTANTS = (
     # the per-row batch-size division is not its reciprocal's multiply;
     # tests/reference.py runs its own backward pass, which divides
     Mutant(
-        "reciprocal-batch-division", "nn.py", "    delta /= counts\n", "    delta *= 1 / counts\n",
+        "reciprocal-batch-division", "nn.py", (("    delta /= counts\n", "    delta *= 1 / counts\n"),),
         (
             "tests/test_golden.py",
             "tests/test_protocol.py::TestTrainingReference",
@@ -56,7 +58,7 @@ MUTANTS = (
     # aggregation adds the weighted client deltas in client order
     Mutant(
         "reverse-aggregation-order", "protocol.py",
-        "    return np.add.reduce(d, axis=0)\n", "    return np.add.reduce(d[::-1], axis=0)\n",
+        (("    return np.add.reduce(d, axis=0)\n", "    return np.add.reduce(d[::-1], axis=0)\n"),),
         (
             "tests/test_golden.py",
             "tests/test_protocol.py::TestTrainingReference",
@@ -67,17 +69,20 @@ MUTANTS = (
     # the fine-tune pass trains the personal layers only, the base frozen
     Mutant(
         "fine-tune-trains-base", "protocol.py",
-        "cfg.sgd.batch_size, spec.k_base, sgd_plan.workspace)", "cfg.sgd.batch_size, 0, sgd_plan.workspace)",
+        (("cfg.sgd.batch_size, spec.k_base, sgd_plan.workspace)", "cfg.sgd.batch_size, 0, sgd_plan.workspace)"),),
         (
             "tests/test_golden.py",
             "tests/test_protocol.py::TestTrainingReference",
+            "tests/test_experiment.py::TestFineTunedRun",
         ),
     ),
     # every client of a pass draws its batches from its own stream
     Mutant(
         "shared-pass-generator", "protocol.py",
-        "    return [_client_stream(cfg, c.client_id, round_idx, purpose) for c in clients]\n",
-        "    return [_client_stream(cfg, clients[0].client_id, round_idx, purpose)] * len(clients)\n",
+        ((
+            "    return [_client_stream(cfg, c.client_id, round_idx, purpose) for c in clients]\n",
+            "    return [_client_stream(cfg, clients[0].client_id, round_idx, purpose)] * len(clients)\n",
+        ),),
         (
             "tests/test_golden.py",
             "tests/test_protocol.py::TestTrainingReference",
@@ -87,8 +92,10 @@ MUTANTS = (
     # a client's upload carries its base update, never its personal layers
     Mutant(
         "personal-payload-on-the-wire", "protocol.py",
-        "server.log(client_name(c.client_id), SERVER, MSG_BASE_WEIGHTS)",
-        "server.log(client_name(c.client_id), SERVER, MSG_PERSONAL_WEIGHTS)",
+        ((
+            "server.log(client_name(c.client_id), SERVER, MSG_BASE_WEIGHTS)",
+            "server.log(client_name(c.client_id), SERVER, MSG_PERSONAL_WEIGHTS)",
+        ),),
         (
             "tests/test_acceptance.py::test_criterion_04_privacy_invariant",
             "tests/test_protocol.py::TestRunFederation::test_privacy_no_personal_payloads_and_log_shape",
@@ -97,17 +104,56 @@ MUTANTS = (
     # an argmax tie goes to the lowest class
     Mutant(
         "tie-to-highest-class", "metrics.py",
-        "(np.argmax(logits, axis=-1) == y)", "(logits.shape[-1] - 1 - np.argmax(logits[:, ::-1], axis=-1) == y)",
+        (("(np.argmax(logits, axis=-1) == y)", "(logits.shape[-1] - 1 - np.argmax(logits[:, ::-1], axis=-1) == y)"),),
         (
             "tests/test_metrics.py::TestEvaluate::test_tie_breaks_to_lowest_index",
             "tests/test_protocol.py::TestStackedEvaluation",
             "tests/test_protocol.py::TestTrainingReference",
         ),
     ),
+    # a step scales the gradients by eta after the gemms, not the delta
+    # before them: the products round differently
+    Mutant(
+        "eta-folded-into-the-delta", "nn.py",
+        (
+            ("    onehot: np.ndarray, counts, first_trained: int = 0,\n",
+             "    onehot: np.ndarray, counts, first_trained: int = 0, eta: float = 1.0,\n"),
+            ("    delta /= counts\n", "    delta /= counts\n    delta *= eta\n"),
+            ("axis=0), counts, first)\n", "axis=0), counts, first, eta)\n"),
+            ("            g *= eta\n", ""),
+        ),
+        (
+            "tests/test_golden.py",
+            "tests/test_protocol.py::TestTrainingReference",
+            "tests/test_protocol.py::TestFedAvgEquivalence",
+        ),
+    ),
+    # each client's gemm runs on its own slice, even for the base layers
+    # every member of a launch shares
+    Mutant(
+        "shared-layers-as-one-tall-gemm", "nn.py",
+        (
+            ("segments: Sequence[list[tuple]]) -> np.ndarray:\n",
+             "segments: Sequence[list[tuple]], shared: int = 0) -> np.ndarray:\n"),
+            ("            np.matmul(x, wt, out=z)\n",
+             "            if i < shared:\n"
+             "                np.matmul(acts[i], wt[0], out=acts[i + 1])\n"
+             "                acts[i + 1] += bias[0]\n"
+             "                break\n"
+             "            np.matmul(x, wt, out=z)\n"),
+            ("            _forward(spec, acts, segments)\n",
+             "            _forward(spec, acts, segments, min(first, spec.k_base))\n"),
+            ("measure(_forward(self.spec, acts, segments),", "measure(_forward(self.spec, acts, segments, self.spec.k_base),"),
+        ),
+        (
+            "tests/test_golden.py",
+            "tests/test_protocol.py::TestTrainingReference",
+            "tests/test_protocol.py::TestStackedEvaluation",
+        ),
+    ),
     # the fit check leaves every client a test sample
     Mutant(
-        "fit-check-without-split", "experiment.py",
-        "class_counts, split=True)", "class_counts, split=False)",
+        "fit-check-without-split", "data.py", (("enumerate(sizes)", "enumerate([])"),),
         (
             "tests/test_cli.py::TestInputValidation::"
             "test_a_config_that_does_not_fit_its_data_is_refused_by_every_command",

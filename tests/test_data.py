@@ -2,15 +2,18 @@ import collections
 import itertools
 import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedper.data
 from fedper.data import (
     LabeledDataset,
     PartitionSpec,
+    check_partition_size,
     class_means,
     client_classes,
     load_csv,
@@ -154,8 +157,8 @@ class TestKClassPartition:
         assert peak < 4 * 2**20
 
     def test_size_rule_counts_classes_only_once_they_fit_the_clients(self):
-        """partition's size rule finds the uncovered class before it counts
-        the samples of each of the 2,000,001 classes."""
+        """partition finds the uncovered class before it gathers the
+        samples of each of the 2,000,001 classes."""
         ds = LabeledDataset(np.zeros((5, 8)), [0, 1, 2, 3, 2_000_000], 2_000_001)
         spec = PartitionSpec(mode="k_class", num_clients=5, k=2, seed=0)
         tracemalloc.start()
@@ -166,6 +169,21 @@ class TestKClassPartition:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    def test_client_left_without_a_sample_refused_from_its_shares(self, monkeypatch):
+        """partition refuses a client its shares leave empty with the fit
+        check's message, from the shares it cut: it runs no size rule and
+        counts no classes."""
+        ds = synth_classification(4, 2, 1, seed=0)  # one sample per class
+        spec = PartitionSpec(mode="k_class", num_clients=4, k=2, seed=0)
+        with pytest.raises(ConfigError) as rule:
+            check_partition_size(spec, len(ds), ds.num_classes, [1] * 4)
+        monkeypatch.setattr(fedper.data, "check_partition_size", mock.Mock(side_effect=AssertionError("size rule")))
+        monkeypatch.setattr(np, "bincount", mock.Mock(side_effect=AssertionError("classes counted")))
+        with pytest.raises(ConfigError) as refused:
+            partition(ds, spec)
+        assert str(refused.value) == str(rule.value)
+        assert str(refused.value).startswith("k_class client 3 would get no sample")
 
     def test_k_larger_than_c_rejected(self):
         ds = synth_classification(2, 2, 5, seed=0)

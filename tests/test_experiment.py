@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 import fedper.experiment
 from fedper.config import apply_overrides, build_dataset, default_config, resolve, resolve_sweep, sweep_seed
-from fedper.data import PartitionSpec, partition, synth_classification, train_test_split
+from fedper.data import LabeledDataset, PartitionSpec, partition, synth_classification, train_test_split
 from fedper.errors import ConfigError, UsageError
 from fedper.experiment import check_dataset, check_fits, client_shards, run_experiment, run_sweep
 from fedper.model import ModelSpec
-from fedper.nn import LayerSpec, RowBlock, SgdConfig
+from fedper.nn import LayerSpec, LockstepPlan, RowBlock, SgdConfig
 from fedper.protocol import RunConfig
 from fedper.rng import SPLIT, derive_seed
 
@@ -41,6 +41,27 @@ def sweep_setup(axis, values, rounds=3):
     ])
     base, runs = resolve_sweep(cfg, axis, values)
     return base, runs, build_dataset(base.dataset)
+
+
+class TestFineTunedRun:
+    def test_each_round_fine_tunes_with_the_base_frozen_then_trains_it(self, monkeypatch):
+        """Every round of a fine-tuned run first runs the one-epoch
+        fine-tune pass, which leaves the base columns of the weight block
+        bitwise unchanged, then the SGD pass, which changes them."""
+        cfg, ds = base_setup(rounds=2)
+        cfg = replace(cfg, fine_tune=True)
+        nbase = sum(s.out_dim * (s.in_dim + 1) for s in cfg.spec.base_layers)
+        passes, run = [], LockstepPlan.run
+
+        def recorded(plan, rngs, eta):
+            before = plan.block[:, :nbase].tobytes()
+            run(plan, rngs, eta)
+            passes.append((plan.epochs, plan.block[:, :nbase].tobytes() == before))
+
+        monkeypatch.setattr(LockstepPlan, "run", recorded)
+        run_experiment(cfg, ds)
+        assert cfg.sgd.epochs != 1
+        assert passes == [(1, True), (cfg.sgd.epochs, False)] * cfg.rounds
 
 
 class TestPipeline:
@@ -207,6 +228,14 @@ class TestFitCheck:
         ds = build_dataset(ds_cfg)
         assert ds.X.shape == (num_classes * per_class, ds_cfg["dim"]) and ds.num_classes == num_classes
         assert np.bincount(ds.y, minlength=num_classes).tolist() == [per_class] * num_classes
-        declared = refusal(check_fits, run, ds_cfg["dim"], num_classes, len(ds), lambda: [per_class] * num_classes)
+        declared = refusal(check_fits, run, ds_cfg["dim"], num_classes, len(ds), [per_class] * num_classes)
         assert declared == refusal(check_dataset, run, ds)
         assert declared == refusal(resolve, cfg)
+
+    def test_labels_are_counted_only_once_the_model_scores_their_classes(self):
+        """A loaded label can imply more classes than memory could count:
+        the model's width refuses them first."""
+        cfg, _ = base_setup()
+        ds = LabeledDataset(np.zeros((2, 4)), [0, 2**60], 2**60 + 1)
+        with pytest.raises(ConfigError, match=f"model output dim 4 != dataset classes {2**60 + 1}"):
+            check_dataset(cfg, ds)

@@ -11,7 +11,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
 def test_each_mutants_old_text_occurs_exactly_once_in_src(mutant):
-    """A mutant edits one place: its old text must still name exactly one
-    spot in src/, or the mutation check would test nothing."""
-    assert sum(path.read_text().count(mutant.old) for path in SRC.rglob("*.py")) == 1
-    assert (SRC / "fedper" / mutant.path).read_text().count(mutant.old) == 1
+    """Each edit of a mutant changes one place: its old text must still name
+    exactly one spot in src/, or the mutation check would test nothing."""
+    assert mutant.edits
+    for old, _ in mutant.edits:
+        assert sum(path.read_text().count(old) for path in SRC.rglob("*.py")) == 1, old
+        assert (SRC / "fedper" / mutant.path).read_text().count(old) == 1, old
