@@ -270,7 +270,7 @@ def resolve(cfg: dict) -> ResolvedConfig:
     if ds_cfg["kind"] != "csv":
         # both generators give every class exactly per_class samples
         num_classes, per_class = ds_cfg["num_classes"], ds_cfg["per_class"]
-        check_fits(run, ds_cfg["dim"], num_classes, num_classes * per_class, [per_class] * num_classes)
+        check_fits(run, ds_cfg["dim"], num_classes, num_classes * per_class, lambda: [per_class] * num_classes)
     return ResolvedConfig(run, ds_cfg, out_cfg, cfg)
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -150,12 +150,8 @@ def synth_shells(
     return LabeledDataset(np.concatenate(shells), np.repeat(np.arange(num_classes), per_class), num_classes)
 
 
-def _check_buildable(spec: PartitionSpec, n: int, num_classes: int, sizes: list[int]) -> None:
-    """Raise ConfigError if spec cannot be built on n samples: an
-    unbalanced_users client could draw more than n, or a k_class client's
-    shares, sizes[j] samples in all, leave it none."""
-    if spec.mode == UNBALANCED_USERS and spec.volume_range[1] > n:
-        raise ConfigError(f"volume_range max {spec.volume_range[1]} exceeds dataset size {n}")
+def _check_every_client_sampled(spec: PartitionSpec, num_classes: int, sizes: list[int]) -> None:
+    """Raise ConfigError if a k_class client's shares, sizes[j] samples in all, leave it none."""
     if 0 in sizes:
         j = sizes.index(0)
         raise ConfigError(
@@ -164,26 +160,32 @@ def _check_buildable(spec: PartitionSpec, n: int, num_classes: int, sizes: list[
         )
 
 
-def check_partition_size(spec: PartitionSpec, n: int, num_classes: int, class_counts: Sequence[int]) -> None:
+def check_partition_size(
+    spec: PartitionSpec, n: int, num_classes: int, class_counts: Callable[[], Sequence[int]]
+) -> None:
     """Raise ConfigError unless n samples of num_classes classes, class c
-    having class_counts[c] of them, can be partitioned under spec, leaving
-    every client a sample and a test sample: an unbalanced_users client
-    draws up to volume_range max of them, every k_class client takes the
-    class_shares of its classes, and each client's n_j samples (its shares,
-    or its drawn client_volume) must exceed ceil(train_fraction * n_j)."""
-    sizes: list[int] = []
-    if spec.mode == K_CLASS:  # k_class gives every sample to exactly one client
+    having class_counts()[c] of them, can be partitioned under spec with
+    each client's n_j samples (the class_shares of its k_class classes, or
+    its unbalanced_users client_volume, at most volume_range max) above
+    ceil(train_fraction * n_j), leaving it a test sample.  class_counts is
+    called only once k_class_owners has found every class held by a client,
+    so labels that imply far more classes than the clients hold are never
+    counted class by class."""
+    if spec.mode == UNBALANCED_USERS:
+        lo, hi = spec.volume_range
+        if hi > n:
+            raise ConfigError(f"volume_range max {hi} exceeds dataset size {n}")
+        # a test set never shrinks as the volume grows: draw volumes only if the least keeps none
+        drawn = lo == math.ceil(spec.train_fraction * lo)
+        sizes = [client_volume(spec, j)[1] for j in range(spec.num_clients)] if drawn else []
+    else:  # k_class gives every sample to exactly one client
         if spec.num_clients > n:
             raise ConfigError(f"{spec.num_clients} k_class clients exceed the {n} samples; some would get none")
         sizes, owners = [0] * spec.num_clients, k_class_owners(spec, num_classes)
-        for count, clients in zip(class_counts, owners):
+        for count, clients in zip(class_counts(), owners):
             for j, take in zip(clients, class_shares(int(count), len(clients))):
                 sizes[j] += take
-    _check_buildable(spec, n, num_classes, sizes)
-    lo = spec.volume_range[0]
-    # a test set never shrinks as the volume grows: draw volumes only if the least keeps none
-    if spec.mode == UNBALANCED_USERS and lo == math.ceil(spec.train_fraction * lo):
-        sizes = [client_volume(spec, j)[1] for j in range(spec.num_clients)]
+        _check_every_client_sampled(spec, num_classes, sizes)
     for j, n_j in enumerate(sizes):
         if n_j == math.ceil(spec.train_fraction * n_j):
             raise ConfigError(f"client {j} has an empty test set: its split trains on all {n_j} of its samples")
@@ -267,18 +269,19 @@ def partition_unbalanced_indices(ds: LabeledDataset, spec: PartitionSpec) -> lis
     """
     if spec.mode != UNBALANCED_USERS:
         raise ConfigError(f"partition mode is {spec.mode!r}, expected {UNBALANCED_USERS!r}")
-    _check_buildable(spec, len(ds), ds.num_classes, [])
+    if spec.volume_range[1] > len(ds):
+        raise ConfigError(f"volume_range max {spec.volume_range[1]} exceeds dataset size {len(ds)}")
     volumes = (client_volume(spec, j) for j in range(spec.num_clients))
     return [gen.choice(len(ds), size=n_j, replace=False) for gen, n_j in volumes]
 
 
 def partition_indices(ds: LabeledDataset, spec: PartitionSpec) -> list[np.ndarray]:
-    """Each client's sample indices.  Refuses only a partition it cannot
-    build (_check_buildable); experiment.check_fits refuses the rest."""
+    """Each client's sample indices.  Refuses only a volume_range past the data
+    and a k_class client left without a sample; experiment.check_fits the rest."""
     if spec.mode == UNBALANCED_USERS:
         return partition_unbalanced_indices(ds, spec)
     indices = partition_k_class_indices(ds, spec)
-    _check_buildable(spec, len(ds), ds.num_classes, [len(idx) for idx in indices])
+    _check_every_client_sampled(spec, ds.num_classes, [len(idx) for idx in indices])
     return indices
 
 

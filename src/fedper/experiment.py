@@ -5,7 +5,7 @@ personalization depth, algorithm)."""
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,9 +42,9 @@ def client_shards(ds: LabeledDataset, spec: PartitionSpec) -> list[tuple[Labeled
     return list(zip(*shards))
 
 
-def check_fits(cfg: RunConfig, dim: int, num_classes: int, n: int, class_counts: Sequence[int]) -> None:
+def check_fits(cfg: RunConfig, dim: int, num_classes: int, n: int, class_counts: Callable[[], Sequence[int]]) -> None:
     """Reject a run that does not fit a dataset of n samples of dim features
-    and num_classes classes, class c having class_counts[c] of them: its
+    and num_classes classes, class c having class_counts()[c] of them: its
     model must map dim features to num_classes scores, and its partition
     must leave every client a sample and a test sample
     (data.check_partition_size).  This is the one check of a run against
@@ -59,11 +59,8 @@ def check_fits(cfg: RunConfig, dim: int, num_classes: int, n: int, class_counts:
 
 def check_dataset(cfg: RunConfig, ds: LabeledDataset) -> None:
     """check_fits on ds's shape, before any partitioning or training: every
-    command checks its runs against the dataset it built or loaded.  Labels
-    are counted only if the model scores their classes: a csv label can
-    imply more classes than memory holds."""
-    counts = np.bincount(ds.y, minlength=ds.num_classes) if cfg.spec.out_dim == ds.num_classes else []
-    check_fits(cfg, ds.X.shape[1], ds.num_classes, len(ds), counts)
+    command checks its runs against the dataset it built or loaded."""
+    check_fits(cfg, ds.X.shape[1], ds.num_classes, len(ds), lambda: np.bincount(ds.y, minlength=ds.num_classes))
 
 
 def run_experiment(

@@ -177,7 +177,7 @@ class TestKClassPartition:
         ds = synth_classification(4, 2, 1, seed=0)  # one sample per class
         spec = PartitionSpec(mode="k_class", num_clients=4, k=2, seed=0)
         with pytest.raises(ConfigError) as rule:
-            check_partition_size(spec, len(ds), ds.num_classes, [1] * 4)
+            check_partition_size(spec, len(ds), ds.num_classes, lambda: [1] * 4)
         monkeypatch.setattr(fedper.data, "check_partition_size", mock.Mock(side_effect=AssertionError("size rule")))
         monkeypatch.setattr(np, "bincount", mock.Mock(side_effect=AssertionError("classes counted")))
         with pytest.raises(ConfigError) as refused:

@@ -228,7 +228,7 @@ class TestFitCheck:
         ds = build_dataset(ds_cfg)
         assert ds.X.shape == (num_classes * per_class, ds_cfg["dim"]) and ds.num_classes == num_classes
         assert np.bincount(ds.y, minlength=num_classes).tolist() == [per_class] * num_classes
-        declared = refusal(check_fits, run, ds_cfg["dim"], num_classes, len(ds), [per_class] * num_classes)
+        declared = refusal(check_fits, run, ds_cfg["dim"], num_classes, len(ds), lambda: [per_class] * num_classes)
         assert declared == refusal(check_dataset, run, ds)
         assert declared == refusal(resolve, cfg)
 
@@ -239,3 +239,11 @@ class TestFitCheck:
         ds = LabeledDataset(np.zeros((2, 4)), [0, 2**60], 2**60 + 1)
         with pytest.raises(ConfigError, match=f"model output dim 4 != dataset classes {2**60 + 1}"):
             check_dataset(cfg, ds)
+
+    @pytest.mark.parametrize("num_classes", [10**10, 10**19])
+    def test_declared_classes_are_counted_only_once_the_model_scores_them(self, num_classes):
+        """resolve refuses a synthetic config declaring more classes than
+        memory could count by the model's width, before it counts any."""
+        cfg = apply_overrides(default_config(), [f"dataset.num_classes={num_classes}"])
+        with pytest.raises(ConfigError, match=f"model output dim 4 != dataset classes {num_classes}$"):
+            resolve(cfg)
