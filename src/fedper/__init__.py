@@ -7,7 +7,6 @@ from .data import (
     PartitionSpec,
     load_csv,
     partition,
-    save_csv,
     synth_classification,
     synth_shells,
     train_test_split,

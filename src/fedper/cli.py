@@ -48,20 +48,20 @@ def _creatable(path: Path, is_dir: bool) -> Path:
     return path
 
 
-def _out_dir(args, resolved) -> Path:
+def _out_dir(args, output: dict) -> Path:
     """The output directory, checked before anything trains."""
     if getattr(args, "out", None):
         out = Path(args.out)
-    elif resolved.output["dir"]:
-        out = Path(resolved.output["dir"])
+    elif output["dir"]:
+        out = Path(output["dir"])
     else:
-        out = Path(os.environ.get(ENV_OUT_DIR, "out")) / resolved.output["run_id"]
+        out = Path(os.environ.get(ENV_OUT_DIR, "out")) / output["run_id"]
     return _creatable(out, is_dir=True)
 
 
 def cmd_run(args) -> int:
     resolved = resolve(_load(args))
-    out_dir = _out_dir(args, resolved)
+    out_dir = _out_dir(args, resolved.output)
     run_id = resolved.output["run_id"]
     # passed on unnamed, so that run_experiment can free it once sharded
     result = run_experiment(
@@ -82,21 +82,22 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     # each item is a --set value of the axis key; spaces around the commas are not part of it
     values = [parse_value(v.strip()) for v in args.values.split(",") if v.strip()]
-    resolved, runs = resolve_sweep(_load(args), args.axis, values)
-    out_dir = _out_dir(args, resolved)
-    histories = run_sweep(runs, build_dataset(resolved.dataset))
+    effective, runs = resolve_sweep(_load(args), args.axis, values)
+    output = effective["output"]
+    out_dir = _out_dir(args, output)
+    histories = run_sweep(runs, build_dataset(effective["dataset"]))
 
-    run_id, fmt = resolved.output["run_id"], resolved.output["format"]
+    run_id, fmt = output["run_id"], output["format"]
     for value, history in zip(values, histories):
         emit(history, fmt, out_dir / f"{run_id}_{args.axis}_{value}.{fmt}")
-    write_json(out_dir / f"{run_id}_config.json", resolved.effective)
+    write_json(out_dir / f"{run_id}_config.json", effective)
     print(f"wrote {len(histories)} result file(s) under {out_dir}")
     return 0
 
 
 def cmd_partition(args) -> int:
     resolved = resolve(_load(args))
-    out_path = Path(args.out) if args.out else _out_dir(args, resolved) / "partition_manifest.json"
+    out_path = Path(args.out) if args.out else _out_dir(args, resolved.output) / "partition_manifest.json"
     _creatable(out_path, is_dir=False)
     ds = build_dataset(resolved.dataset)
     check_dataset(resolved.run, ds)

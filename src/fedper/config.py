@@ -217,37 +217,42 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def resolve(cfg: dict) -> ResolvedConfig:
-    """Validate the merged config dict and build the domain objects.
-
-    Every key is checked against its kind in SCHEMA, whatever the other keys
-    say; the rules that span keys follow.  A synthetic config declares its
-    dataset's shape, so the run is checked against that shape
-    (experiment.check_fits) before the dataset is built; a csv run is
-    checked by experiment.check_dataset once its file is loaded.
-    algorithm=fedavg (FedPer with no personalization layers) forces
-    k_personal to 0, and ablation=linear_base collapses the base layers of
-    the run's model (the echoed config keeps the layers as given).
+def _effective(cfg: dict) -> dict:
+    """A copy of the merged config dict with every key checked against its
+    kind in SCHEMA, whatever the other keys say: algorithm=fedavg (FedPer
+    with no personalization layers) forces k_personal to 0, and
     dataset.seed and partition.seed default to values derived from
-    master_seed so one seed governs the run.
-    """
+    master_seed so one seed governs the run."""
     cfg = json.loads(json.dumps(cfg))
     for key, (_, (kind, test)) in SCHEMA.items():
         section, _, name = key.rpartition(".")
         value = (cfg[section] if section else cfg)[name]
         _require(test(value), f"{key} must be {kind}, got {value!r}")
+    if cfg["algorithm"] == "fedavg":
+        cfg["model"]["k_personal"] = 0
+    for section, purpose in (("dataset", rngmod.DATASET), ("partition", rngmod.PARTITION)):
+        if cfg[section]["seed"] is None:
+            cfg[section]["seed"] = rngmod.derive_seed(cfg["master_seed"], purpose)
+    return cfg
+
+
+def resolve(cfg: dict) -> ResolvedConfig:
+    """Validate the merged config dict and build the domain objects.
+
+    The effective config (_effective) comes first; the rules that span keys
+    follow.  A synthetic config declares its dataset's shape, so the run is
+    checked against that shape (experiment.check_fits) before the dataset
+    is built; a csv run is checked by experiment.check_dataset once its
+    file is loaded.  ablation=linear_base collapses the base layers of the
+    run's model (the echoed config keeps the layers as given).
+    """
+    cfg = _effective(cfg)
     model_cfg, sgd_cfg, ds_cfg, part_cfg, out_cfg = (
         cfg[section] for section in ("model", "sgd", "dataset", "partition", "output")
     )
-
-    if cfg["algorithm"] == "fedavg":
-        model_cfg["k_personal"] = 0
     spec = ModelSpec.from_json(model_cfg)
     if ds_cfg["kind"] == "csv":
         _require(ds_cfg["path"] is not None, "dataset.path is required for dataset.kind csv")
-    for section, purpose in ((ds_cfg, rngmod.DATASET), (part_cfg, rngmod.PARTITION)):
-        if section["seed"] is None:
-            section["seed"] = rngmod.derive_seed(cfg["master_seed"], purpose)
 
     run_id = out_cfg["run_id"]
     try:
@@ -285,13 +290,15 @@ def sweep_seed(master_seed: int, axis: str, value: int | str) -> int:
     return rngmod.derive_seed(master_seed, rngmod.SWEEP, list(SWEEP_AXES).index(axis), code)
 
 
-def resolve_sweep(cfg: dict, axis: str, values: Sequence[Any]) -> tuple[ResolvedConfig, list[RunConfig]]:
-    """The base run of the merged config dict, and one run per value: the
-    dict with the axis key set to the value, resolved as that run would be,
-    with the value's sweep_seed as master seed.  Its dataset and partition
-    seeds derive from the dict's master seed, so every point trains on the
-    base's shards.  The sweep's own rules, the base, every point and the
-    values' distinctness are checked before any data is built."""
+def resolve_sweep(cfg: dict, axis: str, values: Sequence[Any]) -> tuple[dict, list[RunConfig]]:
+    """The effective config of the merged config dict (see _effective),
+    which no run trains, and one run per value: the dict with the axis key
+    set to the value, resolved as that run would be, with the value's
+    sweep_seed as master seed.  Its dataset and partition seeds derive from
+    the dict's master seed, so every point trains on the base's shards.
+    The sweep's own rules, the kind of every base key, every point and the
+    values' distinctness are checked before any data is built: a sweep
+    refuses what one of its points refuses, and nothing else."""
     if axis not in SWEEP_AXES:
         raise UsageError(f"unknown sweep axis {axis!r}; expected one of {tuple(SWEEP_AXES)}")
     if len(values) == 0:
@@ -301,12 +308,12 @@ def resolve_sweep(cfg: dict, axis: str, values: Sequence[Any]) -> tuple[Resolved
         raise UsageError(f"axis k needs partition.mode {K_CLASS}; {mode} ignores k")
     if axis == "kp" and cfg["algorithm"] == "fedavg":
         raise UsageError("axis kp needs algorithm fedper; fedavg forces model.k_personal to 0 at every point")
-    base = resolve(cfg)
+    base = _effective(cfg)
     runs = []
     for value in values:
         point = json.loads(json.dumps(cfg))
         _set(point, SWEEP_AXES[axis].split("."), value)
-        runs.append(replace(resolve(point).run, master_seed=sweep_seed(base.run.master_seed, axis, value)))
+        runs.append(replace(resolve(point).run, master_seed=sweep_seed(base["master_seed"], axis, value)))
     # each point writes a file named by its value, so a repeat would overwrite
     # one; checked once every value is of its key's kind, where true is not 1
     repeated = [v for i, v in enumerate(values) if v in values[:i]]

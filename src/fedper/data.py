@@ -11,7 +11,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import rng as rngmod
-from .checkpoint import atomic_write
 from .errors import ConfigError, ParseError, ShapeError
 
 K_CLASS = "k_class"
@@ -317,14 +316,6 @@ def train_test_split(
     """Seeded shuffle, then ceil(fraction * n) samples to train, rest to test."""
     train, test = split_positions(len(ds), fraction, seed)
     return ds.subset(train), ds.subset(test)
-
-
-def save_csv(ds: LabeledDataset, path: str | Path) -> None:
-    """Write `f0,...,f{d-1},label` rows atomically; floats use repr so a reload is exact."""
-    lines = [",".join([f"f{i}" for i in range(ds.X.shape[1])] + ["label"])]
-    for x, y in zip(ds.X, ds.y):
-        lines.append(",".join([repr(float(v)) for v in x] + [str(int(y))]))
-    atomic_write(Path(path), "\n".join(lines) + "\n")
 
 
 def load_csv(path: str | Path) -> LabeledDataset:

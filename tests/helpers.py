@@ -1,14 +1,43 @@
-"""Shared test oracles, all independent of the library code paths they check."""
+"""Shared test oracles, all independent of the library code paths they
+check, the csv writer the tests make data files with, and the name of the
+BLAS core the bitwise gates run on."""
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+from pathlib import Path
 
 import numpy as np
 
+from fedper.checkpoint import atomic_write
 from fedper.data import LabeledDataset
 from fedper.model import ModelSpec
 from fedper.nn import Layers, LayerSpec
+
+
+# The OpenBLAS core the stored bitwise values (tests/test_golden.py and
+# perfbench/reference.json) were captured on; other cores round differently.
+GOLDEN_CORE = "SkylakeX"
+
+
+@functools.cache
+def blas_core() -> str:
+    """The core of numpy's bundled OpenBLAS that this process runs on, as
+    OpenBLAS names it, or "unknown" for another BLAS."""
+    libs = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+def core_note() -> str:
+    """For a bitwise mismatch: the core the stored values hold on, and this one's."""
+    return f"stored values were captured on OpenBLAS core {GOLDEN_CORE}; this process runs on {blas_core()}"
 
 
 def rand_spec(rng: np.random.Generator, max_layers: int = 3, max_dim: int = 8) -> ModelSpec:
@@ -34,6 +63,15 @@ def rand_batch(spec: ModelSpec, rng: np.random.Generator, size: int) -> LabeledD
     rows = [(rng.standard_normal(spec.in_dim), int(rng.integers(0, spec.out_dim))) for _ in range(size)]
     x = np.array([x for x, _ in rows]).reshape(size, spec.in_dim)
     return LabeledDataset(x, [y for _, y in rows], spec.out_dim)
+
+
+def save_csv(ds: LabeledDataset, path: str | Path) -> None:
+    """Write ds atomically as the `f0,...,f{d-1},label` rows
+    fedper.data.load_csv reads; floats use repr so a reload is exact."""
+    lines = [",".join([f"f{i}" for i in range(ds.X.shape[1])] + ["label"])]
+    for x, y in zip(ds.X, ds.y):
+        lines.append(",".join([repr(float(v)) for v in x] + [str(int(y))]))
+    atomic_write(Path(path), "\n".join(lines) + "\n")
 
 
 def minibatch_indices(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:

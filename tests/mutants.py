@@ -151,6 +151,54 @@ MUTANTS = (
             "tests/test_protocol.py::TestStackedEvaluation",
         ),
     ),
+    # the same, in scoring alone: every set of a scoring launch is scored
+    # with the round's base, yet each client's gemm runs on its own rows
+    Mutant(
+        "scoring-shared-layers-as-one-tall-gemm", "nn.py",
+        (
+            ("segments: Sequence[list[tuple]]) -> np.ndarray:\n",
+             "segments: Sequence[list[tuple]], shared: int = 0) -> np.ndarray:\n"),
+            ("            np.matmul(x, wt, out=z)\n",
+             "            if i < shared:\n"
+             "                np.matmul(acts[i], wt[0], out=acts[i + 1])\n"
+             "                acts[i + 1] += bias[0]\n"
+             "                break\n"
+             "            np.matmul(x, wt, out=z)\n"),
+            ("measure(_forward(self.spec, acts, segments),", "measure(_forward(self.spec, acts, segments, self.spec.k_base),"),
+        ),
+        (
+            "tests/test_protocol.py::TestScoringReference",
+            "tests/test_protocol.py::TestStackedEvaluation",
+            "tests/test_protocol.py::TestTrainingReference",
+        ),
+    ),
+    # a launch's batches of each size are a segment of their own; padding
+    # them to the launch's largest batch, with rows whose delta is 0, keeps
+    # every gradient's value but changes the gemm shapes and the rounding
+    Mutant(
+        "ragged-segment-padded-to-the-largest-batch", "nn.py",
+        (
+            ("            positions = np.arange(n.sum()) + np.repeat(at - np.cumsum(n) + n, n)\n",
+             "            positions = (at[:, None] + np.minimum(np.arange(n.max()), n[:, None] - 1)).ravel()\n"),
+            ("    m = r = 0\n    for g, n in shapes:\n"
+             "        yield slice(m, m + g), [a[r : r + g * n].reshape(g, n, *a.shape[1:]) for a in arrays]\n"
+             "        m, r = m + g, r + g * n\n",
+             "    m, r, top = 0, 0, max(n for _, n in shapes)\n    for g, n in shapes:\n"
+             "        yield slice(m, m + g), [a[r : r + g * top].reshape(g, top, *a.shape[1:]) for a in arrays]\n"
+             "        m, r = m + g, r + g * top\n"),
+            ("            counts = np.repeat([float(n) for _, n in shapes], [k * n for k, n in shapes])[:, None]\n",
+             "            top = max(n for _, n in shapes)\n"
+             "            counts = np.concatenate(\n"
+             "                [np.tile(np.where(np.arange(top) < n, float(n), np.inf), k) for k, n in shapes]\n"
+             "            )[:, None]\n"),
+            ("np.add.reduce(v, axis=-1) / n", "np.add.reduce(v[:, :n], axis=-1) / n"),
+        ),
+        (
+            "tests/test_golden.py",
+            "tests/test_protocol.py::TestTrainingReference",
+            "tests/test_protocol.py::TestRowBudget",
+        ),
+    ),
     # the fit check leaves every client a test sample
     Mutant(
         "fit-check-without-split", "data.py", (("enumerate(sizes)", "enumerate([])"),),

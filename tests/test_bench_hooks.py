@@ -15,6 +15,7 @@ import fedper.cli
 import fedper.nn
 from fedper.config import build_dataset, load_config_file, resolve
 from fedper.experiment import client_shards
+from helpers import core_note
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -52,7 +53,7 @@ def test_every_workload_config_runs_and_passes_the_output_check(monkeypatch, tmp
         argv = ["run", "--config", str(config), "--out", str(out), "--threads", str(workload.threads)]
         assert fedper.cli.main(argv) == 0, name
         _, problems, _ = bench.check_outputs(out, reference[name]["0"])
-        assert problems == [], name
+        assert problems == [], f"{name}: {core_note()}"
 
 
 # Per workload: SGD launches per pass, fine-tune launches per pass (None

@@ -35,6 +35,13 @@ def test_manifest_lists_shapes_and_split(tmp_path):
     assert blob_path.stat().st_size == 8 * (4 * 3 + 4 + 2 * 4 + 2)
 
 
+@pytest.mark.parametrize("split_index", [-1, 3])
+def test_split_index_past_the_layers_rejected_before_writing(tmp_path, split_index):
+    with pytest.raises(ShapeError, match=rf"^split index {split_index} out of range for 2 layers$"):
+        save_weights(tmp_path / "w", random_weights(0), split_index)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_empty_weight_set(tmp_path):
     save_weights(tmp_path / "empty", [], split_index=0)
     loaded, split_index = load_weights(tmp_path / "empty")

@@ -1,5 +1,6 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -16,14 +17,16 @@ import fedper.cli
 import fedper.experiment
 import fedper.nn
 import fedper.protocol
+import fedper.rng as rngmod
 from fedper.cli import main
 from fedper.config import (
     SCHEMA, SECTIONS, apply_overrides, build_dataset, cluster_permutations, default_config, resolve, sweep_seed,
 )
-from fedper.data import PartitionSpec, partition_indices, synth_classification, save_csv
+from fedper.data import PartitionSpec, partition_indices, synth_classification
 from fedper.errors import ConfigError
 from fedper.experiment import client_shards
 from fedper.model import ModelSpec, linearize_base
+from helpers import save_csv
 
 
 SMALL = [
@@ -235,21 +238,22 @@ class TestInputValidation:
         assert capsys.readouterr().err.startswith("error: k_class client 2 would get no sample")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("base_k, client", [(2, 3), (1, 1)], ids=["base-refused", "point-refused"])
+    @pytest.mark.parametrize("base_k", [2, 1], ids=["base-unfit", "point-refused"])
     def test_sweep_point_leaving_a_client_without_a_test_sample_refused_before_any_trains(
-        self, base_k, client, tmp_path, monkeypatch, capsys,
+        self, base_k, tmp_path, monkeypatch, capsys,
     ):
         """5 samples of each of 4 classes over 4 clients: at k=4 clients 1
-        to 3 get 4 samples, all of which ceil(0.8 * 4) sends to training;
-        at k=2, the sweep's base, so does client 3.  The sweep is refused
-        before the dataset is built, whichever of them is first."""
+        to 3 get 4 samples, all of which ceil(0.8 * 4) sends to training.
+        The sweep is refused by that point before the dataset is built,
+        whether or not the base's own k, which no point runs, would leave
+        a client so (at k=2 client 3)."""
         monkeypatch.setattr(fedper.cli, "build_dataset", lambda *args: pytest.fail("built the dataset"))
         monkeypatch.setattr(fedper.experiment, "run_experiment", lambda *args: pytest.fail("trained"))
         settings = ["dataset.per_class=5", "partition.num_clients=4", "rounds=1", f"partition.k={base_k}"]
         args = ["sweep", "--axis", "k", "--values", "1,4", *(a for s in settings for a in ("--set", s))]
         assert main([*args, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == (
-            f"error: client {client} has an empty test set: its split trains on all 4 of its samples\n"
+            "error: client 1 has an empty test set: its split trains on all 4 of its samples\n"
         )
         assert list(tmp_path.iterdir()) == []
 
@@ -419,6 +423,58 @@ class TestInputValidation:
         assert not (tmp_path / "o").exists()
 
 
+CSV_AT_D = ["--set", "dataset.kind=csv", "--set", "dataset.path={tmp}/d.csv"]
+
+# Per refusal: the files written under tmp_path first, run's arguments, its
+# exit status and its line; "{tmp}" stands for tmp_path.
+RUN_REFUSALS = {
+    "missing-config": (
+        {}, ["--config", "{tmp}/c.json"], 2,
+        "cannot read config {tmp}/c.json: [Errno 2] No such file or directory: '{tmp}/c.json'",
+    ),
+    "config-root-not-an-object": (
+        {"c.json": "[]"}, ["--config", "{tmp}/c.json"], 2, "{tmp}/c.json: config root must be a JSON object",
+    ),
+    "set-without-equals": ({}, ["--set", "rounds"], 2, "override 'rounds' is not of the form key=value"),
+    "volume-range-min-above-max": (
+        {}, ["--set", "partition.mode=unbalanced_users", "--set", "partition.volume_range=[5,3]"], 2,
+        "volume_range must satisfy 1 <= min <= max, got (5, 3)",
+    ),
+    "no-layers": ({}, ["--set", "model.layers=[]"], 2, "model needs at least one layer"),
+    "missing-csv": ({}, CSV_AT_D, 1, "{tmp}/d.csv: [Errno 2] No such file or directory: '{tmp}/d.csv'"),
+    "empty-csv": ({"d.csv": ""}, CSV_AT_D, 1, "{tmp}/d.csv: empty file"),
+    "csv-bad-feature": (
+        {"d.csv": "f0,label\nx,0\n"}, CSV_AT_D, 1,
+        "{tmp}/d.csv: line 2: bad feature value: could not convert string to float: 'x'",
+    ),
+    "csv-negative-label": ({"d.csv": "f0,label\n1.0,-1\n"}, CSV_AT_D, 1, "{tmp}/d.csv: line 2: negative label -1"),
+}
+
+
+class TestRunRefusals:
+    """Refusals that `fedper run` reaches, each pinned with its exit status
+    and its line: 2 for a config it cannot run, 1 for data it cannot read
+    or an output it cannot write.  None leaves an output behind."""
+
+    @pytest.mark.parametrize("files, args, code, message", RUN_REFUSALS.values(), ids=RUN_REFUSALS)
+    def test_refusal_exits_with_its_status_and_line(self, files, args, code, message, tmp_path, capsys):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        args = [a.replace("{tmp}", str(tmp_path)) for a in args]
+        assert main(["run", *SMALL, *args, "--out", str(tmp_path / "o")]) == code
+        assert capsys.readouterr().err == f"error: {message.replace('{tmp}', str(tmp_path))}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+    def test_history_path_that_is_a_directory_exits_1(self, tmp_path, capsys):
+        """The history is written once training ends: a directory in its
+        place fails the run, and its temporary file is removed."""
+        history = tmp_path / "o" / "run_history.csv"
+        history.mkdir(parents=True)
+        assert main(["run", *SMALL, "--set", "rounds=1", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {history}: [Errno 21] Is a directory: ")
+        assert list((tmp_path / "o").iterdir()) == [history] and list(history.iterdir()) == []
+
+
 class TestRunCommand:
     def test_allocation_failure_is_runtime_error(self, tmp_path, capsys):
         # numpy refuses this dataset's arrays at once, without allocating
@@ -583,6 +639,14 @@ class TestEntryPoint:
             fedper.cli.entrypoint()
         assert exc.value.code == 2
         assert not (tmp_path / "o").exists()
+
+    def test_package_main_exits_with_mains_status(self, tmp_path, monkeypatch, capsys):
+        """fedper/__main__.py, run in this process as `python -m fedper` runs it."""
+        monkeypatch.setattr(sys, "argv", ["fedper", "run", "--set", "rounds", "--out", str(tmp_path / "o")])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("fedper", run_name="__main__")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "error: override 'rounds' is not of the form key=value\n"
 
 
 class TestMemory:
@@ -759,6 +823,27 @@ class TestSweepCommand:
             run_out = tmp_path / f"run_{value}"
             assert main(["run", *SMALL, *sets, *run_sets, "--seed", str(seed), "--out", str(run_out)]) == 0
             assert (out / f"run_{axis}_{value}.csv").read_bytes() == (run_out / "run_history.csv").read_bytes()
+
+    @pytest.mark.parametrize("settings, axis, values, files", [
+        (["dataset.per_class=5", "partition.num_clients=4"], "k", "1", ["run_k_1.csv"]),
+        (["model.k_personal=3"], "kp", "0,1", ["run_kp_0.csv", "run_kp_1.csv"]),
+    ], ids=["base-k-leaves-no-test-sample", "base-k-personal-leaves-no-base-layer"])
+    def test_a_base_that_would_not_run_is_no_point(self, settings, axis, values, files, tmp_path, capsys):
+        """A sweep refuses what one of its points refuses, and nothing else:
+        the base's own k (2, which leaves client 3 of 5 samples of each
+        class no test sample) or k_personal (3 of 3 layers) is set by every
+        point, so the sweep runs, though `fedper run` refuses the base.
+        The echoed config is still the base's, with its derived seeds."""
+        sets = [arg for setting in [*settings, "rounds=1"] for arg in ("--set", setting)]
+        assert main(["run", *sets, "--out", str(tmp_path / "run")]) == 2
+        capsys.readouterr()
+        out = tmp_path / "sweep"
+        assert main(["sweep", *sets, "--axis", axis, "--values", values, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted([*files, "run_config.json"])
+        expected = apply_overrides(default_config(), [*settings, "rounds=1"])
+        for section, purpose in (("dataset", rngmod.DATASET), ("partition", rngmod.PARTITION)):
+            expected[section]["seed"] = rngmod.derive_seed(expected["master_seed"], purpose)
+        assert json.loads((out / "run_config.json").read_text()) == expected
 
     def test_k_axis_rejected_when_partition_ignores_k(self, tmp_path, capsys):
         args = ["sweep", *SMALL, "--set", "partition.mode=unbalanced_users", "--axis", "k"]

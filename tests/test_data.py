@@ -20,16 +20,54 @@ from fedper.data import (
     partition,
     partition_k_class_indices,
     partition_unbalanced_indices,
-    save_csv,
     synth_classification,
     synth_shells,
     train_test_split,
 )
 from fedper.errors import ConfigError, ParseError
+from helpers import save_csv
 
 
 def dataset_multiset(ds: LabeledDataset):
     return collections.Counter((x.tobytes(), int(y)) for x, y in zip(ds.X, ds.y))
+
+
+def _two_classes():
+    return synth_classification(2, 2, 5, seed=0)
+
+
+# Per refusal of the library's own that no config reaches (config.resolve
+# kind-checks every key first): the call and its message.
+LIBRARY_REFUSALS = {
+    "unknown-partition-mode": (
+        lambda: PartitionSpec("by_user", 2),
+        "unknown partition mode 'by_user'; expected one of ('k_class', 'unbalanced_users')",
+    ),
+    "k-below-one": (lambda: PartitionSpec("k_class", 2, k=0), "k must be >= 1, got 0"),
+    "train-fraction-past-one": (
+        lambda: PartitionSpec("k_class", 2, train_fraction=1.5), "train_fraction must be in (0, 1], got 1.5",
+    ),
+    "no-classes": (lambda: LabeledDataset(np.zeros((0, 2)), [], 0), "num_classes must be >= 1, got 0"),
+    "mixture-without-features": (
+        lambda: synth_classification(2, 0, 5), "num_classes, dim and per_class must all be >= 1",
+    ),
+    "shells-without-samples": (lambda: synth_shells(2, 2, 0), "num_classes, dim and per_class must all be >= 1"),
+    "k-class-indices-of-an-unbalanced-spec": (
+        lambda: partition_k_class_indices(_two_classes(), PartitionSpec("unbalanced_users", 2, volume_range=(1, 2))),
+        "partition mode is 'unbalanced_users', expected 'k_class'",
+    ),
+    "unbalanced-indices-of-a-k-class-spec": (
+        lambda: partition_unbalanced_indices(_two_classes(), PartitionSpec("k_class", 2)),
+        "partition mode is 'k_class', expected 'unbalanced_users'",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", LIBRARY_REFUSALS.values(), ids=LIBRARY_REFUSALS)
+def test_library_refusal_names_its_cause(call, message):
+    with pytest.raises(ConfigError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 class TestSynthClassification:

@@ -32,15 +32,15 @@ def base_setup(num_clients=4, k=2, rounds=3, k_personal=1, seed=101):
 
 
 def sweep_setup(axis, values, rounds=3):
-    """The sweep of a small config dict: its base run, one run per value and
-    the dataset they share."""
+    """The sweep of a small config dict: its effective config, one run per
+    value and the dataset they share."""
     cfg = apply_overrides(default_config(), [
         f"rounds={rounds}", "dataset.dim=4", "dataset.per_class=40", "partition.num_clients=4",
         'model.layers=[{"in_dim":4,"out_dim":8,"activation":"relu"},{"in_dim":8,"out_dim":4,"activation":"identity"}]',
         "sgd.eta=0.05", "sgd.epochs=2", "sgd.batch_size=8", "master_seed=101",
     ])
-    base, runs = resolve_sweep(cfg, axis, values)
-    return base, runs, build_dataset(base.dataset)
+    effective, runs = resolve_sweep(cfg, axis, values)
+    return effective, runs, build_dataset(effective["dataset"])
 
 
 class TestFineTunedRun:
@@ -117,18 +117,20 @@ class TestPipeline:
 
 class TestSweep:
     def test_singleton_equals_direct_run(self):
-        base, runs, ds = sweep_setup("k", [2])
-        direct = run_experiment(replace(base.run, master_seed=sweep_seed(base.run.master_seed, "k", 2)), ds)
+        effective, runs, ds = sweep_setup("k", [2])
+        run = resolve(effective).run  # the base's own k is 2
+        direct = run_experiment(replace(run, master_seed=sweep_seed(run.master_seed, "k", 2)), ds)
         histories = run_sweep(runs, ds)
         assert len(histories) == 1
         assert histories[0] == direct.history
 
     def test_kp_zero_point_equals_fedavg_baseline(self):
-        base, runs, ds = sweep_setup("kp", [0, 1])
+        effective, runs, ds = sweep_setup("kp", [0, 1])
+        run = resolve(effective).run
         fedavg_cfg = replace(
-            base.run,
-            spec=ModelSpec(base.run.spec.layers, 0),
-            master_seed=sweep_seed(base.run.master_seed, "kp", 0),
+            run,
+            spec=ModelSpec(run.spec.layers, 0),
+            master_seed=sweep_seed(run.master_seed, "kp", 0),
         )
         baseline = run_experiment(fedavg_cfg, ds)
         assert run_sweep(runs, ds)[0] == baseline.history

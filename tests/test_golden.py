@@ -9,7 +9,8 @@ sets at B=256: the first step of each epoch holds more than ROW_BUDGET rows
 of many batch sizes, so it splits into two launches of several segments
 each, and the training sets' scoring launches mix set lengths.  Any change
 to the arithmetic of local training, aggregation or evaluation shows here
-as a mismatch.
+as a mismatch.  The stored values hold on the OpenBLAS core they were
+captured on (helpers.GOLDEN_CORE), and a mismatch names the core it ran on.
 
 CHECKPOINT_GOLDEN pins the sha256 of the final checkpoint files that
 `fedper run` writes for three of those configs, recorded from the run that
@@ -24,6 +25,7 @@ import pytest
 from fedper.cli import main
 from fedper.config import apply_overrides, build_dataset, default_config, resolve
 from fedper.experiment import run_experiment
+from helpers import blas_core, core_note
 
 GOLDEN = {
     "default": (
@@ -113,8 +115,8 @@ def test_per_round_checksums_match_golden(name):
     overrides, checksums, digest = GOLDEN[name]
     resolved = resolve(apply_overrides(default_config(), overrides))
     history = run_experiment(resolved.run, build_dataset(resolved.dataset)).history
-    assert [r.base_checksum for r in history.rounds] == checksums
-    assert history_digest(history) == digest
+    assert [r.base_checksum for r in history.rounds] == checksums, core_note()
+    assert history_digest(history) == digest, core_note()
 
 
 CHECKPOINT_FILES = ("final_server_base.json", "final_server_base.bin", "final_personal.json", "final_personal.bin")
@@ -145,4 +147,10 @@ def test_final_checkpoint_bytes_match_golden(name, tmp_path):
     settings = [a for setting in GOLDEN[name][0] for a in ("--set", setting)]
     assert main(["run", *settings, "--out", str(tmp_path)]) == 0
     written = [hashlib.sha256((tmp_path / "checkpoints" / f).read_bytes()).hexdigest() for f in CHECKPOINT_FILES]
-    assert dict(zip(CHECKPOINT_FILES, written)) == dict(zip(CHECKPOINT_FILES, CHECKPOINT_GOLDEN[name]))
+    assert dict(zip(CHECKPOINT_FILES, written)) == dict(zip(CHECKPOINT_FILES, CHECKPOINT_GOLDEN[name])), core_note()
+
+
+def test_core_note_names_this_process_core():
+    """The mismatch message is built only on a mismatch, so build it here:
+    a message that raised would hide the mismatch it reports."""
+    assert core_note().endswith(f"this process runs on {blas_core()}") and blas_core()

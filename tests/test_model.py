@@ -32,6 +32,10 @@ class TestSpec:
         with pytest.raises(ConfigError):
             ModelSpec((LayerSpec(2, 2), LayerSpec(2, 2)), 2)
 
+    def test_rejects_negative_k_personal(self):
+        with pytest.raises(ConfigError, match=r"^k_personal must be >= 0, got -1$"):
+            ModelSpec((LayerSpec(2, 2),), -1)
+
     def test_rejects_dim_mismatch(self):
         with pytest.raises(ConfigError):
             ModelSpec((LayerSpec(2, 3), LayerSpec(4, 2)), 0)

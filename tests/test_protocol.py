@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 from unittest import mock
 
@@ -234,6 +235,13 @@ class TestFineTune:
         with pytest.raises(ShapeError, match=r"layer 0: weight shape \(3, 5\) != expected \(6, 3\)"):
             train(client, cfg, base_in, 1)
 
+    @pytest.mark.parametrize("train", [client_round, fine_tune])
+    def test_wrong_bias_shape_rejected_by_name(self, train):
+        _, cfg, client, _ = self._setup()
+        base_in = [(np.zeros((6, 3)), np.zeros(6)), (np.zeros((6, 6)), np.zeros(5))]
+        with pytest.raises(ShapeError, match=r"^layer 1: bias shape \(5,\) != expected \(6,\)$"):
+            train(client, cfg, base_in, 1)
+
 
 class TestAggregate:
     def rand_sets(self, rng, n, layers=((4, 3), (2, 4))):
@@ -338,6 +346,10 @@ class TestAggregate:
         got = aggregate(list(zip(sets, gammas)))
         assert [(w.shape, b.shape) for w, b in got] == [((o, i), (o,)) for o, i in shapes]
         assert reference.checksum(got) == reference.checksum(reference.aggregate(sets, gammas))
+
+    def test_no_update_rejected(self):
+        with pytest.raises(ProtocolError, match="^aggregate needs at least one update$"):
+            aggregate([])
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(3)
@@ -648,6 +660,11 @@ TWELVE_CLASS_LAYERS = (
     '[{"in_dim": 8, "out_dim": 16, "activation": "relu"}, {"in_dim": 16, "out_dim": 16, "activation": "relu"},'
     ' {"in_dim": 16, "out_dim": 12, "activation": "relu"}]'
 )
+# 32 features into 16: OpenBLAS rounds a stack of (n, 32) x (32, 16)
+# products and their one tall (g n, 32) x (32, 16) product differently
+WIDE_INPUT_LAYERS = json.dumps([
+    {"in_dim": i, "out_dim": o, "activation": "identity" if o == 4 else "relu"} for i, o in ((32, 16), (16, 16), (16, 4))
+])
 
 
 class TestScoringReference:
@@ -666,7 +683,8 @@ class TestScoringReference:
         (["rounds=3", "dataset.num_classes=12", "partition.k=3", f"model.layers={TWELVE_CLASS_LAYERS}"], None),
         # 150 rows split the scoring launches of both sides, and the SGD steps
         (["rounds=2", "model.k_personal=2"], 150),
-    ], ids=["default", "unbalanced-fine-tuned", "twelve-classes", "budget-split"])
+        (["rounds=2", "dataset.dim=32", f"model.layers={WIDE_INPUT_LAYERS}"], None),
+    ], ids=["default", "unbalanced-fine-tuned", "twelve-classes", "budget-split", "wide-input"])
     def test_history_equals_reference_scores(self, tmp_path, overrides, row_budget):
         resolved = resolve(apply_overrides(default_config(), overrides))
         with mock.patch.object(fedper.nn, "ROW_BUDGET", row_budget or fedper.nn.ROW_BUDGET):
