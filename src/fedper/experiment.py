@@ -1,6 +1,8 @@
 """Assembles datasets, partitions, and federation runs into experiments,
 including the points of an axis sweep (heterogeneity level,
-personalization depth, algorithm)."""
+personalization depth, algorithm).  A run's data reach the federation as
+client_shards lays them out: one fedper.nn.RowBlock of training rows and
+one of test rows."""
 
 from __future__ import annotations
 
@@ -13,33 +15,33 @@ from . import rng as rngmod
 from .data import LabeledDataset, PartitionSpec, check_partition_size, partition_indices, relabel, split_positions
 from .data import partition, train_test_split  # unused here; the benchmark traces both by these names
 from .errors import ConfigError
+from .nn import RowBlock
 from .protocol import FederationResult, RoundHistory, RunConfig, run_federation
 
 
-def client_shards(ds: LabeledDataset, spec: PartitionSpec) -> list[tuple[LabeledDataset, LabeledDataset]]:
+def client_shards(ds: LabeledDataset, spec: PartitionSpec) -> tuple[RowBlock, RowBlock]:
     """Partition the dataset over clients, then split each shard into its own
     train and test sets with a per-client seed derived from the partition
-    seed: bitwise what partition and train_test_split give.  Each side's
-    rows are one take of ds, in client order, and so are its labels (a
-    RowBlock takes both over uncopied); every set is a view of them.  Only
-    indices are held per client: each side takes its labels, relabels them
-    client by client in place, then takes its features."""
+    seed: bitwise what partition and train_test_split give.  Returns the
+    training and the test RowBlock, each side's rows one take of ds, in
+    client order, and so its labels.  Only indices are held per client:
+    each side takes its labels, relabels them client by client in place,
+    then takes its features."""
     sides: tuple[list, list] = ([], [])  # per side, per client: its rows of ds
     for j, idx in enumerate(partition_indices(ds, spec)):
         seed = rngmod.derive_seed(spec.seed, rngmod.SPLIT, j)
         for side, pos in zip(sides, split_positions(len(idx), spec.train_fraction, seed)):
             side.append(idx.take(pos))
-    shards = []
+    blocks = []
     for side in sides:
-        cuts = np.cumsum([len(i) for i in side])[:-1]
+        sizes = [len(i) for i in side]
         idx = np.concatenate(side)
         side.clear()
-        y = np.split(ds.y.take(idx), cuts)
-        for j, yj in enumerate(y):
+        y = ds.y.take(idx)
+        for j, yj in enumerate(np.split(y, np.cumsum(sizes)[:-1])):
             yj[...] = relabel(spec, j, yj, ds.num_classes)
-        pieces = zip(np.split(ds.X.take(idx, axis=0), cuts), y)
-        shards.append([LabeledDataset(xj, yj, ds.num_classes) for xj, yj in pieces])
-    return list(zip(*shards))
+        blocks.append(RowBlock(ds.X.take(idx, axis=0), y, sizes))
+    return blocks[0], blocks[1]
 
 
 def check_fits(cfg: RunConfig, dim: int, num_classes: int, n: int, class_counts: Callable[[], Sequence[int]]) -> None:
@@ -73,9 +75,9 @@ def run_experiment(
     The federation holds no reference to ds: a caller that holds none
     either frees it before training starts."""
     check_dataset(cfg, ds)
-    shards = client_shards(ds, cfg.partition)
+    trains, tests = client_shards(ds, cfg.partition)
     del ds
-    return run_federation(cfg, shards, checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every)
+    return run_federation(cfg, trains, tests, checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every)
 
 
 def run_sweep(runs: Sequence[RunConfig], ds: LabeledDataset) -> list[RoundHistory]:

@@ -55,7 +55,7 @@ def evaluate(
     check_data(spec, data)
     check_weights(spec, base, personal)
     block, _ = weight_block([base + personal])
-    plan = LockstepPlan(spec, RowBlock([data]), block, 1, len(data), len(spec.layers))
+    plan = LockstepPlan(spec, RowBlock(data.X, data.y, [len(data)]), block, 1, len(data), len(spec.layers))
     (acc,), (loss,) = plan.score(correct), plan.score(cross_entropy)
     return EvalResult(acc, loss)
 

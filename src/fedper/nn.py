@@ -11,15 +11,16 @@ stacked layer by layer into (N, out, in) and (N, out) arrays.
 The engine is planned once per run, as a client's data never changes.  One
 planner (launches) makes every launch: one per lock-step step (more past
 ROW_BUDGET rows), its batches of one size a segment.  A RowBlock holds the
-clients' rows and labels end to end, in client order.  A LockstepPlan lays
-out, once, its launches' views of one workspace (a run's plans share one)
-and works on one (N, P) weight block (weight_block): every launch gathers
-its members' rows of it into the plan's launch block.  run shuffles each
-client's slice of the order array in place, trains and scatters the rows
-back; score, on a one-epoch plan whose batch is the whole set, takes each
-set's mean of a per-row measure.  sgd is the same engine with one client,
-as is fedper.metrics.evaluate; loss_and_grad alone runs a launch of its
-own, one segment of one batch.
+clients' rows and labels end to end, in client order, in the arrays it is
+given, which no plan copies.  A LockstepPlan lays out, once, its launches'
+views of one workspace (a run's plans share one) and works on one (N, P)
+weight block (weight_block): every launch gathers its members' rows of it
+into the plan's launch block.  run shuffles each client's slice of the
+order array in place, trains and scatters the rows back; score, on a
+one-epoch plan whose batch is the whole set, takes each set's mean of a
+per-row measure.  sgd is the same engine with one client, as is
+fedper.metrics.evaluate, each reading its set's arrays as they are;
+loss_and_grad alone runs a launch of its own, one segment of one batch.
 """
 
 from __future__ import annotations
@@ -293,18 +294,6 @@ def loss_and_grad(
     return loss, grads[:kb], grads[kb:]
 
 
-def _end_to_end(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """parts end to end: the array whose rows they are, in order and with no
-    rows around or between them, if there is one, else a new one."""
-    whole, at = parts[0].base, np.cumsum([0] + [p.nbytes for p in parts])
-    if isinstance(whole, np.ndarray) and whole.flags.c_contiguous and whole.nbytes == at[-1] and all(
-        p.base is whole and p.dtype == whole.dtype and p.shape[1:] == whole.shape[1:] and p.flags.c_contiguous
-        and p.ctypes.data == whole.ctypes.data + a for p, a in zip(parts, at)
-    ):
-        return whole
-    return np.concatenate(parts)
-
-
 # The most rows one launch holds: above it, the stacked forward of large
 # sets ran slower than scoring them one by one.
 ROW_BUDGET = 4096
@@ -346,14 +335,11 @@ def launches(sizes: Sequence[int], offsets: Sequence[int], epochs: int, batch_si
 
 class RowBlock:
     """The labeled rows of several sets end to end, in the order given: set
-    j, of sizes[j] rows, is rows starts[j] onwards of x and y.  Features or
-    labels that already are those rows of one array, in that order, are
-    that array, uncopied."""
+    j, of sizes[j] rows, is rows starts[j] onwards of the features x and
+    the labels y, which are held as given."""
 
-    def __init__(self, sets: Sequence["LabeledDataset"]) -> None:
-        self.sizes = [len(d) for d in sets]
-        self.x = _end_to_end([d.X for d in sets])
-        self.y = _end_to_end([d.y for d in sets])
+    def __init__(self, x: np.ndarray, y: np.ndarray, sizes: Sequence[int]) -> None:
+        self.x, self.y, self.sizes = x, y, list(sizes)
         self.starts = np.cumsum([0] + self.sizes[:-1])
 
 
@@ -494,6 +480,7 @@ def sgd(
     check_weights(spec, base, personal)
     check_data(spec, dataset)
     block, layers = weight_block([base + personal])
-    LockstepPlan(spec, RowBlock([dataset]), block, cfg.epochs, cfg.batch_size, first_trained).run([rng], cfg.eta)
+    rows = RowBlock(dataset.X, dataset.y, [len(dataset)])
+    LockstepPlan(spec, rows, block, cfg.epochs, cfg.batch_size, first_trained).run([rng], cfg.eta)
     kb = spec.k_base
     return unstack_weights(layers[:kb], 0), unstack_weights(layers[kb:], 0)

@@ -4,13 +4,13 @@ sample-weighted aggregation, and the optional personal-layer fine-tuning pass.
 Every round trains all clients together on the lock-step engine
 (fedper.nn.LockstepPlan).  The run's weights are one block and no other
 copy (fedper.nn.weight_block): row j holds the round's base, then client
-j's personal layers; ServerState.base views row 0, ClientState.personal
-its client's row.  Built once per run: a fedper.nn.RowBlock of the test
-sets and one of the training sets (uncopied if the sets are views of the
-arrays experiment.client_shards gathered), and the plans, all of one
-planner (fedper.nn.launches) and in the SGD plan's workspace where their
-launches fit: the SGD pass, with fine-tuning on the fine-tune pass, and per
-side a scoring pass, one epoch whose batch is the whole set.  A round runs
+j's personal layers; ServerState.base views row 0.  A run's rows are the
+two fedper.nn.RowBlocks it is given, the training and the test sets', each
+in client order; it checks them once and builds no per-client object.
+Built once per run: the plans, all of one planner (fedper.nn.launches) and
+in the SGD plan's workspace where their launches fit: the SGD pass, with
+fine-tuning on the fine-tune pass, and per side a scoring pass, one epoch
+whose batch is the whole set.  A round runs
 the passes, aggregates the base columns over the rows (aggregate_rows),
 assigns the result to every row and scores from the block: each set's
 mean of a per-row measure, fedper.metrics.correct on the test sets and
@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng as rngmod
-from .errors import ConfigError, ProtocolError, SimulationError, UsageError
+from .errors import ConfigError, ProtocolError, ShapeError, SimulationError, UsageError
 from .checkpoint import save_weights
 from .data import LabeledDataset, PartitionSpec
 from .metrics import ClientMetrics, correct
@@ -91,7 +91,7 @@ class ServerState:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One federation run of as many clients as run_federation gets datasets."""
+    """One federation run of as many clients as run_federation gets sets."""
 
     spec: ModelSpec
     rounds: int
@@ -127,8 +127,7 @@ class RoundHistory:
 class FederationResult:
     history: RoundHistory
     server: ServerState
-    clients: list[ClientState]
-    layers: Layers  # the weight block's layer stacks, base layers first
+    layers: Layers  # the weight block's layer stacks, base layers first; row j is client j's
 
 
 def server_init(cfg: RunConfig, client_sizes: Sequence[int]) -> ServerState:
@@ -190,10 +189,8 @@ def client_round(
     return base_out, replace(client, personal=personal_out)
 
 
-def _streams(
-    cfg: RunConfig, clients: Sequence[ClientState], round_idx: int, purpose: int
-) -> list[np.random.Generator]:
-    return [_client_stream(cfg, c.client_id, round_idx, purpose) for c in clients]
+def _streams(cfg: RunConfig, clients: range, round_idx: int, purpose: int) -> list[np.random.Generator]:
+    return [_client_stream(cfg, j, round_idx, purpose) for j in clients]
 
 
 def fine_tune(client: ClientState, cfg: RunConfig, base_in: Layers, round_idx: int) -> ClientState:
@@ -252,13 +249,17 @@ def aggregate(updates: Sequence[tuple[Layers, float]]) -> Layers:
 
 def run_federation(
     cfg: RunConfig,
-    client_data: Sequence[tuple[LabeledDataset, LabeledDataset]],
+    trains: RowBlock,
+    tests: RowBlock,
     checkpoint_dir: str | Path | None = None,
     checkpoint_every: int = 0,
 ) -> FederationResult:
-    """Run the full protocol: per round, broadcast the base weights, train all
-    clients locally (optionally fine-tuning personal layers first), aggregate
-    the base updates in client-id order, and record per-client metrics.
+    """Run the full protocol on the clients' training and test sets, set j
+    of each side client j's: per round, broadcast the base weights, train
+    all clients locally (optionally fine-tuning personal layers first),
+    aggregate the base updates in client-id order, and record per-client
+    metrics.  Both sides are checked first: each needs a non-empty set for
+    every client, of rows of the model's input width labeled by its outputs.
 
     Metrics are recorded after local training and aggregation, before the
     next broadcast: each client is scored with the round's aggregated base
@@ -270,19 +271,30 @@ def run_federation(
     (typically a learning rate too large for the data), stops the run with a
     SimulationError.
     """
-    clients = [make_client(cfg, j, train, test) for j, (train, test) in enumerate(client_data)]
-    server = server_init(cfg, [len(c.train) for c in clients])
-    spec, kb, records = cfg.spec, cfg.spec.k_base, []
-    # the one copy of the run's weights: row j is the round's broadcast base, then
-    # client j's personal layers; the server's base and the clients' layers view it
-    block, layers = weight_block([server.base + c.personal for c in clients])
+    spec, kb, records, clients = cfg.spec, cfg.spec.k_base, [], range(len(trains.sizes))
+    if not clients or len(tests.sizes) != len(clients):
+        raise ConfigError(
+            "a federation needs at least one client, and a test set for each training set; "
+            f"got {len(trains.sizes)} training and {len(tests.sizes)} test sets"
+        )
+    for kind, rows in (("training", trains), ("test", tests)):
+        n = sum(rows.sizes)
+        if rows.x.shape != (n, spec.in_dim) or rows.y.shape != (n,):
+            raise ShapeError(f"{kind} rows {rows.x.shape} and labels {rows.y.shape} are not ({n}, {spec.in_dim}) and ({n},)")
+        for j, size in enumerate(rows.sizes):
+            if size < 1:
+                raise ConfigError(f"client {j} has an empty {kind} set")
+        if not 0 <= rows.y.min() <= rows.y.max() < spec.out_dim:
+            raise ShapeError(f"{kind} labels are not all in [0, {spec.out_dim}), the model's outputs")
+    server = server_init(cfg, trains.sizes)
+    # the one copy of the run's weights: row j is the round's broadcast base, then client
+    # j's personal layers, drawn from its own stream; the server's base views row 0
+    personal = [init_weights(spec.personal_layers, _client_stream(cfg, j, 0, rngmod.INIT)) for j in clients]
+    block, layers = weight_block([server.base + p for p in personal])
     base = block[:, : sum(s.out_dim * (s.in_dim + 1) for s in spec.base_layers)]
     server.base = unstack_weights(layers[:kb], 0)
-    for c in clients:
-        c.personal = unstack_weights(layers[kb:], c.client_id)
 
     # training and the scoring of the training sets read one block of rows
-    tests, trains = RowBlock([c.test for c in clients]), RowBlock([c.train for c in clients])
     sgd_plan = LockstepPlan(spec, trains, block, cfg.sgd.epochs, cfg.sgd.batch_size)
     fine_tune_plan = None
     if cfg.fine_tune and spec.k_personal >= 1:  # one epoch on the personal layers, base frozen
@@ -295,21 +307,19 @@ def run_federation(
         # an overflow can leave every weight finite but meaningless
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                for c in clients:
-                    server.log(SERVER, client_name(c.client_id), MSG_BASE_WEIGHTS)
+                for j in clients:
+                    server.log(SERVER, client_name(j), MSG_BASE_WEIGHTS)
                 if fine_tune_plan is not None:
                     fine_tune_plan.run(_streams(cfg, clients, round_idx, rngmod.FINE_TUNE), cfg.sgd.eta)
                 sgd_plan.run(_streams(cfg, clients, round_idx, rngmod.SGD), cfg.sgd.eta)
                 _check_finite(block, round_idx)
-                for c in clients:
-                    server.log(client_name(c.client_id), SERVER, MSG_BASE_WEIGHTS)
+                for j in clients:
+                    server.log(client_name(j), SERVER, MSG_BASE_WEIGHTS)
                 # aggregate and broadcast now: scoring reads row j as the base and client j's layers
                 base[...] = aggregate_rows(base, server.agg_weights)
                 # the history records the test sets' accuracy and the training sets' loss
                 accuracies, losses = score_tests.score(correct), score_trains.score(cross_entropy)
-                metrics = tuple(
-                    ClientMetrics(c.client_id, round_idx, a, loss) for c, a, loss in zip(clients, accuracies, losses)
-                )
+                metrics = tuple(ClientMetrics(j, round_idx, a, loss) for j, a, loss in zip(clients, accuracies, losses))
                 records.append(RoundRecord(round_idx, weights_checksum(server.base), metrics))
         except FloatingPointError as exc:
             raise SimulationError(
@@ -318,7 +328,7 @@ def run_federation(
         if checkpoint_dir is not None and checkpoint_every > 0 and round_idx % checkpoint_every == 0:
             write_checkpoint(Path(checkpoint_dir), f"round{round_idx:04d}", layers, kb)
 
-    return FederationResult(RoundHistory(tuple(records)), server, clients, layers)
+    return FederationResult(RoundHistory(tuple(records)), server, layers)
 
 
 def _check_finite(block: np.ndarray, round_idx: int) -> None:

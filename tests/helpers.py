@@ -1,6 +1,6 @@
 """Shared test oracles, all independent of the library code paths they
-check, the csv writer the tests make data files with, and the name of the
-BLAS core the bitwise gates run on."""
+check, the csv writer the tests make data files with, row blocks of
+per-client sets, and the name of the BLAS core the bitwise gates run on."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import numpy as np
 from fedper.checkpoint import atomic_write
 from fedper.data import LabeledDataset
 from fedper.model import ModelSpec
-from fedper.nn import Layers, LayerSpec
+from fedper.nn import Layers, LayerSpec, RowBlock
 
 
 # The OpenBLAS core the stored bitwise values (tests/test_golden.py and
@@ -63,6 +63,23 @@ def rand_batch(spec: ModelSpec, rng: np.random.Generator, size: int) -> LabeledD
     rows = [(rng.standard_normal(spec.in_dim), int(rng.integers(0, spec.out_dim))) for _ in range(size)]
     x = np.array([x for x, _ in rows]).reshape(size, spec.in_dim)
     return LabeledDataset(x, [y for _, y in rows], spec.out_dim)
+
+
+def row_block(sets) -> RowBlock:
+    """A RowBlock of the LabeledDatasets' rows and labels end to end, in
+    order (new arrays)."""
+    return RowBlock(np.concatenate([d.X for d in sets]), np.concatenate([d.y for d in sets]), [len(d) for d in sets])
+
+
+def row_blocks(pairs) -> tuple[RowBlock, RowBlock]:
+    """The training and the test RowBlock of per-client (train, test) pairs,
+    the arguments run_federation takes after its config."""
+    return row_block([train for train, _ in pairs]), row_block([test for _, test in pairs])
+
+
+def block_sets(rows: RowBlock) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per set of the block, in order: its features and its labels."""
+    return [(rows.x[a : a + n], rows.y[a : a + n]) for a, n in zip(rows.starts, rows.sizes)]
 
 
 def save_csv(ds: LabeledDataset, path: str | Path) -> None:

@@ -80,8 +80,8 @@ MUTANTS = (
     Mutant(
         "shared-pass-generator", "protocol.py",
         ((
-            "    return [_client_stream(cfg, c.client_id, round_idx, purpose) for c in clients]\n",
-            "    return [_client_stream(cfg, clients[0].client_id, round_idx, purpose)] * len(clients)\n",
+            "    return [_client_stream(cfg, j, round_idx, purpose) for j in clients]\n",
+            "    return [_client_stream(cfg, clients[0], round_idx, purpose)] * len(clients)\n",
         ),),
         (
             "tests/test_golden.py",
@@ -93,8 +93,8 @@ MUTANTS = (
     Mutant(
         "personal-payload-on-the-wire", "protocol.py",
         ((
-            "server.log(client_name(c.client_id), SERVER, MSG_BASE_WEIGHTS)",
-            "server.log(client_name(c.client_id), SERVER, MSG_PERSONAL_WEIGHTS)",
+            "server.log(client_name(j), SERVER, MSG_BASE_WEIGHTS)",
+            "server.log(client_name(j), SERVER, MSG_PERSONAL_WEIGHTS)",
         ),),
         (
             "tests/test_acceptance.py::test_criterion_04_privacy_invariant",

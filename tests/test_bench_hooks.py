@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 import fedper.cli
+import fedper.experiment
 import fedper.nn
 from fedper.config import build_dataset, load_config_file, resolve
 from fedper.experiment import client_shards
@@ -39,6 +40,33 @@ def test_every_trace_target_resolves_to_a_callable(monkeypatch):
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert spans.TRACE_TARGETS and missing == []
+
+
+def test_a_run_goes_through_the_federation_phase_once(monkeypatch, tmp_path):
+    """The untraced benchmark splits set-up from the federation phase by
+    wrapping fedper.experiment.run_federation (spans.PHASE_TARGETS): one
+    `fedper run` calls it exactly once, with the training and the test
+    row blocks, and builds no lock-step plan before that call."""
+    spans = load(monkeypatch, "spans")
+    assert spans.PHASE_TARGETS == (("fedper.experiment", "run_federation", spans.FEDERATION_SPAN),)
+    calls, plans = [], []
+    federate, plan_init = fedper.experiment.run_federation, fedper.nn.LockstepPlan.__init__
+
+    def counting(*args, **kwargs):
+        calls.append((len(plans), args))
+        return federate(*args, **kwargs)
+
+    def building(self, *args, **kwargs):
+        plans.append(self)
+        plan_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(fedper.experiment, "run_federation", counting)
+    monkeypatch.setattr(fedper.nn.LockstepPlan, "__init__", building)
+    assert fedper.cli.main(["run", "--set", "rounds=1", "--out", str(tmp_path)]) == 0
+    ((plans_before, (run, trains, tests)),) = calls
+    assert plans_before == 0 and plans
+    assert isinstance(trains, fedper.nn.RowBlock) and isinstance(tests, fedper.nn.RowBlock)
+    assert len(trains.sizes) == len(tests.sizes) == run.partition.num_clients
 
 
 def test_every_workload_config_runs_and_passes_the_output_check(monkeypatch, tmp_path):
@@ -92,8 +120,7 @@ def test_workload_launch_counts(monkeypatch, tmp_path):
         path.write_text(json.dumps(bench.workload_config(name, 0)))
         resolved = resolve(load_config_file(path))
         run = resolved.run
-        shards = client_shards(build_dataset(resolved.dataset), run.partition)
-        sides = [[len(d) for d in side] for side in zip(*shards)]
+        sides = [rows.sizes for rows in client_shards(build_dataset(resolved.dataset), run.partition)]
         sizes, batch_size = sides[0], run.sgd.batch_size
         scoring = [fedper.nn.launches(s, np.cumsum([0] + s[:-1]), 1, max(s)) for s in sides]
         assert sum(map(len, scoring)) == scoring_launches, name

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 import fedper.cli
 import fedper.experiment
 import fedper.nn
-import fedper.protocol
 import fedper.rng as rngmod
 from fedper.cli import main
 from fedper.config import (
@@ -501,7 +500,7 @@ class TestRunCommand:
 
     def test_batch_size_past_every_set_is_full_batch(self, tmp_path):
         resolved = resolve(apply_overrides(default_config(), SMALL[1::2]))
-        largest = max(len(train) for train, _ in client_shards(build_dataset(resolved.dataset), resolved.run.partition))
+        largest = max(client_shards(build_dataset(resolved.dataset), resolved.run.partition)[0].sizes)
         histories = []
         for batch_size in (largest, 10**20):
             out = tmp_path / str(batch_size)
@@ -696,12 +695,12 @@ class TestMemory:
             return ds
 
         class MeasuredRows(fedper.nn.RowBlock):
-            def __init__(self, sets):
-                super().__init__(sets)
+            def __init__(self, *args):
+                super().__init__(*args)
                 sizes["rows"] += self.x.nbytes + self.y.nbytes
 
         monkeypatch.setattr(fedper.cli, "build_dataset", building)
-        monkeypatch.setattr(fedper.protocol, "RowBlock", MeasuredRows)
+        monkeypatch.setattr(fedper.experiment, "RowBlock", MeasuredRows)
         overrides = [
             "rounds=1", "dataset.per_class=5000", "partition.num_clients=20",
             "sgd.batch_size=256", "sgd.epochs=1", "output.checkpoint_every=1",

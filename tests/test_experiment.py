@@ -13,7 +13,7 @@ from fedper.data import LabeledDataset, PartitionSpec, partition, synth_classifi
 from fedper.errors import ConfigError, UsageError
 from fedper.experiment import check_dataset, check_fits, client_shards, run_experiment, run_sweep
 from fedper.model import ModelSpec
-from fedper.nn import LayerSpec, LockstepPlan, RowBlock, SgdConfig
+from fedper.nn import LayerSpec, LockstepPlan, SgdConfig
 from fedper.protocol import RunConfig
 from fedper.rng import SPLIT, derive_seed
 
@@ -67,12 +67,11 @@ class TestFineTunedRun:
 class TestPipeline:
     def test_shards_split_per_client(self):
         cfg, ds = base_setup()
-        shards = client_shards(ds, cfg.partition)
-        assert len(shards) == 4
-        for train, test in shards:
-            total = len(train) + len(test)
-            assert len(train) == pytest.approx(0.8 * total, abs=1)
-            assert len(test) >= 1
+        trains, tests = client_shards(ds, cfg.partition)
+        assert len(trains.sizes) == len(tests.sizes) == 4
+        for train, test in zip(trains.sizes, tests.sizes):
+            assert train == pytest.approx(0.8 * (train + test), abs=1)
+            assert test >= 1
 
     @pytest.mark.parametrize("spec", [
         # 7 clients over 4 classes: ragged sets
@@ -84,25 +83,16 @@ class TestPipeline:
     ])
     def test_one_gather_per_side_equals_partition_then_split(self, spec):
         ds = synth_classification(4, 3, 40, seed=17)
-        shards = client_shards(ds, spec)
+        sides = client_shards(ds, spec)
         expected = [
             train_test_split(shard, spec.train_fraction, derive_seed(spec.seed, SPLIT, j))
             for j, shard in enumerate(partition(ds, spec))
         ]
-        assert len(shards) == len(expected) == spec.num_clients
-        for got, want in zip(shards, expected):
-            for g, w in zip(got, want):
-                assert g.num_classes == w.num_classes
-                assert g.X.tobytes() == w.X.tobytes() and g.y.tobytes() == w.y.tobytes()
-        for side in (0, 1):
-            sets = [pair[side] for pair in shards]
-            x_block, y_block = sets[0].X.base, sets[0].y.base
-            assert x_block is not None and y_block is not None
-            assert all(d.X.base is x_block and d.y.base is y_block for d in sets)
-            assert len(x_block) == len(y_block) == sum(len(d) for d in sets)
-            # the row block reads the rows where they were gathered
-            rows = RowBlock(sets)
-            assert rows.x is x_block and rows.y is y_block
+        assert len(expected) == spec.num_clients
+        for rows, want in zip(sides, zip(*expected)):
+            assert rows.sizes == [len(w) for w in want]
+            assert rows.x.tobytes() == np.concatenate([w.X for w in want]).tobytes()
+            assert rows.y.tobytes() == np.concatenate([w.y for w in want]).tobytes()
 
     def test_deterministic(self):
         cfg, ds = base_setup()

@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 from unittest import mock
 
@@ -21,6 +22,7 @@ from fedper.model import ModelSpec
 from fedper.nn import (
     ACTIVATIONS,
     LayerSpec,
+    RowBlock,
     SgdConfig,
     init_weights,
     loss_and_grad,
@@ -43,7 +45,7 @@ from fedper.protocol import (
     write_checkpoint,
 )
 import reference
-from helpers import minibatch_indices, rand_batch, rand_weights
+from helpers import block_sets, minibatch_indices, rand_batch, rand_weights, row_block, row_blocks
 
 
 def toy_spec(k_personal=1):
@@ -366,7 +368,7 @@ class TestRunFederation:
         cfg = toy_cfg(spec, num_clients=1, rounds=1)
         rng = np.random.default_rng(8)
         data = toy_client_data(spec, 1, rng)
-        result = run_federation(cfg, data)
+        result = run_federation(cfg, *row_blocks(data))
 
         base0 = reference.init(
             spec.base_layers, rngmod.substream(cfg.master_seed, rngmod.SERVER_PARTY, 0, rngmod.INIT)
@@ -385,8 +387,8 @@ class TestRunFederation:
         spec = toy_spec()
         cfg = toy_cfg(spec)
         data = toy_client_data(spec, cfg.partition.num_clients, np.random.default_rng(9))
-        a = run_federation(cfg, data)
-        b = run_federation(cfg, data)
+        a = run_federation(cfg, *row_blocks(data))
+        b = run_federation(cfg, *row_blocks(data))
         assert a.history == b.history
         assert weights_equal(a.server.base, b.server.base)
 
@@ -394,7 +396,7 @@ class TestRunFederation:
         spec = toy_spec()
         cfg = toy_cfg(spec, num_clients=4, rounds=3)
         data = toy_client_data(spec, 4, np.random.default_rng(11))
-        result = run_federation(cfg, data)
+        result = run_federation(cfg, *row_blocks(data))
         log = result.server.message_log
         assert result.server.personal_payload_count() == 0
         assert all(m.kind in (MSG_TRAIN_SIZE, MSG_BASE_WEIGHTS) for m in log)
@@ -404,7 +406,7 @@ class TestRunFederation:
         spec = toy_spec()
         cfg = toy_cfg(spec, num_clients=3, rounds=4)
         data = toy_client_data(spec, 3, np.random.default_rng(12))
-        history = run_federation(cfg, data).history
+        history = run_federation(cfg, *row_blocks(data)).history
         assert len(history) == 4
         entries = [m for r in history.rounds for m in r.clients]
         assert len(entries) == 4 * 3
@@ -415,7 +417,7 @@ class TestRunFederation:
         spec = toy_spec()
         cfg = toy_cfg(spec, fine_tune_flag=True)
         data = toy_client_data(spec, cfg.partition.num_clients, np.random.default_rng(13))
-        history = run_federation(cfg, data).history
+        history = run_federation(cfg, *row_blocks(data)).history
         assert len(history) == cfg.rounds
 
     def test_empty_test_set_rejected(self):
@@ -424,7 +426,7 @@ class TestRunFederation:
         rng = np.random.default_rng(0)
         data = [(rand_batch(spec, rng, 4), rand_batch(spec, rng, 0))]
         with pytest.raises(ConfigError):
-            run_federation(cfg, data)
+            run_federation(cfg, *row_blocks(data))
 
     def test_nan_features_stop_the_run(self):
         # NaN propagates without a floating-point signal; the weight check names the client
@@ -433,17 +435,59 @@ class TestRunFederation:
         data = toy_client_data(spec, 2, np.random.default_rng(16))
         data[1][0].X[3, 1] = np.nan
         with pytest.raises(SimulationError, match="client 1 has non-finite weights after round 1"):
-            run_federation(cfg, data)
+            run_federation(cfg, *row_blocks(data))
 
     def test_no_clients_rejected(self):
+        nothing = RowBlock(np.empty((0, 3)), np.empty(0, dtype=np.intp), [])
         with pytest.raises(ConfigError, match="at least one client"):
-            run_federation(toy_cfg(toy_spec()), [])
+            run_federation(toy_cfg(toy_spec()), nothing, nothing)
+
+    @pytest.mark.parametrize("kind", ["training", "test"])
+    @pytest.mark.parametrize("case", [
+        "empty-set", "a-set-short", "wrong-width", "rows-short-of-the-sizes", "label-past-the-outputs", "negative-label",
+    ])
+    def test_a_side_that_does_not_fit_the_clients_or_the_model_rejected(self, kind, case):
+        """Each side needs a set of rows for every client, no set empty, as
+        many rows and labels as its sizes add up to, the model's input
+        width and labels among its outputs."""
+        spec = toy_spec()  # 3 inputs, 3 outputs
+        rng = np.random.default_rng(17)
+        sides = dict(zip(("training", "test"), row_blocks([(rand_batch(spec, rng, 4), rand_batch(spec, rng, 2))] * 2)))
+        x, y, sizes = sides[kind].x, sides[kind].y, sides[kind].sizes
+        n, first = sum(sizes), sizes[0]
+        broken, error, message = {
+            "empty-set": (RowBlock(x[:first], y[:first], [first, 0]), ConfigError, f"client 1 has an empty {kind} set"),
+            "a-set-short": (
+                RowBlock(x[:first], y[:first], [first]), ConfigError,
+                "a federation needs at least one client, and a test set for each training set; "
+                f"got {1 if kind == 'training' else 2} training and {1 if kind == 'test' else 2} test sets",
+            ),
+            "wrong-width": (
+                RowBlock(np.hstack([x, x[:, :1]]), y, sizes), ShapeError,
+                f"{kind} rows ({n}, 4) and labels ({n},) are not ({n}, 3) and ({n},)",
+            ),
+            "rows-short-of-the-sizes": (
+                RowBlock(x[:-1], y[:-1], sizes), ShapeError,
+                f"{kind} rows ({n - 1}, 3) and labels ({n - 1},) are not ({n}, 3) and ({n},)",
+            ),
+            "label-past-the-outputs": (
+                RowBlock(x, np.where(np.arange(n) == 1, 3, y), sizes), ShapeError,
+                f"{kind} labels are not all in [0, 3), the model's outputs",
+            ),
+            "negative-label": (
+                RowBlock(x, np.where(np.arange(n) == 1, -1, y), sizes), ShapeError,
+                f"{kind} labels are not all in [0, 3), the model's outputs",
+            ),
+        }[case]
+        sides[kind] = broken
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            run_federation(toy_cfg(spec, num_clients=2), sides["training"], sides["test"])
 
     def test_checkpoint_interval(self, tmp_path):
         spec = toy_spec()
         cfg = toy_cfg(spec, num_clients=2, rounds=4)
         data = toy_client_data(spec, 2, np.random.default_rng(14))
-        run_federation(cfg, data, checkpoint_dir=tmp_path, checkpoint_every=2)
+        run_federation(cfg, *row_blocks(data), checkpoint_dir=tmp_path, checkpoint_every=2)
         names = {p.name for p in tmp_path.iterdir()}
         assert "round0002_server_base.json" in names
         assert "round0004_personal.bin" in names
@@ -454,7 +498,7 @@ class TestRunFederation:
         spec = toy_spec()
         cfg = toy_cfg(spec, num_clients=3, rounds=2)
         data = toy_client_data(spec, 3, np.random.default_rng(15))
-        result = run_federation(cfg, data, checkpoint_dir=tmp_path, checkpoint_every=1)
+        result = run_federation(cfg, *row_blocks(data), checkpoint_dir=tmp_path, checkpoint_every=1)
         write_checkpoint(tmp_path, "final", result.layers, spec.k_base)
         tags = Counter(p.name.split("_")[0] for p in tmp_path.iterdir())
         assert tags == {"round0001": 4, "round0002": 4, "final": 4}
@@ -463,8 +507,9 @@ class TestRunFederation:
             assert split_index == spec.k_base and weights_equal(base, result.server.base)
             stacks, split_index = load_weights(tmp_path / f"{tag}_personal")
             assert split_index == 0 and [w.shape[0] for w, _ in stacks] == [3] * spec.k_personal
-            for client in result.clients:
-                assert weights_equal(fedper.nn.unstack_weights(stacks, client.client_id), client.personal)
+            for j in range(3):
+                personal = fedper.nn.unstack_weights(result.layers[spec.k_base :], j)
+                assert weights_equal(fedper.nn.unstack_weights(stacks, j), personal)
 
 
 class TestFedAvgEquivalence:
@@ -514,7 +559,7 @@ class TestFedAvgEquivalence:
         spec = toy_spec(k_personal=0)
         cfg = toy_cfg(spec, num_clients=4, rounds=5, seed=2024)
         data = toy_client_data(spec, 4, np.random.default_rng(15), n_train=9, n_test=4)
-        ours = run_federation(cfg, data)
+        ours = run_federation(cfg, *row_blocks(data))
         reference = self.reference_fedavg(cfg, data)
         assert ours.history == reference
 
@@ -524,7 +569,7 @@ class TestFedAvgEquivalence:
         spec = toy_spec(k_personal=0)
         cfg = toy_cfg(spec, num_clients=3, rounds=3, seed=7, batch_size=3)
         data = toy_client_data(spec, 3, np.random.default_rng(16), n_train=10, n_test=4)
-        assert run_federation(cfg, data).history == self.reference_fedavg(cfg, data)
+        assert run_federation(cfg, *row_blocks(data)).history == self.reference_fedavg(cfg, data)
 
 
 @st.composite
@@ -563,18 +608,47 @@ class TestTrainingReference:
     (every round's base checksum and scores) and each client's final
     personal layers."""
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(federations())
-    def test_run_equals_reference(self, federation):
-        cfg, data = federation
-        ours = run_federation(cfg, data)
+    @staticmethod
+    def assert_equals_reference(cfg, data):
+        ours = run_federation(cfg, *row_blocks(data))
         records, personals = reference.federation(cfg, data)
         expected = RoundHistory(tuple(
             RoundRecord(r, checksum, tuple(ClientMetrics(j, r, a, loss) for j, (a, loss) in enumerate(scores)))
             for r, (checksum, scores) in enumerate(records, 1)
         ))
         assert repr(ours.history) == repr(expected)  # repr tells -0.0 from 0.0
-        assert [reference.checksum(c.personal) for c in ours.clients] == list(map(reference.checksum, personals))
+        stacks = ours.layers[cfg.spec.k_base :]
+        ours_personal = [reference.checksum(fedper.nn.unstack_weights(stacks, j)) for j in range(len(data))]
+        assert ours_personal == list(map(reference.checksum, personals))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(federations())
+    def test_run_equals_reference(self, federation):
+        self.assert_equals_reference(*federation)
+
+    def test_replay_of_ragged_launches_and_shared_scoring_segments(self):
+        """Six clients of 3, 11, 1, 8, 5 and 3 training rows at B=4, whose
+        steps mix batch sizes in one launch and whose test sets of 2 rows
+        are scored in one segment.  The data seed is one on which padding a
+        segment to its launch's largest batch, or running the shared base
+        as one tall gemm, changes the record on SkylakeX and Haswell, which
+        the property test's draws need not cover."""
+        spec = ModelSpec((LayerSpec(4, 5, "relu"), LayerSpec(5, 3, "identity")), 0)
+        cfg = RunConfig(spec, 2, SgdConfig(0.1, 1, 4), False, 3, PartitionSpec(mode="k_class", num_clients=6))
+        rng = np.random.default_rng(3)
+        self.assert_equals_reference(cfg, [(rand_batch(spec, rng, n), rand_batch(spec, rng, 2)) for n in (3, 11, 1, 8, 5, 3)])
+
+    def test_replay_of_a_step_through_an_odd_offset(self):
+        """One step of one client that OpenBLAS's generic core (Katmai)
+        trains off the reference: layer 2's (3, 1) weight starts at column 7
+        of its weight-block row, an odd float64 offset, and on that core the
+        backward product delta @ W rounds differently there than on the
+        reference's fresh array.  It passes on SkylakeX and Haswell and
+        fails on Katmai, whichever examples the property test draws."""
+        spec = ModelSpec((LayerSpec(1, 2, "relu"), LayerSpec(2, 1, "relu"), LayerSpec(1, 3, "identity")), 0)
+        cfg = RunConfig(spec, 1, SgdConfig(0.1, 1, 1), False, 11, PartitionSpec(mode="k_class", num_clients=1))
+        rng = np.random.default_rng(11)
+        self.assert_equals_reference(cfg, [(rand_batch(spec, rng, 1), rand_batch(spec, rng, 1))])
 
 
 class TestRowBudget:
@@ -584,8 +658,8 @@ class TestRowBudget:
     gives what the default budget gives."""
 
     @staticmethod
-    def run(cfg, data, budget):
-        """run_federation's result under the budget, and its plans."""
+    def run(cfg, sides, budget):
+        """run_federation's result on the sides under the budget, and its plans."""
         plans = []
 
         class RecordingPlan(fedper.nn.LockstepPlan):
@@ -595,11 +669,11 @@ class TestRowBudget:
 
         with mock.patch.object(fedper.protocol, "LockstepPlan", RecordingPlan), \
                 mock.patch.object(fedper.nn, "ROW_BUDGET", budget):
-            return run_federation(cfg, data), plans
+            return run_federation(cfg, *sides), plans
 
-    def assert_budget_free(self, cfg, data):
-        default, plans = self.run(cfg, data, fedper.nn.ROW_BUDGET)
-        one_row, one_row_plans = self.run(cfg, data, 1)
+    def assert_budget_free(self, cfg, sides):
+        default, plans = self.run(cfg, sides, fedper.nn.ROW_BUDGET)
+        one_row, one_row_plans = self.run(cfg, sides, 1)
         assert all(len(launch[0]) == 1 for plan in one_row_plans for launch in plan.launches)
         assert repr(one_row.history) == repr(default.history)  # repr tells -0.0 from 0.0
         checksums = [[r.base_checksum for r in h.rounds] for h in (one_row.history, default.history)]
@@ -610,7 +684,8 @@ class TestRowBudget:
     @settings(max_examples=40, deadline=None)
     @given(federations())
     def test_one_row_budget_changes_no_output(self, federation):
-        self.assert_budget_free(*federation)
+        cfg, data = federation
+        self.assert_budget_free(cfg, row_blocks(data))
 
     def test_unbalanced_fine_tuned_run(self):
         """Ragged unbalanced_users sets, fine-tuning on, relu and identity
@@ -618,9 +693,9 @@ class TestRowBudget:
         cfg = apply_overrides(default_config(), ["rounds=2", "fine_tune=true", "partition.mode=unbalanced_users"])
         resolved = resolve(cfg)
         assert {s.activation for s in resolved.run.spec.layers} == {"relu", "identity"}
-        shards = client_shards(build_dataset(resolved.dataset), resolved.run.partition)
-        assert len({len(train) for train, _ in shards}) > 1
-        self.assert_budget_free(resolved.run, shards)
+        sides = client_shards(build_dataset(resolved.dataset), resolved.run.partition)
+        assert len(set(sides[0].sizes)) > 1
+        self.assert_budget_free(resolved.run, sides)
 
 
 class TestStackedEvaluation:
@@ -646,14 +721,30 @@ class TestStackedEvaluation:
         sets = [rand_batch(spec, rng, n) for n in lengths]
         # max_rows below a set's length scores its sets one by one; above,
         # it splits a launch of equal-length sets into several
-        block, _ = fedper.nn.weight_block([base + p for p in personal])
-        alone = [reference.score(base + p, activations, d.X, d.y) for p, d in zip(personal, sets)]
         with mock.patch.object(fedper.nn, "ROW_BUDGET", max_rows):
-            rows = fedper.nn.RowBlock(sets)
-            plan = fedper.nn.LockstepPlan(spec, rows, block, 1, max(lengths), n_layers)
-            for i, measure in enumerate((fedper.metrics.correct, fedper.nn.cross_entropy)):
-                stacked = plan.score(measure)
-                assert repr(stacked) == repr([r[i] for r in alone])  # repr tells -0.0 from 0.0
+            self.assert_equals_reference(spec, base, personal, sets)
+
+    def test_replay_of_ragged_sets_under_one_shared_base(self):
+        """Six sets of 3, 11, 1, 8, 5 and 3 rows, scored in one launch of
+        five segments with every layer shared.  The seed is one on which
+        running the shared layers as one tall gemm over the launch changes
+        scores on SkylakeX and Haswell, which the draws above need not
+        cover."""
+        spec = ModelSpec((LayerSpec(4, 5, "relu"), LayerSpec(5, 3, "identity")), 0)
+        rng = np.random.default_rng(1)
+        base = rand_weights(spec.base_layers, rng)
+        personal = [rand_weights(spec.personal_layers, rng) for _ in range(6)]
+        self.assert_equals_reference(spec, base, personal, [rand_batch(spec, rng, n) for n in (3, 11, 1, 8, 5, 3)])
+
+    @staticmethod
+    def assert_equals_reference(spec, base, personal, sets):
+        """Each set's scores from one scoring plan are the reference's."""
+        block, _ = fedper.nn.weight_block([base + p for p in personal])
+        activations = [s.activation for s in spec.layers]
+        alone = [reference.score(base + p, activations, d.X, d.y) for p, d in zip(personal, sets)]
+        plan = fedper.nn.LockstepPlan(spec, row_block(sets), block, 1, max(map(len, sets)), len(spec.layers))
+        for i, measure in enumerate((fedper.metrics.correct, fedper.nn.cross_entropy)):
+            assert repr(plan.score(measure)) == repr([r[i] for r in alone])  # repr tells -0.0 from 0.0
 
 
 TWELVE_CLASS_LAYERS = (
@@ -687,19 +778,20 @@ class TestScoringReference:
     ], ids=["default", "unbalanced-fine-tuned", "twelve-classes", "budget-split", "wide-input"])
     def test_history_equals_reference_scores(self, tmp_path, overrides, row_budget):
         resolved = resolve(apply_overrides(default_config(), overrides))
+        ds = build_dataset(resolved.dataset)
+        trains, tests = client_shards(ds, resolved.run.partition)
         with mock.patch.object(fedper.nn, "ROW_BUDGET", row_budget or fedper.nn.ROW_BUDGET):
-            result = run_experiment(resolved.run, build_dataset(resolved.dataset), tmp_path, checkpoint_every=1)
+            result = run_experiment(resolved.run, ds, tmp_path, checkpoint_every=1)
         if row_budget is not None:
-            sizes = [len(c.train) for c in result.clients]
-            assert sum(sizes) > row_budget > max(sizes)
+            assert sum(trains.sizes) > row_budget > max(trains.sizes)
         activations = [s.activation for s in resolved.run.spec.layers]
         for record in result.history.rounds:
             base, _ = load_weights(tmp_path / f"round{record.round_idx:04d}_server_base")
             personal, _ = load_weights(tmp_path / f"round{record.round_idx:04d}_personal")
-            for c, m in zip(result.clients, record.clients):
-                layers = base + [(w[c.client_id], b[c.client_id]) for w, b in personal]
-                accuracy, _ = reference.score(layers, activations, c.test.X, c.test.y)
-                _, loss = reference.score(layers, activations, c.train.X, c.train.y)
+            for m, (train_x, train_y), (test_x, test_y) in zip(record.clients, block_sets(trains), block_sets(tests)):
+                layers = base + [(w[m.client_id], b[m.client_id]) for w, b in personal]
+                accuracy, _ = reference.score(layers, activations, test_x, test_y)
+                _, loss = reference.score(layers, activations, train_x, train_y)
                 assert repr((m.test_accuracy, m.train_loss)) == repr((accuracy, loss)), (record.round_idx, m)
 
 
@@ -750,10 +842,10 @@ class TestLaunchCounts:
         counts = Counter({"train": 0, "eval": 0})
         self.count_forwards(monkeypatch, counts)
         resolved = resolve({**default_config(), "rounds": 2})
-        result = run_experiment(resolved.run, build_dataset(resolved.dataset))
+        ds = build_dataset(resolved.dataset)
+        run_experiment(resolved.run, ds)
 
-        train_sizes = [len(c.train) for c in result.clients]
-        test_sizes = [len(c.test) for c in result.clients]
+        train_sizes, test_sizes = (rows.sizes for rows in client_shards(ds, resolved.run.partition))
         sgd_cfg = resolved.run.sgd
         assert self.steps(train_sizes, sgd_cfg.epochs, sgd_cfg.batch_size) == 20
         assert counts["train"] == 2 * 20
@@ -762,24 +854,18 @@ class TestLaunchCounts:
 
     def test_planned_once_per_run(self, monkeypatch):
         """With fine-tuning on, the four lock-step plans (SGD, fine-tune and
-        each side's scoring) and the row blocks of the test and the
-        training sets are built once, before round 1, and no round copies
-        client rows, nor does the set-up; the launch counts are those of
-        test_default_config."""
+        each side's scoring) are built once, before round 1, on the row
+        blocks the run is given, and no round copies client rows, nor does
+        the set-up; the launch counts are those of test_default_config."""
         resolved = resolve({**default_config(), "rounds": 3, "fine_tune": True})
-        shards = client_shards(build_dataset(resolved.dataset), resolved.run.partition)
-        client_arrays = [a for pair in shards for d in pair for a in (d.X, d.y)]
-        current_round, plans, row_blocks, copies, forwards = [0], [], [], [], Counter()
+        trains, tests = client_shards(build_dataset(resolved.dataset), resolved.run.partition)
+        client_arrays = [trains.x, trains.y, tests.x, tests.y]
+        current_round, plans, copies, forwards = [0], [], [], Counter()
 
         class CountingPlan(fedper.nn.LockstepPlan):
             def __init__(self, spec, rows, block, epochs, batch_size, first_trained=0, workspace=None):
-                plans.append((current_round[0], epochs, first_trained))
+                plans.append((current_round[0], epochs, first_trained, rows is trains, rows is tests))
                 super().__init__(spec, rows, block, epochs, batch_size, first_trained, workspace)
-
-        class CountingRows(fedper.nn.RowBlock):
-            def __init__(self, sets):
-                row_blocks.append(current_round[0])
-                super().__init__(sets)
 
         def wrap(module, name, before):
             f = getattr(module, name)
@@ -796,35 +882,34 @@ class TestLaunchCounts:
             return check
 
         monkeypatch.setattr(fedper.protocol, "LockstepPlan", CountingPlan)
-        monkeypatch.setattr(fedper.protocol, "RowBlock", CountingRows)
         # round_idx is the third argument of _streams, which every round calls
         wrap(fedper.protocol, "_streams", lambda *args: current_round.__setitem__(0, args[2]))
         for name in ("stack", "concatenate"):
             wrap(np, name, copying(name))
         self.count_forwards(monkeypatch, forwards)
 
-        result = run_federation(resolved.run, shards)
+        run_federation(resolved.run, trains, tests)
 
         sgd_cfg, spec = resolved.run.sgd, resolved.run.spec
         n_layers = len(spec.layers)
-        # fine-tune, each side's scoring, SGD
-        assert sorted(plans) == [(0, 1, spec.k_base), (0, 1, n_layers), (0, 1, n_layers), (0, sgd_cfg.epochs, 0)]
-        assert row_blocks == [0, 0]  # the test sets', the training sets'
+        # fine-tune, the test sets' scoring, the training sets' scoring, SGD
+        assert sorted(plans) == [
+            (0, 1, spec.k_base, True, False), (0, 1, n_layers, False, True), (0, 1, n_layers, True, False),
+            (0, sgd_cfg.epochs, 0, True, False),
+        ]
         assert copies == []
-        fine_tune_launches = self.steps([len(c.train) for c in result.clients], 1, sgd_cfg.batch_size)
+        fine_tune_launches = self.steps(trains.sizes, 1, sgd_cfg.batch_size)
         assert forwards == {"train": 3 * (20 + fine_tune_launches), "eval": 3 * 2}
 
     def test_one_weight_block_per_run(self, monkeypatch):
         """The SGD, the fine-tune and both scoring plans work on one (N, P)
-        block, and every client's personal weights are views of it."""
+        block, one row per client."""
         plans = self.record_plans(monkeypatch)
         resolved = resolve({**default_config(), "rounds": 2, "fine_tune": True})
         result = run_experiment(resolved.run, build_dataset(resolved.dataset))
         block = plans[0].block
         assert len(plans) == 4 and all(plan.block is block for plan in plans)
-        assert block.shape[0] == len(result.clients)
-        for c in result.clients:
-            assert all(np.shares_memory(w, block) and np.shares_memory(b, block) for w, b in c.personal)
+        assert block.shape[0] == resolved.run.partition.num_clients
         # the server's base is row 0's, and after the broadcast every row's base columns are bitwise it
         base_columns = sum(s.out_dim * (s.in_dim + 1) for s in resolved.run.spec.base_layers)
         assert all(np.shares_memory(w, block[0]) and np.shares_memory(b, block[0]) for w, b in result.server.base)
@@ -860,8 +945,9 @@ class TestLaunchCounts:
         monkeypatch.setattr(fedper.protocol, "evaluate", counting)
         cfg = apply_overrides(default_config(), ["rounds=2", "partition.mode=unbalanced_users"])
         resolved = resolve(cfg)
-        result = run_experiment(resolved.run, build_dataset(resolved.dataset))
-        lengths = [len(d) for c in result.clients for d in (c.train, c.test)]
+        ds = build_dataset(resolved.dataset)
+        run_experiment(resolved.run, ds)
+        lengths = [n for rows in client_shards(ds, resolved.run.partition) for n in rows.sizes]
         assert len(set(lengths)) > len(lengths) // 2  # mostly sets alone in their length
         assert calls == []
 
