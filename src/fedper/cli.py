@@ -1,5 +1,8 @@
 """Command-line entry point: run one federation, sweep an axis, or write a
-partition manifest.  Exit codes: 0 ok, 1 runtime error, 2 usage error."""
+partition manifest.  Exit codes: 0 ok, 1 runtime error, 2 usage error.
+--threads is accepted and unused: a run whose lock-step steps outgrow one
+launch trains one client group per usable core on threads of its own, and
+no output depends on the groups."""
 
 from __future__ import annotations
 
@@ -143,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override master_seed")
         p.add_argument(
             "--threads", type=_positive_int, default=1,
-            help="accepted for compatibility; clients always train in lock-step on one thread",
+            help="accepted for compatibility and unused; a run picks its own threads, and no output depends on them",
         )
 
     p_run = sub.add_parser("run", help="run one federation")

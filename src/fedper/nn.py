@@ -10,17 +10,21 @@ stacked layer by layer into (N, out, in) and (N, out) arrays.
 
 The engine is planned once per run, as a client's data never changes.  One
 planner (launches) makes every launch: one per lock-step step (more past
-ROW_BUDGET rows), its batches of one size a segment.  A RowBlock holds the
-clients' rows and labels end to end, in client order, in the arrays it is
-given, which no plan copies.  A LockstepPlan lays out, once, its launches'
-views of one workspace (a run's plans share one) and works on one (N, P)
-weight block (weight_block): every launch gathers its members' rows of it
-into the plan's launch block.  run shuffles each client's slice of the
-order array in place, trains and scatters the rows back; score, on a
-one-epoch plan whose batch is the whole set, takes each set's mean of a
-per-row measure.  sgd is the same engine with one client, as is
-fedper.metrics.evaluate, each reading its set's arrays as they are;
-loss_and_grad alone runs a launch of its own, one segment of one batch.
+the plan's row budget, ROW_BUDGET unless given), its batches of one size a
+segment.  A RowBlock holds the clients' rows and labels end to end, in
+client order, in the arrays it is given, which no plan copies; sets views
+a range of its sets.  A LockstepPlan lays out, once, its launches' views
+of one workspace (the plans of a group of a run's clients share one) and
+works on one (N, P) weight block (weight_block), or a view of a range of
+its rows: every launch gathers its members' rows of it into the plan's
+launch block.  Plans on disjoint clients share nothing they write, so
+fedper.protocol runs those of several client groups on threads at once.
+run shuffles each client's slice of the order array in place, trains and
+scatters the rows back; score, on a one-epoch plan whose batch is the
+whole set, takes each set's mean of a per-row measure.  sgd is the same
+engine with one client, as is fedper.metrics.evaluate, each reading its
+set's arrays as they are; loss_and_grad alone runs a launch of its own,
+one segment of one batch.
 """
 
 from __future__ import annotations
@@ -299,15 +303,19 @@ def loss_and_grad(
 ROW_BUDGET = 4096
 
 
-def launches(sizes: Sequence[int], offsets: Sequence[int], epochs: int, batch_size: int) -> list[tuple]:
+def launches(
+    sizes: Sequence[int], offsets: Sequence[int], epochs: int, batch_size: int, budget: int | None = None
+) -> list[tuple]:
     """The stacked launches of a lock-step pass of sets of these sizes,
     each walked epochs times in batches of batch_size, the last one partial:
     the batch of epoch e that starts at sample i of set j starts at position
     offsets[j] + e * sizes[j] + i of an order array.  A launch holds batches
     of one step: at step t they go by size, each size where it first occurs
-    and its sets in order, as many to a launch as fit in ROW_BUDGET rows
-    and at least one.  Per launch: its members, its rows' positions and its
-    segments' (members, batch size), one segment per size."""
+    and its sets in order, as many to a launch as fit in budget rows
+    (ROW_BUDGET if None) and at least one.  Per launch: its members, its
+    rows' positions and its segments' (members, batch size), one segment per
+    size."""
+    budget = ROW_BUDGET if budget is None else budget
     steps = [
         [(min(batch_size, n - i), j, off + e * n + i) for e in range(epochs) for i in range(0, n, batch_size)]
         for j, (n, off) in enumerate(zip(sizes, offsets))
@@ -320,7 +328,7 @@ def launches(sizes: Sequence[int], offsets: Sequence[int], epochs: int, batch_si
                 buckets.setdefault(s[t][0], []).append(s[t])
         cuts, rows = [[]], 0
         for batch in itertools.chain(*buckets.values()):
-            if cuts[-1] and rows + batch[0] > ROW_BUDGET:
+            if cuts[-1] and rows + batch[0] > budget:
                 cuts, rows = cuts + [[]], 0
             cuts[-1].append(batch)
             rows += batch[0]
@@ -341,6 +349,12 @@ class RowBlock:
     def __init__(self, x: np.ndarray, y: np.ndarray, sizes: Sequence[int]) -> None:
         self.x, self.y, self.sizes = x, y, list(sizes)
         self.starts = np.cumsum([0] + self.sizes[:-1])
+
+    def sets(self, lo: int, hi: int) -> "RowBlock":
+        """Sets lo..hi-1 as a RowBlock of views of this one's arrays."""
+        start = sum(self.sizes[:lo])
+        end = start + sum(self.sizes[lo:hi])
+        return RowBlock(self.x[start:end], self.y[start:end], self.sizes[lo:hi])
 
 
 def _launch_views(
@@ -383,13 +397,13 @@ class LockstepPlan:
     weights by -eta * gradient.  Layers before first_trained are frozen:
     they take part in the forward pass, but are never updated.
 
-    A step runs as one launch (more past ROW_BUDGET rows), planned by
-    launches(); its batches of one size are a segment.  np.matmul runs each
-    client's own gemm on its own slice of a segment, and every reduction
-    runs within one client's slice; nothing is padded, as padding would
-    change the gemm shapes and with them the rounding.  So every client's
-    arithmetic is that of a run on its own, whichever clients share a
-    launch; the elementwise work runs once per launch.
+    A step runs as one launch (more past budget rows, ROW_BUDGET if None),
+    planned by launches(); its batches of one size are a segment.
+    np.matmul runs each client's own gemm on its own slice of a segment,
+    and every reduction runs within one client's slice; nothing is padded,
+    as padding would change the gemm shapes and with them the rounding.
+    So every client's arithmetic is that of a run on its own, whichever
+    clients share a launch; the elementwise work runs once per launch.
 
     The weights are the given (N, P) block, laid out as weight_block lays
     it out, row j holding client j's layers.  Every launch gathers its
@@ -404,8 +418,8 @@ class LockstepPlan:
     """
 
     def __init__(
-        self, spec: "ModelSpec", rows: RowBlock, block: np.ndarray,
-        epochs: int, batch_size: int, first_trained: int = 0, workspace: list | None = None,
+        self, spec: "ModelSpec", rows: RowBlock, block: np.ndarray, epochs: int, batch_size: int,
+        first_trained: int = 0, workspace: list | None = None, budget: int | None = None,
     ) -> None:
         self.spec, self.rows, self.block, self.epochs, self.first_trained = spec, rows, block, epochs, first_trained
         sizes = rows.sizes
@@ -415,7 +429,7 @@ class LockstepPlan:
             self.template = np.concatenate([np.tile(np.arange(a, a + n), epochs) for a, n in zip(rows.starts, sizes)])
             self.order = np.empty_like(self.template)
             self.shuffles = np.split(self.order, np.cumsum([n for n in sizes for _ in range(epochs)])[:-1])
-        planned = launches(sizes, offsets, epochs, batch_size)
+        planned = launches(sizes, offsets, epochs, batch_size, budget)
         self.launches, self.workspace = _launch_views(spec, block, planned, first_trained, workspace)
 
     def batches(self, rngs: Sequence[np.random.Generator]):

@@ -7,14 +7,23 @@ copy (fedper.nn.weight_block): row j holds the round's base, then client
 j's personal layers; ServerState.base views row 0.  A run's rows are the
 two fedper.nn.RowBlocks it is given, the training and the test sets', each
 in client order; it checks them once and builds no per-client object.
-Built once per run: the plans, all of one planner (fedper.nn.launches) and
-in the SGD plan's workspace where their launches fit: the SGD pass, with
-fine-tuning on the fine-tune pass, and per side a scoring pass, one epoch
-whose batch is the whole set.  A round runs
-the passes, aggregates the base columns over the rows (aggregate_rows),
+Built once per run, per client group: the plans, all of one planner
+(fedper.nn.launches) and in the SGD plan's workspace where their launches
+fit: the SGD pass, with fine-tuning on the fine-tune pass, and per side a
+scoring pass, one epoch whose batch is the whole set.  A round runs the
+passes, aggregates the base columns over the rows (aggregate_rows),
 assigns the result to every row and scores from the block: each set's
 mean of a per-row measure, fedper.metrics.correct on the test sets and
 fedper.nn.cross_entropy on the training sets.
+
+A run is one group of all its clients unless one lock-step step of its
+SGD pass, one batch of every client, holds more than fedper.nn.ROW_BUDGET
+rows.  Such a run splits into one contiguous group per usable core (at
+most one per client) of about equal training rows, each group's plans on
+views of its rows with a budget of ROW_BUDGET // groups, and a thread pool
+that lives as long as the run runs each pass as one task per group.
+Everything else stays on the main thread, between passes.  A client's arithmetic does not depend
+on its group, so no output byte does.
 
 Communication is in-process.  Every exchange is appended to the server's
 message log as (sender, receiver, payload kind), which makes the privacy
@@ -24,13 +33,16 @@ so no log entry may carry the personal-weights kind.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from . import nn
 from . import rng as rngmod
 from .errors import ConfigError, ProtocolError, ShapeError, SimulationError, UsageError
 from .checkpoint import save_weights
@@ -265,7 +277,8 @@ def run_federation(
     next broadcast: each client is scored with the round's aggregated base
     plus its own personal weights, the pair the personalized risk is defined
     on.  All clients train together on the lock-step engine, which gives
-    every client bitwise the result of training it on its own.
+    every client bitwise the result of training it on its own, also when
+    the run trains in client groups on threads (_client_groups).
 
     A round that overflows, or leaves a client's weights non-finite
     (typically a learning rate too large for the data), stops the run with a
@@ -294,41 +307,94 @@ def run_federation(
     base = block[:, : sum(s.out_dim * (s.in_dim + 1) for s in spec.base_layers)]
     server.base = unstack_weights(layers[:kb], 0)
 
-    # training and the scoring of the training sets read one block of rows
-    sgd_plan = LockstepPlan(spec, trains, block, cfg.sgd.epochs, cfg.sgd.batch_size)
-    fine_tune_plan = None
-    if cfg.fine_tune and spec.k_personal >= 1:  # one epoch on the personal layers, base frozen
-        fine_tune_plan = LockstepPlan(spec, trains, block, 1, cfg.sgd.batch_size, spec.k_base, sgd_plan.workspace)
-    # scoring is a one-epoch pass whose batch is the whole set, every layer frozen
-    score_trains = LockstepPlan(spec, trains, block, 1, max(trains.sizes), len(spec.layers), sgd_plan.workspace)
-    score_tests = LockstepPlan(spec, tests, block, 1, max(tests.sizes), len(spec.layers), score_trains.workspace)
-
-    for round_idx in range(1, cfg.rounds + 1):
-        # an overflow can leave every weight finite but meaningless
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                for j in clients:
-                    server.log(SERVER, client_name(j), MSG_BASE_WEIGHTS)
-                if fine_tune_plan is not None:
-                    fine_tune_plan.run(_streams(cfg, clients, round_idx, rngmod.FINE_TUNE), cfg.sgd.eta)
-                sgd_plan.run(_streams(cfg, clients, round_idx, rngmod.SGD), cfg.sgd.eta)
-                _check_finite(block, round_idx)
-                for j in clients:
-                    server.log(client_name(j), SERVER, MSG_BASE_WEIGHTS)
-                # aggregate and broadcast now: scoring reads row j as the base and client j's layers
-                base[...] = aggregate_rows(base, server.agg_weights)
-                # the history records the test sets' accuracy and the training sets' loss
-                accuracies, losses = score_tests.score(correct), score_trains.score(cross_entropy)
-                metrics = tuple(ClientMetrics(j, round_idx, a, loss) for j, a, loss in zip(clients, accuracies, losses))
-                records.append(RoundRecord(round_idx, weights_checksum(server.base), metrics))
-        except FloatingPointError as exc:
-            raise SimulationError(
-                f"round {round_idx}: {exc}; the run diverged (try a smaller sgd.eta)"
-            ) from exc
-        if checkpoint_dir is not None and checkpoint_every > 0 and round_idx % checkpoint_every == 0:
-            write_checkpoint(Path(checkpoint_dir), f"round{round_idx:04d}", layers, kb)
+    groups = _client_groups(trains.sizes, cfg.sgd.batch_size)
+    budget = nn.ROW_BUDGET // len(groups)  # the groups' launches together hold one launch of rows
+    sgd_plans, fine_tune_plans, score_trains, score_tests = zip(*(
+        _group_plans(cfg, trains.sets(lo, hi), tests.sets(lo, hi), block[lo:hi], budget) for lo, hi in groups
+    ))
+    # the main thread draws the streams, checks, aggregates, logs and writes; only the passes run on the pool
+    pool = None
+    if len(groups) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # a one-group run never imports it
+        pool = ThreadPoolExecutor(len(groups))
+    try:
+        for round_idx in range(1, cfg.rounds + 1):
+            # an overflow can leave every weight finite but meaningless
+            try:
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    for j in clients:
+                        server.log(SERVER, client_name(j), MSG_BASE_WEIGHTS)
+                    for purpose, plans in ((rngmod.FINE_TUNE, fine_tune_plans), (rngmod.SGD, sgd_plans)):
+                        if plans[0] is not None:
+                            rngs = _streams(cfg, clients, round_idx, purpose)
+                            _each(pool, [(p.run, rngs[lo:hi], cfg.sgd.eta) for p, (lo, hi) in zip(plans, groups)])
+                    _check_finite(block, round_idx)
+                    for j in clients:
+                        server.log(client_name(j), SERVER, MSG_BASE_WEIGHTS)
+                    # aggregate and broadcast now: scoring reads row j as the base and client j's layers
+                    base[...] = aggregate_rows(base, server.agg_weights)
+                    # the history records the test sets' accuracy and the training sets' loss
+                    accuracies = sum(_each(pool, [(p.score, correct) for p in score_tests]), [])
+                    losses = sum(_each(pool, [(p.score, cross_entropy) for p in score_trains]), [])
+                    metrics = tuple(
+                        ClientMetrics(j, round_idx, a, loss) for j, a, loss in zip(clients, accuracies, losses)
+                    )
+                    records.append(RoundRecord(round_idx, weights_checksum(server.base), metrics))
+            except FloatingPointError as exc:
+                raise SimulationError(
+                    f"round {round_idx}: {exc}; the run diverged (try a smaller sgd.eta)"
+                ) from exc
+            if checkpoint_dir is not None and checkpoint_every > 0 and round_idx % checkpoint_every == 0:
+                write_checkpoint(Path(checkpoint_dir), f"round{round_idx:04d}", layers, kb)
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
     return FederationResult(RoundHistory(tuple(records)), server, layers)
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _client_groups(sizes: Sequence[int], batch_size: int) -> list[tuple[int, int]]:
+    """The run's clients as contiguous ranges (lo, hi) of about equal training
+    rows, client j in the range its rows' midpoint falls in: one range
+    unless a lock-step step, one batch of every client, holds more than
+    ROW_BUDGET rows, and otherwise at most one per usable core."""
+    count = 1
+    if sum(min(batch_size, n) for n in sizes) > nn.ROW_BUDGET:
+        count = min(_usable_cores(), len(sizes))
+    midpoints = np.cumsum(sizes) - np.divide(sizes, 2)
+    starts = np.flatnonzero(np.diff(midpoints * count // sum(sizes), prepend=-1)).tolist()
+    return list(zip(starts, starts[1:] + [len(sizes)]))
+
+
+def _group_plans(cfg: RunConfig, trains: RowBlock, tests: RowBlock, block: np.ndarray, budget: int) -> tuple:
+    """The SGD, the fine-tune (None without fine-tuning) and each side's
+    scoring plan of the clients whose sets and weight rows these are, all in
+    the SGD plan's workspace where their launches fit."""
+    spec, batch_size, frozen = cfg.spec, cfg.sgd.batch_size, len(cfg.spec.layers)
+    # training and the scoring of the training sets read one block of rows
+    sgd_plan = LockstepPlan(spec, trains, block, cfg.sgd.epochs, batch_size, budget=budget)
+    fine_tune_plan = None
+    if cfg.fine_tune and spec.k_personal >= 1:  # one epoch on the personal layers, base frozen
+        fine_tune_plan = LockstepPlan(spec, trains, block, 1, batch_size, spec.k_base, sgd_plan.workspace, budget)
+    # scoring is a one-epoch pass whose batch is the whole set, every layer frozen
+    score_trains = LockstepPlan(spec, trains, block, 1, max(trains.sizes), frozen, sgd_plan.workspace, budget)
+    score_tests = LockstepPlan(spec, tests, block, 1, max(tests.sizes), frozen, score_trains.workspace, budget)
+    return sgd_plan, fine_tune_plan, score_trains, score_tests
+
+
+def _each(pool, calls: Sequence[tuple]) -> list:
+    """The result of every call, a function and its arguments, in order:
+    on the pool's threads if there is a pool, each in a copy of this
+    thread's context, so that its np.errstate holds there too."""
+    if pool is None:
+        return [f(*args) for f, *args in calls]
+    futures = [pool.submit(contextvars.copy_context().run, *call) for call in calls]
+    return [future.result() for future in futures]
 
 
 def _check_finite(block: np.ndarray, round_idx: int) -> None:

@@ -69,7 +69,7 @@ MUTANTS = (
     # the fine-tune pass trains the personal layers only, the base frozen
     Mutant(
         "fine-tune-trains-base", "protocol.py",
-        (("cfg.sgd.batch_size, spec.k_base, sgd_plan.workspace)", "cfg.sgd.batch_size, 0, sgd_plan.workspace)"),),
+        (("batch_size, spec.k_base, sgd_plan.workspace, budget)", "batch_size, 0, sgd_plan.workspace, budget)"),),
         (
             "tests/test_golden.py",
             "tests/test_protocol.py::TestTrainingReference",
@@ -198,6 +198,13 @@ MUTANTS = (
             "tests/test_protocol.py::TestTrainingReference",
             "tests/test_protocol.py::TestRowBudget",
         ),
+    ),
+    # a pass on the thread pool runs in a copy of the round's context, so
+    # that the round's np.errstate raises on an overflow there too
+    Mutant(
+        "pool-task-outside-the-rounds-errstate", "protocol.py",
+        (("pool.submit(contextvars.copy_context().run, *call)", "pool.submit(*call)"),),
+        ("tests/test_protocol.py::TestClientGroups::test_overflow_in_a_group_ends_the_run",),
     ),
     # the fit check leaves every client a test sample
     Mutant(

@@ -1,5 +1,6 @@
 import json
 import re
+import threading
 from collections import Counter
 from unittest import mock
 
@@ -13,6 +14,7 @@ import fedper.nn
 import fedper.protocol
 import fedper.rng as rngmod
 from fedper.checkpoint import load_weights
+from fedper.cli import main
 from fedper.config import apply_overrides, build_dataset, default_config, resolve
 from fedper.data import LabeledDataset, PartitionSpec
 from fedper.errors import ConfigError, ProtocolError, ShapeError, SimulationError, UsageError
@@ -45,6 +47,7 @@ from fedper.protocol import (
     write_checkpoint,
 )
 import reference
+import test_golden
 from helpers import block_sets, minibatch_indices, rand_batch, rand_weights, row_block, row_blocks
 
 
@@ -659,27 +662,35 @@ class TestRowBudget:
 
     @staticmethod
     def run(cfg, sides, budget):
-        """run_federation's result on the sides under the budget, and its plans."""
-        plans = []
+        """run_federation's result on the sides under the budget, its plans
+        and its weight block."""
+        plans, blocks, build = [], [], fedper.protocol.weight_block
 
         class RecordingPlan(fedper.nn.LockstepPlan):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 plans.append(self)
 
+        def building(sets):
+            blocks.append(build(sets))
+            return blocks[-1]
+
         with mock.patch.object(fedper.protocol, "LockstepPlan", RecordingPlan), \
+                mock.patch.object(fedper.protocol, "weight_block", building), \
                 mock.patch.object(fedper.nn, "ROW_BUDGET", budget):
-            return run_federation(cfg, *sides), plans
+            result = run_federation(cfg, *sides)
+        ((block, _),) = blocks
+        return result, plans, block
 
     def assert_budget_free(self, cfg, sides):
-        default, plans = self.run(cfg, sides, fedper.nn.ROW_BUDGET)
-        one_row, one_row_plans = self.run(cfg, sides, 1)
+        default, _, block = self.run(cfg, sides, fedper.nn.ROW_BUDGET)
+        one_row, one_row_plans, one_row_block = self.run(cfg, sides, 1)
         assert all(len(launch[0]) == 1 for plan in one_row_plans for launch in plan.launches)
         assert repr(one_row.history) == repr(default.history)  # repr tells -0.0 from 0.0
         checksums = [[r.base_checksum for r in h.rounds] for h in (one_row.history, default.history)]
         assert checksums[0] == checksums[1]
         # the final weight block: the round's base and every client's personal layers
-        assert one_row_plans[0].block.tobytes() == plans[0].block.tobytes()
+        assert one_row_block.tobytes() == block.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(federations())
@@ -854,18 +865,21 @@ class TestLaunchCounts:
 
     def test_planned_once_per_run(self, monkeypatch):
         """With fine-tuning on, the four lock-step plans (SGD, fine-tune and
-        each side's scoring) are built once, before round 1, on the row
-        blocks the run is given, and no round copies client rows, nor does
-        the set-up; the launch counts are those of test_default_config."""
+        each side's scoring) are built once, before round 1, on views of the
+        row blocks the run is given, and no round copies client rows, nor
+        does the set-up; the launch counts are those of test_default_config."""
         resolved = resolve({**default_config(), "rounds": 3, "fine_tune": True})
         trains, tests = client_shards(build_dataset(resolved.dataset), resolved.run.partition)
         client_arrays = [trains.x, trains.y, tests.x, tests.y]
         current_round, plans, copies, forwards = [0], [], [], Counter()
 
+        def views(rows, side):
+            return rows.x.base is side.x and rows.y.base is side.y and rows.sizes == side.sizes
+
         class CountingPlan(fedper.nn.LockstepPlan):
-            def __init__(self, spec, rows, block, epochs, batch_size, first_trained=0, workspace=None):
-                plans.append((current_round[0], epochs, first_trained, rows is trains, rows is tests))
-                super().__init__(spec, rows, block, epochs, batch_size, first_trained, workspace)
+            def __init__(self, spec, rows, block, epochs, batch_size, first_trained=0, workspace=None, budget=None):
+                plans.append((current_round[0], epochs, first_trained, views(rows, trains), views(rows, tests)))
+                super().__init__(spec, rows, block, epochs, batch_size, first_trained, workspace, budget)
 
         def wrap(module, name, before):
             f = getattr(module, name)
@@ -903,12 +917,18 @@ class TestLaunchCounts:
 
     def test_one_weight_block_per_run(self, monkeypatch):
         """The SGD, the fine-tune and both scoring plans work on one (N, P)
-        block, one row per client."""
-        plans = self.record_plans(monkeypatch)
+        block, one row per client: the run's weight block."""
+        plans, blocks, build = self.record_plans(monkeypatch), [], fedper.protocol.weight_block
+
+        def building(sets):
+            blocks.append(build(sets))
+            return blocks[-1]
+
+        monkeypatch.setattr(fedper.protocol, "weight_block", building)
         resolved = resolve({**default_config(), "rounds": 2, "fine_tune": True})
         result = run_experiment(resolved.run, build_dataset(resolved.dataset))
-        block = plans[0].block
-        assert len(plans) == 4 and all(plan.block is block for plan in plans)
+        ((block, _),) = blocks
+        assert len(plans) == 4 and all(plan.block.base is block and plan.block.shape == block.shape for plan in plans)
         assert block.shape[0] == resolved.run.partition.num_clients
         # the server's base is row 0's, and after the broadcast every row's base columns are bitwise it
         base_columns = sum(s.out_dim * (s.in_dim + 1) for s in resolved.run.spec.base_layers)
@@ -959,3 +979,91 @@ class TestRunConfigValidation:
             toy_cfg(spec, num_clients=0)
         with pytest.raises(ConfigError):
             toy_cfg(spec, rounds=0)
+
+
+class TestClientGroups:
+    """A run whose lock-step steps hold more than ROW_BUDGET rows trains as
+    one contiguous group of clients per usable core, each group's share of
+    a pass a task on a thread.  Groups change no output byte: runs of 2 and
+    3 groups write the history, the per-round base checksums and the
+    checkpoints of a run of one, and a pass that overflows in a group ends
+    the run as it ends a run of one group.  No thread outlives the run."""
+
+    CONFIGS = {
+        "k_class": ["rounds=2"],
+        "unbalanced-fine-tuned": [
+            "rounds=2", "partition.mode=unbalanced_users", "partition.rater_disagreement=true",
+            "fine_tune=true", "sgd.eta=0.05",
+        ],
+        "ragged": [
+            "rounds=3", "partition.mode=unbalanced_users", "partition.num_clients=7",
+            "partition.volume_range=[4,60]", "sgd.batch_size=8", "model.k_personal=2",
+        ],
+    }
+
+    @staticmethod
+    def force(monkeypatch, cores: int) -> list:
+        """Give runs cores usable cores and a row budget of 40 rows, below
+        every step of CONFIGS' runs; returns a list that gets each run's
+        client groups."""
+        groups, split = [], fedper.protocol._client_groups
+
+        def splitting(*args):
+            groups.append(split(*args))
+            return groups[-1]
+
+        monkeypatch.setattr(fedper.protocol, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(fedper.protocol, "_client_groups", splitting)
+        monkeypatch.setattr(fedper.nn, "ROW_BUDGET", 40)
+        return groups
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_groups_change_no_output_byte(self, monkeypatch, tmp_path, name):
+        resolved = resolve(apply_overrides(default_config(), self.CONFIGS[name]))
+        ds = build_dataset(resolved.dataset)
+        outputs = []
+        for cores in (1, 2, 3):
+            with monkeypatch.context() as patch:
+                groups, threads, out = self.force(patch, cores), threading.active_count(), tmp_path / str(cores)
+                result = run_experiment(resolved.run, ds, out, checkpoint_every=1)
+            assert [len(g) for g in groups] == [cores] and threading.active_count() == threads
+            checksums = [r.base_checksum for r in result.history.rounds]
+            # repr tells -0.0 from 0.0; the checkpoints are every round's
+            outputs.append((repr(result.history), checksums, {f.name: f.read_bytes() for f in sorted(out.iterdir())}))
+        assert len(outputs[0][2]) == 4 * resolved.run.rounds
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_golden_config_in_three_groups_gives_its_stored_values(self, monkeypatch):
+        groups = self.force(monkeypatch, 3)
+        values = test_golden.history_values("unbalanced_finetune")
+        assert [len(g) for g in groups] == [3]
+        assert values == test_golden.stored(test_golden.GOLDEN, "unbalanced_finetune")
+
+    def test_groups_are_contiguous_ranges_of_about_equal_rows(self, monkeypatch):
+        split = fedper.protocol._client_groups
+        self.force(monkeypatch, 3)
+        assert split([16] * 10, 16) == [(0, 3), (3, 7), (7, 10)]
+        assert split([30] * 2, 30) == [(0, 1), (1, 2)]  # at most one group per client
+        assert split([1000, 1, 1], 1000) == [(0, 1), (1, 3)]  # no group is empty
+        assert split([8] * 5, 8) == [(0, 5)]  # a step of 40 rows fits the budget
+
+    @pytest.mark.parametrize("affinity, count, cores", [(True, 5, 2), (False, 5, 5), (False, None, 1)])
+    def test_usable_cores_are_the_affinity_else_the_cpu_count(self, monkeypatch, affinity, count, cores):
+        if affinity:
+            monkeypatch.setattr(fedper.protocol.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        else:
+            monkeypatch.delattr(fedper.protocol.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(fedper.protocol.os, "cpu_count", lambda: count)
+        assert fedper.protocol._usable_cores() == cores
+
+    @pytest.mark.parametrize("overrides, round_idx", [
+        ([], 1),
+        # weights that stay finite while the losses overflow, as scoring finds
+        (["--set", "dataset.per_class=30", "--set", "partition.num_clients=4"], 2),
+    ], ids=["in-training", "in-scoring"])
+    def test_overflow_in_a_group_ends_the_run(self, monkeypatch, tmp_path, capsys, overrides, round_idx):
+        groups, threads, out = self.force(monkeypatch, 2), threading.active_count(), tmp_path / "o"
+        assert main(["run", "--set", "sgd.eta=1e6", "--set", "rounds=3", *overrides, "--out", str(out)]) == 1
+        assert [len(g) for g in groups] == [2] and threading.active_count() == threads
+        assert re.search(rf"round {round_idx}: overflow encountered in \w+; the run diverged", capsys.readouterr().err)
+        assert not (out / "run_history.csv").exists()
