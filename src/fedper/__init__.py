@@ -42,7 +42,6 @@ from .protocol import (
     client_round,
     fine_tune,
     run_federation,
-    server_init,
 )
 
 __version__ = "0.1.0"

@@ -1,5 +1,7 @@
-"""Federation protocol: client and server state machines, the round loop,
-sample-weighted aggregation, and the optional personal-layer fine-tuning pass.
+"""Federation protocol: the run (run_federation), with its round loop,
+sample-weighted aggregation and optional personal-layer fine-tuning pass,
+and the one-client step API (make_client, client_round, fine_tune,
+aggregate), which the run does not call.
 
 Every round trains all clients together on the lock-step engine
 (fedper.nn.LockstepPlan).  The run's weights are one block and no other
@@ -86,9 +88,9 @@ class ClientState:
 
 @dataclass
 class ServerState:
-    """Global base weights (in a run, views of row 0 of the weight block,
-    the aggregated base after each round's broadcast), the per-client
-    aggregation weights, and the log of every message exchanged."""
+    """A run's global base weights (views of row 0 of its weight block, the
+    aggregated base after each round's broadcast), the aggregation weights
+    n_j / sum(n), and the log of every message exchanged."""
 
     base: Layers
     agg_weights: list[float]
@@ -140,24 +142,6 @@ class FederationResult:
     history: RoundHistory
     server: ServerState
     layers: Layers  # the weight block's layer stacks, base layers first; row j is client j's
-
-
-def server_init(cfg: RunConfig, client_sizes: Sequence[int]) -> ServerState:
-    """Initialize global base weights from the server's stream and compute the
-    aggregation weights n_j / sum(n) once, up front."""
-    if len(client_sizes) == 0:
-        raise ConfigError("a federation needs at least one client")
-    for j, n in enumerate(client_sizes):
-        if n < 1:
-            raise ConfigError(f"client {j} reports {n} training samples; every client needs >= 1")
-    total = sum(client_sizes)
-    agg_weights = [n / total for n in client_sizes]
-    server_stream = rngmod.substream(cfg.master_seed, rngmod.SERVER_PARTY, 0, rngmod.INIT)
-    base = init_weights(cfg.spec.base_layers, server_stream)
-    state = ServerState(base=base, agg_weights=agg_weights)
-    for j in range(len(client_sizes)):
-        state.log(client_name(j), SERVER, MSG_TRAIN_SIZE)
-    return state
 
 
 def _client_stream(
@@ -271,7 +255,8 @@ def run_federation(
     all clients locally (optionally fine-tuning personal layers first),
     aggregate the base updates in client-id order, and record per-client
     metrics.  Both sides are checked first: each needs a non-empty set for
-    every client, of rows of the model's input width labeled by its outputs.
+    every client, of float64 rows of the model's input width and integer
+    labels among its outputs.
 
     Metrics are recorded after local training and aggregation, before the
     next broadcast: each client is scored with the round's aggregated base
@@ -294,18 +279,24 @@ def run_federation(
         n = sum(rows.sizes)
         if rows.x.shape != (n, spec.in_dim) or rows.y.shape != (n,):
             raise ShapeError(f"{kind} rows {rows.x.shape} and labels {rows.y.shape} are not ({n}, {spec.in_dim}) and ({n},)")
+        if rows.x.dtype.type is not np.float64 or not np.issubdtype(rows.y.dtype, np.integer):
+            raise ShapeError(f"{kind} rows of {rows.x.dtype} and labels of {rows.y.dtype} are not float64 and integers")
         for j, size in enumerate(rows.sizes):
             if size < 1:
                 raise ConfigError(f"client {j} has an empty {kind} set")
         if not 0 <= rows.y.min() <= rows.y.max() < spec.out_dim:
             raise ShapeError(f"{kind} labels are not all in [0, {spec.out_dim}), the model's outputs")
-    server = server_init(cfg, trains.sizes)
-    # the one copy of the run's weights: row j is the round's broadcast base, then client
-    # j's personal layers, drawn from its own stream; the server's base views row 0
+    # the one copy of the run's weights: row j is the round's broadcast base, drawn from the
+    # server's stream, then client j's personal layers, drawn from its own; the server's base
+    # views row 0, and client j's aggregation weight is n_j / sum(n)
+    base_init = init_weights(spec.base_layers, rngmod.substream(cfg.master_seed, rngmod.SERVER_PARTY, 0, rngmod.INIT))
     personal = [init_weights(spec.personal_layers, _client_stream(cfg, j, 0, rngmod.INIT)) for j in clients]
-    block, layers = weight_block([server.base + p for p in personal])
+    block, layers = weight_block([base_init + p for p in personal])
     base = block[:, : sum(s.out_dim * (s.in_dim + 1) for s in spec.base_layers)]
-    server.base = unstack_weights(layers[:kb], 0)
+    total = sum(trains.sizes)
+    server = ServerState(unstack_weights(layers[:kb], 0), [n / total for n in trains.sizes])
+    for j in clients:
+        server.log(client_name(j), SERVER, MSG_TRAIN_SIZE)
 
     groups = _client_groups(trains.sizes, cfg.sgd.batch_size)
     budget = nn.ROW_BUDGET // len(groups)  # the groups' launches together hold one launch of rows

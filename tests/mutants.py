@@ -206,6 +206,34 @@ MUTANTS = (
         (("pool.submit(contextvars.copy_context().run, *call)", "pool.submit(*call)"),),
         ("tests/test_protocol.py::TestClientGroups::test_overflow_in_a_group_ends_the_run",),
     ),
+    # the run draws the shared base from the server's stream, not a client's
+    Mutant(
+        "server-base-from-a-client-stream", "protocol.py",
+        ((
+            "rngmod.substream(cfg.master_seed, rngmod.SERVER_PARTY, 0, rngmod.INIT)",
+            "_client_stream(cfg, 0, 0, rngmod.INIT)",
+        ),),
+        (
+            "tests/test_golden.py",
+            "tests/test_protocol.py::TestTrainingReference",
+            "tests/test_protocol.py::TestRunFederation::test_base_is_drawn_from_the_servers_stream",
+        ),
+    ),
+    # the run refuses rows that are not float64 and labels that are not
+    # integers at its door, not inside a pass or after training on a cast
+    Mutant(
+        "door-without-dtype-check", "protocol.py",
+        (("if rows.x.dtype.type is not np.float64 or not np.issubdtype(rows.y.dtype, np.integer):", "if False:"),),
+        tuple(
+            "tests/test_protocol.py::TestRunFederation::"
+            f"test_a_side_that_does_not_fit_the_clients_or_the_model_rejected[{case}-{kind}]"
+            for case in (
+                *(f"{name}-rows" for name in ("float32", "float16", "int64", "bool", "complex128", "object")),
+                "float64-labels", "bool-labels",
+            )
+            for kind in ("training", "test")
+        ),
+    ),
     # the fit check leaves every client a test sample
     Mutant(
         "fit-check-without-split", "data.py", (("enumerate(sizes)", "enumerate([])"),),

@@ -1,12 +1,17 @@
 """Golden outputs: per-round base checksums and a digest of the history for
 5 rounds of five configs.  The first three were recorded from the
 per-client training loop that the lock-step engine replaced; the fourth has
-40 equal sets of 160 training rows, so ROW_BUDGET splits its whole-set
-launches and its training scoring groups into 25 + 15 clients, and the
-spare-block gather/scatter runs.  The fifth, recorded from the engine that
-launched each batch size of a step on its own, has 24 ragged fine-tuned
-sets at B=256: the first step of each epoch holds more than ROW_BUDGET rows
-of many batch sizes, so it splits into two launches of several segments
+40 equal sets of 160 training rows, so the row budget splits its whole-set
+launches and its training scoring launches: into 25 + 15 clients in a run
+of one client group, at the full ROW_BUDGET, and into 12 + 8 clients in
+each of the two groups of 20 that the run splits into on a machine with
+two or more usable cores, at a budget of 2,048 rows each.  Every launch
+gathers its clients' weight rows into the plan's launch block and scatters
+them back.  The fifth, recorded from the engine that launched each batch
+size of a step on its own, has 24 ragged fine-tuned sets at B=256: the
+first step of each epoch holds more than the budget's rows of many batch
+sizes (ROW_BUDGET in one group; 2,048 in each of the two groups of 12 on
+two or more cores), so it splits into two launches of several segments
 each, and the training sets' scoring launches mix set lengths.  Any change
 to the arithmetic of local training, aggregation or evaluation shows here
 as a mismatch.

@@ -19,7 +19,7 @@ from fedper.config import apply_overrides, build_dataset, default_config, resolv
 from fedper.data import LabeledDataset, PartitionSpec
 from fedper.errors import ConfigError, ProtocolError, ShapeError, SimulationError, UsageError
 from fedper.experiment import client_shards, run_experiment
-from fedper.metrics import ClientMetrics, evaluate
+from fedper.metrics import ClientMetrics
 from fedper.model import ModelSpec
 from fedper.nn import (
     ACTIVATIONS,
@@ -35,6 +35,8 @@ from fedper.protocol import (
     MSG_BASE_WEIGHTS,
     MSG_PERSONAL_WEIGHTS,
     MSG_TRAIN_SIZE,
+    SERVER,
+    Message,
     RoundHistory,
     RoundRecord,
     RunConfig,
@@ -42,8 +44,8 @@ from fedper.protocol import (
     client_round,
     fine_tune,
     make_client,
+    client_name,
     run_federation,
-    server_init,
     write_checkpoint,
 )
 import reference
@@ -74,42 +76,6 @@ def toy_client_data(spec, num_clients, rng, n_train=8, n_test=4):
         (rand_batch(spec, rng, n_train), rand_batch(spec, rng, n_test))
         for _ in range(num_clients)
     ]
-
-
-class TestServerInit:
-    def test_equal_volumes(self):
-        cfg = toy_cfg(toy_spec(), num_clients=4)
-        state = server_init(cfg, [1, 1, 1, 1])
-        assert state.agg_weights == [0.25, 0.25, 0.25, 0.25]
-
-    def test_weighted_volumes(self):
-        cfg = toy_cfg(toy_spec(), num_clients=2)
-        state = server_init(cfg, [1, 3])
-        assert state.agg_weights == [0.25, 0.75]
-
-    def test_balanced_ten_clients(self):
-        cfg = toy_cfg(toy_spec(), num_clients=10)
-        state = server_init(cfg, [80] * 10)
-        assert state.agg_weights == [0.1] * 10
-        assert sum(state.agg_weights) == pytest.approx(1.0, abs=1e-12)
-
-    def test_zero_size_client_rejected(self):
-        cfg = toy_cfg(toy_spec(), num_clients=2)
-        with pytest.raises(ConfigError):
-            server_init(cfg, [5, 0])
-
-    def test_logs_size_reports_only(self):
-        cfg = toy_cfg(toy_spec(), num_clients=3)
-        state = server_init(cfg, [2, 2, 2])
-        assert [m.kind for m in state.message_log] == [MSG_TRAIN_SIZE] * 3
-
-    def test_base_init_uses_server_stream(self):
-        cfg = toy_cfg(toy_spec(), num_clients=2)
-        state = server_init(cfg, [1, 1])
-        expected = init_weights(
-            cfg.spec.base_layers, rngmod.substream(cfg.master_seed, rngmod.SERVER_PARTY, 0, rngmod.INIT)
-        )
-        assert weights_equal(state.base, expected)
 
 
 class TestClientRound:
@@ -364,6 +330,10 @@ class TestAggregate:
             aggregate([(a, 0.5), (b, 0.5)])
 
 
+ROW_DTYPES = ("float32", "float16", "int64", "bool", "complex128", "object")
+LABEL_DTYPES = ("float64", "bool")
+
+
 class TestRunFederation:
     def test_single_client_is_one_local_pass(self):
         # N=1, K_P=0, one round: the server is a passthrough with weight 1
@@ -404,6 +374,31 @@ class TestRunFederation:
         assert result.server.personal_payload_count() == 0
         assert all(m.kind in (MSG_TRAIN_SIZE, MSG_BASE_WEIGHTS) for m in log)
         assert len(log) == 4 + 2 * 4 * 3
+        # every client reports its training size once, in client order, before round 1
+        assert log[:4] == [Message(client_name(j), SERVER, MSG_TRAIN_SIZE) for j in range(4)]
+        assert [m.kind for m in log].count(MSG_TRAIN_SIZE) == 4
+
+    @pytest.mark.parametrize("sizes, weights", [
+        ([1, 1, 1, 1], [0.25] * 4), ([1, 3], [0.25, 0.75]), ([80] * 10, [0.1] * 10),
+    ])
+    def test_aggregation_weights_are_the_training_shares(self, sizes, weights):
+        spec = toy_spec()
+        rng = np.random.default_rng(18)
+        data = [(rand_batch(spec, rng, n), rand_batch(spec, rng, 1)) for n in sizes]
+        result = run_federation(toy_cfg(spec, num_clients=len(sizes), rounds=1), *row_blocks(data))
+        assert result.server.agg_weights == weights
+        assert sum(result.server.agg_weights) == pytest.approx(1.0, abs=1e-12)
+
+    def test_base_is_drawn_from_the_servers_stream(self):
+        """At eta 0 SGD moves nothing, and aggregating identical rows is
+        exactly a fixed point, so a one-round run ends on the base it drew."""
+        spec = toy_spec()
+        cfg = toy_cfg(spec, num_clients=2, rounds=1, eta=0.0)
+        result = run_federation(cfg, *row_blocks(toy_client_data(spec, 2, np.random.default_rng(19))))
+        expected = init_weights(
+            spec.base_layers, rngmod.substream(cfg.master_seed, rngmod.SERVER_PARTY, 0, rngmod.INIT)
+        )
+        assert weights_equal(result.server.base, expected)
 
     def test_history_bookkeeping(self):
         spec = toy_spec()
@@ -448,11 +443,13 @@ class TestRunFederation:
     @pytest.mark.parametrize("kind", ["training", "test"])
     @pytest.mark.parametrize("case", [
         "empty-set", "a-set-short", "wrong-width", "rows-short-of-the-sizes", "label-past-the-outputs", "negative-label",
+        *(f"{name}-rows" for name in ROW_DTYPES), *(f"{name}-labels" for name in LABEL_DTYPES),
     ])
     def test_a_side_that_does_not_fit_the_clients_or_the_model_rejected(self, kind, case):
         """Each side needs a set of rows for every client, no set empty, as
         many rows and labels as its sizes add up to, the model's input
-        width and labels among its outputs."""
+        width, float64 rows, and integer labels among its outputs.  Rows of
+        another dtype would fail inside a pass, or train on a cast."""
         spec = toy_spec()  # 3 inputs, 3 outputs
         rng = np.random.default_rng(17)
         sides = dict(zip(("training", "test"), row_blocks([(rand_batch(spec, rng, 4), rand_batch(spec, rng, 2))] * 2)))
@@ -481,10 +478,37 @@ class TestRunFederation:
                 RowBlock(x, np.where(np.arange(n) == 1, -1, y), sizes), ShapeError,
                 f"{kind} labels are not all in [0, 3), the model's outputs",
             ),
+            **{
+                f"{name}-rows": (
+                    RowBlock(x.astype(name), y, sizes), ShapeError,
+                    f"{kind} rows of {name} and labels of {y.dtype} are not float64 and integers",
+                ) for name in ROW_DTYPES
+            },
+            **{
+                f"{name}-labels": (
+                    RowBlock(x, y.astype(name), sizes), ShapeError,
+                    f"{kind} rows of float64 and labels of {name} are not float64 and integers",
+                ) for name in LABEL_DTYPES
+            },
         }[case]
         sides[kind] = broken
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             run_federation(toy_cfg(spec, num_clients=2), sides["training"], sides["test"])
+
+    def test_byte_swapped_rows_and_int32_labels_train_as_native_arrays(self):
+        """float64 rows of the other byte order (big-endian on a
+        little-endian machine) and int32 labels pass the door and train
+        bitwise as the native arrays do."""
+        spec = toy_spec()
+        cfg = toy_cfg(spec)
+        native = row_blocks(toy_client_data(spec, 3, np.random.default_rng(20)))
+        swapped = [
+            RowBlock(rows.x.astype(rows.x.dtype.newbyteorder()), rows.y.astype(np.int32), rows.sizes) for rows in native
+        ]
+        assert not swapped[0].x.dtype.isnative and swapped[0].x.dtype.type is np.float64
+        ours, theirs = run_federation(cfg, *swapped).history, run_federation(cfg, *native).history
+        assert repr(ours) == repr(theirs)  # repr tells -0.0 from 0.0
+        assert [r.base_checksum for r in ours.rounds] == [r.base_checksum for r in theirs.rounds]
 
     def test_checkpoint_interval(self, tmp_path):
         spec = toy_spec()
@@ -952,22 +976,37 @@ class TestLaunchCounts:
         for _, _, _, (_, _, _, acts, _, _) in fine_tune_plan.launches:
             assert all(np.shares_memory(a, w) for a, w in zip(acts, sgd_plan.workspace))
 
-    def test_ragged_sets_never_call_evaluate(self, monkeypatch):
-        """Every set is scored by the stacked path, also a set whose length
-        no other set shares."""
+    # the one-client step API, by the modules that define it and fedper.protocol, which imports it
+    STEPS = {
+        fedper.protocol: ("make_client", "client_round", "fine_tune", "aggregate", "sgd", "evaluate"),
+        fedper.nn: ("sgd",),
+        fedper.metrics: ("evaluate",),
+    }
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_the_run_path_calls_no_step_of_the_step_api(self, monkeypatch, tmp_path, cores):
+        """A fine-tuned `fedper run` with checkpoints every round, in one
+        client group and in two, sets itself up, trains and scores without
+        one call of a one-client step: every set is scored by the stacked
+        path, also a set whose length no other set shares."""
         calls = []
 
-        def counting(*args):
-            calls.append(args)
-            return evaluate(*args)
+        def counting(name, step):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return step(*args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(fedper.metrics, "evaluate", counting)
-        monkeypatch.setattr(fedper.protocol, "evaluate", counting)
-        cfg = apply_overrides(default_config(), ["rounds=2", "partition.mode=unbalanced_users"])
-        resolved = resolve(cfg)
-        ds = build_dataset(resolved.dataset)
-        run_experiment(resolved.run, ds)
-        lengths = [n for rows in client_shards(ds, resolved.run.partition) for n in rows.sizes]
+        for module, names in self.STEPS.items():
+            for name in names:
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        groups = TestClientGroups.force(monkeypatch, cores)
+        overrides = [*TestClientGroups.CONFIGS["unbalanced-fine-tuned"], "output.checkpoint_every=1"]
+        assert main(["run", *(a for o in overrides for a in ("--set", o)), "--out", str(tmp_path)]) == 0
+        assert [len(g) for g in groups] == [cores]
+        assert {"round0001", "round0002", "final"} <= {f.name.split("_")[0] for f in (tmp_path / "checkpoints").iterdir()}
+        resolved = resolve(apply_overrides(default_config(), overrides))
+        lengths = [n for rows in client_shards(build_dataset(resolved.dataset), resolved.run.partition) for n in rows.sizes]
         assert len(set(lengths)) > len(lengths) // 2  # mostly sets alone in their length
         assert calls == []
 
