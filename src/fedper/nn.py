@@ -6,7 +6,8 @@ compare trajectories bitwise.  A network is described by a ModelSpec (see
 fedper.model), and its weights are a list of (W, b) pairs, one per layer: the
 shared base layers followed by the client-local personalization layers, so
 the model is base + personal.  For training, the weights of N clients are
-stacked layer by layer into (N, out, in) and (N, out) arrays.
+the rows of one (N, P) block, which columns alone lays out (every layer
+from an even column), viewed per layer as (N, out, in) and (N, out) stacks.
 
 The engine is planned once per run, as a client's data never changes.  One
 planner (launches) makes every launch: one per lock-step step (more past
@@ -146,12 +147,21 @@ def unstack_weights(layers: Layers, j: int) -> Layers:
     return [(w[j], b[j]) for w, b in layers]
 
 
+def columns(shapes: Sequence[tuple[int, int]]) -> list[int]:
+    """Where each layer of these (out, in) weight shapes starts in a row of
+    a weight block, then the row's width.  A layer is its W (row-major),
+    its b and, if that is odd, one pad column (0.0): every W starts at an
+    even column, 16-byte aligned like a fresh array, as OpenBLAS's generic
+    core rounds some products differently at an odd float64 offset."""
+    return list(itertools.accumulate(((o * i + o + 1) // 2 * 2 for o, i in shapes), initial=0))
+
+
 def weight_block(sets: Sequence[Layers]) -> tuple[np.ndarray, Layers]:
     """An (N, P) block whose row j holds a copy of sets[j], weight lists of
-    the shapes of sets[0], and its layer stacks: per layer an (N, out, in)
-    weight and an (N, out) bias view of the block."""
-    shapes = [(w.shape, b.shape) for ws in sets[:1] for w, b in ws]
-    block = np.empty((len(sets), sum(math.prod(w) + math.prod(b) for w, b in shapes)))
+    the shapes of sets[0], laid out by columns (pads 0.0), and its layer
+    stacks: per layer an (N, out, in) weight and an (N, out) bias view."""
+    shapes = [w.shape for ws in sets[:1] for w, _ in ws]
+    block = np.zeros((len(sets), columns(shapes)[-1]))
     layers = _flat_views(shapes, block)
     for j, ws in enumerate(sets):
         for (w, b), (lw, lb) in zip(layers, ws):
@@ -160,17 +170,13 @@ def weight_block(sets: Sequence[Layers]) -> tuple[np.ndarray, Layers]:
     return block, layers
 
 
-def _flat_views(shapes: Sequence[tuple[tuple[int, ...], tuple[int, ...]]], block: np.ndarray) -> Layers:
-    """Stacked (W, b) views of layers of these (W shape, b shape) pairs into
-    an (n, P) block whose rows hold them end to end, each layer's W
-    (row-major) then its b: weights_blob's order."""
-    n, views, start = len(block), [], 0
-    for w_shape, b_shape in shapes:
-        mid = start + math.prod(w_shape)
-        end = mid + math.prod(b_shape)
-        views.append((block[:, start:mid].reshape(n, *w_shape), block[:, mid:end].reshape(n, *b_shape)))
-        start = end
-    return views
+def _flat_views(shapes: Sequence[tuple[int, int]], block: np.ndarray) -> Layers:
+    """Stacked (W, b) views of layers of these (out, in) weight shapes into
+    an (n, P) block whose rows are laid out by columns."""
+    return [
+        (block[:, a : a + o * i].reshape(len(block), o, i), block[:, a + o * i : a + o * i + o])
+        for a, (o, i) in zip(columns(shapes), shapes)
+    ]
 
 
 def _activations(spec: "ModelSpec", x: np.ndarray) -> list[np.ndarray]:
@@ -368,10 +374,10 @@ def _launch_views(
     most = max(len(p) for _, p, _ in planned)
     if workspace is None or len(workspace[0]) < most:
         workspace = _activations(spec, np.empty((most, spec.in_dim)))
-    layer_shapes = [((s.out_dim, s.in_dim), (s.out_dim,)) for s in spec.layers]
-    frozen = sum(s.out_dim * (s.in_dim + 1) for s in spec.layers[:first_trained])
+    layer_shapes = [(s.out_dim, s.in_dim) for s in spec.layers]
+    frozen = columns(layer_shapes)[first_trained]
     launch_block = np.empty((max(len(m) for m, _, _ in planned), block.shape[1]))
-    grad = np.empty((len(launch_block), block.shape[1] - frozen))
+    grad = np.zeros((len(launch_block), block.shape[1] - frozen))  # its pads stay 0.0
     work, views = {}, []
     for members, positions, shapes in planned:
         if shapes not in work:  # launches of one layout share views
@@ -400,14 +406,14 @@ class LockstepPlan:
     A step runs as one launch (more past budget rows, ROW_BUDGET if None),
     planned by launches(); its batches of one size are a segment.
     np.matmul runs each client's own gemm on its own slice of a segment,
-    and every reduction runs within one client's slice; nothing is padded,
+    and every reduction runs within one client's slice; no batch is padded,
     as padding would change the gemm shapes and with them the rounding.
     So every client's arithmetic is that of a run on its own, whichever
     clients share a launch; the elementwise work runs once per launch.
 
-    The weights are the given (N, P) block, laid out as weight_block lays
-    it out, row j holding client j's layers.  Every launch gathers its
-    members' rows into the plan's launch block, and run scatters them back.
+    The weights are the given (N, P) block, each row laid out by columns,
+    row j holding client j's layers.  Every launch gathers its members'
+    rows into the plan's launch block, and run scatters them back.
     The plan lays out every launch's views of one workspace (_launch_views),
     workspace's arrays if they have the rows.  A plan that trains a layer
     also holds the order array, whose per-client slices run fills and

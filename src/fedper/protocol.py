@@ -292,7 +292,7 @@ def run_federation(
     base_init = init_weights(spec.base_layers, rngmod.substream(cfg.master_seed, rngmod.SERVER_PARTY, 0, rngmod.INIT))
     personal = [init_weights(spec.personal_layers, _client_stream(cfg, j, 0, rngmod.INIT)) for j in clients]
     block, layers = weight_block([base_init + p for p in personal])
-    base = block[:, : sum(s.out_dim * (s.in_dim + 1) for s in spec.base_layers)]
+    base = block[:, : nn.columns([(s.out_dim, s.in_dim) for s in spec.base_layers])[-1]]
     total = sum(trains.sizes)
     server = ServerState(unstack_weights(layers[:kb], 0), [n / total for n in trains.sizes])
     for j in clients:

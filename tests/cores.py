@@ -10,7 +10,8 @@ Cores round some matrix products differently, so tests/test_golden.py
 stores its values per core.  The first form runs, for each named core
 (SkylakeX, Haswell and Katmai, OpenBLAS's generic core, by default), the
 gates that compare bits: test_golden.py, TestTrainingReference,
-TestFedAvgEquivalence, runs in client groups against runs of one group
+TestFedAvgEquivalence, TestRowBudget (whole weight blocks, pad columns
+included), runs in client groups against runs of one group
 (TestClientGroups) and acceptance criteria 01 and 09, each in a pytest
 subprocess under that core.  It exits 1 if any gate failed, or if a
 process could not run on the core asked for.
@@ -37,6 +38,7 @@ GATES = (
     "tests/test_golden.py",
     "tests/test_protocol.py::TestTrainingReference",
     "tests/test_protocol.py::TestFedAvgEquivalence",
+    "tests/test_protocol.py::TestRowBudget",
     "tests/test_protocol.py::TestClientGroups::test_groups_change_no_output_byte",
     "tests/test_acceptance.py::test_criterion_01_fedavg_equivalence",
     "tests/test_acceptance.py::test_criterion_09_cli_determinism",

@@ -1,6 +1,7 @@
 """Shared test oracles, all independent of the library code paths they
 check, the csv writer the tests make data files with, row blocks of
-per-client sets, and the name of the BLAS core the bitwise gates run on."""
+per-client sets, the layout check of a weight block, and the name of the
+BLAS core the bitwise gates run on."""
 
 from __future__ import annotations
 
@@ -80,6 +81,27 @@ def row_blocks(pairs) -> tuple[RowBlock, RowBlock]:
 def block_sets(rows: RowBlock) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per set of the block, in order: its features and its labels."""
     return [(rows.x[a : a + n], rows.y[a : a + n]) for a, n in zip(rows.starts, rows.sizes)]
+
+
+def pad_columns(block: np.ndarray, layers: Layers) -> list[int]:
+    """The columns of a weight block's rows that no view of its layer stacks
+    covers, after asserting the layout fedper.nn.columns gives: in order,
+    each layer's W (row-major) then its b, overlapping nowhere, each W from
+    an even column of a row of even width, and no column left over but one
+    after each layer of an odd number of parameters."""
+
+    def span(a: np.ndarray) -> list[int]:  # the columns of its row that each row of a stack covers
+        firsts = {(a[j].ctypes.data - block[j].ctypes.data) // block.itemsize for j in range(len(block))}
+        assert len(firsts) == 1 and a[0].flags.c_contiguous
+        return list(range(min(firsts), min(firsts) + a[0].size))
+
+    assert block.flags.c_contiguous and block.shape[1] % 2 == 0
+    covered = [c for layer in layers for a in layer for c in span(a)]
+    assert covered == sorted(set(covered))
+    assert all(span(w)[0] % 2 == 0 for w, _ in layers)
+    pads = sorted(set(range(block.shape[1])) - set(covered))
+    assert pads == [span(b)[-1] + 1 for w, b in layers if (w[0].size + b[0].size) % 2]
+    return pads
 
 
 def save_csv(ds: LabeledDataset, path: str | Path) -> None:

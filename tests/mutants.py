@@ -55,6 +55,22 @@ MUTANTS = (
             "tests/test_reference.py::test_gradients_equal_the_engines_bitwise",
         ),
     ),
+    # every layer of a weight block's row starts at an even column
+    # (nn.columns), so that each W is 16-byte aligned, as a fresh array is
+    Mutant(
+        "odd-layer-start", "nn.py",
+        (("((o * i + o + 1) // 2 * 2 for o, i in shapes)", "(o * i + o for o, i in shapes)"),),
+        ("tests/test_nn.py::TestColumns",),
+    ),
+    # a gradient block's pad columns are 0.0, so a step leaves the weight
+    # block's pads 0.0
+    Mutant(
+        "pads-left-uninitialised", "nn.py", (("    grad = np.zeros(", "    grad = np.empty("),),
+        (
+            "tests/test_protocol.py::TestRowBudget::test_one_row_budget_changes_no_output",
+            "tests/test_protocol.py::TestBlockLayout",
+        ),
+    ),
     # aggregation adds the weighted client deltas in client order
     Mutant(
         "reverse-aggregation-order", "protocol.py",

@@ -13,7 +13,7 @@ from fedper.data import LabeledDataset, PartitionSpec, partition, synth_classifi
 from fedper.errors import ConfigError, UsageError
 from fedper.experiment import check_dataset, check_fits, client_shards, run_experiment, run_sweep
 from fedper.model import ModelSpec
-from fedper.nn import LayerSpec, LockstepPlan, SgdConfig
+from fedper.nn import LayerSpec, LockstepPlan, SgdConfig, columns
 from fedper.protocol import RunConfig
 from fedper.rng import SPLIT, derive_seed
 
@@ -50,7 +50,7 @@ class TestFineTunedRun:
         bitwise unchanged, then the SGD pass, which changes them."""
         cfg, ds = base_setup(rounds=2)
         cfg = replace(cfg, fine_tune=True)
-        nbase = sum(s.out_dim * (s.in_dim + 1) for s in cfg.spec.base_layers)
+        nbase = columns([(s.out_dim, s.in_dim) for s in cfg.spec.layers])[cfg.spec.k_base]
         passes, run = [], LockstepPlan.run
 
         def recorded(plan, rngs, eta):

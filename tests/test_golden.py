@@ -1,5 +1,5 @@
 """Golden outputs: per-round base checksums and a digest of the history for
-5 rounds of five configs.  The first three were recorded from the
+5 rounds of six configs.  The first three were recorded from the
 per-client training loop that the lock-step engine replaced; the fourth has
 40 equal sets of 160 training rows, so the row budget splits its whole-set
 launches and its training scoring launches: into 25 + 15 clients in a run
@@ -12,22 +12,30 @@ size of a step on its own, has 24 ragged fine-tuned sets at B=256: the
 first step of each epoch holds more than the budget's rows of many batch
 sizes (ROW_BUDGET in one group; 2,048 in each of the two groups of 12 on
 two or more cores), so it splits into two launches of several segments
-each, and the training sets' scoring launches mix set lengths.  Any change
-to the arithmetic of local training, aggregation or evaluation shows here
-as a mismatch.
+each, and the training sets' scoring launches mix set lengths.  The
+sixth, odd_widths, is a fine-tuned run of an 8 -> 7 -> 5 -> 4 model, whose
+layers hold 63, 40 and 24 parameters: it was recorded while a weight-block
+row held the layers end to end, with layers 1 and 2 from odd columns, and
+holds unchanged since nn.columns starts every layer at an even column
+(the other configs' layers each hold an even number of parameters, so
+their columns never moved).  Any change to the arithmetic of local training, aggregation
+or evaluation shows here as a mismatch.
 
 CHECKPOINT_GOLDEN pins the sha256 of the final checkpoint files that
-`fedper run` writes for three of those configs, recorded from the run that
-kept the aggregated base as a separate list and stacked the clients'
-personal layers into new arrays to write them.  fedavg's personal file
-holds no layer.
+`fedper run` writes for four of those configs, the first three recorded
+from the run that kept the aggregated base as a separate list and stacked
+the clients' personal layers into new arrays to write them, odd_widths
+with its checksums.  fedavg's personal file holds no layer.
 
 OpenBLAS cores round some products differently, so the values are stored
 per core, and a test reads those of the core its process runs on
 (helpers.blas_core).  The SkylakeX values were recorded as said above; the
 others were captured later by `python tests/cores.py --capture CORE`,
-which captures only on a core where TestTrainingReference passes.  A core
-without stored values fails, naming the core and that command."""
+which captures only on a core where TestTrainingReference passes:
+Haswell's with the layers end to end (odd_widths too), and Katmai's,
+OpenBLAS's generic core, once every layer started at an even column, as
+before that its training did not match the reference.  A core without
+stored values fails, naming the core and that command."""
 
 import hashlib
 
@@ -64,6 +72,15 @@ CONFIGS = {
         "fine_tune=true",
         "sgd.eta=0.05",
         "sgd.batch_size=256",
+    ],
+    "odd_widths": [
+        "rounds=5",
+        'model.layers=[{"in_dim":8,"out_dim":7,"activation":"relu"},{"in_dim":7,"out_dim":5,"activation":"relu"},'
+        '{"in_dim":5,"out_dim":4,"activation":"identity"}]',
+        "partition.mode=unbalanced_users",
+        "partition.rater_disagreement=true",
+        "fine_tune=true",
+        "sgd.eta=0.05",
     ],
 }
 
@@ -121,6 +138,16 @@ GOLDEN = {
             ],
             "fe661463cef788356814d2c42be9c57334fc78067fb4e1a45b7f1ee0e8f60136",
         ),
+        "odd_widths": (
+            [
+                "5bd973be4c79789b36e4f80577dbd6c25bae75f8156d13ef9b6ed65cedfadd23",
+                "e5224cd7e9a4d97715081e065eb27b67356eb5a297cdf5758b6c09cb4e339add",
+                "035ce4349556d3f809c8d73779bca13078bda45788bd9b2a73ddc4b15089ee3f",
+                "c02e9f5d07b4f4cdf1c084870ddcec1d1d29a0a60178ae60a14532c5ec9cee2f",
+                "c48d91c89a5a97b6e239e6cc2ffa72436a1f1fb0e38459ecfb0ad0f5e3ed9e8f",
+            ],
+            "521fa73b437195f670e672b7b7ef5eb0423f41cac9952e18542efeb9c3c7668b",
+        ),
     },
     "Haswell": {
         "default": (
@@ -173,6 +200,78 @@ GOLDEN = {
             ],
             "4b33b4e9a0d197fe6f95afec159d19b85750b766edbbb656f17b46b33ec03065",
         ),
+        "odd_widths": (
+            [
+                "ad75ab599db3d11ccb8f1393e26469d76ce3153ab731a0f6dd541a7f8d74f927",
+                "4ab07d7eef2196095597a03a3fb9cf5e28d812d1fd2304c823e43ad6f20fc6ea",
+                "e7dc0f423c68fbab9977c92fc9d82f35024297300da3e1e30e0563858e4cc474",
+                "bea6648e3903f3b25934d81131a5a952e7ca5b312e1ea7e945d85d2be7a486c9",
+                "4b711af9f06f827ce237a5acedffd77de2315fe015687a6363de4cd14e306a7f",
+            ],
+            "88aaa386026c7be9023d40bdba5880d6e72406175a41078f4352a19082985b27",
+        ),
+    },
+    "Katmai": {
+        "default": (
+            [
+                "f6cdb38b277ec1ce0261c258e7afc5889dc65ac4ef94800638d2cb9ced743a56",
+                "0b72deba0236d91ef16cba626621123ee9ce9206857601ece4c8155095c5940c",
+                "3048b2246ad0dc4b8a082b4cba4a1b575c198386d8e016ee9fa21d4f23294969",
+                "c0a2c61eca42075044e9c8c7a22e6f9fc36316cb1e63f2b11b3083ab8e36a1d8",
+                "842f925c4a728611eb4e706cbe49559835ba262aff90f65d9a11a3861ca4ebb7",
+            ],
+            "cbada09f611fa6dcbbca3561daee1308f39ca29dd82b4de422ee684c40974738",
+        ),
+        "unbalanced_finetune": (
+            [
+                "f5ae2381b06c62ca8bbfc59f890eee3ee25a7f14f42e2be05d768a4113f33c37",
+                "d571da8307f047e46808a23bd240f884d88ff938bcf7ab91220bcbc1abe6b7d0",
+                "9428e2ee0f407576264f477d709cf4410f8a4e986f88eedb89da3b89df984c86",
+                "98d9003349de59a93d4cbe803955de6b4277d2e5f3074c20a7f5b23ad0476323",
+                "5c71010926d634ddd4db6dcf5e3a2255496cdb83f0f82ee8de8452240cc150c2",
+            ],
+            "fa0202222e6a65f753a47291d96820de59987b6b5584304f131d97e9f80acd9e",
+        ),
+        "fedavg": (
+            [
+                "162079b51c2cdbe2da09c1ce54c24c8a9c73b0d01781a4318cbfd1d8c081d729",
+                "f979f53d58be265b75dee4aa00c251dfe12600c005004315e39aa21d15475cb6",
+                "55edd278a7c1e00c7f99f73836481b6e9115ef19cb0587bf42be9e1d9b8a6565",
+                "b9d97aa3d201dceb9e583eab330dc73af26db22ae91b1ba886b23b31a9859b55",
+                "7e54edcdf81a484021e1f2365062265600b4204fe96a469fe338c4d32cf54de8",
+            ],
+            "36dae33a2e88d5333e2bab66c9bd865b05c4c3898af1de512e88b310254a4b1e",
+        ),
+        "budget_split": (
+            [
+                "4e14f5409b3bdcc6532321bdb11f8f86ba7f906a64d110fd97e3c000455c7e1d",
+                "ec67d6cc8f8d1423547aaf57fcde1352972f320638d2c78b6a296b8976390ad3",
+                "6d3cb930c77b48910a7931cb55ea1b85605c5872aa943c53c11489e9350cf0ab",
+                "c82030ce208756c62c7745be91609af8dd670f5801699c1012cc994cbb02831d",
+                "76c04517e683b91c550d81f9bab89ee8a5d2d075d10ddfc18268a81fda077d5a",
+            ],
+            "6caee22afcf5184e490076fc040eeb4035b9baa09419254afed3a9dba9cf6d68",
+        ),
+        "ragged_segments": (
+            [
+                "c92d5ab60ff275821517072382d8ceafe93cabe6eeebb034b7b215a30923c937",
+                "9da13fb01d5110fa9ac8eee4d66aedd8f06debcfaa8de09fdb2eaa9992925e2a",
+                "45a1c81a3d1183968a2991dfd79b64f3489ad82daee6174f959c99b4613663e5",
+                "288492c8693dab9fb9ff3bc61eee675d7816c8b9300962a9996fd31af48828f2",
+                "debd85c54f42be51e7d6804e973f1b4d9030718a8c6d680b2bd99c05bd5ec04e",
+            ],
+            "c60a259ff66ca85a75f30dc275cb9a9ebd76f4c023b085fbfd5171fb285c8e64",
+        ),
+        "odd_widths": (
+            [
+                "6a1ce0c2730caa25e833d6a1d70052aec6d21b06451e40c5fe06038bf00a5f96",
+                "3482432e35327fe3d5bc23d208b2a17d114db61f4889463cac0f0c0804ecd03d",
+                "c347f9f0884a249e6849737c098b943988020de7b2bcedcc08d355d0b6090b77",
+                "4929fa8affc54d1cf84fdf09e23c871b0c049096fe274b5ff823f58e2cc7856c",
+                "9ed05660fe80d50aa4fe441c2c1686e7d2befe19ecb8cd78b1cf2be1a550d0be",
+            ],
+            "c5ee8d959f4692ac1950981b145bc9ae54f5369677b3235ed0f1929eced3e3bf",
+        ),
     },
 }
 
@@ -196,6 +295,12 @@ CHECKPOINT_GOLDEN = {
             "51c7fc8c06d374d4223a16457d8b417655bb812454889175d723feee44a5be5c",
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         ),
+        "odd_widths": (
+            "43ec5bca80a8ef1dffc6fc25afdcd063bae779030419111764e9907e9ea39f4a",
+            "c48d91c89a5a97b6e239e6cc2ffa72436a1f1fb0e38459ecfb0ad0f5e3ed9e8f",
+            "6cbc5a602084f475b7f257b54783f67a28fe750b20812be80d205cc7d311eb96",
+            "335a22cf21599aef9b8e759984b1bd484845f6e11687c093f35353e93512dfb1",
+        ),
     },
     "Haswell": {
         "default": (
@@ -215,6 +320,38 @@ CHECKPOINT_GOLDEN = {
             "56b23c25f511b8af694eb7efed5de4544f26b9e780b841c9dbfa74a2f48c0952",
             "51c7fc8c06d374d4223a16457d8b417655bb812454889175d723feee44a5be5c",
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ),
+        "odd_widths": (
+            "43ec5bca80a8ef1dffc6fc25afdcd063bae779030419111764e9907e9ea39f4a",
+            "4b711af9f06f827ce237a5acedffd77de2315fe015687a6363de4cd14e306a7f",
+            "6cbc5a602084f475b7f257b54783f67a28fe750b20812be80d205cc7d311eb96",
+            "44a7fd0f31b203994cb868088aab58c9c662107a41a3cd7adea029ba3ef4dc8f",
+        ),
+    },
+    "Katmai": {
+        "default": (
+            "f8146d0c6d2e9a49700a3b480ba255aa44d521fd708ceadc1fd9e412bcb99e5b",
+            "842f925c4a728611eb4e706cbe49559835ba262aff90f65d9a11a3861ca4ebb7",
+            "158290753eaf88898702b5e51bdb0844b861fa43b6fa8e1866cb7561eb82b8a5",
+            "e6a6c70b3ea453996c96d13555df26b48a27753c2bb75f1687cdbffed969d006",
+        ),
+        "unbalanced_finetune": (
+            "f8146d0c6d2e9a49700a3b480ba255aa44d521fd708ceadc1fd9e412bcb99e5b",
+            "5c71010926d634ddd4db6dcf5e3a2255496cdb83f0f82ee8de8452240cc150c2",
+            "158290753eaf88898702b5e51bdb0844b861fa43b6fa8e1866cb7561eb82b8a5",
+            "53e61d172be284977ab5d6ed99e463d203a54d8219a1700a4c952cfcf52f61be",
+        ),
+        "fedavg": (
+            "5b589605a3a9cba231407b1aaff5dd4f922897a09e707de974ebcb331341a339",
+            "7e54edcdf81a484021e1f2365062265600b4204fe96a469fe338c4d32cf54de8",
+            "51c7fc8c06d374d4223a16457d8b417655bb812454889175d723feee44a5be5c",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ),
+        "odd_widths": (
+            "43ec5bca80a8ef1dffc6fc25afdcd063bae779030419111764e9907e9ea39f4a",
+            "9ed05660fe80d50aa4fe441c2c1686e7d2befe19ecb8cd78b1cf2be1a550d0be",
+            "6cbc5a602084f475b7f257b54783f67a28fe750b20812be80d205cc7d311eb96",
+            "3d299542696fd1cc7ad1af975ed21f5811d1e90e6af9e5672c02ff59ff8559f3",
         ),
     },
 }

@@ -23,6 +23,7 @@ from fedper.nn import (
     RowBlock,
     SgdConfig,
     _row_max,
+    columns,
     init_weights,
     loss_and_grad,
     sgd,
@@ -32,7 +33,8 @@ from fedper.nn import (
 )
 import reference
 from helpers import (
-    assert_grad_close, fd_gradients, minibatch_indices, rand_batch, rand_spec, rand_weights, ref_loss, row_block,
+    assert_grad_close, fd_gradients, minibatch_indices, pad_columns, rand_batch, rand_spec, rand_weights, ref_loss,
+    row_block,
 )
 
 
@@ -403,17 +405,45 @@ class TestRowBlock:
 
 
 class TestWeightBlock:
-    def test_rows_are_copies_and_stacks_are_views(self):
-        spec = rand_spec(np.random.default_rng(3))
+    @pytest.mark.parametrize("spec_seed, n_pads", [(3, 0), (0, 1)])  # seed 0's first layer holds 35 parameters
+    def test_rows_are_copies_and_stacks_are_views(self, spec_seed, n_pads):
+        spec = rand_spec(np.random.default_rng(spec_seed))
         sets = [rand_weights(spec.layers, np.random.default_rng(seed)) for seed in range(4)]
         block, layers = weight_block(sets)
-        assert block.shape == (4, sum(s.out_dim * (s.in_dim + 1) for s in spec.layers))
+        assert block.shape == (4, columns([(s.out_dim, s.in_dim) for s in spec.layers])[-1])
+        pads = pad_columns(block, layers)
+        assert len(pads) == n_pads and not block[:, pads].any()
         for j, ws in enumerate(sets):
-            # row j is set j's layers end to end, each W (row-major) then its b
-            assert block[j].tobytes() == weights_blob(ws)
+            # row j minus its pads is set j's layers in order, each W (row-major) then its b
+            assert np.delete(block[j], pads).tobytes() == weights_blob(ws)
             assert weights_equal([(w[j], b[j]) for w, b in layers], ws)
         assert all(np.shares_memory(w, block) and np.shares_memory(b, block) for w, b in layers)
         assert not any(np.shares_memory(w, block) for ws in sets for w, _ in ws)
+
+
+class TestColumns:
+    """nn.columns alone lays out a weight block's row: every layer from an
+    even column, W then b, with a pad column after a layer of an odd
+    number of parameters."""
+
+    def test_layer_starts_of_the_default_and_the_odd_widths_models(self):
+        """The default model's layers hold 144, 272 and 68 parameters, so
+        none needs a pad; odd_widths' 8 -> 7 -> 5 -> 4 holds 63, 40 and 24."""
+        spec = resolve(default_config()).run.spec
+        assert columns([(s.out_dim, s.in_dim) for s in spec.layers]) == [0, 144, 416, 484]
+        assert columns([(7, 8), (5, 7), (4, 5)]) == [0, 64, 104, 128]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=1, max_size=5), st.integers(1, 4))
+    def test_weight_blocks_are_laid_out_by_columns_with_zero_pads(self, shapes, n):
+        rng = np.random.default_rng(len(shapes))
+        sets = [[(rng.standard_normal(s), rng.standard_normal(s[0])) for s in shapes] for _ in range(n)]
+        block, layers = weight_block(sets)
+        pads = pad_columns(block, layers)
+        assert columns(shapes) == [(w[0].ctypes.data - block.ctypes.data) // 8 for w, _ in layers] + [block.shape[1]]
+        assert len(pads) == sum((o * i + o) % 2 for o, i in shapes) and not block[:, pads].any()
+        for j, ws in enumerate(sets):
+            assert np.delete(block[j], pads).tobytes() == weights_blob(ws)
 
 
 class TestValidation:

@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import tempfile
 import threading
 from collections import Counter
 from unittest import mock
@@ -50,7 +52,7 @@ from fedper.protocol import (
 )
 import reference
 import test_golden
-from helpers import block_sets, minibatch_indices, rand_batch, rand_weights, row_block, row_blocks
+from helpers import block_sets, minibatch_indices, pad_columns, rand_batch, rand_weights, row_block, row_blocks
 
 
 def toy_spec(k_personal=1):
@@ -656,22 +658,26 @@ class TestTrainingReference:
     def test_replay_of_ragged_launches_and_shared_scoring_segments(self):
         """Six clients of 3, 11, 1, 8, 5 and 3 training rows at B=4, whose
         steps mix batch sizes in one launch and whose test sets of 2 rows
-        are scored in one segment.  The data seed is one on which padding a
-        segment to its launch's largest batch, or running the shared base
-        as one tall gemm, changes the record on SkylakeX and Haswell, which
-        the property test's draws need not cover."""
+        are scored in one segment.  The data seeds are ones on which padding
+        a segment to its launch's largest batch, or running the shared base
+        as one tall gemm, changes the record: 3 on SkylakeX and Haswell, 22
+        (the tall gemm) on those and Katmai.  The property test's draws
+        need not cover them."""
         spec = ModelSpec((LayerSpec(4, 5, "relu"), LayerSpec(5, 3, "identity")), 0)
         cfg = RunConfig(spec, 2, SgdConfig(0.1, 1, 4), False, 3, PartitionSpec(mode="k_class", num_clients=6))
-        rng = np.random.default_rng(3)
-        self.assert_equals_reference(cfg, [(rand_batch(spec, rng, n), rand_batch(spec, rng, 2)) for n in (3, 11, 1, 8, 5, 3)])
+        for seed in (3, 22):
+            rng = np.random.default_rng(seed)
+            data = [(rand_batch(spec, rng, n), rand_batch(spec, rng, 2)) for n in (3, 11, 1, 8, 5, 3)]
+            self.assert_equals_reference(cfg, data)
 
     def test_replay_of_a_step_through_an_odd_offset(self):
-        """One step of one client that OpenBLAS's generic core (Katmai)
-        trains off the reference: layer 2's (3, 1) weight starts at column 7
-        of its weight-block row, an odd float64 offset, and on that core the
-        backward product delta @ W rounds differently there than on the
-        reference's fresh array.  It passes on SkylakeX and Haswell and
-        fails on Katmai, whichever examples the property test draws."""
+        """One step of one client through a (3, 1) weight after a layer of
+        3 parameters.  On OpenBLAS's generic core (Katmai) the backward
+        product delta @ W rounds differently when that W starts at an odd
+        float64 offset than on the reference's fresh array.  While a row
+        held the layers end to end it started at column 7, and this replay
+        failed on Katmai alone, whichever examples the property test drew;
+        nn.columns starts it at column 8, and it passes on every core."""
         spec = ModelSpec((LayerSpec(1, 2, "relu"), LayerSpec(2, 1, "relu"), LayerSpec(1, 3, "identity")), 0)
         cfg = RunConfig(spec, 1, SgdConfig(0.1, 1, 1), False, 11, PartitionSpec(mode="k_class", num_clients=1))
         rng = np.random.default_rng(11)
@@ -733,6 +739,47 @@ class TestRowBudget:
         self.assert_budget_free(resolved.run, sides)
 
 
+@st.composite
+def grouped_runs(draw):
+    """A fine-tuned run of a random model of 1-4 layers of widths 1-8, and
+    four clients of 12-30 training rows at B=12: a lock-step step of 48
+    rows, past the 40 of TestClientGroups.force."""
+    n_layers = draw(st.integers(1, 4))
+    dims = draw(st.lists(st.integers(1, 8), min_size=n_layers + 1, max_size=n_layers + 1))
+    layers = tuple(LayerSpec(dims[i], dims[i + 1], "relu" if i + 1 < n_layers else "identity") for i in range(n_layers))
+    spec = ModelSpec(layers, draw(st.integers(0, n_layers - 1)))
+    cfg = RunConfig(spec, 2, SgdConfig(0.1, 2, 12), True, draw(st.integers(0, 2**32 - 1)), PartitionSpec("k_class", 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return cfg, [(rand_batch(spec, rng, draw(st.integers(12, 30))), rand_batch(spec, rng, 2)) for _ in range(4)]
+
+
+class TestBlockLayout:
+    """A run's weight block is laid out by nn.columns, and its pad columns
+    read 0.0 (its bits, so not -0.0) after a fine-tuned run with
+    checkpoints every round, in one client group and in two."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(grouped_runs())
+    def test_pads_read_zero_after_a_run_in_one_group_and_in_two(self, run):
+        cfg, data = run
+        for cores in (1, 2):
+            blocks, build = [], fedper.protocol.weight_block
+
+            def building(sets):
+                blocks.append(build(sets))
+                return blocks[-1]
+
+            with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as out:
+                groups = TestClientGroups.force(patch, cores)
+                patch.setattr(fedper.protocol, "weight_block", building)
+                run_federation(cfg, *row_blocks(data), out, checkpoint_every=1)
+                assert len(os.listdir(out)) == 4 * cfg.rounds
+            ((block, layers),) = blocks
+            assert [len(g) for g in groups] == [cores]
+            pads = pad_columns(block, layers)
+            assert block[:, pads].tobytes() == bytes(8 * block[:, pads].size)
+
+
 class TestStackedEvaluation:
     """Sets of one length are scored by one stacked forward pass, which must
     give every set bitwise the plain-numpy score of tests/reference.py."""
@@ -761,15 +808,17 @@ class TestStackedEvaluation:
 
     def test_replay_of_ragged_sets_under_one_shared_base(self):
         """Six sets of 3, 11, 1, 8, 5 and 3 rows, scored in one launch of
-        five segments with every layer shared.  The seed is one on which
+        five segments with every layer shared.  The seeds are ones on which
         running the shared layers as one tall gemm over the launch changes
-        scores on SkylakeX and Haswell, which the draws above need not
-        cover."""
+        scores, 1 on SkylakeX and Haswell and 18 on those and Katmai, which
+        the draws above need not cover."""
         spec = ModelSpec((LayerSpec(4, 5, "relu"), LayerSpec(5, 3, "identity")), 0)
-        rng = np.random.default_rng(1)
-        base = rand_weights(spec.base_layers, rng)
-        personal = [rand_weights(spec.personal_layers, rng) for _ in range(6)]
-        self.assert_equals_reference(spec, base, personal, [rand_batch(spec, rng, n) for n in (3, 11, 1, 8, 5, 3)])
+        for seed in (1, 18):
+            rng = np.random.default_rng(seed)
+            base = rand_weights(spec.base_layers, rng)
+            personal = [rand_weights(spec.personal_layers, rng) for _ in range(6)]
+            sets = [rand_batch(spec, rng, n) for n in (3, 11, 1, 8, 5, 3)]
+            self.assert_equals_reference(spec, base, personal, sets)
 
     @staticmethod
     def assert_equals_reference(spec, base, personal, sets):
@@ -810,7 +859,9 @@ class TestScoringReference:
         # 150 rows split the scoring launches of both sides, and the SGD steps
         (["rounds=2", "model.k_personal=2"], 150),
         (["rounds=2", "dataset.dim=32", f"model.layers={WIDE_INPUT_LAYERS}"], None),
-    ], ids=["default", "unbalanced-fine-tuned", "twelve-classes", "budget-split", "wide-input"])
+        # 30 small sets, on which a tall scoring gemm rounds off the stacked one on Haswell and Katmai
+        (["rounds=2", "partition.mode=unbalanced_users", "partition.num_clients=30", "partition.volume_range=[10,14]"], None),
+    ], ids=["default", "unbalanced-fine-tuned", "twelve-classes", "budget-split", "wide-input", "small-sets"])
     def test_history_equals_reference_scores(self, tmp_path, overrides, row_budget):
         resolved = resolve(apply_overrides(default_config(), overrides))
         ds = build_dataset(resolved.dataset)
@@ -955,13 +1006,17 @@ class TestLaunchCounts:
         assert len(plans) == 4 and all(plan.block.base is block and plan.block.shape == block.shape for plan in plans)
         assert block.shape[0] == resolved.run.partition.num_clients
         # the server's base is row 0's, and after the broadcast every row's base columns are bitwise it
-        base_columns = sum(s.out_dim * (s.in_dim + 1) for s in resolved.run.spec.base_layers)
+        spec = resolved.run.spec
+        base_columns = fedper.nn.columns([(s.out_dim, s.in_dim) for s in spec.layers])[spec.k_base]
+        pads = pad_columns(block, result.layers)
         assert all(np.shares_memory(w, block[0]) and np.shares_memory(b, block[0]) for w, b in result.server.base)
         base_row = np.concatenate([a.reshape(-1) for layer in result.server.base for a in layer])
-        assert all(row.tobytes() == base_row.tobytes() for row in block[:, :base_columns])
-        # the result's layer stacks are views of the block, and hold the whole of it
+        assert np.delete(block[0, :base_columns], [c for c in pads if c < base_columns]).tobytes() == base_row.tobytes()
+        assert all(row.tobytes() == block[0, :base_columns].tobytes() for row in block[:, :base_columns])
+        # the result's layer stacks are views of the block, and hold the whole of it but its pads, which read 0.0
         assert all(np.shares_memory(a, block) for layer in result.layers for a in layer)
-        assert sum(w[0].size + b[0].size for w, b in result.layers) == block.shape[1]
+        assert sum(w[0].size + b[0].size for w, b in result.layers) + len(pads) == block.shape[1]
+        assert not block[:, pads].any()
 
     @pytest.mark.parametrize("overrides", [[], ["partition.mode=unbalanced_users", "sgd.eta=0.05"]])
     def test_fine_tune_plan_runs_in_the_sgd_plans_workspace(self, monkeypatch, overrides):
