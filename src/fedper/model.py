@@ -65,9 +65,5 @@ class ModelSpec:
 def linearize_base(spec: ModelSpec) -> ModelSpec:
     """Ablation: collapse all base layers into a single identity-activation
     dense layer from the input dim to whatever the personal stack expects."""
-    if spec.k_personal > 0:
-        target = spec.personal_layers[0].in_dim
-    else:
-        target = spec.layers[-1].out_dim
-    new_base = LayerSpec(spec.in_dim, target, "identity")
+    new_base = LayerSpec(spec.in_dim, spec.base_layers[-1].out_dim, "identity")
     return ModelSpec((new_base,) + spec.personal_layers, spec.k_personal)

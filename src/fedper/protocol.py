@@ -1,7 +1,7 @@
-"""Federation protocol: the run (run_federation), with its round loop,
-sample-weighted aggregation and optional personal-layer fine-tuning pass,
-and the one-client step API (make_client, client_round, fine_tune,
-aggregate), which the run does not call.
+"""Federation protocol: the run (run_federation), a Federation set up and
+stepped by Federation.round; sample-weighted aggregation and the optional
+personal-layer fine-tuning pass; and the one-client step API (make_client,
+client_round, fine_tune, aggregate), which the run does not call.
 
 Every round trains all clients together on the lock-step engine
 (fedper.nn.LockstepPlan).  The run's weights are one block and no other
@@ -9,7 +9,7 @@ copy (fedper.nn.weight_block): row j holds the round's base, then client
 j's personal layers; ServerState.base views row 0.  A run's rows are the
 two fedper.nn.RowBlocks it is given, the training and the test sets', each
 in client order; it checks them once and builds no per-client object.
-Built once per run, per client group: the plans, all of one planner
+Built by the set-up, per client group: the plans, all of one planner
 (fedper.nn.launches) and in the SGD plan's workspace where their launches
 fit: the SGD pass, with fine-tuning on the fine-tune pass, and per side a
 scoring pass, one epoch whose batch is the whole set.  A round runs the
@@ -243,6 +243,98 @@ def aggregate(updates: Sequence[tuple[Layers, float]]) -> Layers:
     return unstack_weights(layers, 0)
 
 
+class Federation:
+    """A run set up for its rounds on the clients' training and test sets,
+    set j of each side client j's.  Both sides are checked first: each needs
+    a non-empty set for every client, of float64 rows of the model's input
+    width and integer labels among its outputs.  Then come the weight
+    block, the server, the client groups with their plans and last, for
+    more than one group, the pool, which close() ends."""
+
+    def __init__(self, cfg: RunConfig, trains: RowBlock, tests: RowBlock) -> None:
+        spec, kb, clients = cfg.spec, cfg.spec.k_base, range(len(trains.sizes))
+        if not clients or len(tests.sizes) != len(clients):
+            raise ConfigError(
+                "a federation needs at least one client, and a test set for each training set; "
+                f"got {len(trains.sizes)} training and {len(tests.sizes)} test sets"
+            )
+        for kind, rows in (("training", trains), ("test", tests)):
+            n = sum(rows.sizes)
+            if rows.x.shape != (n, spec.in_dim) or rows.y.shape != (n,):
+                raise ShapeError(f"{kind} rows {rows.x.shape} and labels {rows.y.shape} are not ({n}, {spec.in_dim}) and ({n},)")
+            if rows.x.dtype.type is not np.float64 or not np.issubdtype(rows.y.dtype, np.integer):
+                raise ShapeError(f"{kind} rows of {rows.x.dtype} and labels of {rows.y.dtype} are not float64 and integers")
+            for j, size in enumerate(rows.sizes):
+                if size < 1:
+                    raise ConfigError(f"client {j} has an empty {kind} set")
+            if not 0 <= rows.y.min() <= rows.y.max() < spec.out_dim:
+                raise ShapeError(f"{kind} labels are not all in [0, {spec.out_dim}), the model's outputs")
+        # the one copy of the run's weights: row j is the round's broadcast base, drawn from the
+        # server's stream, then client j's personal layers, drawn from its own; the server's base
+        # views row 0, and client j's aggregation weight is n_j / sum(n)
+        base_init = init_weights(spec.base_layers, rngmod.substream(cfg.master_seed, rngmod.SERVER_PARTY, 0, rngmod.INIT))
+        personal = [init_weights(spec.personal_layers, _client_stream(cfg, j, 0, rngmod.INIT)) for j in clients]
+        self.cfg, self.clients = cfg, clients
+        self.block, self.layers = weight_block([base_init + p for p in personal])
+        self.base = self.block[:, : nn.columns([(s.out_dim, s.in_dim) for s in spec.base_layers])[-1]]
+        total = sum(trains.sizes)
+        self.server = ServerState(unstack_weights(self.layers[:kb], 0), [n / total for n in trains.sizes])
+        for j in clients:
+            self.server.log(client_name(j), SERVER, MSG_TRAIN_SIZE)
+
+        self.groups = _client_groups(trains.sizes, cfg.sgd.batch_size)
+        budget = nn.ROW_BUDGET // len(self.groups)  # the groups' launches together hold one launch of rows
+        self.sgd_plans, self.fine_tune_plans, self.score_trains, self.score_tests = zip(*(
+            _group_plans(cfg, trains.sets(lo, hi), tests.sets(lo, hi), self.block[lo:hi], budget) for lo, hi in self.groups
+        ))
+        # the main thread draws the streams, checks, aggregates, logs and writes; only the passes run on the pool
+        self.pool = None
+        if len(self.groups) > 1:
+            from concurrent.futures import ThreadPoolExecutor  # a one-group run never imports it
+            self.pool = ThreadPoolExecutor(len(self.groups))
+
+    def round(self, round_idx: int) -> RoundRecord:
+        """Round round_idx: broadcast the base weights, train all clients
+        locally (optionally fine-tuning personal layers first), aggregate
+        the base updates in client-id order, and record per-client metrics.
+
+        Metrics are recorded after local training and aggregation, before
+        the next broadcast: each client is scored with the round's
+        aggregated base plus its own personal weights, the pair the
+        personalized risk is defined on.  All clients train together on the
+        lock-step engine, which gives every client bitwise the result of
+        training it on its own, also when the run trains in client groups on
+        threads (_client_groups).  A round that overflows, or leaves a
+        client's weights non-finite (typically a learning rate too large for
+        the data), raises a SimulationError."""
+        cfg, clients, server, pool, groups = self.cfg, self.clients, self.server, self.pool, self.groups
+        # an overflow can leave every weight finite but meaningless
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                for j in clients:
+                    server.log(SERVER, client_name(j), MSG_BASE_WEIGHTS)
+                for purpose, plans in ((rngmod.FINE_TUNE, self.fine_tune_plans), (rngmod.SGD, self.sgd_plans)):
+                    if plans[0] is not None:
+                        rngs = _streams(cfg, clients, round_idx, purpose)
+                        _each(pool, [(p.run, rngs[lo:hi], cfg.sgd.eta) for p, (lo, hi) in zip(plans, groups)])
+                _check_finite(self.block, round_idx)
+                for j in clients:
+                    server.log(client_name(j), SERVER, MSG_BASE_WEIGHTS)
+                # aggregate and broadcast now: scoring reads row j as the base and client j's layers
+                self.base[...] = aggregate_rows(self.base, server.agg_weights)
+                # the history records the test sets' accuracy and the training sets' loss
+                accuracies = sum(_each(pool, [(p.score, correct) for p in self.score_tests]), [])
+                losses = sum(_each(pool, [(p.score, cross_entropy) for p in self.score_trains]), [])
+                metrics = tuple(ClientMetrics(j, round_idx, a, loss) for j, a, loss in zip(clients, accuracies, losses))
+                return RoundRecord(round_idx, weights_checksum(server.base), metrics)
+        except FloatingPointError as exc:
+            raise SimulationError(f"round {round_idx}: {exc}; the run diverged (try a smaller sgd.eta)") from exc
+
+    def close(self) -> None:
+        if self.pool is not None:
+            self.pool.shutdown()
+
+
 def run_federation(
     cfg: RunConfig,
     trains: RowBlock,
@@ -250,98 +342,17 @@ def run_federation(
     checkpoint_dir: str | Path | None = None,
     checkpoint_every: int = 0,
 ) -> FederationResult:
-    """Run the full protocol on the clients' training and test sets, set j
-    of each side client j's: per round, broadcast the base weights, train
-    all clients locally (optionally fine-tuning personal layers first),
-    aggregate the base updates in client-id order, and record per-client
-    metrics.  Both sides are checked first: each needs a non-empty set for
-    every client, of float64 rows of the model's input width and integer
-    labels among its outputs.
-
-    Metrics are recorded after local training and aggregation, before the
-    next broadcast: each client is scored with the round's aggregated base
-    plus its own personal weights, the pair the personalized risk is defined
-    on.  All clients train together on the lock-step engine, which gives
-    every client bitwise the result of training it on its own, also when
-    the run trains in client groups on threads (_client_groups).
-
-    A round that overflows, or leaves a client's weights non-finite
-    (typically a learning rate too large for the data), stops the run with a
-    SimulationError.
-    """
-    spec, kb, records, clients = cfg.spec, cfg.spec.k_base, [], range(len(trains.sizes))
-    if not clients or len(tests.sizes) != len(clients):
-        raise ConfigError(
-            "a federation needs at least one client, and a test set for each training set; "
-            f"got {len(trains.sizes)} training and {len(tests.sizes)} test sets"
-        )
-    for kind, rows in (("training", trains), ("test", tests)):
-        n = sum(rows.sizes)
-        if rows.x.shape != (n, spec.in_dim) or rows.y.shape != (n,):
-            raise ShapeError(f"{kind} rows {rows.x.shape} and labels {rows.y.shape} are not ({n}, {spec.in_dim}) and ({n},)")
-        if rows.x.dtype.type is not np.float64 or not np.issubdtype(rows.y.dtype, np.integer):
-            raise ShapeError(f"{kind} rows of {rows.x.dtype} and labels of {rows.y.dtype} are not float64 and integers")
-        for j, size in enumerate(rows.sizes):
-            if size < 1:
-                raise ConfigError(f"client {j} has an empty {kind} set")
-        if not 0 <= rows.y.min() <= rows.y.max() < spec.out_dim:
-            raise ShapeError(f"{kind} labels are not all in [0, {spec.out_dim}), the model's outputs")
-    # the one copy of the run's weights: row j is the round's broadcast base, drawn from the
-    # server's stream, then client j's personal layers, drawn from its own; the server's base
-    # views row 0, and client j's aggregation weight is n_j / sum(n)
-    base_init = init_weights(spec.base_layers, rngmod.substream(cfg.master_seed, rngmod.SERVER_PARTY, 0, rngmod.INIT))
-    personal = [init_weights(spec.personal_layers, _client_stream(cfg, j, 0, rngmod.INIT)) for j in clients]
-    block, layers = weight_block([base_init + p for p in personal])
-    base = block[:, : nn.columns([(s.out_dim, s.in_dim) for s in spec.base_layers])[-1]]
-    total = sum(trains.sizes)
-    server = ServerState(unstack_weights(layers[:kb], 0), [n / total for n in trains.sizes])
-    for j in clients:
-        server.log(client_name(j), SERVER, MSG_TRAIN_SIZE)
-
-    groups = _client_groups(trains.sizes, cfg.sgd.batch_size)
-    budget = nn.ROW_BUDGET // len(groups)  # the groups' launches together hold one launch of rows
-    sgd_plans, fine_tune_plans, score_trains, score_tests = zip(*(
-        _group_plans(cfg, trains.sets(lo, hi), tests.sets(lo, hi), block[lo:hi], budget) for lo, hi in groups
-    ))
-    # the main thread draws the streams, checks, aggregates, logs and writes; only the passes run on the pool
-    pool = None
-    if len(groups) > 1:
-        from concurrent.futures import ThreadPoolExecutor  # a one-group run never imports it
-        pool = ThreadPoolExecutor(len(groups))
+    """The cfg.rounds rounds of a Federation, checkpointed to checkpoint_dir
+    every checkpoint_every rounds; a SimulationError stops the run."""
+    fed, records = Federation(cfg, trains, tests), []
     try:
         for round_idx in range(1, cfg.rounds + 1):
-            # an overflow can leave every weight finite but meaningless
-            try:
-                with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    for j in clients:
-                        server.log(SERVER, client_name(j), MSG_BASE_WEIGHTS)
-                    for purpose, plans in ((rngmod.FINE_TUNE, fine_tune_plans), (rngmod.SGD, sgd_plans)):
-                        if plans[0] is not None:
-                            rngs = _streams(cfg, clients, round_idx, purpose)
-                            _each(pool, [(p.run, rngs[lo:hi], cfg.sgd.eta) for p, (lo, hi) in zip(plans, groups)])
-                    _check_finite(block, round_idx)
-                    for j in clients:
-                        server.log(client_name(j), SERVER, MSG_BASE_WEIGHTS)
-                    # aggregate and broadcast now: scoring reads row j as the base and client j's layers
-                    base[...] = aggregate_rows(base, server.agg_weights)
-                    # the history records the test sets' accuracy and the training sets' loss
-                    accuracies = sum(_each(pool, [(p.score, correct) for p in score_tests]), [])
-                    losses = sum(_each(pool, [(p.score, cross_entropy) for p in score_trains]), [])
-                    metrics = tuple(
-                        ClientMetrics(j, round_idx, a, loss) for j, a, loss in zip(clients, accuracies, losses)
-                    )
-                    records.append(RoundRecord(round_idx, weights_checksum(server.base), metrics))
-            except FloatingPointError as exc:
-                raise SimulationError(
-                    f"round {round_idx}: {exc}; the run diverged (try a smaller sgd.eta)"
-                ) from exc
+            records.append(fed.round(round_idx))
             if checkpoint_dir is not None and checkpoint_every > 0 and round_idx % checkpoint_every == 0:
-                write_checkpoint(Path(checkpoint_dir), f"round{round_idx:04d}", layers, kb)
+                write_checkpoint(Path(checkpoint_dir), f"round{round_idx:04d}", fed.layers, cfg.spec.k_base)
     finally:
-        if pool is not None:
-            pool.shutdown()
-
-    return FederationResult(RoundHistory(tuple(records)), server, layers)
+        fed.close()
+    return FederationResult(RoundHistory(tuple(records)), fed.server, fed.layers)
 
 
 def _usable_cores() -> int:

@@ -222,6 +222,12 @@ MUTANTS = (
         (("pool.submit(contextvars.copy_context().run, *call)", "pool.submit(*call)"),),
         ("tests/test_protocol.py::TestClientGroups::test_overflow_in_a_group_ends_the_run",),
     ),
+    # a run that fails in a round ends its pool, as one that completes does
+    Mutant(
+        "pool-left-open-after-a-failed-round", "protocol.py",
+        (("    finally:\n        fed.close()\n", "    except BaseException:\n        raise\n    fed.close()\n"),),
+        ("tests/test_protocol.py::TestClientGroups::test_overflow_in_a_group_ends_the_run",),
+    ),
     # the run draws the shared base from the server's stream, not a client's
     Mutant(
         "server-base-from-a-client-stream", "protocol.py",

@@ -1161,3 +1161,45 @@ class TestClientGroups:
         assert [len(g) for g in groups] == [2] and threading.active_count() == threads
         assert re.search(rf"round {round_idx}: overflow encountered in \w+; the run diverged", capsys.readouterr().err)
         assert not (out / "run_history.csv").exists()
+
+
+class TestFederation:
+    """run_federation is a Federation's set-up, its rounds one by one and
+    its close."""
+
+    @staticmethod
+    def shards(name):
+        resolved = resolve(apply_overrides(default_config(), TestClientGroups.CONFIGS[name]))
+        return resolved.run, *client_shards(build_dataset(resolved.dataset), resolved.run.partition)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_rounds_stepped_one_by_one_are_the_run(self, monkeypatch, cores):
+        """Stepped round by round, a Federation records the rounds of
+        run_federation's history and ends on its weight block, in one client
+        group and in two."""
+        cfg, trains, tests = self.shards("unbalanced-fine-tuned")
+        groups = TestClientGroups.force(monkeypatch, cores)
+        result = run_federation(cfg, trains, tests)
+        fed = fedper.protocol.Federation(cfg, trains, tests)
+        try:
+            records = tuple(fed.round(r) for r in range(1, cfg.rounds + 1))
+        finally:
+            fed.close()
+        assert [len(g) for g in groups] == [cores, cores]
+        assert repr(records) == repr(result.history.rounds)  # repr tells -0.0 from 0.0
+        block = result.layers[0][1].base  # a bias stack is a column slice of the block
+        assert block.shape == fed.block.shape and block.tobytes() == fed.block.tobytes()
+
+    def test_a_refused_set_up_builds_no_plan_and_starts_no_thread(self, monkeypatch):
+        """Rows the door refuses stop the set-up of a run that would train in
+        two groups before it splits its clients, plans a pass or makes a pool."""
+        cfg, trains, tests = self.shards("k_class")
+        plans = TestLaunchCounts.record_plans(monkeypatch)
+        groups, threads = TestClientGroups.force(monkeypatch, 2), threading.active_count()
+        float32 = RowBlock(trains.x.astype(np.float32), trains.y, trains.sizes)
+        with pytest.raises(ShapeError, match="training rows of float32"):
+            fedper.protocol.Federation(cfg, float32, tests)
+        assert plans == [] and groups == [] and threading.active_count() == threads
+        fed = fedper.protocol.Federation(cfg, trains, tests)
+        fed.close()
+        assert len(plans) == 2 * 3 and [len(g) for g in groups] == [2] and fed.pool is not None
