@@ -10,8 +10,8 @@ from .nn import LayerSpec
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Layer stack plus the split point: the last k_personal layers are
-    client-local, the first k_base = len(layers) - k_personal are shared."""
+    """Layer stack plus the split point: the last k_personal layers, from none
+    (FedAvg) to all (local-only), are client-local; the other k_base shared."""
 
     layers: tuple[LayerSpec, ...]
     k_personal: int = 0
@@ -22,11 +22,8 @@ class ModelSpec:
             raise ConfigError("model needs at least one layer")
         if self.k_personal < 0:
             raise ConfigError(f"k_personal must be >= 0, got {self.k_personal}")
-        if self.k_personal > len(self.layers) - 1:
-            raise ConfigError(
-                f"k_personal={self.k_personal} leaves no base layer "
-                f"(model has {len(self.layers)} layers; at least one must stay shared)"
-            )
+        if self.k_personal > len(self.layers):
+            raise ConfigError(f"k_personal={self.k_personal} exceeds the model's {len(self.layers)} layers")
         for i in range(len(self.layers) - 1):
             if self.layers[i].out_dim != self.layers[i + 1].in_dim:
                 raise ConfigError(
@@ -65,5 +62,7 @@ class ModelSpec:
 def linearize_base(spec: ModelSpec) -> ModelSpec:
     """Ablation: collapse all base layers into a single identity-activation
     dense layer from the input dim to whatever the personal stack expects."""
+    if spec.k_base == 0:
+        raise ConfigError(f"ablation=linear_base needs a base layer, and k_personal={spec.k_personal} leaves none")
     new_base = LayerSpec(spec.in_dim, spec.base_layers[-1].out_dim, "identity")
     return ModelSpec((new_base,) + spec.personal_layers, spec.k_personal)

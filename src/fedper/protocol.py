@@ -206,12 +206,12 @@ def fine_tune(client: ClientState, cfg: RunConfig, base_in: Layers, round_idx: i
 
 def aggregate_rows(rows: np.ndarray, gammas: Sequence[float]) -> np.ndarray:
     """Convex combination w0 + sum_j g_j * (w_j - w0) of the rows w_j of an
-    (N, P) block, row j client j's base update and gammas[j] its weight:
-    algebraically the weighted mean, but exactly a fixed point when every
-    row is identical.  np.add.reduce over axis 0 adds the rows in row
-    order (a block of one column, which no layer list lays out, it sums
-    pairwise), and a fixed floating-point order keeps it bitwise
-    deterministic."""
+    (N, P) block (P = 0 when every layer is personal), row j client j's base
+    update and gammas[j] its weight: algebraically the weighted mean, but
+    exactly a fixed point when every row is identical.  np.add.reduce over
+    axis 0 adds the rows in row order (a block of one column, which no layer
+    list lays out, it sums pairwise), and a fixed floating-point order keeps
+    it bitwise deterministic."""
     if len(gammas) == 0:
         raise ProtocolError("aggregate needs at least one update")
     for g in gammas:

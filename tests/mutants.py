@@ -268,6 +268,16 @@ MUTANTS = (
             "test_unbalanced_client_without_a_test_sample_refused_by_its_drawn_volume",
         ),
     ),
+    # k_personal runs to every layer: an all-personal model, each client
+    # training alone, is the end of the axis opposite FedAvg
+    Mutant(
+        "all-personal-refused", "model.py",
+        (("if self.k_personal > len(self.layers):", "if self.k_personal >= len(self.layers):"),),
+        (
+            "tests/test_protocol.py::TestTrainingReference::test_all_personal_run_is_every_client_training_alone",
+            "tests/test_model.py::TestSpec::test_rejects_more_personal_layers_than_the_model_has",
+        ),
+    ),
 )
 
 

@@ -88,6 +88,11 @@ class TestConfig:
         # the echoed config keeps the model as given, so a rerun ablates again
         assert resolved.effective["model"] == default_config()["model"]
 
+    def test_linear_base_ablation_of_an_all_personal_model_refused(self):
+        # a base of no layers has nothing to collapse
+        with pytest.raises(ConfigError, match="linear_base needs a base layer"):
+            resolve(apply_overrides(default_config(), ["ablation=linear_base", "model.k_personal=3"]))
+
     def test_override_parsing_types(self):
         cfg = apply_overrides(
             default_config(),
@@ -235,6 +240,17 @@ class TestInputValidation:
         args = ["sweep", "--axis", "k", "--values", "1,4", *(a for s in settings for a in ("--set", s))]
         assert main([*args, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: k_class client 2 would get no sample")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_point_with_no_base_to_linearize_refused_before_any_trains(self, tmp_path, monkeypatch, capsys):
+        """Under ablation=linear_base the kp=3 point of the default model
+        keeps no base layer to collapse: the kp=0 point before it is not
+        trained, and the dataset is not built."""
+        monkeypatch.setattr(fedper.cli, "build_dataset", lambda *args: pytest.fail("built the dataset"))
+        monkeypatch.setattr(fedper.experiment, "run_experiment", lambda *args: pytest.fail("trained"))
+        args = ["sweep", "--set", "ablation=linear_base", "--axis", "kp", "--values", "0,3"]
+        assert main([*args, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: ablation=linear_base needs a base layer, and k_personal=3 leaves none\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("base_k", [2, 1], ids=["base-unfit", "point-refused"])
@@ -440,6 +456,11 @@ RUN_REFUSALS = {
         "volume_range must satisfy 1 <= min <= max, got (5, 3)",
     ),
     "no-layers": ({}, ["--set", "model.layers=[]"], 2, "model needs at least one layer"),
+    "k-personal-beyond-the-layers": ({}, ["--set", "model.k_personal=4"], 2, "k_personal=4 exceeds the model's 3 layers"),
+    "linear-base-of-an-all-personal-model": (
+        {}, ["--set", "model.k_personal=3", "--set", "ablation=linear_base"], 2,
+        "ablation=linear_base needs a base layer, and k_personal=3 leaves none",
+    ),
     "missing-csv": ({}, CSV_AT_D, 1, "{tmp}/d.csv: [Errno 2] No such file or directory: '{tmp}/d.csv'"),
     "empty-csv": ({"d.csv": ""}, CSV_AT_D, 1, "{tmp}/d.csv: empty file"),
     "csv-bad-feature": (
@@ -807,7 +828,7 @@ class TestSweepCommand:
             for settings in ([], ["ablation=linear_base"], ["fine_tune=true"], ["algorithm=fedavg"])
             for axis, values in (("k", ["1", "2"]), ("kp", ["0", "1", "2"]), ("algorithm", ["fedper", "fedavg"]))
             if not (axis == "kp" and settings == ["algorithm=fedavg"])  # a usage error, tested above
-        ],
+        ] + [pytest.param([], "kp", ["0", "1", "2", "3"], id="kp-from-fedavg-to-local-only")],
     )
     def test_every_point_is_the_run_with_its_axis_key_set(self, settings, axis, values, tmp_path):
         sets = [arg for setting in settings for arg in ("--set", setting)]
@@ -822,17 +843,19 @@ class TestSweepCommand:
             run_out = tmp_path / f"run_{value}"
             assert main(["run", *SMALL, *sets, *run_sets, "--seed", str(seed), "--out", str(run_out)]) == 0
             assert (out / f"run_{axis}_{value}.csv").read_bytes() == (run_out / "run_history.csv").read_bytes()
+        assert sorted(p.name for p in out.iterdir()) == sorted([*(f"run_{axis}_{v}.csv" for v in values), "run_config.json"])
 
     @pytest.mark.parametrize("settings, axis, values, files", [
         (["dataset.per_class=5", "partition.num_clients=4"], "k", "1", ["run_k_1.csv"]),
-        (["model.k_personal=3"], "kp", "0,1", ["run_kp_0.csv", "run_kp_1.csv"]),
-    ], ids=["base-k-leaves-no-test-sample", "base-k-personal-leaves-no-base-layer"])
+        (["model.k_personal=4"], "kp", "0,1", ["run_kp_0.csv", "run_kp_1.csv"]),
+    ], ids=["base-k-leaves-no-test-sample", "base-k-personal-exceeds-the-models-layers"])
     def test_a_base_that_would_not_run_is_no_point(self, settings, axis, values, files, tmp_path, capsys):
         """A sweep refuses what one of its points refuses, and nothing else:
         the base's own k (2, which leaves client 3 of 5 samples of each
-        class no test sample) or k_personal (3 of 3 layers) is set by every
-        point, so the sweep runs, though `fedper run` refuses the base.
-        The echoed config is still the base's, with its derived seeds."""
+        class no test sample) or k_personal (4, of a model of 3 layers) is
+        set by every point, so the sweep runs, though `fedper run` refuses
+        the base.  The echoed config is still the base's, with its derived
+        seeds."""
         sets = [arg for setting in [*settings, "rounds=1"] for arg in ("--set", setting)]
         assert main(["run", *sets, "--out", str(tmp_path / "run")]) == 2
         capsys.readouterr()
@@ -972,6 +995,7 @@ class TestSweepFuzz:
         overrides=st.lists(st.one_of(st.sampled_from(FUZZ_SETTINGS), st.sampled_from(FUZZ_OVERRIDES)), max_size=2),
     )
     @example(axis="kp", values=["0", "2"], overrides=["ablation=linear_base"])
+    @example(axis="kp", values=["0", "3"], overrides=["ablation=linear_base"])
     @example(axis="algorithm", values=["fedper", "fedavg"], overrides=["ablation=linear_base"])
     @example(axis="algorithm", values=["fedper", "fedavg"], overrides=["algorithm=fedavg"])
     @example(axis="kp", values=["0", "1"], overrides=["algorithm=fedavg"])

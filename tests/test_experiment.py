@@ -147,9 +147,9 @@ class TestSweep:
 
     def test_bad_late_value_rejected_before_training(self, monkeypatch):
         monkeypatch.setattr(fedper.experiment, "run_experiment", mock.Mock(side_effect=AssertionError("trained")))
-        # kp: no base layer left, caught when the point resolves
-        with pytest.raises(ConfigError):
-            sweep_setup("kp", [0, 2])
+        # kp: more personal layers than the model's 2, caught when the point resolves
+        with pytest.raises(ConfigError, match="k_personal=3 exceeds the model's 2 layers"):
+            sweep_setup("kp", [0, 3])
         # k: more classes per client than the dataset has, caught when the point resolves too
         with pytest.raises(ConfigError, match="k=5 exceeds the number of classes 4"):
             sweep_setup("k", [2, 5])

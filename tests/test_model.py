@@ -25,12 +25,14 @@ class TestSpec:
         assert [l.out_dim for l in spec.base_layers] == [3, 4]
         assert [l.out_dim for l in spec.personal_layers] == [2]
 
-    def test_rejects_all_personal(self):
-        # at least one base layer must remain shared
-        with pytest.raises(ConfigError):
-            ModelSpec((LayerSpec(2, 2),), 1)
-        with pytest.raises(ConfigError):
-            ModelSpec((LayerSpec(2, 2), LayerSpec(2, 2)), 2)
+    def test_rejects_more_personal_layers_than_the_model_has(self):
+        # k_personal runs from 0 (FedAvg) to every layer (local-only), and no further
+        for n in (1, 2):
+            layers = (LayerSpec(2, 2),) * n
+            assert [ModelSpec(layers, k).k_base for k in range(n + 1)] == list(range(n, -1, -1))
+            assert ModelSpec(layers, n).base_layers == ()
+            with pytest.raises(ConfigError, match=rf"^k_personal={n + 1} exceeds the model's {n} layers$"):
+                ModelSpec(layers, n + 1)
 
     def test_rejects_negative_k_personal(self):
         with pytest.raises(ConfigError, match=r"^k_personal must be >= 0, got -1$"):

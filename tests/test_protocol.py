@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -540,6 +541,28 @@ class TestRunFederation:
                 personal = fedper.nn.unstack_weights(result.layers[spec.k_base :], j)
                 assert weights_equal(fedper.nn.unstack_weights(stacks, j), personal)
 
+    def test_all_personal_run_checkpoints_and_exchanges_an_empty_base(self, tmp_path):
+        """With every layer personal the server keeps a base of no layers:
+        each round's server_base pair is a manifest of no layer shapes and
+        an empty blob, which load_weights reads back as no layers, and the
+        server still logs every training size and both base exchanges of
+        every client in every round, none of them a personal payload."""
+        spec = toy_spec(k_personal=3)
+        cfg = toy_cfg(spec, num_clients=3, rounds=2)
+        data = toy_client_data(spec, 3, np.random.default_rng(20))
+        result = run_federation(cfg, *row_blocks(data), checkpoint_dir=tmp_path, checkpoint_every=1)
+        for tag in ("round0001", "round0002"):
+            manifest = json.loads((tmp_path / f"{tag}_server_base.json").read_text())
+            assert manifest["layer_shapes"] == [] and manifest["split_index"] == 0
+            assert (tmp_path / f"{tag}_server_base.bin").read_bytes() == b""
+            assert load_weights(tmp_path / f"{tag}_server_base") == ([], 0)
+        stacks, split_index = load_weights(tmp_path / "round0002_personal")
+        assert split_index == 0 and weights_equal(stacks, result.layers)
+        log = result.server.message_log
+        assert result.server.base == [] and result.server.personal_payload_count() == 0
+        assert len(log) == 3 + 2 * 3 * 2
+        assert [m.kind for m in log] == [MSG_TRAIN_SIZE] * 3 + [MSG_BASE_WEIGHTS] * (2 * 3 * 2)
+
 
 class TestFedAvgEquivalence:
     """Reference implementation: plain federated averaging written as its own
@@ -649,11 +672,46 @@ class TestTrainingReference:
         stacks = ours.layers[cfg.spec.k_base :]
         ours_personal = [reference.checksum(fedper.nn.unstack_weights(stacks, j)) for j in range(len(data))]
         assert ours_personal == list(map(reference.checksum, personals))
+        return ours
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(federations())
     def test_run_equals_reference(self, federation):
         self.assert_equals_reference(*federation)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("fine_tuned", [False, True], ids=["sgd", "fine-tuned"])
+    def test_all_personal_run_is_every_client_training_alone(self, monkeypatch, fine_tuned, cores):
+        """K_P = L, the far end of the axis from FedAvg: every layer is
+        personal, so the base is empty and each client trains alone.  A run
+        of the default model on unbalanced users with rater disagreement
+        equals the reference loop, and each client ends on the layers of
+        its own one-client nn.sgd runs, round by round on its INIT,
+        FINE_TUNE (one epoch, every layer trained) and SGD substreams; in
+        one client group and in two."""
+        resolved = resolve(apply_overrides(default_config(), [
+            "rounds=3", "partition.mode=unbalanced_users", "partition.rater_disagreement=true",
+            f"fine_tune={str(fine_tuned).lower()}", "sgd.eta=0.05", "model.k_personal=3",
+        ]))
+        cfg, (trains, tests) = resolved.run, client_shards(build_dataset(resolved.dataset), resolved.run.partition)
+        spec, seed, out_dim = cfg.spec, cfg.master_seed, cfg.spec.out_dim
+        data = [
+            (LabeledDataset(*train, out_dim), LabeledDataset(*test, out_dim))
+            for train, test in zip(block_sets(trains), block_sets(tests))
+        ]
+        groups = TestClientGroups.force(monkeypatch, cores)
+        ours = self.assert_equals_reference(cfg, data)
+        assert spec.k_base == 0 and [len(g) for g in groups] == [cores]
+        assert {r.base_checksum for r in ours.history.rounds} == {hashlib.sha256(b"").hexdigest()}
+        for j, (train, _) in enumerate(data):
+            layers = init_weights(spec.layers, rngmod.substream(seed, rngmod.client_party(j), 0, rngmod.INIT))
+            for r in range(1, cfg.rounds + 1):
+                if fine_tuned:
+                    gen = rngmod.substream(seed, rngmod.client_party(j), r, rngmod.FINE_TUNE)
+                    _, layers = fedper.nn.sgd(spec, [], layers, train, SgdConfig(cfg.sgd.eta, 1, cfg.sgd.batch_size), gen)
+                gen = rngmod.substream(seed, rngmod.client_party(j), r, rngmod.SGD)
+                _, layers = fedper.nn.sgd(spec, [], layers, train, cfg.sgd, gen)
+            assert weights_equal(fedper.nn.unstack_weights(ours.layers, j), layers), j
 
     def test_replay_of_ragged_launches_and_shared_scoring_segments(self):
         """Six clients of 3, 11, 1, 8, 5 and 3 training rows at B=4, whose
